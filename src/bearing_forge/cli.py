@@ -81,12 +81,17 @@ def write_trajectory_csv(path, traj, sc, mts, V=None):
 
 def oracle_report(sc, traj):
     """Proof-level diagnostics: closed-loop spectrum, xi deviation, and (in
-    adaptive mode) the Lyapunov certificate and monotonicity verdict."""
+    adaptive mode) the Lyapunov certificate and monotonicity verdict.
+
+    Returns (report, V): V is the monitor series of adaptive mode, None
+    otherwise.
+    """
     A = assemble_A_sigma(sc.laplacian.B_ff, sc.models, sc.d, sc.gains)
     report = {
         "spectral_abscissa": spectral_abscissa(A),
         "xi_max_deviation": float(xi_oracle(traj, sc)),
     }
+    V = None
     if sc.mode == "adaptive":
         M_f, E_f = stack_follower_blocks(sc.models, sc.d)
         cert = build_certificate(sc.laplacian.B_ff, sc.gains, M_f, E_f)
@@ -100,7 +105,7 @@ def oracle_report(sc, traj):
             "V_terminal": float(V[-1]),
             "non_increasing": bool(np.all(np.diff(V) <= slack)),
         }
-    return report
+    return report, V
 
 
 def cmd_run(args):
@@ -109,14 +114,9 @@ def cmd_run(args):
     traj = integrate(sc)
     mts = metrics(traj, sc)
 
-    V = None
-    report = None
+    report, V = None, None
     if args.oracles or sc.oracles:
-        report = oracle_report(sc, traj)
-        if sc.mode == "adaptive":
-            M_f, E_f = stack_follower_blocks(sc.models, sc.d)
-            cert = build_certificate(sc.laplacian.B_ff, sc.gains, M_f, E_f)
-            V = lyapunov_monitor(traj, cert, sc)
+        report, V = oracle_report(sc, traj)
 
     out_dir = sc.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -201,7 +201,8 @@ def build_parser():
         p.add_argument("--h", dest="h", type=float)
         p.add_argument("--mode", choices=("known", "adaptive", "feedback_only"))
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--oracles", action="store_true")
+        if name == "run":
+            p.add_argument("--oracles", action="store_true")
         p.set_defaults(fn=fn)
     return parser
 

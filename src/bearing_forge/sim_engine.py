@@ -28,6 +28,7 @@ from .errors import (
 
 DEFAULT_STEP = 1e-3
 DEFAULT_COLLISION_EPS = 1e-3
+CHECK_CHUNK = 64                 # steps propagated between vectorised state checks
 
 
 @dataclass
@@ -75,12 +76,11 @@ class CompiledScenario:
         return self.graph.n_f
 
     def target_positions(self, t):
-        """Target configuration at time t (leaders anchor it, followers solved)."""
-        from .formation_graph import localize_followers
-
-        p_l = self.p_star0[: self.n_l] + t * self.v_c
-        p_f, _ = localize_followers(self.laplacian, p_l, self.v_c)
-        return np.vstack([p_l, p_f])
+        """Target configuration at time t, shape (n, d), or (len(t), n, d)
+        for an array of times.  The bearing Laplacian annihilates
+        translations, so the target moves rigidly:
+        p*(t) = p*(0) + t (1 kron v_c)."""
+        return self.p_star0 + np.multiply.outer(t, self.v_c)[..., None, :]
 
 
 @dataclass
@@ -146,8 +146,36 @@ def spectral_abscissa(A):
     return float(np.linalg.eigvals(A).real.max())
 
 
+def _pad_index(sizes, width):
+    """Flat positions of a packed stack of (size_i, width) blocks inside the
+    zero-padded (len(sizes), max(sizes), width) array; None when the sizes
+    are equal and the packed stack already has the padded layout."""
+    if len(set(sizes)) == 1:
+        return None
+    stride = max(sizes) * width
+    return np.concatenate(
+        [i * stride + np.arange(s * width) for i, s in enumerate(sizes)]
+    )
+
+
+def _padded(mats, rows, cols):
+    """Stack 2-D blocks into a zero-padded (len(mats), rows, cols) array."""
+    out = np.zeros((len(mats), rows, cols))
+    for i, a in enumerate(mats):
+        out[i, : a.shape[0], : a.shape[1]] = a
+    return out
+
+
 class Engine:
-    """Precomputed dense operators for the right-hand side."""
+    """The closed loop in stacked per-follower form.
+
+    Follower i's compensator and exosystem states are (m_i, d) blocks and its
+    estimate is a row of k_i entries.  They are held zero-padded to the
+    largest order, as (n_f, m_max, d) and (n_f, 1, k_max) arrays, next to the
+    stacked (n_f, m_max, m_max) matrices M, Phi and Lambda, so that each
+    per-follower product of the control law is one batched matmul.  Padded
+    rows and columns are zero and never reach the packed state.
+    """
 
     def __init__(self, sc: CompiledScenario):
         n, d, n_l, n_f = sc.n, sc.d, sc.n_l, sc.n_f
@@ -155,24 +183,36 @@ class Engine:
         self.n, self.d, self.n_l, self.n_f = n, d, n_l, n_f
         self.orders = [m.order for m in sc.models]
         self.q_f = sum(self.orders) * d
-        self.K = sum(p.k for p in sc.params) if sc.mode == "adaptive" else 0
+        self.adaptive = sc.mode == "adaptive"
+        ks = [p.k for p in sc.params]
+        self.K = sum(ks) if self.adaptive else 0
 
         B = sc.laplacian.B
         self.Bf = B[n_l * d :, :]                       # follower rows, acts on full stacks
         self.vc_tile = np.tile(sc.v_c, n_l)
 
-        eye_d = np.eye(d)
-        self.M_blk = sla.block_diag(*[np.kron(m.M, eye_d) for m in sc.models])
-        self.N_blk = sla.block_diag(
-            *[np.kron(m.N.reshape(-1, 1), eye_d) for m in sc.models]
+        m_max = self.m_max = max(self.orders)
+        self.eta_idx = _pad_index(self.orders, d)
+        self.M3 = _padded([m.M for m in sc.models], m_max, m_max)
+        self.N3 = _padded([m.N.reshape(-1, 1) for m in sc.models], m_max, 1)
+        self.MN3 = _padded(
+            [(m.M @ m.N).reshape(-1, 1) for m in sc.models], m_max, 1
         )
-        self.MN_blk = sla.block_diag(
-            *[np.kron((m.M @ m.N).reshape(-1, 1), eye_d) for m in sc.models]
-        )
-        self.Phi_blk = sla.block_diag(*[np.kron(e.Phi, eye_d) for e in sc.exos])
-        self.E_blk = sla.block_diag(
-            *[np.kron(m.E.reshape(1, -1), eye_d) for m in sc.models]
-        )
+        self.Phi3 = _padded([e.Phi for e in sc.exos], m_max, m_max)
+        if self.adaptive:
+            k_max = self.k_max = max(ks)
+            self.th_idx = _pad_index(ks, 1)
+            self.basis3 = _padded([p.basis for p in sc.params], k_max, m_max)
+            self.E_nom3 = _padded(
+                [p.E_nominal.reshape(1, -1) for p in sc.params], 1, m_max
+            )
+            self.neg_Lam3 = -_padded(
+                [np.atleast_2d(L) for L in sc.lambdas], k_max, k_max
+            )
+        elif sc.mode == "known":
+            self.E3 = _padded([m.E.reshape(1, -1) for m in sc.models], 1, m_max)
+        else:  # feedback_only: the same loop with a zero feedforward row
+            self.E3 = np.zeros((n_f, 1, m_max))
         # index of the signal block (first d entries) of each follower's vartheta
         idx = []
         off = 0
@@ -180,17 +220,6 @@ class Engine:
             idx.extend(range(off, off + d))
             off += m * d
         self.d_idx = np.array(idx, dtype=int)
-        # per-follower slices into the eta / vartheta stack
-        self.blk_slices = []
-        off = 0
-        for m in self.orders:
-            self.blk_slices.append(slice(off, off + m * d))
-            off += m * d
-        self.th_slices = []
-        off = 0
-        for p in sc.params:
-            self.th_slices.append(slice(off, off + p.k))
-            off += p.k
 
         # state layout offsets
         self.i_p = 0
@@ -211,52 +240,99 @@ class Engine:
             y[self.i_th :] = np.concatenate(sc.theta_hat0)
         return y
 
+    def _blocks(self, x, idx, rows, cols):
+        """Packed per-follower blocks -> padded (n_f, rows, cols) array."""
+        if idx is None:
+            return x.reshape(self.n_f, rows, cols)
+        buf = np.zeros(self.n_f * rows * cols)
+        buf[idx] = x
+        return buf.reshape(self.n_f, rows, cols)
+
+    @staticmethod
+    def _packed(a, idx):
+        """Padded per-follower array -> packed flat blocks."""
+        flat = a.reshape(-1)
+        return flat if idx is None else flat[idx]
+
     def rhs(self, y):
         sc = self.sc
         d, n_f = self.d, self.n_f
         p = y[self.i_p : self.i_vf]
         v_f = y[self.i_vf : self.i_eta]
-        eta = y[self.i_eta : self.i_var]
-        var = y[self.i_var : self.i_th]
+        eta = self._blocks(y[self.i_eta : self.i_var], self.eta_idx, self.m_max, d)
+        var = self._blocks(y[self.i_var : self.i_th], self.eta_idx, self.m_max, d)
 
         s_p = self.Bf @ p
         s_v = self.Bf @ np.concatenate([self.vc_tile, v_f])
-        w = eta - self.N_blk @ v_f
+        v3 = v_f.reshape(n_f, 1, d)
+        w = eta - self.N3 * v3                           # (n_f, m_max, d)
 
         dy = np.empty(self.dim)
-        if sc.mode == "known":
-            u = self.E_blk @ w - sc.gains.kappa_p * s_p - sc.gains.kappa_v * s_v
-        elif sc.mode == "adaptive":
-            th = y[self.i_th :]
-            u = -sc.gains.kappa_p * s_p - sc.gains.kappa_v * s_v
-            for i in range(n_f):
-                blk = self.blk_slices[i]
-                param = sc.params[i]
-                Wi = w[blk].reshape(self.orders[i], d)
-                th_i = th[self.th_slices[i]]
-                u[i * d : (i + 1) * d] += (param.E_nominal + th_i @ param.basis) @ Wi
-                if sc.freeze_theta:
-                    dy[self.i_th :][self.th_slices[i]] = 0.0
-                else:
-                    G = param.basis @ Wi        # (k, d): rho_i^T
-                    s_i = s_p[i * d : (i + 1) * d] + s_v[i * d : (i + 1) * d]
-                    dy[self.i_th :][self.th_slices[i]] = -sc.lambdas[i] @ (G @ s_i)
-        else:  # feedback_only
-            u = -sc.gains.kappa_p * s_p - sc.gains.kappa_v * s_v
+        fb = (-sc.gains.kappa_p * s_p - sc.gains.kappa_v * s_v).reshape(n_f, 1, d)
+        if not self.adaptive:
+            u = fb + self.E3 @ w                         # (n_f, 1, d)
+        else:
+            th = self._blocks(y[self.i_th :], self.th_idx, 1, self.k_max)
+            u = fb + (self.E_nom3 + th @ self.basis3) @ w
+            if sc.freeze_theta:
+                dy[self.i_th :] = 0.0
+            else:
+                G = self.basis3 @ w                      # (n_f, k_max, d): rho_i^T
+                s = (s_p + s_v).reshape(n_f, d, 1)
+                dth = self.neg_Lam3 @ (G @ s)            # (n_f, k_max, 1)
+                dy[self.i_th :] = self._packed(dth, self.th_idx)
 
         dy[self.i_p : self.i_p + self.n_l * d] = self.vc_tile
         dy[self.i_p + self.n_l * d : self.i_vf] = v_f
-        dy[self.i_vf : self.i_eta] = u + var[self.d_idx]
-        dy[self.i_eta : self.i_var] = self.M_blk @ eta + self.N_blk @ u - self.MN_blk @ v_f
-        dy[self.i_var : self.i_th] = self.Phi_blk @ var
+        dy[self.i_vf : self.i_eta] = (u + var[:, :1, :]).ravel()
+        dy[self.i_eta : self.i_var] = self._packed(
+            self.M3 @ eta + self.N3 * u - self.MN3 * v3, self.eta_idx
+        )
+        dy[self.i_var : self.i_th] = self._packed(self.Phi3 @ var, self.eta_idx)
         return dy
+
+    def rk4(self, h):
+        """One classical RK4 step of size h, taken stage by stage through rhs."""
+        rhs = self.rhs
+
+        def step(y):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        return step
+
+    def propagator(self, h):
+        """(R, r) such that one RK4 step of size h is exactly y+ = R y + r.
+
+        Only for the affine closed loop y' = A y + b of the known and
+        feedback_only modes: R = I + hA S and r = h S b with
+        S = I + hA/2 (I + hA/3 (I + hA/4)).  A and b are probed from rhs
+        (dim + 1 calls), so the control law keeps a single implementation.
+        """
+        b = self.rhs(np.zeros(self.dim))
+        A = np.empty((self.dim, self.dim))
+        e = np.zeros(self.dim)
+        for j in range(self.dim):
+            e[j] = 1.0
+            A[:, j] = self.rhs(e) - b
+            e[j] = 0.0
+        hA = h * A
+        eye = np.eye(self.dim)
+        S = eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0
+        return eye + hA @ S, h * (S @ b)
 
 
 def integrate(sc: CompiledScenario, t_final=None, h=None):
     """Run the closed loop with classical RK4 and record a Trajectory.
 
-    Raises CollisionDetected when two agents come within the collision
-    threshold and NonFiniteState on divergence.
+    States are propagated CHECK_CHUNK steps at a time, and then every step
+    of the chunk is checked at once.  Raises NonFiniteState on divergence
+    and CollisionDetected when two agents come within the collision
+    threshold, at the first step that fails; a step that fails both reports
+    the divergence.
     """
     t_final = sc.t_final if t_final is None else t_final
     h = sc.h if h is None else h
@@ -265,92 +341,135 @@ def integrate(sc: CompiledScenario, t_final=None, h=None):
     validate_gains(sc.gains, sc.laplacian.B_ff, sc.mode)
 
     eng = Engine(sc)
-    y = eng.initial_state()
     n_steps = int(round(t_final / h))
     n, d = eng.n, eng.d
     iu, ju = np.triu_indices(n, 1)
 
-    times, samples, dists = [], [], []
+    def check(block, first):
+        """Minimum pair distance of each state block[c], taken at step
+        first + c; raises at the first state that fails."""
+        rows = block.shape[0]
+        pm = block[:, eng.i_p : eng.i_vf].reshape(rows, n, d)
+        sq = 0.0
+        for a in range(d):  # per coordinate, to avoid a (rows, pairs, d) gather
+            x = pm[:, :, a]
+            diff = x[:, iu] - x[:, ju]
+            sq = sq + diff * diff
+        dist = np.sqrt(sq)
+        k = dist.argmin(axis=1)
+        dmin = dist[np.arange(rows), k]
+        diverged = ~np.isfinite(block).all(axis=1)
+        failed = diverged | (dmin < sc.collision_eps)
+        if failed.any():
+            c = int(failed.argmax())
+            t = (first + c) * h
+            if diverged[c]:
+                raise NonFiniteState(f"non-finite state component at t={t:.6f}")
+            pair = (int(iu[k[c]]) + 1, int(ju[k[c]]) + 1)
+            raise CollisionDetected(t, pair, float(dmin[c]))
+        return dmin
 
-    def min_pair_dist(state):
-        pm = state[eng.i_p : eng.i_vf].reshape(n, d)
-        diff = pm[iu] - pm[ju]
-        return np.sqrt((diff * diff).sum(axis=1))
+    rec_steps = np.append(np.arange(0, n_steps, sc.record_every), n_steps)
+    samples = np.empty((rec_steps.size, eng.dim))
+    dists = np.empty(rec_steps.size)
 
-    def check(state, t):
-        if not np.isfinite(state).all():
-            raise NonFiniteState(f"non-finite state component at t={t:.6f}")
-        dv = min_pair_dist(state)
-        k = int(dv.argmin())
-        if dv[k] < sc.collision_eps:
-            raise CollisionDetected(t, (int(iu[k]) + 1, int(ju[k]) + 1), float(dv[k]))
-        return float(dv[k])
+    if eng.adaptive:
+        advance = eng.rk4(h)
+    else:
+        R, r = eng.propagator(h)
 
-    dmin = check(y, 0.0)
-    times.append(0.0)
-    samples.append(y.copy())
-    dists.append(dmin)
+        def advance(y):
+            return R @ y + r
 
-    rhs = eng.rhs
-    for step in range(1, n_steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * h
-        dmin = check(y, t)
-        if step % sc.record_every == 0 or step == n_steps:
-            times.append(t)
-            samples.append(y.copy())
-            dists.append(dmin)
+    y = eng.initial_state()
+    samples[0] = y
+    dists[0] = check(y[None, :], 0)[0]
+    s = 1
+    block = np.empty((CHECK_CHUNK, eng.dim))
+    done = 0
+    while done < n_steps:
+        rows = min(CHECK_CHUNK, n_steps - done)
+        for c in range(rows):
+            y = advance(y)
+            block[c] = y
+        try:
+            dmin = check(block[:rows], done + 1)
+        except NonFiniteState:
+            if eng.adaptive:
+                raise
+            # RK4 stage values are of the order of the state over h, so a
+            # step taken stage by stage overflows up to several steps before
+            # the propagated state does.  Replay the run that way to report
+            # the step at which the stages first leave the finite range.
+            step_rk4, y = eng.rk4(h), eng.initial_state()
+            for step in range(1, done + rows + 1):
+                y = step_rk4(y)
+                check(y[None, :], step)
+            raise
+        while s < rec_steps.size and rec_steps[s] <= done + rows:
+            samples[s] = block[rec_steps[s] - done - 1]
+            dists[s] = dmin[rec_steps[s] - done - 1]
+            s += 1
+        done += rows
 
-    S = len(times)
-    arr = np.array(samples)
-    positions = arr[:, eng.i_p : eng.i_vf].reshape(S, n, d)
+    S = rec_steps.size
+    positions = samples[:, eng.i_p : eng.i_vf].reshape(S, n, d)
     velocities = np.empty((S, n, d))
     velocities[:, : eng.n_l, :] = sc.v_c
-    velocities[:, eng.n_l :, :] = arr[:, eng.i_vf : eng.i_eta].reshape(S, eng.n_f, d)
+    velocities[:, eng.n_l :, :] = samples[:, eng.i_vf : eng.i_eta].reshape(
+        S, eng.n_f, d
+    )
     return Trajectory(
-        times=np.array(times),
+        times=rec_steps * h,
         positions=positions,
         velocities=velocities,
-        eta=arr[:, eng.i_eta : eng.i_var],
-        vartheta=arr[:, eng.i_var : eng.i_th],
-        theta_hat=arr[:, eng.i_th :],
-        min_dist=np.array(dists),
+        eta=samples[:, eng.i_eta : eng.i_var],
+        vartheta=samples[:, eng.i_var : eng.i_th],
+        theta_hat=samples[:, eng.i_th :],
+        min_dist=dists,
         step=h,
     )
 
 
 def _xi_samples(traj, sc):
     """xi_i(t) = eta_i + (T kron I) vartheta_i - (N kron I) v_i at each sample."""
-    d = sc.d
-    eye_d = np.eye(d)
-    T_blk = sla.block_diag(*[np.kron(m.T, eye_d) for m in sc.models])
-    N_blk = sla.block_diag(
-        *[np.kron(m.N.reshape(-1, 1), eye_d) for m in sc.models]
-    )
-    v_f = traj.velocities[:, sc.n_l :, :].reshape(len(traj.times), -1)
-    return traj.eta + traj.vartheta @ T_blk.T - v_f @ N_blk.T
+    S, d = len(traj.times), sc.d
+    xi = np.empty_like(traj.eta)
+    off = 0
+    for i, model in enumerate(sc.models):
+        m = model.order
+        blk = slice(off, off + m * d)
+        eta = traj.eta[:, blk].reshape(S, m, d)
+        var = traj.vartheta[:, blk].reshape(S, m, d)
+        v = traj.velocities[:, sc.n_l + i, None, :]
+        xi[:, blk] = (eta + model.T @ var - model.N[:, None] * v).reshape(S, m * d)
+        off += m * d
+    return xi
 
 
 def xi_oracle(traj, sc):
-    """Max deviation of the transformed state from its exact flow exp(M t) xi(0)."""
+    """Max deviation of the transformed state from its exact flow exp(M t) xi(0).
+
+    Followers with the same M share one expm(M t) per sample, applied to all
+    of their xi(0) blocks in one product.
+    """
     xi = _xi_samples(traj, sc)
-    d = sc.d
-    max_dev = 0.0
+    S, d = len(traj.times), sc.d
+    groups = {}
     off = 0
     for model in sc.models:
         m = model.order
-        blk = xi[:, off : off + m * d]
-        xi0 = blk[0].reshape(m, d)
-        for t, row in zip(traj.times, blk):
-            ref = sla.expm(model.M * t) @ xi0
-            dev = np.linalg.norm(row.reshape(m, d) - ref)
-            if dev > max_dev:
-                max_dev = dev
+        cols = groups.setdefault(model.M.tobytes(), (model.M, []))[1]
+        cols.extend(range(off, off + m * d))
         off += m * d
+    max_dev = 0.0
+    for M, cols in groups.values():
+        m = M.shape[0]
+        # (S, g, m, d) -> (S, m, g d): column block j holds follower j's xi
+        X = xi[:, cols].reshape(S, -1, m, d).transpose(0, 2, 1, 3).reshape(S, m, -1)
+        for t, row in zip(traj.times, X):
+            err = (row - sla.expm(M * t) @ X[0]).reshape(m, -1, d)
+            max_dev = max(max_dev, float(np.sqrt((err * err).sum(axis=(0, 2))).max()))
     return max_dev
 
 
@@ -391,39 +510,32 @@ def lyapunov_monitor(traj, certificate, sc):
     Requires the ground-truth parameter vectors (the simulation knows the
     frequencies even when the controller does not).
     """
-    S = len(traj.times)
-    d, n_l, n_f = sc.d, sc.n_l, sc.n_f
+    S, n_l = len(traj.times), sc.n_l
     xi = _xi_samples(traj, sc)
     lam_inv = sla.block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
     theta_true = np.concatenate([p.theta_true for p in sc.params])
-    V = np.empty(S)
-    for s in range(S):
-        t = traj.times[s]
-        p_star = sc.target_positions(t)
-        p_t = traj.positions[s, n_l:, :] - p_star[n_l:, :]
-        v_t = traj.velocities[s, n_l:, :] - sc.v_c
-        x_t = np.concatenate([p_t.ravel(), v_t.ravel()])
-        th_t = theta_true - traj.theta_hat[s]
-        V[s] = (
-            x_t @ certificate.P_c @ x_t
-            + certificate.gamma * (xi[s] @ certificate.G_c @ xi[s])
-            + th_t @ lam_inv @ th_t
-        )
-    return V
+    p_t = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]
+    v_t = traj.velocities[:, n_l:, :] - sc.v_c
+    x_t = np.concatenate([p_t.reshape(S, -1), v_t.reshape(S, -1)], axis=1)
+    th_t = theta_true - traj.theta_hat
+
+    def quad(X, Q):
+        return ((X @ Q) * X).sum(axis=1)
+
+    return (
+        quad(x_t, certificate.P_c)
+        + certificate.gamma * quad(xi, certificate.G_c)
+        + quad(th_t, lam_inv)
+    )
 
 
 def metrics(traj, sc):
     """Error time series, terminal errors, decay-rate fit, and min distance."""
-    S = len(traj.times)
-    d, n_l, n_f = sc.d, sc.n_l, sc.n_f
-    err_p = np.empty((S, n_f))
-    err_v = np.empty((S, n_f))
-    for s in range(S):
-        p_star = sc.target_positions(traj.times[s])
-        dp = traj.positions[s, n_l:, :] - p_star[n_l:, :]
-        dv = traj.velocities[s, n_l:, :] - sc.v_c
-        err_p[s] = np.linalg.norm(dp, axis=1)
-        err_v[s] = np.linalg.norm(dv, axis=1)
+    S, n_l = len(traj.times), sc.n_l
+    dp = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]
+    dv = traj.velocities[:, n_l:, :] - sc.v_c
+    err_p = np.linalg.norm(dp, axis=2)
+    err_v = np.linalg.norm(dv, axis=2)
     err_p_norm = np.linalg.norm(err_p, axis=1)
     err_v_norm = np.linalg.norm(err_v, axis=1)
     combined = np.hypot(err_p_norm, err_v_norm)

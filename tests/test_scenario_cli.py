@@ -213,6 +213,29 @@ class TestCli:
         assert abs(float(last["err_p_norm"]) - summary["terminal_err_p"]) <= 1e-12
         assert abs(float(last["err_v_norm"]) - summary["terminal_err_v"]) <= 1e-12
 
+    @pytest.mark.parametrize("command", ["validate", "spectrum", "localize"])
+    def test_oracles_flag_only_on_run(self, tmp_path, capsys, command):
+        path = self.run_scenario_file(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([command, path, "--oracles"])
+        assert exc_info.value.code == 2
+        assert "--oracles" in capsys.readouterr().err
+
+    def test_adaptive_oracles_v_column(self, tmp_path):
+        """The CSV's V column is the monitor series the oracle report judged."""
+
+        def mutate(data):
+            data["controller"].update(mode="adaptive", kappa_v=4.0)
+
+        path = self.run_scenario_file(tmp_path, mutate)
+        out = tmp_path / "orc"
+        assert cli.main(["run", path, "--out", str(out), "--oracles"]) == 0
+        with open(out / "oracles.json") as fh:
+            lyap = json.load(fh)["lyapunov"]
+        with open(out / "trajectory.csv", newline="") as fh:
+            V = [float(row["V"]) for row in csv.DictReader(fh)]
+        assert V[0] == lyap["V_initial"] and V[-1] == lyap["V_terminal"]
+
     def test_oracles_written(self, tmp_path):
         path = self.run_scenario_file(tmp_path)
         out = tmp_path / "orc"

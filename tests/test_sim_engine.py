@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bearing_forge import bundled_scenario
 from bearing_forge.control_laws import ControllerGains
 from bearing_forge.disturbance import disturbance_eval
 from bearing_forge.errors import (
@@ -8,7 +9,9 @@ from bearing_forge.errors import (
     DimensionMismatch,
     NonFiniteState,
 )
+from bearing_forge.formation_graph import localize_followers
 from bearing_forge.internal_model import InternalModel
+from bearing_forge.scenario import compile_scenario, load_scenario, parse_config
 from bearing_forge.sim_engine import (
     Engine,
     assemble_A_sigma,
@@ -21,7 +24,7 @@ from bearing_forge.sim_engine import (
     xi_oracle,
 )
 
-from conftest import make_scenario
+from conftest import make_scenario, random_formation
 
 
 def scalar_model():
@@ -372,3 +375,49 @@ class TestMetrics:
         mts = metrics(traj, sc)
         assert mts["terminal_err_p"] <= 1e-12
         assert mts["decay_rate"] is None
+
+
+def random_complete_scenario(seed):
+    """Compiled known-mode scenario on a random_formation complete graph."""
+    rng = np.random.default_rng(seed)
+    graph, _, pos = random_formation(rng, complete=True)
+    data = {
+        "graph": {
+            "n_agents": graph.n,
+            "dimension": graph.d,
+            "leaders": list(range(1, graph.n_l + 1)),
+            "edges": sorted({tuple(sorted(e)) for e in graph.edges}),
+        },
+        "geometry": {
+            "desired_positions": {str(i + 1): list(p) for i, p in enumerate(pos)},
+            "leader_velocity": list(rng.uniform(-1.0, 1.0, graph.d)),
+        },
+        "controller": {"mode": "known", "kappa_p": 1.0, "kappa_v": 1.0},
+        "integration": {"t_final": 1.0},
+    }
+    return compile_scenario(parse_config(data))
+
+
+class TestTargetPositions:
+    TIMES = (0.0, 0.37, 2.5, 10.0, 123.4)
+
+    def assert_matches_localization(self, sc):
+        """The rigid translation equals a fresh localization from the leaders."""
+        for t in self.TIMES:
+            p_l = sc.p_star0[: sc.n_l] + t * sc.v_c
+            p_f, _ = localize_followers(sc.laplacian, p_l, sc.v_c)
+            expected = np.vstack([p_l, p_f])
+            got = sc.target_positions(t)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12
+        stacked = sc.target_positions(np.array(self.TIMES))
+        for s, t in enumerate(self.TIMES):
+            np.testing.assert_array_equal(stacked[s], sc.target_positions(t))
+
+    def test_bundled_square(self):
+        sc = load_scenario(bundled_scenario("square_known"))
+        self.assert_matches_localization(sc)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_random_complete_graph(self, seed):
+        self.assert_matches_localization(random_complete_scenario(seed))
