@@ -1,9 +1,4 @@
-"""Follower control laws: known-frequency, adaptive, and the compensator.
-
-All vector quantities for one follower are flat arrays; a compensator state
-eta lives in R^{m d} (m = 2r+1) and block k of eta is eta[k*d:(k+1)*d].
-Block-matrix products with (A kron I_d) are computed by reshaping.
-"""
+"""Controller gains and the load-time check of their stability hypotheses."""
 
 from __future__ import annotations
 
@@ -11,101 +6,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GainConditionViolated, IsolatedFollower
-
-
-def kron_apply(A, x, d):
-    """(A kron I_d) x for a flat block vector x."""
-    A = np.atleast_2d(A)
-    return (A @ x.reshape(A.shape[1], d)).ravel()
+from .errors import GainConditionViolated
 
 
 @dataclass(frozen=True)
 class ControllerGains:
     """Scalar feedback gains plus per-follower adaptation-gain matrices.
 
-    adaptation_gains maps follower id -> positive-definite Lambda (k x k);
+    adaptation_gains maps follower id -> positive-definite Lambda (m x m);
     it is empty outside adaptive mode.
     """
 
     kappa_p: float
     kappa_v: float
     adaptation_gains: dict = field(default_factory=dict)
-
-
-@dataclass
-class FollowerControllerState:
-    """Mutable per-follower controller memory."""
-
-    eta: np.ndarray
-    theta_hat: np.ndarray | None = None
-
-
-def projected_errors(graph, bearings, i, positions, velocities):
-    """Projected neighbor sums (s_p, s_v) for follower i.
-
-    positions, velocities : (n, d) arrays, agent k at row k-1.
-    """
-    neighbors = graph.neighbors(i)
-    if not neighbors:
-        raise IsolatedFollower(f"follower {i} has no neighbors")
-    d = graph.d
-    s_p = np.zeros(d)
-    s_v = np.zeros(d)
-    for j in neighbors:
-        g = bearings[(i, j)]
-        p_ij = positions[i - 1] - positions[j - 1]
-        v_ij = velocities[i - 1] - velocities[j - 1]
-        s_p += p_ij - g * (g @ p_ij)
-        s_v += v_ij - g * (g @ v_ij)
-    return s_p, s_v
-
-
-def control_known(s_p, s_v, eta, v_i, model, gains):
-    """Known-frequency law: internal-model feedforward plus projected feedback."""
-    d = v_i.size
-    w = eta - kron_apply(model.N.reshape(-1, 1), v_i, d)
-    return (
-        kron_apply(model.E.reshape(1, -1), w, d)
-        - gains.kappa_p * s_p
-        - gains.kappa_v * s_v
-    )
-
-
-def control_adaptive(s_p, s_v, eta, v_i, param, theta_hat, model, gains):
-    """Adaptive law: the feedforward row is rebuilt from the estimate theta_hat."""
-    d = v_i.size
-    w = eta - kron_apply(model.N.reshape(-1, 1), v_i, d)
-    e_hat = param.e_hat(theta_hat)
-    return (
-        kron_apply(e_hat.reshape(1, -1), w, d)
-        - gains.kappa_p * s_p
-        - gains.kappa_v * s_v
-    )
-
-
-def regressor(eta, v_i, param, model):
-    """d x k regressor; column j is (basis[j] kron I_d)(eta - (N kron I_d) v)."""
-    d = v_i.size
-    w = eta - kron_apply(model.N.reshape(-1, 1), v_i, d)
-    # (basis kron I_d) w, reshaped so column j is the basis-j response
-    return (param.basis @ w.reshape(-1, d)).T
-
-
-def theta_hat_dot(rho, s_p, s_v, Lambda):
-    """Gradient-type update: -Lambda rho^T (s_p + s_v)."""
-    return -Lambda @ (rho.T @ (s_p + s_v))
-
-
-def eta_dot(eta, u_i, v_i, model):
-    """Compensator dynamics (M kron I)eta + (N kron I)u - (MN kron I)v."""
-    d = v_i.size
-    MN = model.M @ model.N
-    return (
-        kron_apply(model.M, eta, d)
-        + kron_apply(model.N.reshape(-1, 1), u_i, d)
-        - kron_apply(MN.reshape(-1, 1), v_i, d)
-    )
 
 
 def validate_gains(gains, B_ff, mode):

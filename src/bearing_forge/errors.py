@@ -31,15 +31,11 @@ class NonPositiveFrequency(BearingForgeError):
 
 
 class SingularSylvesterOperator(BearingForgeError):
-    """The vectorized Sylvester operator is singular (overlapping spectra)."""
+    """The Sylvester operator is singular (overlapping spectra)."""
 
 
 class SingularT(BearingForgeError):
     """The Sylvester solution is (numerically) singular."""
-
-
-class IsolatedFollower(BearingForgeError):
-    """A follower with no neighbors cannot be controlled."""
 
 
 class GainConditionViolated(BearingForgeError):

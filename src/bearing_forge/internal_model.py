@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import SingularSylvesterOperator, SingularT
 
@@ -31,26 +32,6 @@ class InternalModel:
     @property
     def order(self):
         return self.M.shape[0]
-
-
-@dataclass(frozen=True)
-class AdaptiveParameterization:
-    """Affine parameterization E^sigma = E_nominal + sum_j basis[j] * theta[j].
-
-    The basis is the canonical one: E_nominal = 0 and basis = identity rows,
-    so theta is simply the entry vector of E^sigma and k = 2r+1.
-    theta_true carries the ground-truth vector when the simulation knows the
-    frequencies; it is None for controller-visible data.
-    """
-
-    k: int
-    E_nominal: np.ndarray   # (m,)
-    basis: np.ndarray       # (k, m)
-    theta_true: np.ndarray | None = None
-
-    def e_hat(self, theta_hat):
-        """Row estimate E_nominal + basis^T theta_hat."""
-        return self.E_nominal + theta_hat @ self.basis
 
 
 def choose_MN(r):
@@ -74,7 +55,7 @@ def choose_MN(r):
 
 
 def solve_sylvester(Phi, M, N, Psi):
-    """Solve T Phi - M T = N Psi by dense Kronecker vectorization.
+    """Solve T Phi - M T = N Psi by the Bartels-Stewart method.
 
     Raises SingularSylvesterOperator when the spectra of M and Phi overlap
     and SingularT when the solution is numerically singular.
@@ -83,8 +64,6 @@ def solve_sylvester(Phi, M, N, Psi):
     M = np.asarray(M, dtype=float)
     N = np.asarray(N, dtype=float).reshape(-1, 1)
     Psi = np.asarray(Psi, dtype=float).reshape(1, -1)
-    m = M.shape[0]
-    q = Phi.shape[0]
     eig_M = np.linalg.eigvals(M)
     eig_Phi = np.linalg.eigvals(Phi)
     gap = np.abs(eig_M[:, None] - eig_Phi[None, :]).min()
@@ -92,10 +71,8 @@ def solve_sylvester(Phi, M, N, Psi):
         raise SingularSylvesterOperator(
             f"spectra of M and Phi overlap (min gap {gap:.3e})"
         )
-    # vec(T Phi - M T) = (Phi^T kron I - I kron M) vec(T), column-major vec
-    op = np.kron(Phi.T, np.eye(m)) - np.kron(np.eye(q), M)
-    rhs = (N @ Psi).flatten(order="F")
-    T = np.linalg.solve(op, rhs).reshape((m, q), order="F")
+    # (-M) T + T Phi = N Psi
+    T = sla.solve_sylvester(-M, Phi, N @ Psi)
     sv = np.linalg.svd(T, compute_uv=False)
     if sv[-1] <= SINGULAR_T_TOL * max(1.0, sv[0]):
         raise SingularT(f"Sylvester solution has sigma_min = {sv[-1]:.3e}")
@@ -119,21 +96,3 @@ def synthesize(exosystem):
     T = solve_sylvester(exosystem.Phi, M, N, exosystem.Psi)
     E = compute_E(T, exosystem.Psi)
     return InternalModel(M=M, N=N, T=T, E=E)
-
-
-def build_parameterization(r, E_sigma=None):
-    """Canonical adaptive parameterization for a follower with r sinusoids."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    m = 2 * r + 1
-    theta_true = None
-    if E_sigma is not None:
-        theta_true = np.asarray(E_sigma, dtype=float).copy()
-        if theta_true.shape != (m,):
-            raise ValueError(f"E_sigma must have shape ({m},)")
-    return AdaptiveParameterization(
-        k=m,
-        E_nominal=np.zeros(m),
-        basis=np.eye(m),
-        theta_true=theta_true,
-    )

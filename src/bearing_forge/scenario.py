@@ -27,7 +27,7 @@ from .formation_graph import (
     build_bearing_laplacian,
     localize_followers,
 )
-from .internal_model import build_parameterization, synthesize
+from .internal_model import synthesize
 from .sim_engine import CompiledScenario
 
 MODES = ("known", "adaptive", "feedback_only")
@@ -274,22 +274,20 @@ def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
         models = [synthesize(e) for e in exos]
     except BearingForgeError as exc:
         raise ValidationError(f"internal model: {type(exc).__name__}: {exc}") from exc
-    params = [
-        build_parameterization(e.r, E_sigma=m.E) for e, m in zip(exos, models)
-    ]
 
     lambdas = []
     adaptation = {}
     if cfg.mode == "adaptive":
-        for i, param in zip(cfg.followers, params):
+        for i, model in zip(cfg.followers, models):
+            m = model.order
             Lam = cfg.adaptation_gains.get(i)
             if Lam is None:
-                Lam = cfg.adaptation_rate * np.eye(param.k)
+                Lam = cfg.adaptation_rate * np.eye(m)
             Lam = np.atleast_2d(Lam)
-            if Lam.shape != (param.k, param.k):
+            if Lam.shape != (m, m):
                 raise ValidationError(
                     f"controller.adaptation_gains[{i}]: expected "
-                    f"{param.k}x{param.k} matrix, got {Lam.shape}"
+                    f"{m}x{m} matrix, got {Lam.shape}"
                 )
             lambdas.append(Lam)
             adaptation[i] = Lam
@@ -303,11 +301,11 @@ def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
 
     theta_hat0 = []
     if cfg.mode == "adaptive":
-        for i, param in zip(cfg.followers, params):
-            th0 = cfg.theta_hat_init.get(i, np.zeros(param.k))
-            if th0.shape != (param.k,):
+        for i, model in zip(cfg.followers, models):
+            th0 = cfg.theta_hat_init.get(i, np.zeros(model.order))
+            if th0.shape != (model.order,):
                 raise ValidationError(
-                    f"controller.theta_hat_init[{i}]: expected {param.k} entries"
+                    f"controller.theta_hat_init[{i}]: expected {model.order} entries"
                 )
             theta_hat0.append(th0)
 
@@ -341,7 +339,6 @@ def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
         specs=specs,
         exos=exos,
         models=models,
-        params=params,
         eta0=eta0,
         theta_hat0=theta_hat0,
         lambdas=lambdas,
@@ -397,7 +394,7 @@ def load_scenario(path, overrides=None) -> CompiledScenario:
     """Load, validate, and compile a scenario file.
 
     overrides is an optional flat dict ({"kappa_p": ..., "kappa_v": ...,
-    "t_final": ..., "h": ..., "mode": ..., "output_dir": ..., "oracles": ...})
+    "t_final": ..., "h": ..., "mode": ..., "output_dir": ...})
     applied before validation so that overridden gains are re-checked.
     """
     try:
@@ -428,8 +425,6 @@ def load_scenario(path, overrides=None) -> CompiledScenario:
             cfg.mode = value
         elif key == "output_dir":
             cfg.output_dir = str(value)
-        elif key == "oracles":
-            cfg.oracles = bool(value)
         else:
             raise ValidationError(f"unknown override '{key}'")
     return compile_scenario(cfg)

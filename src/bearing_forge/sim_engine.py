@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .control_laws import validate_gains
 from .errors import (
     CertificateFailed,
     CollisionDetected,
@@ -47,9 +46,8 @@ class CompiledScenario:
     specs: list                  # per-follower DisturbanceSpec
     exos: list                   # per-follower CanonicalExosystem
     models: list                 # per-follower InternalModel
-    params: list                 # per-follower AdaptiveParameterization
     eta0: list                   # per-follower initial compensator state
-    theta_hat0: list             # per-follower initial estimates
+    theta_hat0: list             # per-follower initial estimates of the row E
     lambdas: list                # per-follower adaptation-gain matrices
     freeze_theta: bool = False
     h: float = DEFAULT_STEP
@@ -92,7 +90,7 @@ class Trajectory:
     velocities: np.ndarray       # (S, n, d); leaders at v_c
     eta: np.ndarray              # (S, q_f)
     vartheta: np.ndarray         # (S, q_f)
-    theta_hat: np.ndarray        # (S, K); K = 0 outside adaptive mode
+    theta_hat: np.ndarray        # (S, K); K = sum of orders, 0 outside adaptive mode
     min_dist: np.ndarray         # (S,)
     step: float = 0.0
 
@@ -170,10 +168,11 @@ class Engine:
     """The closed loop in stacked per-follower form.
 
     Follower i's compensator and exosystem states are (m_i, d) blocks and its
-    estimate is a row of k_i entries.  They are held zero-padded to the
-    largest order, as (n_f, m_max, d) and (n_f, 1, k_max) arrays, next to the
-    stacked (n_f, m_max, m_max) matrices M, Phi and Lambda, so that each
-    per-follower product of the control law is one batched matmul.  Padded
+    estimate of the feedforward row E_i is a row of m_i entries.  They are
+    held zero-padded to the largest order, as (n_f, m_max, d) and
+    (n_f, 1, m_max) arrays, next to the stacked (n_f, m_max, m_max) matrices
+    M, Phi and Lambda, so that each per-follower product of the control law
+    is one batched matmul.  Padded
     rows and columns are zero and never reach the packed state.
     """
 
@@ -184,8 +183,7 @@ class Engine:
         self.orders = [m.order for m in sc.models]
         self.q_f = sum(self.orders) * d
         self.adaptive = sc.mode == "adaptive"
-        ks = [p.k for p in sc.params]
-        self.K = sum(ks) if self.adaptive else 0
+        self.K = sum(self.orders) if self.adaptive else 0
 
         B = sc.laplacian.B
         self.Bf = B[n_l * d :, :]                       # follower rows, acts on full stacks
@@ -200,14 +198,9 @@ class Engine:
         )
         self.Phi3 = _padded([e.Phi for e in sc.exos], m_max, m_max)
         if self.adaptive:
-            k_max = self.k_max = max(ks)
-            self.th_idx = _pad_index(ks, 1)
-            self.basis3 = _padded([p.basis for p in sc.params], k_max, m_max)
-            self.E_nom3 = _padded(
-                [p.E_nominal.reshape(1, -1) for p in sc.params], 1, m_max
-            )
+            self.th_idx = _pad_index(self.orders, 1)
             self.neg_Lam3 = -_padded(
-                [np.atleast_2d(L) for L in sc.lambdas], k_max, k_max
+                [np.atleast_2d(L) for L in sc.lambdas], m_max, m_max
             )
         elif sc.mode == "known":
             self.E3 = _padded([m.E.reshape(1, -1) for m in sc.models], 1, m_max)
@@ -272,14 +265,13 @@ class Engine:
         if not self.adaptive:
             u = fb + self.E3 @ w                         # (n_f, 1, d)
         else:
-            th = self._blocks(y[self.i_th :], self.th_idx, 1, self.k_max)
-            u = fb + (self.E_nom3 + th @ self.basis3) @ w
+            th = self._blocks(y[self.i_th :], self.th_idx, 1, self.m_max)
+            u = fb + th @ w
             if sc.freeze_theta:
                 dy[self.i_th :] = 0.0
             else:
-                G = self.basis3 @ w                      # (n_f, k_max, d): rho_i^T
                 s = (s_p + s_v).reshape(n_f, d, 1)
-                dth = self.neg_Lam3 @ (G @ s)            # (n_f, k_max, 1)
+                dth = self.neg_Lam3 @ (w @ s)            # (n_f, m_max, 1)
                 dy[self.i_th :] = self._packed(dth, self.th_idx)
 
         dy[self.i_p : self.i_p + self.n_l * d] = self.vc_tile
@@ -325,23 +317,23 @@ class Engine:
         return eye + hA @ S, h * (S @ b)
 
 
-def integrate(sc: CompiledScenario, t_final=None, h=None):
+@np.errstate(over="ignore", invalid="ignore")
+def integrate(sc: CompiledScenario, h=None):
     """Run the closed loop with classical RK4 and record a Trajectory.
 
     States are propagated CHECK_CHUNK steps at a time, and then every step
     of the chunk is checked at once.  Raises NonFiniteState on divergence
     and CollisionDetected when two agents come within the collision
     threshold, at the first step that fails; a step that fails both reports
-    the divergence.
+    the divergence.  Overflow on the way to a non-finite state is expected
+    there, so NumPy's overflow and invalid-value warnings are silenced.
     """
-    t_final = sc.t_final if t_final is None else t_final
     h = sc.h if h is None else h
-    if h <= 0 or t_final <= 0:
-        raise ValueError("h and t_final must be positive")
-    validate_gains(sc.gains, sc.laplacian.B_ff, sc.mode)
+    if h <= 0:
+        raise ValueError("h must be positive")
 
     eng = Engine(sc)
-    n_steps = int(round(t_final / h))
+    n_steps = int(round(sc.t_final / h))
     n, d = eng.n, eng.d
     iu, ju = np.triu_indices(n, 1)
 
@@ -507,13 +499,13 @@ def build_certificate(B_ff, gains, M_f, E_f):
 def lyapunov_monitor(traj, certificate, sc):
     """Per-sample value of V = x~' P_c x~ + gamma xi' G_c xi + th~' Lam^-1 th~.
 
-    Requires the ground-truth parameter vectors (the simulation knows the
-    frequencies even when the controller does not).
+    The true value of each estimate is the follower's row E (the simulation
+    knows the frequencies even when the controller does not).
     """
     S, n_l = len(traj.times), sc.n_l
     xi = _xi_samples(traj, sc)
     lam_inv = sla.block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
-    theta_true = np.concatenate([p.theta_true for p in sc.params])
+    theta_true = np.concatenate([m.E for m in sc.models])
     p_t = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]
     v_t = traj.velocities[:, n_l:, :] - sc.v_c
     x_t = np.concatenate([p_t.reshape(S, -1), v_t.reshape(S, -1)], axis=1)

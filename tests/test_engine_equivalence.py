@@ -48,7 +48,7 @@ class ReferenceEngine:
         self.n, self.d, self.n_l, self.n_f = n, d, n_l, n_f
         self.orders = [m.order for m in sc.models]
         self.q_f = sum(self.orders) * d
-        self.K = sum(p.k for p in sc.params) if sc.mode == "adaptive" else 0
+        self.K = sum(self.orders) if sc.mode == "adaptive" else 0
         self.Bf = sc.laplacian.B[n_l * d :, :]
         self.vc_tile = np.tile(sc.v_c, n_l)
 
@@ -69,7 +69,7 @@ class ReferenceEngine:
         )
         offs = np.cumsum([0] + self.orders) * d
         self.blk_slices = [slice(a, b) for a, b in zip(offs[:-1], offs[1:])]
-        ks = np.cumsum([0] + [p.k for p in sc.params])
+        ks = np.cumsum([0] + [m.order for m in sc.models])
         self.th_slices = [slice(a, b) for a, b in zip(ks[:-1], ks[1:])]
 
         self.i_p = 0
@@ -98,16 +98,14 @@ class ReferenceEngine:
             th = y[self.i_th :]
             u = -sc.gains.kappa_p * s_p - sc.gains.kappa_v * s_v
             for i in range(n_f):
-                param = sc.params[i]
                 Wi = w[self.blk_slices[i]].reshape(self.orders[i], d)
                 th_i = th[self.th_slices[i]]
-                u[i * d : (i + 1) * d] += (param.E_nominal + th_i @ param.basis) @ Wi
+                u[i * d : (i + 1) * d] += th_i @ Wi
                 if sc.freeze_theta:
                     dy[self.i_th :][self.th_slices[i]] = 0.0
                 else:
-                    G = param.basis @ Wi
                     s_i = s_p[i * d : (i + 1) * d] + s_v[i * d : (i + 1) * d]
-                    dy[self.i_th :][self.th_slices[i]] = -sc.lambdas[i] @ (G @ s_i)
+                    dy[self.i_th :][self.th_slices[i]] = -sc.lambdas[i] @ (Wi @ s_i)
         else:  # feedback_only
             u = -sc.gains.kappa_p * s_p - sc.gains.kappa_v * s_v
 
@@ -203,7 +201,7 @@ def reference_xi_oracle(traj, sc):
 def reference_lyapunov(traj, cert, sc, xi):
     """Per-sample V with the targets localized from the leaders each time."""
     lam_inv = sla.block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
-    theta_true = np.concatenate([p.theta_true for p in sc.params])
+    theta_true = np.concatenate([m.E for m in sc.models])
     V = np.empty(len(traj.times))
     for s, t in enumerate(traj.times):
         p_l = sc.p_star0[: sc.n_l] + t * sc.v_c

@@ -8,7 +8,6 @@ from bearing_forge.disturbance import (
 )
 from bearing_forge.errors import SingularSylvesterOperator, SingularT
 from bearing_forge.internal_model import (
-    build_parameterization,
     choose_MN,
     compute_E,
     solve_sylvester,
@@ -73,6 +72,20 @@ class TestSolveSylvester:
         assert np.linalg.norm(res) < 1e-10
         assert abs(np.linalg.det(T)) > 0
 
+    @pytest.mark.parametrize("r", range(4))
+    def test_matches_kronecker_solve(self, r):
+        """Bartels-Stewart against the dense vec-solve
+        (Phi^T kron I - I kron M) vec(T) = vec(N Psi)."""
+        exo = exo_for(np.arange(1, r + 1) * 0.7)
+        M, N = choose_MN(r)
+        m = M.shape[0]
+        op = np.kron(exo.Phi.T, np.eye(m)) - np.kron(np.eye(m), M)
+        ref = np.linalg.solve(op, np.outer(N, exo.Psi).flatten(order="F"))
+        T = solve_sylvester(exo.Phi, M, N, exo.Psi)
+        np.testing.assert_allclose(
+            T, ref.reshape((m, m), order="F"), rtol=1e-12, atol=1e-12
+        )
+
     def test_overlapping_spectra_rejected(self):
         with pytest.raises(SingularSylvesterOperator):
             solve_sylvester([[0.0]], [[0.0]], [1.0], [1.0])
@@ -93,25 +106,6 @@ class TestComputeE:
     def test_singular_rejected(self):
         with pytest.raises(SingularT):
             compute_E(np.zeros((2, 2)), [1.0, 0.0])
-
-
-class TestParameterization:
-    def test_r0(self):
-        param = build_parameterization(0, E_sigma=np.array([1.0]))
-        assert param.k == 1
-        np.testing.assert_allclose(param.basis, [[1.0]])
-        np.testing.assert_allclose(param.theta_true, [1.0])
-
-    def test_reconstruction_identity(self):
-        rng = np.random.default_rng(9)
-        E_sigma = rng.standard_normal(3)
-        param = build_parameterization(1, E_sigma=E_sigma)
-        recon = param.E_nominal + param.theta_true @ param.basis
-        np.testing.assert_allclose(recon, E_sigma, atol=1e-12)
-
-    def test_zero_estimate_gives_nominal(self):
-        param = build_parameterization(1)
-        np.testing.assert_allclose(param.e_hat(np.zeros(3)), np.zeros(3))
 
 
 class TestSynthesisSweep:

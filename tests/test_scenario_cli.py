@@ -1,6 +1,8 @@
 import copy
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +191,33 @@ class TestCli:
         path = self.run_scenario_file(tmp_path, mutate)
         assert cli.main(["run", path, "--out", str(tmp_path / "c")]) == 3
         assert "collision" in capsys.readouterr().err
+
+    def test_isolated_follower_exit_code(self, tmp_path, capsys):
+        def mutate(data):
+            # follower 4 loses all three of its edges
+            data["graph"]["edges"] = [[1, 2], [2, 3], [1, 3]]
+
+        path = self.run_scenario_file(tmp_path, mutate)
+        assert cli.main(["validate", path]) == 2
+        assert "localization: NotLocalizable" in capsys.readouterr().err
+
+    def test_divergence_prints_one_line(self, tmp_path):
+        """Exit 4 with the divergence message alone on stderr: the overflow
+        on the way to it raises no NumPy warnings."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "bearing_forge.cli", "run",
+                bundled_scenario("square_known"),
+                "--kappa-p", "1e4", "--kappa-v", "1e4", "--t-final", "1",
+                "--out", str(tmp_path / "div"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            "divergence: non-finite state component at t=0.072000"
+        ]
 
     def test_determinism_byte_identical(self, tmp_path):
         path = self.run_scenario_file(tmp_path)

@@ -331,7 +331,7 @@ class TestLyapunovMonitor:
             - N_blk @ sc.v_f0.ravel()
         )
         th_t = np.concatenate(
-            [p.theta_true - t0 for p, t0 in zip(sc.params, sc.theta_hat0)]
+            [m.E - t0 for m, t0 in zip(sc.models, sc.theta_hat0)]
         )
         lam_inv = sla.block_diag(*[np.linalg.inv(L) for L in sc.lambdas])
         expected = (
