@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .scenario import load_scenario
+from .scenario import MODES, OVERRIDES, load_scenario
 from .sim_engine import (
     assemble_A_sigma,
     build_certificate,
@@ -109,8 +109,7 @@ def oracle_report(sc, traj):
 
 
 def cmd_run(args):
-    overrides = _overrides(args)
-    sc = load_scenario(args.scenario, overrides)
+    sc = load_scenario(args.scenario, _overrides(args))
     traj = integrate(sc)
     mts = metrics(traj, sc)
 
@@ -171,14 +170,7 @@ def cmd_localize(args):
 
 
 def _overrides(args):
-    return {
-        "kappa_p": getattr(args, "kappa_p", None),
-        "kappa_v": getattr(args, "kappa_v", None),
-        "t_final": getattr(args, "t_final", None),
-        "h": getattr(args, "h", None),
-        "mode": getattr(args, "mode", None),
-        "output_dir": getattr(args, "out", None),
-    }
+    return {key: getattr(args, key) for key in OVERRIDES}
 
 
 def build_parser():
@@ -199,8 +191,8 @@ def build_parser():
         p.add_argument("--kappa-v", dest="kappa_v", type=float)
         p.add_argument("--t-final", dest="t_final", type=float)
         p.add_argument("--h", dest="h", type=float)
-        p.add_argument("--mode", choices=("known", "adaptive", "feedback_only"))
-        p.add_argument("--out", help="output directory override")
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--out", dest="output_dir", help="output directory override")
         if name == "run":
             p.add_argument("--oracles", action="store_true")
         p.set_defaults(fn=fn)

@@ -1,4 +1,4 @@
-"""Scenario files: parsing, validation, and compilation into engine inputs.
+"""Scenario files: validation and compilation into engine inputs.
 
 A scenario is one JSON object with `graph`, `geometry`, `disturbances`,
 `controller`, `integration`, and `outputs` sections.  Agent IDs are explicit
@@ -9,8 +9,9 @@ time so that a run never fails on a stability hypothesis mid-integration.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -32,83 +33,129 @@ from .sim_engine import CompiledScenario
 
 MODES = ("known", "adaptive", "feedback_only")
 ETA_POLICIES = ("velocity_feedforward", "xi_zero")
+STEP_TOL = 1e-9                  # relative distance of t_final/step from a whole number
+
+# override key -> (section, field) of the scenario JSON it replaces
+OVERRIDES = {
+    "kappa_p": ("controller", "kappa_p"),
+    "kappa_v": ("controller", "kappa_v"),
+    "mode": ("controller", "mode"),
+    "t_final": ("integration", "t_final"),
+    "h": ("integration", "step"),
+    "output_dir": ("outputs", "directory"),
+}
+
+_REQUIRED = object()
 
 
-@dataclass
-class ScenarioConfig:
-    """Parsed scenario prior to synthesis (schema-level view of the JSON)."""
+def _field(obj, where, key, read, *args, default=_REQUIRED):
+    """read(obj[key], name, *args), or default when the key is absent.
 
-    n: int
-    d: int
-    n_l: int
-    edges: list
-    desired_positions: dict          # id -> (d,) array; leaders always present
-    desired_bearings: dict           # (i, j) -> (d,) array; may be empty
-    initial_positions: dict          # follower id -> (d,) array
-    initial_velocities: dict         # follower id -> (d,) array
-    v_c: np.ndarray
-    disturbances: dict               # follower id -> DisturbanceSpec
-    mode: str
-    kappa_p: float
-    kappa_v: float
-    adaptation_rate: float
-    adaptation_gains: dict           # follower id -> matrix (optional)
-    theta_hat_init: dict             # follower id -> vector (optional)
-    eta_init: object                 # policy string or {follower id -> vector}
-    freeze_theta: bool
-    h: float
-    t_final: float
-    record_every: int
-    collision_eps: float
-    output_dir: str
-    oracles: bool
-
-    @property
-    def followers(self):
-        return range(self.n_l + 1, self.n + 1)
+    where names obj in messages ("" for the top level of the scenario).
+    """
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where or 'scenario'}: missing required field '{key}'")
+        return default
+    return read(obj[key], f"{where}.{key}" if where else key, *args)
 
 
-def _vec(value, d, what):
-    arr = np.asarray(value, dtype=float)
+def _typed(types, noun):
+    """Reader of a JSON value of the given types; a bool is never a number."""
+
+    def read(value, what):
+        if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
+            raise ValidationError(f"{what}: expected {noun}, got {value!r}")
+        return value
+
+    return read
+
+
+_object = _typed(dict, "a JSON object")
+_list = _typed((list, tuple), "a JSON list")
+_int = _typed(int, "an integer")
+_bool = _typed(bool, "true or false")
+_str = _typed(str, "a string")
+
+
+def _float(value, what):
+    """A finite JSON number, as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            if math.isfinite(value):
+                return float(value)
+    raise ValidationError(f"{what}: expected a finite number, got {value!r}")
+
+
+def _array(value, what):
+    """A number or a nested JSON list of finite numbers, as a float array."""
+    if not isinstance(value, (list, tuple)):
+        return np.array(_float(value, what))
+    parts = [_array(x, what) for x in value]
+    if len({p.shape for p in parts}) > 1:
+        raise ValidationError(f"{what}: rows of unequal length")
+    return np.array(parts, dtype=float)
+
+
+def _vec(value, what, d):
+    arr = _array(value, what)
     if arr.shape != (d,):
         raise ValidationError(f"{what}: expected {d} coordinates, got shape {arr.shape}")
     return arr
 
 
-def _require(data, key, section):
-    if key not in data:
-        raise ValidationError(f"{section}: missing required field '{key}'")
-    return data[key]
+def _edge(value, what, n):
+    e = tuple(_list(value, what))
+    if len(e) != 2 or not all(1 <= _int(x, what) <= n for x in e) or e[0] == e[1]:
+        raise ValidationError(f"{what}: malformed edge {e}")
+    return e
 
 
-def _parse_disturbance(d, entry, what):
-    constant = np.asarray(entry.get("constant", np.zeros(d)), dtype=float)
-    if constant.shape != (d,):
-        raise ValidationError(f"{what}.constant: expected {d} coordinates")
+def _ids(value, what, read, *args):
+    """A {agent id: value} JSON object, each value read by read."""
+    out = {}
+    for k, v in _object(value, what).items():
+        try:
+            i = int(k)
+        except ValueError:
+            raise ValidationError(f"{what}: agent id {k!r} is not an integer") from None
+        out[i] = read(v, f"{what}[{k}]", *args)
+    return out
+
+
+def _disturbance(entry, what, d):
+    _object(entry, what)
+    constant = _field(entry, what, "constant", _vec, d, default=np.zeros(d))
     terms = []
-    for term in entry.get("sinusoids", []):
+    for term in _field(entry, what, "sinusoids", _list, default=[]):
+        _object(term, f"{what}.sinusoids")
         terms.append(
             SinusoidTerm(
-                frequency=float(_require(term, "frequency", what)),
-                amplitudes=_vec(_require(term, "amplitudes", what), d, f"{what}.amplitudes"),
-                phases=_vec(_require(term, "phases", what), d, f"{what}.phases"),
+                frequency=_field(term, what, "frequency", _float),
+                amplitudes=_field(term, what, "amplitudes", _vec, d),
+                phases=_field(term, what, "phases", _vec, d),
             )
         )
     try:
         return DisturbanceSpec(d=d, C0=constant, terms=tuple(terms))
-    except (BearingForgeError, ValueError) as exc:
+    except BearingForgeError as exc:
         raise ValidationError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
-def parse_config(data) -> ScenarioConfig:
-    """Schema-level validation of a decoded scenario JSON object."""
+def compile_scenario(data) -> CompiledScenario:
+    """Check a decoded scenario JSON object and synthesize graph algebra,
+    exosystems, and internal models; gate on the localizability and gain
+    hypotheses.  Each field is read and checked once, where the compile
+    needs it, and every default lives here."""
     if not isinstance(data, dict):
         raise ValidationError("scenario: top level must be a JSON object")
 
-    graph = _require(data, "graph", "scenario")
-    n = int(_require(graph, "n_agents", "graph"))
-    d = int(_require(graph, "dimension", "graph"))
-    leaders = sorted(int(x) for x in _require(graph, "leaders", "graph"))
+    graph_in = _field(data, "", "graph", _object)
+    n = _field(graph_in, "graph", "n_agents", _int)
+    d = _field(graph_in, "graph", "dimension", _int)
+    leaders = sorted(
+        _int(x, "graph.leaders") for x in _field(graph_in, "graph", "leaders", _list)
+    )
     if leaders != list(range(1, len(leaders) + 1)):
         raise ValidationError(
             f"graph.leaders: leaders must be exactly 1..n_l, got {leaders}"
@@ -116,155 +163,110 @@ def parse_config(data) -> ScenarioConfig:
     n_l = len(leaders)
     if not 1 <= n_l < n:
         raise ValidationError(f"graph.leaders: need 1 <= n_l < n, got n_l={n_l}, n={n}")
-    edges = []
-    for e in _require(graph, "edges", "graph"):
-        e = tuple(int(x) for x in e)
-        if len(e) != 2 or e[0] == e[1] or not all(1 <= x <= n for x in e):
-            raise ValidationError(f"graph.edges: malformed edge {e}")
-        edges.append(e)
+    edges = [_edge(e, "graph.edges", n) for e in _field(graph_in, "graph", "edges", _list)]
+    try:
+        graph = SensingGraph(n=n, d=d, n_l=n_l, edges=edges)
+    except ValueError as exc:
+        raise ValidationError(f"graph: {exc}") from exc
 
-    geom = _require(data, "geometry", "scenario")
-    v_c = _vec(
-        _require(geom, "leader_velocity", "geometry"), d, "geometry.leader_velocity"
+    geom = _field(data, "", "geometry", _object)
+    v_c = _field(geom, "geometry", "leader_velocity", _vec, d)
+    desired_positions = _field(
+        geom, "geometry", "desired_positions", _ids, _vec, d, default={}
     )
-    desired_positions = {
-        int(k): _vec(v, d, f"geometry.desired_positions[{k}]")
-        for k, v in geom.get("desired_positions", {}).items()
-    }
     desired_bearings = {}
-    for entry in geom.get("desired_bearings", []):
-        i, j = (int(x) for x in _require(entry, "edge", "geometry.desired_bearings"))
-        desired_bearings[(i, j)] = _vec(
-            _require(entry, "bearing", "geometry.desired_bearings"),
-            d,
-            f"geometry.desired_bearings[{i},{j}]",
+    for entry in _field(geom, "geometry", "desired_bearings", _list, default=[]):
+        _object(entry, "geometry.desired_bearings")
+        i, j = _field(entry, "geometry.desired_bearings", "edge", _edge, n)
+        desired_bearings[(i, j)] = _field(
+            entry, f"geometry.desired_bearings[{i},{j}]", "bearing", _vec, d
         )
     for i in range(1, n_l + 1):
         if i not in desired_positions:
             raise ValidationError(
                 f"geometry.desired_positions: leader {i} has no desired position"
             )
-    if not desired_bearings and set(desired_positions) != set(range(1, n + 1)):
+    # desired bearings: derived from a full desired configuration, given per
+    # edge, or both (which must then agree)
+    bearings = None
+    if set(desired_positions) == set(range(1, n + 1)):
+        positions = np.array([desired_positions[i] for i in range(1, n + 1)])
+        try:
+            bearings = BearingSet.from_positions(graph, positions)
+        except BearingForgeError as exc:
+            raise ValidationError(
+                f"geometry.desired_positions: {type(exc).__name__}: {exc}"
+            ) from exc
+    elif not desired_bearings:
         raise ValidationError(
             "geometry: desired_positions must cover all agents when "
             "desired_bearings are not given"
         )
-    followers = set(range(n_l + 1, n + 1))
-    initial_positions = {}
-    for k, v in geom.get("initial_positions", {}).items():
-        initial_positions[int(k)] = _vec(v, d, f"geometry.initial_positions[{k}]")
-    initial_velocities = {}
-    for k, v in geom.get("initial_velocities", {}).items():
-        k = int(k)
-        if k not in followers:
+    if desired_bearings:
+        derived = bearings
+        try:
+            bearings = BearingSet(desired_bearings)
+        except (BearingForgeError, ValueError) as exc:
             raise ValidationError(
-                f"geometry.initial_velocities: agent {k} is not a follower "
-                "(leaders always move at leader_velocity)"
-            )
-        initial_velocities[k] = _vec(v, d, f"geometry.initial_velocities[{k}]")
-
-    disturbances = {}
-    for k, entry in data.get("disturbances", {}).items():
-        k = int(k)
-        if k not in followers:
-            raise ValidationError(f"disturbances: agent {k} is not a follower")
-        disturbances[k] = _parse_disturbance(d, entry, f"disturbances[{k}]")
-
-    ctrl = _require(data, "controller", "scenario")
-    mode = _require(ctrl, "mode", "controller")
-    if mode not in MODES:
-        raise ValidationError(f"controller.mode: unknown mode '{mode}'")
-    theta_hat_init = {
-        int(k): np.asarray(v, dtype=float)
-        for k, v in ctrl.get("theta_hat_init", {}).items()
-    }
-    adaptation_gains = {
-        int(k): np.asarray(v, dtype=float)
-        for k, v in ctrl.get("adaptation_gains", {}).items()
-    }
-    eta_init = ctrl.get("eta_init", "velocity_feedforward")
-    if isinstance(eta_init, dict):
-        eta_init = {int(k): np.asarray(v, dtype=float) for k, v in eta_init.items()}
-    elif eta_init not in ETA_POLICIES:
-        raise ValidationError(f"controller.eta_init: unknown policy '{eta_init}'")
-
-    integ = data.get("integration", {})
-    h = float(integ.get("step", 1e-3))
-    t_final = float(_require(integ, "t_final", "integration"))
-    record_every = int(integ.get("record_every", 100))
-    collision_eps = float(integ.get("collision_threshold", 1e-3))
-    if h <= 0 or t_final <= 0 or record_every < 1:
-        raise ValidationError(
-            "integration: step and t_final must be positive, record_every >= 1"
-        )
-
-    outputs = data.get("outputs", {})
-
-    return ScenarioConfig(
-        n=n,
-        d=d,
-        n_l=n_l,
-        edges=edges,
-        desired_positions=desired_positions,
-        desired_bearings=desired_bearings,
-        initial_positions=initial_positions,
-        initial_velocities=initial_velocities,
-        v_c=v_c,
-        disturbances=disturbances,
-        mode=mode,
-        kappa_p=float(_require(ctrl, "kappa_p", "controller")),
-        kappa_v=float(_require(ctrl, "kappa_v", "controller")),
-        adaptation_rate=float(ctrl.get("adaptation_rate", 1.0)),
-        adaptation_gains=adaptation_gains,
-        theta_hat_init=theta_hat_init,
-        eta_init=eta_init,
-        freeze_theta=bool(ctrl.get("freeze_theta", False)),
-        h=h,
-        t_final=t_final,
-        record_every=record_every,
-        collision_eps=collision_eps,
-        output_dir=str(outputs.get("directory", "out")),
-        oracles=bool(outputs.get("oracles", False)),
-    )
-
-
-def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
-    """Synthesize graph algebra, exosystems, and internal models; gate on the
-    localizability and gain hypotheses."""
-    try:
-        graph = SensingGraph(n=cfg.n, d=cfg.d, n_l=cfg.n_l, edges=cfg.edges)
-    except ValueError as exc:
-        raise ValidationError(f"graph: {exc}") from exc
-
-    bearings = _resolve_bearings(cfg, graph)
+                f"geometry.desired_bearings: {type(exc).__name__}: {exc}"
+            ) from exc
+        for (i, j) in graph.edges:
+            if (i, j) not in bearings:
+                raise ValidationError(
+                    f"geometry.desired_bearings: edge ({i},{j}) has no bearing"
+                )
+            if derived is not None and (
+                np.linalg.norm(bearings[(i, j)] - derived[(i, j)]) > 1e-9
+            ):
+                raise ValidationError(
+                    f"geometry: desired bearing for edge ({i},{j}) disagrees "
+                    "with the one derived from desired_positions"
+                )
     laplacian = build_bearing_laplacian(graph, bearings)
 
-    p_l_star = np.array([cfg.desired_positions[i] for i in range(1, cfg.n_l + 1)])
+    p_l_star = np.array([desired_positions[i] for i in range(1, n_l + 1)])
     try:
-        p_f_star, _ = localize_followers(laplacian, p_l_star, cfg.v_c)
+        p_f_star, _ = localize_followers(laplacian, p_l_star, v_c)
     except BearingForgeError as exc:
         raise ValidationError(f"localization: {type(exc).__name__}: {exc}") from exc
     p_star0 = np.vstack([p_l_star, p_f_star])
 
     # leaders start pinned at the target; followers default to it
     p0 = p_star0.copy()
-    for k, v in cfg.initial_positions.items():
-        if k <= cfg.n_l:
-            if np.linalg.norm(v - cfg.desired_positions[k]) > 1e-9:
-                raise ValidationError(
-                    f"geometry.initial_positions: leader {k} must start at its "
-                    "desired position (leaders track the target exactly)"
-                )
-            continue
-        p0[k - 1] = v
-    v_f0 = np.tile(cfg.v_c, (cfg.n - cfg.n_l, 1))
-    for k, v in cfg.initial_velocities.items():
-        v_f0[k - cfg.n_l - 1] = v
+    for k, v in _field(
+        geom, "geometry", "initial_positions", _ids, _vec, d, default={}
+    ).items():
+        if not 1 <= k <= n:
+            raise ValidationError(f"geometry.initial_positions: unknown agent {k}")
+        if k > n_l:
+            p0[k - 1] = v
+        elif np.linalg.norm(v - desired_positions[k]) > 1e-9:
+            raise ValidationError(
+                f"geometry.initial_positions: leader {k} must start at its "
+                "desired position (leaders track the target exactly)"
+            )
+    v_f0 = np.tile(v_c, (n - n_l, 1))
+    for k, v in _field(
+        geom, "geometry", "initial_velocities", _ids, _vec, d, default={}
+    ).items():
+        if k not in graph.followers:
+            raise ValidationError(
+                f"geometry.initial_velocities: agent {k} is not a follower "
+                "(leaders always move at leader_velocity)"
+            )
+        v_f0[k - n_l - 1] = v
 
-    specs = [
-        cfg.disturbances.get(i, DisturbanceSpec.zero(cfg.d)) for i in cfg.followers
-    ]
-    if cfg.mode == "feedback_only" and any(not s.is_zero() for s in specs):
+    disturbances = _field(data, "", "disturbances", _ids, _disturbance, d, default={})
+    for k in disturbances:
+        if k not in graph.followers:
+            raise ValidationError(f"disturbances: agent {k} is not a follower")
+    specs = [disturbances.get(i, DisturbanceSpec.zero(d)) for i in graph.followers]
+
+    ctrl = _field(data, "", "controller", _object)
+    mode = _field(ctrl, "controller", "mode", _str)
+    if mode not in MODES:
+        raise ValidationError(f"controller.mode: unknown mode '{mode}'")
+    if mode == "feedback_only" and any(not s.is_zero() for s in specs):
         raise ValidationError(
             "controller.mode: feedback_only permits zero disturbances only"
         )
@@ -275,66 +277,92 @@ def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
     except BearingForgeError as exc:
         raise ValidationError(f"internal model: {type(exc).__name__}: {exc}") from exc
 
+    gains = ControllerGains(
+        kappa_p=_field(ctrl, "controller", "kappa_p", _float),
+        kappa_v=_field(ctrl, "controller", "kappa_v", _float),
+    )
+    try:
+        validate_gains(gains, laplacian.B_ff, mode)
+    except BearingForgeError as exc:
+        raise ValidationError(f"gains: {type(exc).__name__}: {exc}") from exc
+
+    rate = _field(ctrl, "controller", "adaptation_rate", _float, default=1.0)
+    given = _field(ctrl, "controller", "adaptation_gains", _ids, _array, default={})
+    theta_init = _field(ctrl, "controller", "theta_hat_init", _ids, _array, default={})
     lambdas = []
-    adaptation = {}
-    if cfg.mode == "adaptive":
-        for i, model in zip(cfg.followers, models):
+    theta_hat0 = []
+    if mode == "adaptive":
+        for i, model in zip(graph.followers, models):
             m = model.order
-            Lam = cfg.adaptation_gains.get(i)
-            if Lam is None:
-                Lam = cfg.adaptation_rate * np.eye(m)
-            Lam = np.atleast_2d(Lam)
+            Lam = np.atleast_2d(given[i]) if i in given else rate * np.eye(m)
             if Lam.shape != (m, m):
                 raise ValidationError(
                     f"controller.adaptation_gains[{i}]: expected "
                     f"{m}x{m} matrix, got {Lam.shape}"
                 )
-            lambdas.append(Lam)
-            adaptation[i] = Lam
-    gains = ControllerGains(
-        kappa_p=cfg.kappa_p, kappa_v=cfg.kappa_v, adaptation_gains=adaptation
-    )
-    try:
-        validate_gains(gains, laplacian.B_ff, cfg.mode)
-    except BearingForgeError as exc:
-        raise ValidationError(f"gains: {type(exc).__name__}: {exc}") from exc
-
-    theta_hat0 = []
-    if cfg.mode == "adaptive":
-        for i, model in zip(cfg.followers, models):
-            th0 = cfg.theta_hat_init.get(i, np.zeros(model.order))
-            if th0.shape != (model.order,):
+            if not np.allclose(Lam, Lam.T, atol=1e-12):
                 raise ValidationError(
-                    f"controller.theta_hat_init[{i}]: expected {model.order} entries"
+                    f"gains: GainConditionViolated: Lambda for follower {i} "
+                    "not symmetric"
+                )
+            if not np.linalg.eigvalsh(Lam)[0] > 0:
+                raise ValidationError(
+                    f"gains: GainConditionViolated: Lambda for follower {i} "
+                    "not positive definite"
+                )
+            lambdas.append(Lam)
+            th0 = theta_init.get(i, np.zeros(m))
+            if th0.shape != (m,):
+                raise ValidationError(
+                    f"controller.theta_hat_init[{i}]: expected {m} entries"
                 )
             theta_hat0.append(th0)
 
+    eta_init = ctrl.get("eta_init", "velocity_feedforward")
+    if isinstance(eta_init, dict):
+        eta_init = _ids(eta_init, "controller.eta_init", _array)
+    elif eta_init not in ETA_POLICIES:
+        raise ValidationError(f"controller.eta_init: unknown policy '{eta_init}'")
     eta0 = []
-    for idx, (i, model, exo) in enumerate(zip(cfg.followers, models, exos)):
-        m = model.order
-        if isinstance(cfg.eta_init, dict):
-            e0 = cfg.eta_init.get(i)
-            if e0 is None:
-                e0 = np.kron(model.N, v_f0[idx])
-            elif e0.shape != (m * cfg.d,):
+    for idx, (i, model, exo) in enumerate(zip(graph.followers, models, exos)):
+        e0 = np.kron(model.N, v_f0[idx])
+        if isinstance(eta_init, dict) and i in eta_init:
+            e0 = eta_init[i]
+            if e0.shape != (model.order * d,):
                 raise ValidationError(
-                    f"controller.eta_init[{i}]: expected {m * cfg.d} entries"
+                    f"controller.eta_init[{i}]: expected {model.order * d} entries"
                 )
-        elif cfg.eta_init == "xi_zero":
-            e0 = np.kron(model.N, v_f0[idx]) - np.kron(model.T, np.eye(cfg.d)) @ exo.theta0
-        else:  # velocity_feedforward
-            e0 = np.kron(model.N, v_f0[idx])
-        eta0.append(np.asarray(e0, dtype=float))
+        elif eta_init == "xi_zero":
+            e0 = e0 - np.kron(model.T, np.eye(d)) @ exo.theta0
+        eta0.append(e0)
+
+    integ = _field(data, "", "integration", _object, default={})
+    h = _field(integ, "integration", "step", _float, default=1e-3)
+    t_final = _field(integ, "integration", "t_final", _float)
+    record_every = _field(integ, "integration", "record_every", _int, default=100)
+    if not (h > 0 and t_final > 0 and record_every >= 1):
+        raise ValidationError(
+            "integration: step and t_final must be positive, record_every >= 1"
+        )
+    ratio = t_final / h
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > STEP_TOL * ratio:
+        raise ValidationError(
+            f"integration: t_final = {t_final} is not a whole number of "
+            f"steps of {h}"
+        )
+
+    outputs = _field(data, "", "outputs", _object, default={})
 
     return CompiledScenario(
         graph=graph,
         bearings=bearings,
         laplacian=laplacian,
         p_star0=p_star0,
-        v_c=cfg.v_c,
+        v_c=v_c,
         p0=p0,
         v_f0=v_f0,
-        mode=cfg.mode,
+        mode=mode,
         gains=gains,
         specs=specs,
         exos=exos,
@@ -342,60 +370,24 @@ def compile_scenario(cfg: ScenarioConfig) -> CompiledScenario:
         eta0=eta0,
         theta_hat0=theta_hat0,
         lambdas=lambdas,
-        freeze_theta=cfg.freeze_theta,
-        h=cfg.h,
-        t_final=cfg.t_final,
-        record_every=cfg.record_every,
-        collision_eps=cfg.collision_eps,
-        output_dir=cfg.output_dir,
-        oracles=cfg.oracles,
+        freeze_theta=_field(ctrl, "controller", "freeze_theta", _bool, default=False),
+        h=h,
+        t_final=t_final,
+        record_every=record_every,
+        collision_eps=_field(
+            integ, "integration", "collision_threshold", _float, default=1e-3
+        ),
+        output_dir=_field(outputs, "outputs", "directory", _str, default="out"),
+        oracles=_field(outputs, "outputs", "oracles", _bool, default=False),
     )
-
-
-def _resolve_bearings(cfg, graph):
-    """Desired bearings from the config: given per edge, derived from the
-    desired configuration, or both (which must then agree)."""
-    derived = None
-    if set(cfg.desired_positions) == set(range(1, cfg.n + 1)):
-        positions = np.array([cfg.desired_positions[i] for i in range(1, cfg.n + 1)])
-        try:
-            derived = BearingSet.from_positions(graph, positions)
-        except BearingForgeError as exc:
-            raise ValidationError(
-                f"geometry.desired_positions: {type(exc).__name__}: {exc}"
-            ) from exc
-    if cfg.desired_bearings:
-        try:
-            given = BearingSet(cfg.desired_bearings)
-        except BearingForgeError as exc:
-            raise ValidationError(
-                f"geometry.desired_bearings: {type(exc).__name__}: {exc}"
-            ) from exc
-        for (i, j) in graph.edges:
-            if (i, j) not in given:
-                raise ValidationError(
-                    f"geometry.desired_bearings: edge ({i},{j}) has no bearing"
-                )
-            if derived is not None:
-                if np.linalg.norm(given[(i, j)] - derived[(i, j)]) > 1e-9:
-                    raise ValidationError(
-                        f"geometry: desired bearing for edge ({i},{j}) disagrees "
-                        "with the one derived from desired_positions"
-                    )
-        return given
-    if derived is None:
-        raise ValidationError(
-            "geometry: provide desired_bearings or a full desired_positions set"
-        )
-    return derived
 
 
 def load_scenario(path, overrides=None) -> CompiledScenario:
     """Load, validate, and compile a scenario file.
 
-    overrides is an optional flat dict ({"kappa_p": ..., "kappa_v": ...,
-    "t_final": ..., "h": ..., "mode": ..., "output_dir": ...})
-    applied before validation so that overridden gains are re-checked.
+    overrides is an optional flat dict keyed like OVERRIDES; each value that
+    is not None replaces its JSON field before the compile pass, so an
+    overridden value passes the same checks as the file.
     """
     try:
         with open(path) as fh:
@@ -407,24 +399,13 @@ def load_scenario(path, overrides=None) -> CompiledScenario:
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno}, "
             f"column {exc.colno}"
         ) from exc
-    cfg = parse_config(data)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key == "kappa_p":
-            cfg.kappa_p = float(value)
-        elif key == "kappa_v":
-            cfg.kappa_v = float(value)
-        elif key == "t_final":
-            cfg.t_final = float(value)
-        elif key == "h":
-            cfg.h = float(value)
-        elif key == "mode":
-            if value not in MODES:
-                raise ValidationError(f"override mode: unknown mode '{value}'")
-            cfg.mode = value
-        elif key == "output_dir":
-            cfg.output_dir = str(value)
-        else:
+        if key not in OVERRIDES:
             raise ValidationError(f"unknown override '{key}'")
-    return compile_scenario(cfg)
+        section, name = OVERRIDES[key]
+        # a section that is not an object is left for the compile pass to reject
+        if isinstance(data, dict) and isinstance(data.setdefault(section, {}), dict):
+            data[section][name] = value
+    return compile_scenario(data)

@@ -25,8 +25,6 @@ from .errors import (
     NonFiniteState,
 )
 
-DEFAULT_STEP = 1e-3
-DEFAULT_COLLISION_EPS = 1e-3
 CHECK_CHUNK = 64                 # steps propagated between vectorised state checks
 
 
@@ -49,13 +47,13 @@ class CompiledScenario:
     eta0: list                   # per-follower initial compensator state
     theta_hat0: list             # per-follower initial estimates of the row E
     lambdas: list                # per-follower adaptation-gain matrices
-    freeze_theta: bool = False
-    h: float = DEFAULT_STEP
-    t_final: float = 10.0
-    record_every: int = 100
-    collision_eps: float = DEFAULT_COLLISION_EPS
-    output_dir: str = "out"
-    oracles: bool = False
+    freeze_theta: bool
+    h: float
+    t_final: float
+    record_every: int
+    collision_eps: float
+    output_dir: str
+    oracles: bool
 
     @property
     def n(self):

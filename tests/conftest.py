@@ -10,7 +10,7 @@ from bearing_forge.formation_graph import (
     SensingGraph,
     build_bearing_laplacian,
 )
-from bearing_forge.scenario import compile_scenario, parse_config
+from bearing_forge.scenario import compile_scenario
 
 SQUARE_POSITIONS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)]
@@ -66,7 +66,7 @@ def make_scenario(**sections):
             data[key] = {**data[key], **value}
         else:
             data[key] = value
-    return compile_scenario(parse_config(data))
+    return compile_scenario(data)
 
 
 def random_formation(rng, n=None, d=None, n_l=2, complete=True):

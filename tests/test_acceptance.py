@@ -25,7 +25,7 @@ from bearing_forge.formation_graph import (
     unit_bearing,
 )
 from bearing_forge.internal_model import synthesize
-from bearing_forge.scenario import compile_scenario, load_scenario, parse_config
+from bearing_forge.scenario import compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     Trajectory,
     assemble_A_sigma,
@@ -253,7 +253,7 @@ def test_criterion_7_adaptive_known_consistency():
     # feedback gains for both runs so the loops are identical
     data["controller"]["kappa_v"] = 4.0
 
-    sc_known = compile_scenario(parse_config(copy.deepcopy(data)))
+    sc_known = compile_scenario(copy.deepcopy(data))
     traj_known = integrate(sc_known)
 
     data["controller"]["mode"] = "adaptive"
@@ -262,7 +262,7 @@ def test_criterion_7_adaptive_known_consistency():
         str(i): list(model.E)
         for i, model in zip(range(sc_known.n_l + 1, sc_known.n + 1), sc_known.models)
     }
-    sc_frozen = compile_scenario(parse_config(data))
+    sc_frozen = compile_scenario(data)
     traj_frozen = integrate(sc_frozen)
 
     dev = max(
@@ -281,14 +281,14 @@ def test_criterion_8_gain_gates():
     bad = copy.deepcopy(adaptive)
     bad["controller"]["kappa_v"] = 1.0  # kappa_v * lambda_min ~ 0.29 <= 1
     with pytest.raises(ValidationError, match="gain"):
-        compile_scenario(parse_config(bad))
+        compile_scenario(bad)
 
     for mode in ("known", "adaptive"):
         bad = copy.deepcopy(adaptive)
         bad["controller"]["mode"] = mode
         bad["controller"]["kappa_p"] = 0.0
         with pytest.raises(ValidationError, match="kappa_p"):
-            compile_scenario(parse_config(bad))
+            compile_scenario(bad)
     print("PASS criterion 8: gain gates (boundary and non-positive gains rejected)")
 
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from bearing_forge.control_laws import ControllerGains, validate_gains
-from bearing_forge.errors import GainConditionViolated
+from bearing_forge.errors import GainConditionViolated, ValidationError
 from bearing_forge.formation_graph import BearingSet, SensingGraph
 from bearing_forge.internal_model import synthesize
 from bearing_forge.disturbance import DisturbanceSpec, SinusoidTerm, build_canonical
+from bearing_forge.scenario import compile_scenario
 
-from conftest import SQUARE_POSITIONS
+from conftest import SQUARE_POSITIONS, base_scenario_dict
 from test_decentralization import (
     control_adaptive,
     control_known,
@@ -198,14 +199,35 @@ class TestValidateGains:
     def test_adaptive_just_above_boundary_ok(self):
         validate_gains(ControllerGains(1.0, 0.55), self.B, "adaptive")
 
-    def test_adaptive_asymmetric_lambda_rejected(self):
-        gains = ControllerGains(
-            1.0, 1.0, adaptation_gains={3: np.array([[1.0, 0.5], [0.0, 1.0]])}
+    @staticmethod
+    def adaptive_scenario(lam):
+        """Base square in adaptive mode, follower 3 with an order-3 model
+        (one sinusoid) and adaptation gain lam."""
+        data = base_scenario_dict()
+        data["controller"].update(
+            mode="adaptive", kappa_v=4.0, adaptation_gains={"3": lam}
         )
-        with pytest.raises(GainConditionViolated):
-            validate_gains(gains, self.B, "adaptive")
+        data["disturbances"] = {
+            "3": {
+                "sinusoids": [
+                    {"frequency": 2.0, "amplitudes": [1, 0], "phases": [0, 0]}
+                ]
+            }
+        }
+        return data
+
+    def test_adaptive_asymmetric_lambda_rejected(self):
+        # the off-diagonal asymmetry [[1, 0.5], [0, 1]], padded to order 3
+        lam = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(ValidationError, match=(
+            "^gains: GainConditionViolated: Lambda for follower 3 not symmetric$"
+        )):
+            compile_scenario(self.adaptive_scenario(lam))
 
     def test_adaptive_indefinite_lambda_rejected(self):
-        gains = ControllerGains(1.0, 1.0, adaptation_gains={3: -np.eye(2)})
-        with pytest.raises(GainConditionViolated):
-            validate_gains(gains, self.B, "adaptive")
+        lam = (-np.eye(3)).tolist()
+        with pytest.raises(ValidationError, match=(
+            "^gains: GainConditionViolated: "
+            "Lambda for follower 3 not positive definite$"
+        )):
+            compile_scenario(self.adaptive_scenario(lam))

@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bearing_forge.scenario import compile_scenario, parse_config
+from bearing_forge.scenario import compile_scenario
 from bearing_forge.sim_engine import Engine
 
 from conftest import base_scenario_dict
@@ -211,7 +211,7 @@ def sparse_scenario(mode):
             freeze_theta=mode == "adaptive_frozen",
         )
     data["controller"] = ctrl
-    sc = compile_scenario(parse_config(data))
+    sc = compile_scenario(data)
     if mode == "feedback_only":
         # feedback_only rejects disturbances at load time; swapping the mode
         # into the compiled scenario keeps the mixed-order compensators.

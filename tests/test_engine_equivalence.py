@@ -21,7 +21,7 @@ import scipy.linalg as sla
 from bearing_forge import bundled_scenario
 from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
-from bearing_forge.scenario import compile_scenario, load_scenario, parse_config
+from bearing_forge.scenario import compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     CHECK_CHUNK,
     Engine,
@@ -283,7 +283,7 @@ def mixed_order_scenario(**controller):
     data["disturbances"] = MIXED_DISTURBANCES
     data["controller"].update(controller)
     data["integration"] = {"step": 1e-3, "t_final": 2.0, "record_every": 50}
-    return compile_scenario(parse_config(data))
+    return compile_scenario(data)
 
 
 def mixed_adaptive(**extra):

@@ -1,15 +1,20 @@
+import contextlib
 import copy
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bearing_forge import bundled_scenario, cli
 from bearing_forge.errors import ParseError, ValidationError
-from bearing_forge.scenario import compile_scenario, load_scenario, parse_config
+from bearing_forge.scenario import compile_scenario, load_scenario
 
 from conftest import base_scenario_dict
 
@@ -46,7 +51,7 @@ class TestValidation:
             }
         }
         with pytest.raises(ValidationError, match="DuplicateFrequency"):
-            compile_scenario(parse_config(data))
+            compile_scenario(data)
 
     def test_collinear_not_localizable(self):
         data = base_scenario_dict()
@@ -54,20 +59,20 @@ class TestValidation:
             "1": [0, 0], "2": [1, 0], "3": [2, 0], "4": [3, 0]
         }
         with pytest.raises(ValidationError, match="NotLocalizable"):
-            compile_scenario(parse_config(data))
+            compile_scenario(data)
 
     def test_feedback_only_rejects_disturbance(self):
         data = base_scenario_dict()
         data["controller"]["mode"] = "feedback_only"
         data["disturbances"] = {"3": {"constant": [0.1, 0.0]}}
         with pytest.raises(ValidationError, match="feedback_only"):
-            compile_scenario(parse_config(data))
+            compile_scenario(data)
 
     def test_leader_must_start_at_target(self):
         data = base_scenario_dict()
         data["geometry"]["initial_positions"] = {"1": [0.5, 0.5]}
         with pytest.raises(ValidationError, match="leader"):
-            compile_scenario(parse_config(data))
+            compile_scenario(data)
 
     def test_bearing_position_disagreement(self):
         data = base_scenario_dict()
@@ -80,19 +85,19 @@ class TestValidation:
         bearings[0]["bearing"] = [0.0, 1.0]  # contradicts the positions
         data["geometry"]["desired_bearings"] = bearings
         with pytest.raises(ValidationError, match="disagrees"):
-            compile_scenario(parse_config(data))
+            compile_scenario(data)
 
     def test_leaders_must_be_prefix(self):
         data = base_scenario_dict()
         data["graph"]["leaders"] = [1, 3]
         with pytest.raises(ValidationError, match="leaders"):
-            parse_config(data)
+            compile_scenario(data)
 
     def test_disturbance_on_leader_rejected(self):
         data = base_scenario_dict()
         data["disturbances"] = {"1": {"constant": [0.1, 0.0]}}
         with pytest.raises(ValidationError, match="not a follower"):
-            parse_config(data)
+            compile_scenario(data)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -104,13 +109,13 @@ class TestValidation:
         data = base_scenario_dict()
         data["controller"]["mode"] = "mystery"
         with pytest.raises(ValidationError, match="mode"):
-            parse_config(data)
+            compile_scenario(data)
 
     def test_adaptive_gain_gate(self):
         data = base_scenario_dict()
         data["controller"]["mode"] = "adaptive"  # kappa_v = 1 < 1/0.2929
         with pytest.raises(ValidationError, match="gain"):
-            compile_scenario(parse_config(data))
+            compile_scenario(data)
 
 
 class TestOverrides:
@@ -273,3 +278,138 @@ class TestCli:
             report = json.load(fh)
         assert report["spectral_abscissa"] < 0
         assert report["xi_max_deviation"] < 1e-6
+
+
+_DROP = object()
+
+
+def _mutate(data, path, value):
+    """Set the JSON field at path (a tuple of keys/indices) to value, or
+    delete it when value is _DROP."""
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+def _main_stderr(argv):
+    """(exit code, stderr lines) of cli.main(argv), stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines()
+
+
+class TestMalformedInput:
+    """Every bad input exits 2 with one named line, never a traceback or a
+    silently wrong run; overrides pass the same checks as the file."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--h", "-1"],
+            ["--h", "0"],
+            ["--t-final", "-5"],
+            ["--t-final", "0"],
+            ["--t-final", "nan"],
+            ["--h", "inf"],
+            ["--kappa-p", "nan"],
+        ],
+        ids=lambda flag: " ".join(flag),
+    )
+    def test_bad_override_rejected(self, tmp_path, flag):
+        argv = ["run", bundled_scenario("square_known"), "--out", str(tmp_path)]
+        code, err = _main_stderr(argv + flag)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("graph", "n_agents"), "four"),
+            (("graph", "edges", 0), ["a", 2]),
+            (("graph", "edges"), 5),
+            (("controller", "kappa_p"), None),
+            (("disturbances", "3", "sinusoids", 0, "frequency"), [1, 2]),
+            (("geometry", "desired_positions", "3"), [float("nan"), 1.0]),
+            (("integration", "t_final"), float("nan")),
+            (("integration", "step"), float("inf")),
+            (("controller", "kappa_v"), float("nan")),
+            (("integration", "t_final"), 0.0001),
+            (("integration", "t_final"), 1.0005),
+            (("controller", "freeze_theta"), "false"),
+        ],
+        ids=[
+            "n_agents-string", "edge-string", "edges-int", "kappa_p-null",
+            "frequency-list", "position-nan", "t_final-nan", "step-inf",
+            "kappa_v-nan", "t_final-below-step", "t_final-not-whole",
+            "freeze_theta-string",
+        ],
+    )
+    def test_bad_file_rejected(self, tmp_path, path, value):
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        _mutate(data, path, value)
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _mutation_sites(node, path=()):
+    """(droppable keys, replaceable scalar leaves) below node, as paths."""
+    keys, leaves = [], []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            keys.append(path + (key,))
+        if isinstance(value, (dict, list)):
+            k, l = _mutation_sites(value, path + (key,))
+            keys += k
+            leaves += l
+        else:
+            leaves.append(path + (key,))
+    return keys, leaves
+
+
+def _bundled_sites():
+    keys, leaves = [], []
+    for name in ("square_known", "square_adaptive"):
+        with open(bundled_scenario(name)) as fh:
+            k, l = _mutation_sites(json.load(fh))
+        keys += [(name, p) for p in k]
+        leaves += [(name, p) for p in l]
+    return keys, leaves
+
+
+_KEYS, _LEAVES = _bundled_sites()
+# no huge magnitudes: a valid but enormous problem would only be slow
+_REPLACEMENTS = [
+    "x", None, [], [1.0, 2.0], {}, {"a": 1}, True, False,
+    float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -2.5,
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(_KEYS), st.just(_DROP)),
+        st.tuples(st.sampled_from(_LEAVES), st.sampled_from(_REPLACEMENTS)),
+    )
+)
+def test_fuzz_mutated_bundled_scenario(mutation):
+    """validate on a bundled scenario with one key dropped or one leaf
+    replaced exits 0 or 2, never raises, and writes at most one stderr line."""
+    (name, path), value = mutation
+    with open(bundled_scenario(name)) as fh:
+        data = json.load(fh)
+    _mutate(data, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = os.path.join(tmp, "s.json")
+        with open(scenario, "w") as fh:
+            json.dump(data, fh)
+        code, err = _main_stderr(["validate", scenario])
+    assert code in (0, 2)
+    assert len(err) <= 1
