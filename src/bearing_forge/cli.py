@@ -34,7 +34,6 @@ from .sim_engine import (
     lyapunov_monitor,
     metrics,
     spectral_abscissa,
-    stack_follower_blocks,
     xi_oracle,
 )
 
@@ -93,8 +92,7 @@ def oracle_report(sc, traj):
     }
     V = None
     if sc.mode == "adaptive":
-        M_f, E_f = stack_follower_blocks(sc.models, sc.d)
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, M_f, E_f)
+        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
         V = lyapunov_monitor(traj, cert, sc)
         slack = 1e-8 * (1.0 + V[:-1])
         report["lyapunov"] = {

@@ -119,16 +119,9 @@ class CanonicalExosystem:
     """
 
     r: int
-    d: int
-    coeffs: np.ndarray
     Phi: np.ndarray
     Psi: np.ndarray
     theta0: np.ndarray
-
-    @property
-    def order(self):
-        """State dimension of the scalar companion block, 2r+1."""
-        return 2 * self.r + 1
 
 
 def build_canonical(spec):
@@ -145,4 +138,4 @@ def build_canonical(spec):
     theta0 = np.concatenate(
         [disturbance_derivative(spec, 0.0, k) for k in range(m)]
     )
-    return CanonicalExosystem(r=r, d=spec.d, coeffs=coeffs, Phi=Phi, Psi=Psi, theta0=theta0)
+    return CanonicalExosystem(r=r, Phi=Phi, Psi=Psi, theta0=theta0)

@@ -89,10 +89,6 @@ class SensingGraph:
         return self.n - self.n_l
 
     @property
-    def leaders(self):
-        return range(1, self.n_l + 1)
-
-    @property
     def followers(self):
         return range(self.n_l + 1, self.n + 1)
 
@@ -142,9 +138,6 @@ class BearingSet:
         except KeyError:
             raise MissingBearing(f"no desired bearing for edge {edge}") from None
 
-    def edges(self):
-        return self._g.keys()
-
 
 @dataclass(frozen=True)
 class BearingLaplacian:
@@ -158,11 +151,6 @@ class BearingLaplacian:
     @property
     def n_f(self):
         return self.n - self.n_l
-
-    @property
-    def B_ll(self):
-        k = self.n_l * self.d
-        return self.B[:k, :k]
 
     @property
     def B_lf(self):

@@ -111,14 +111,18 @@ def _edge(value, what, n):
     return e
 
 
-def _ids(value, what, read, *args):
-    """A {agent id: value} JSON object, each value read by read."""
+def _ids(value, what, allowed, read, *args):
+    """A {agent id: value} JSON object keyed by the ids in allowed (the range
+    of followers or of all agents), each value read by read."""
     out = {}
     for k, v in _object(value, what).items():
         try:
             i = int(k)
         except ValueError:
             raise ValidationError(f"{what}: agent id {k!r} is not an integer") from None
+        if i not in allowed:  # a range of followers starts after leader 1
+            bad = f"agent {i} is not a follower" if allowed[0] > 1 else f"unknown agent {i}"
+            raise ValidationError(f"{what}: {bad}")
         out[i] = read(v, f"{what}[{k}]", *args)
     return out
 
@@ -171,8 +175,9 @@ def compile_scenario(data) -> CompiledScenario:
 
     geom = _field(data, "", "geometry", _object)
     v_c = _field(geom, "geometry", "leader_velocity", _vec, d)
+    agents = range(1, n + 1)
     desired_positions = _field(
-        geom, "geometry", "desired_positions", _ids, _vec, d, default={}
+        geom, "geometry", "desired_positions", _ids, agents, _vec, d, default={}
     )
     desired_bearings = {}
     for entry in _field(geom, "geometry", "desired_bearings", _list, default=[]):
@@ -189,8 +194,8 @@ def compile_scenario(data) -> CompiledScenario:
     # desired bearings: derived from a full desired configuration, given per
     # edge, or both (which must then agree)
     bearings = None
-    if set(desired_positions) == set(range(1, n + 1)):
-        positions = np.array([desired_positions[i] for i in range(1, n + 1)])
+    if len(desired_positions) == n:
+        positions = np.array([desired_positions[i] for i in agents])
         try:
             bearings = BearingSet.from_positions(graph, positions)
         except BearingForgeError as exc:
@@ -234,10 +239,8 @@ def compile_scenario(data) -> CompiledScenario:
     # leaders start pinned at the target; followers default to it
     p0 = p_star0.copy()
     for k, v in _field(
-        geom, "geometry", "initial_positions", _ids, _vec, d, default={}
+        geom, "geometry", "initial_positions", _ids, agents, _vec, d, default={}
     ).items():
-        if not 1 <= k <= n:
-            raise ValidationError(f"geometry.initial_positions: unknown agent {k}")
         if k > n_l:
             p0[k - 1] = v
         elif np.linalg.norm(v - desired_positions[k]) > 1e-9:
@@ -246,21 +249,16 @@ def compile_scenario(data) -> CompiledScenario:
                 "desired position (leaders track the target exactly)"
             )
     v_f0 = np.tile(v_c, (n - n_l, 1))
+    followers = graph.followers
     for k, v in _field(
-        geom, "geometry", "initial_velocities", _ids, _vec, d, default={}
+        geom, "geometry", "initial_velocities", _ids, followers, _vec, d, default={}
     ).items():
-        if k not in graph.followers:
-            raise ValidationError(
-                f"geometry.initial_velocities: agent {k} is not a follower "
-                "(leaders always move at leader_velocity)"
-            )
         v_f0[k - n_l - 1] = v
 
-    disturbances = _field(data, "", "disturbances", _ids, _disturbance, d, default={})
-    for k in disturbances:
-        if k not in graph.followers:
-            raise ValidationError(f"disturbances: agent {k} is not a follower")
-    specs = [disturbances.get(i, DisturbanceSpec.zero(d)) for i in graph.followers]
+    disturbances = _field(
+        data, "", "disturbances", _ids, followers, _disturbance, d, default={}
+    )
+    specs = [disturbances.get(i, DisturbanceSpec.zero(d)) for i in followers]
 
     ctrl = _field(data, "", "controller", _object)
     mode = _field(ctrl, "controller", "mode", _str)
@@ -287,12 +285,16 @@ def compile_scenario(data) -> CompiledScenario:
         raise ValidationError(f"gains: {type(exc).__name__}: {exc}") from exc
 
     rate = _field(ctrl, "controller", "adaptation_rate", _float, default=1.0)
-    given = _field(ctrl, "controller", "adaptation_gains", _ids, _array, default={})
-    theta_init = _field(ctrl, "controller", "theta_hat_init", _ids, _array, default={})
+    given = _field(
+        ctrl, "controller", "adaptation_gains", _ids, followers, _array, default={}
+    )
+    theta_init = _field(
+        ctrl, "controller", "theta_hat_init", _ids, followers, _array, default={}
+    )
     lambdas = []
     theta_hat0 = []
     if mode == "adaptive":
-        for i, model in zip(graph.followers, models):
+        for i, model in zip(followers, models):
             m = model.order
             Lam = np.atleast_2d(given[i]) if i in given else rate * np.eye(m)
             if Lam.shape != (m, m):
@@ -320,11 +322,11 @@ def compile_scenario(data) -> CompiledScenario:
 
     eta_init = ctrl.get("eta_init", "velocity_feedforward")
     if isinstance(eta_init, dict):
-        eta_init = _ids(eta_init, "controller.eta_init", _array)
+        eta_init = _ids(eta_init, "controller.eta_init", followers, _array)
     elif eta_init not in ETA_POLICIES:
         raise ValidationError(f"controller.eta_init: unknown policy '{eta_init}'")
     eta0 = []
-    for idx, (i, model, exo) in enumerate(zip(graph.followers, models, exos)):
+    for idx, (i, model, exo) in enumerate(zip(followers, models, exos)):
         e0 = np.kron(model.N, v_f0[idx])
         if isinstance(eta_init, dict) and i in eta_init:
             e0 = eta_init[i]

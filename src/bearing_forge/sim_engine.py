@@ -90,7 +90,6 @@ class Trajectory:
     vartheta: np.ndarray         # (S, q_f)
     theta_hat: np.ndarray        # (S, K); K = sum of orders, 0 outside adaptive mode
     min_dist: np.ndarray         # (S,)
-    step: float = 0.0
 
 
 @dataclass
@@ -104,13 +103,6 @@ class LyapunovCertificate:
     gamma_sigma: float
 
 
-def stack_follower_blocks(models, d):
-    """Block-diagonal (M_f, E_f) over the followers, each block kron'd with I_d."""
-    M_f = sla.block_diag(*[np.kron(m.M, np.eye(d)) for m in models])
-    E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), np.eye(d)) for m in models])
-    return M_f, E_f
-
-
 def assemble_A_sigma(B_ff, models, d, gains):
     """Closed-loop system matrix [[0, I, 0], [-kp B_ff, -kv B_ff, E_f], [0, 0, M_f]]."""
     B_ff = np.asarray(B_ff, dtype=float)
@@ -122,12 +114,9 @@ def assemble_A_sigma(B_ff, models, d, gains):
             f"B_ff is {nfd}x{nfd} but {len(models)} models in dimension {d} "
             f"need {len(models) * d}"
         )
-    M_f, E_f = stack_follower_blocks(models, d)
+    M_f = sla.block_diag(*[np.kron(m.M, np.eye(d)) for m in models])
+    E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), np.eye(d)) for m in models])
     q_f = M_f.shape[0]
-    if E_f.shape != (nfd, q_f):
-        raise DimensionMismatch(
-            f"E_f has shape {E_f.shape}, expected ({nfd}, {q_f})"
-        )
     A = np.zeros((2 * nfd + q_f, 2 * nfd + q_f))
     A[:nfd, nfd : 2 * nfd] = np.eye(nfd)
     A[nfd : 2 * nfd, :nfd] = -gains.kappa_p * B_ff
@@ -204,13 +193,6 @@ class Engine:
             self.E3 = _padded([m.E.reshape(1, -1) for m in sc.models], 1, m_max)
         else:  # feedback_only: the same loop with a zero feedforward row
             self.E3 = np.zeros((n_f, 1, m_max))
-        # index of the signal block (first d entries) of each follower's vartheta
-        idx = []
-        off = 0
-        for m in self.orders:
-            idx.extend(range(off, off + d))
-            off += m * d
-        self.d_idx = np.array(idx, dtype=int)
 
         # state layout offsets
         self.i_p = 0
@@ -316,7 +298,7 @@ class Engine:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def integrate(sc: CompiledScenario, h=None):
+def integrate(sc: CompiledScenario):
     """Run the closed loop with classical RK4 and record a Trajectory.
 
     States are propagated CHECK_CHUNK steps at a time, and then every step
@@ -326,10 +308,7 @@ def integrate(sc: CompiledScenario, h=None):
     the divergence.  Overflow on the way to a non-finite state is expected
     there, so NumPy's overflow and invalid-value warnings are silenced.
     """
-    h = sc.h if h is None else h
-    if h <= 0:
-        raise ValueError("h must be positive")
-
+    h = sc.h
     eng = Engine(sc)
     n_steps = int(round(sc.t_final / h))
     n, d = eng.n, eng.d
@@ -417,58 +396,49 @@ def integrate(sc: CompiledScenario, h=None):
         vartheta=samples[:, eng.i_var : eng.i_th],
         theta_hat=samples[:, eng.i_th :],
         min_dist=dists,
-        step=h,
     )
 
 
 def _xi_samples(traj, sc):
-    """xi_i(t) = eta_i + (T kron I) vartheta_i - (N kron I) v_i at each sample."""
+    """xi_i(t) = eta_i + T_i vartheta_i - N_i v_i at each sample, one
+    (S, m_i, d) array per follower."""
     S, d = len(traj.times), sc.d
-    xi = np.empty_like(traj.eta)
-    off = 0
-    for i, model in enumerate(sc.models):
-        m = model.order
-        blk = slice(off, off + m * d)
-        eta = traj.eta[:, blk].reshape(S, m, d)
-        var = traj.vartheta[:, blk].reshape(S, m, d)
-        v = traj.velocities[:, sc.n_l + i, None, :]
-        xi[:, blk] = (eta + model.T @ var - model.N[:, None] * v).reshape(S, m * d)
-        off += m * d
-    return xi
+    cuts = np.cumsum([m.order for m in sc.models])[:-1]
+    eta = np.split(traj.eta.reshape(S, -1, d), cuts, axis=1)
+    var = np.split(traj.vartheta.reshape(S, -1, d), cuts, axis=1)
+    v_f = traj.velocities[:, sc.n_l :, None, :]                # (S, n_f, 1, d)
+    return [
+        e + model.T @ th - model.N[:, None] * v_f[:, i]
+        for i, (model, e, th) in enumerate(zip(sc.models, eta, var))
+    ]
 
 
 def xi_oracle(traj, sc):
     """Max deviation of the transformed state from its exact flow exp(M t) xi(0).
 
-    Followers with the same M share one expm(M t) per sample, applied to all
-    of their xi(0) blocks in one product.
+    Followers with the same M sit side by side, as the column blocks of one
+    (S, m, g d) array, and share one batched expm(M t) over the samples.
     """
-    xi = _xi_samples(traj, sc)
-    S, d = len(traj.times), sc.d
     groups = {}
-    off = 0
-    for model in sc.models:
-        m = model.order
-        cols = groups.setdefault(model.M.tobytes(), (model.M, []))[1]
-        cols.extend(range(off, off + m * d))
-        off += m * d
+    for model, xi in zip(sc.models, _xi_samples(traj, sc)):
+        groups.setdefault(model.M.tobytes(), (model.M, []))[1].append(xi)
     max_dev = 0.0
-    for M, cols in groups.values():
-        m = M.shape[0]
-        # (S, g, m, d) -> (S, m, g d): column block j holds follower j's xi
-        X = xi[:, cols].reshape(S, -1, m, d).transpose(0, 2, 1, 3).reshape(S, m, -1)
-        for t, row in zip(traj.times, X):
-            err = (row - sla.expm(M * t) @ X[0]).reshape(m, -1, d)
-            max_dev = max(max_dev, float(np.sqrt((err * err).sum(axis=(0, 2))).max()))
+    for M, blocks in groups.values():
+        X = np.concatenate(blocks, axis=2)
+        err = X - sla.expm(traj.times[:, None, None] * M) @ X[0]
+        err = err.reshape(*X.shape[:2], len(blocks), -1)   # (S, m, g, d)
+        max_dev = max(max_dev, float(np.sqrt((err * err).sum(axis=(1, 3))).max()))
     return max_dev
 
 
-def build_certificate(B_ff, gains, M_f, E_f):
+def build_certificate(B_ff, gains, models, d):
     """Lyapunov certificate for the adaptive closed loop.
 
     Q_c = blkdiag(2 kp B_ff^2, 2 (kv B_ff^2 - B_ff)), P_c solves the Lyapunov
     identity with the feedback block, G_c solves G M_f + M_f^T G = -I, and
     gamma exceeds the Schur-complement threshold by 1 percent.
+    M_f = blkdiag(M_i kron I_d) is block diagonal, so G_c = blkdiag(G_i kron I_d)
+    with one m_i x m_i equation G_i M_i + M_i^T G_i = -I per follower.
     """
     B_ff = np.asarray(B_ff, dtype=float)
     nfd = B_ff.shape[0]
@@ -479,15 +449,19 @@ def build_certificate(B_ff, gains, M_f, E_f):
     for name, mat in (("Q_c", Q_c), ("P_c", P_c)):
         if np.linalg.eigvalsh(mat)[0] <= 0:
             raise CertificateFailed(f"{name} is not positive definite")
-    q_f = M_f.shape[0]
-    # G M_f + M_f^T G = -I  solved as a dense continuous Lyapunov equation
-    G_c = sla.solve_continuous_lyapunov(M_f.T, -np.eye(q_f))
-    G_c = 0.5 * (G_c + G_c.T)
-    if np.linalg.eigvalsh(G_c)[0] <= 0:
-        raise CertificateFailed("G_c is not positive definite")
-    PBE = P_c[:, nfd:] @ E_f                     # P_c B_c E_f with B_c = [0; I]
+    blocks = []
+    for model in models:
+        G = sla.solve_continuous_lyapunov(model.M.T, -np.eye(model.order))
+        G = 0.5 * (G + G.T)
+        if np.linalg.eigvalsh(G)[0] <= 0:
+            raise CertificateFailed("G_c is not positive definite")
+        blocks.append(np.kron(G, np.eye(d)))
+    G_c = sla.block_diag(*blocks)
+    # PBE = P_c B_c E_f with B_c = [0; I]; E_f E_f^T = diag(|E_i|^2 kron 1_d)
+    Pb = P_c[:, nfd:]
+    e2 = np.repeat([model.E @ model.E for model in models], d)
     gamma_sigma = float(
-        np.linalg.eigvalsh(PBE @ PBE.T)[-1] / np.linalg.eigvalsh(Q_c)[0]
+        np.linalg.eigvalsh((Pb * e2) @ Pb.T)[-1] / np.linalg.eigvalsh(Q_c)[0]
     )
     return LyapunovCertificate(
         Q_c=Q_c, P_c=P_c, G_c=G_c, gamma=1.01 * gamma_sigma, gamma_sigma=gamma_sigma
@@ -501,7 +475,7 @@ def lyapunov_monitor(traj, certificate, sc):
     knows the frequencies even when the controller does not).
     """
     S, n_l = len(traj.times), sc.n_l
-    xi = _xi_samples(traj, sc)
+    xi = np.concatenate([x.reshape(S, -1) for x in _xi_samples(traj, sc)], axis=1)
     lam_inv = sla.block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
     theta_true = np.concatenate([m.E for m in sc.models])
     p_t = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]

@@ -34,7 +34,6 @@ from bearing_forge.sim_engine import (
     lyapunov_monitor,
     metrics,
     spectral_abscissa,
-    stack_follower_blocks,
     xi_oracle,
 )
 
@@ -199,7 +198,6 @@ def test_criterion_5_xi_dynamics_oracle(known_run):
         vartheta=traj.vartheta[keep],
         theta_hat=traj.theta_hat[keep],
         min_dist=traj.min_dist[keep],
-        step=traj.step,
     )
     dev = xi_oracle(short, sc)
     elapsed = time.perf_counter() - start
@@ -230,8 +228,7 @@ def test_criterion_6_adaptive_rejection(adaptive_run):
     assert mts["terminal_err_p"] <= 1e-3
     assert mts["terminal_err_v"] <= 1e-3
 
-    M_f, E_f = stack_follower_blocks(sc.models, sc.d)
-    cert = build_certificate(sc.laplacian.B_ff, sc.gains, M_f, E_f)
+    cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
     assert abs(cert.gamma - 1.01 * cert.gamma_sigma) <= 1e-12 * cert.gamma
     V = lyapunov_monitor(traj, cert, sc)
     slack = 1e-8 * (1.0 + V[:-1])
@@ -304,10 +301,9 @@ def test_criterion_9_determinism_and_order(tmp_path):
     b2 = (tmp_path / "r2" / "trajectory.csv").read_bytes()
     assert b1 == b2
 
-    sc = load_scenario(scenario_path, {"t_final": 5.0})
     terminals = []
     for h in (0.02, 0.01, 0.005):
-        traj = integrate(sc, h=h)
+        traj = integrate(load_scenario(scenario_path, {"t_final": 5.0, "h": h}))
         terminals.append(
             np.concatenate(
                 [traj.positions[-1].ravel(), traj.velocities[-1].ravel()]

@@ -7,8 +7,9 @@ engine in `sim_engine` (batched right-hand side, exact RK4 propagator in the
 linear modes, chunked checks) must agree with them to 1e-10 (1 + |ref|) on
 every recorded quantity, and must fail at the same step with the same
 report.  The post-processing keeps its per-sample forms here too: the xi
-oracle with one expm per follower and sample, and the targets localized
-from the leaders at every sample.
+oracle with one expm per follower and sample, the targets localized
+from the leaders at every sample, and the Lyapunov certificate from the
+dense block-diagonal M_f and E_f.
 """
 
 import copy
@@ -30,7 +31,6 @@ from bearing_forge.sim_engine import (
     integrate,
     lyapunov_monitor,
     metrics,
-    stack_follower_blocks,
     xi_oracle,
 )
 
@@ -174,7 +174,6 @@ def reference_integrate(sc):
         vartheta=arr[:, eng.i_var : eng.i_th],
         theta_hat=arr[:, eng.i_th :],
         min_dist=np.array(dists),
-        step=h,
     )
 
 
@@ -196,6 +195,25 @@ def reference_xi_oracle(traj, sc):
             max_dev = max(max_dev, np.linalg.norm(row.reshape(m, d) - ref))
         off += m * d
     return max_dev, xi
+
+
+def reference_certificate(sc):
+    """Q_c, P_c, G_c and gamma_sigma from the dense stacked operators:
+    one Lyapunov solve on the full blkdiag(M_i kron I_d), and gamma_sigma
+    from P_c B_c E_f with the dense E_f."""
+    B_ff, nfd = sc.laplacian.B_ff, sc.n_f * sc.d
+    kp, kv = sc.gains.kappa_p, sc.gains.kappa_v
+    B2 = B_ff @ B_ff
+    Q_c = sla.block_diag(2.0 * kp * B2, 2.0 * (kv * B2 - B_ff))
+    P_c = np.block([[(kp + kv) * B2, B_ff], [B_ff, B_ff]])
+    eye_d = np.eye(sc.d)
+    M_f = sla.block_diag(*[np.kron(m.M, eye_d) for m in sc.models])
+    E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), eye_d) for m in sc.models])
+    G_c = sla.solve_continuous_lyapunov(M_f.T, -np.eye(M_f.shape[0]))
+    G_c = 0.5 * (G_c + G_c.T)
+    PBE = P_c[:, nfd:] @ E_f
+    gamma_sigma = np.linalg.eigvalsh(PBE @ PBE.T)[-1] / np.linalg.eigvalsh(Q_c)[0]
+    return {"Q_c": Q_c, "P_c": P_c, "G_c": G_c, "gamma_sigma": gamma_sigma}
 
 
 def reference_lyapunov(traj, cert, sc, xi):
@@ -330,10 +348,13 @@ def test_trajectory_matches_reference(case):
     assert_same_trajectory(integrate(sc), reference_integrate(sc))
 
 
-@pytest.mark.parametrize("case", ["mixed_known", "mixed_adaptive"])
+@pytest.mark.parametrize(
+    "case", ["bundled_adaptive_5s", "mixed_known", "mixed_adaptive"]
+)
 def test_post_processing_matches_reference(case):
-    """xi oracle (one expm per distinct M), Lyapunov monitor and error norms
-    (closed-form targets) against their per-follower, per-sample forms."""
+    """xi oracle (one batched expm per distinct M), certificate (one Lyapunov
+    solve per follower), Lyapunov monitor and error norms (closed-form
+    targets) against their dense, per-follower and per-sample forms."""
     sc = CASES[case]()
     traj = integrate(sc)
     ref_dev, xi = reference_xi_oracle(traj, sc)
@@ -345,9 +366,11 @@ def test_post_processing_matches_reference(case):
         ref = np.linalg.norm(traj.positions[s, sc.n_l :, :] - p_f, axis=1)
         assert_close(err_p[s], ref)
     if sc.mode == "adaptive":
-        cert = build_certificate(
-            sc.laplacian.B_ff, sc.gains, *stack_follower_blocks(sc.models, sc.d)
-        )
+        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
+        for name, ref in reference_certificate(sc).items():
+            got = getattr(cert, name)
+            assert np.shape(got) == np.shape(ref)
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), name
         assert_close(
             lyapunov_monitor(traj, cert, sc), reference_lyapunov(traj, cert, sc, xi)
         )
@@ -358,7 +381,6 @@ def test_rhs_matches_reference(case):
     sc = CASES[case]()
     eng, ref = Engine(sc), ReferenceEngine(sc)
     assert eng.dim == ref.dim
-    np.testing.assert_array_equal(eng.d_idx, ref.d_idx)
     rng = np.random.default_rng(7)
     for y in [eng.initial_state()] + list(rng.standard_normal((5, eng.dim))):
         assert_close(eng.rhs(y), ref.rhs(y))

@@ -303,6 +303,24 @@ def _main_stderr(argv):
     return code, err.getvalue().splitlines()
 
 
+ADAPTIVE_CONTROLLER = {"mode": "adaptive", "kappa_p": 1.0, "kappa_v": 4.0}
+R2 = 0.5**0.5
+# the unit square of the bundled scenarios given by its bearings, with the
+# desired positions of the leaders and of an agent the graph does not have
+GEOMETRY_UNKNOWN_POSITION = {
+    "desired_positions": {"1": [0, 0], "2": [1, 0], "9": [5, 5]},
+    "desired_bearings": [
+        {"edge": [1, 2], "bearing": [-1, 0]},
+        {"edge": [2, 3], "bearing": [0, -1]},
+        {"edge": [3, 4], "bearing": [1, 0]},
+        {"edge": [4, 1], "bearing": [0, 1]},
+        {"edge": [1, 3], "bearing": [-R2, -R2]},
+        {"edge": [2, 4], "bearing": [R2, -R2]},
+    ],
+    "leader_velocity": [0.5, 0],
+}
+
+
 class TestMalformedInput:
     """Every bad input exits 2 with one named line, never a traceback or a
     silently wrong run; overrides pass the same checks as the file."""
@@ -341,12 +359,25 @@ class TestMalformedInput:
             (("integration", "t_final"), 0.0001),
             (("integration", "t_final"), 1.0005),
             (("controller", "freeze_theta"), "false"),
+            (("controller", "eta_init"), {"1": [1, 2]}),
+            (("controller", "eta_init"), {"9": [0, 0, 0, 0, 0, 0]}),
+            (
+                ("controller",),
+                {**ADAPTIVE_CONTROLLER, "theta_hat_init": {"1": [1, 2, 3]}},
+            ),
+            (
+                ("controller",),
+                {**ADAPTIVE_CONTROLLER, "adaptation_gains": {"7": [[1]]}},
+            ),
+            (("geometry",), GEOMETRY_UNKNOWN_POSITION),
         ],
         ids=[
             "n_agents-string", "edge-string", "edges-int", "kappa_p-null",
             "frequency-list", "position-nan", "t_final-nan", "step-inf",
             "kappa_v-nan", "t_final-below-step", "t_final-not-whole",
-            "freeze_theta-string",
+            "freeze_theta-string", "eta_init-leader", "eta_init-unknown",
+            "theta_hat_init-leader", "adaptation_gains-unknown",
+            "desired_positions-unknown",
         ],
     )
     def test_bad_file_rejected(self, tmp_path, path, value):

@@ -20,11 +20,11 @@ from bearing_forge.sim_engine import (
     lyapunov_monitor,
     metrics,
     spectral_abscissa,
-    stack_follower_blocks,
     xi_oracle,
 )
 
 from conftest import make_scenario, random_formation
+from test_engine_equivalence import ReferenceEngine
 
 
 def scalar_model():
@@ -109,7 +109,7 @@ class TestEngineRhs:
         y = eng.initial_state()
         dy = eng.rhs(y)
         var = y[eng.i_var : eng.i_th]
-        d_out = var[eng.d_idx]
+        d_out = var[ReferenceEngine(sc).d_idx]
         for idx, spec in enumerate(sc.specs):
             np.testing.assert_allclose(
                 d_out[idx * sc.d : (idx + 1) * sc.d],
@@ -127,8 +127,9 @@ class TestEngineRhs:
             integration={"t_final": 1.0},
         )
         traj = integrate(sc)
+        d_idx = ReferenceEngine(sc).d_idx
         for s, t in enumerate(traj.times):
-            out = traj.vartheta[s][Engine(sc).d_idx]
+            out = traj.vartheta[s][d_idx]
             for idx, spec in enumerate(sc.specs):
                 np.testing.assert_allclose(
                     out[idx * sc.d : (idx + 1) * sc.d],
@@ -163,13 +164,16 @@ class TestIntegrate:
         assert mts["decay_rate"] is not None and mts["decay_rate"] < 0
 
     def test_step_halving_agreement(self):
-        sc = make_scenario(
-            geometry=PERTURBED_GEOMETRY,
-            disturbances=MILLI_DISTURBANCES,
-            integration={"t_final": 1.0, "record_every": 10_000},
+        t1, t2 = (
+            integrate(
+                make_scenario(
+                    geometry=PERTURBED_GEOMETRY,
+                    disturbances=MILLI_DISTURBANCES,
+                    integration={"step": h, "t_final": 1.0, "record_every": 10_000},
+                )
+            )
+            for h in (1e-3, 5e-4)
         )
-        t1 = integrate(sc, h=1e-3)
-        t2 = integrate(sc, h=5e-4)
         dev = np.abs(t1.positions[-1] - t2.positions[-1]).max()
         assert dev <= 1e-8
 
@@ -227,8 +231,7 @@ class TestXiOracle:
 class TestCertificate:
     def test_scalar_certificate(self):
         gains = ControllerGains(kappa_p=1.0, kappa_v=2.0)
-        M_f, E_f = stack_follower_blocks([scalar_model()], 1)
-        cert = build_certificate(np.array([[1.0]]), gains, M_f, E_f)
+        cert = build_certificate(np.array([[1.0]]), gains, [scalar_model()], 1)
         np.testing.assert_allclose(cert.Q_c, [[2.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(cert.P_c, [[3.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(cert.G_c, [[0.5]])
@@ -241,8 +244,7 @@ class TestCertificate:
         gains = ControllerGains(kappa_p=1.3, kappa_v=4.0)
         B_ff = square_laplacian.B_ff
         models = [scalar_model(), scalar_model()]
-        M_f, E_f = stack_follower_blocks(models, 2)
-        cert = build_certificate(B_ff, gains, M_f, E_f)
+        cert = build_certificate(B_ff, gains, models, 2)
         nfd = B_ff.shape[0]
         A_c = np.block(
             [
@@ -258,11 +260,10 @@ class TestCertificate:
         B_ff = square_laplacian.B_ff
         lam_min = np.linalg.eigvalsh(B_ff)[0]
         models = [scalar_model(), scalar_model()]
-        M_f, E_f = stack_follower_blocks(models, 2)
         prev = None
         for margin in (1.0, 0.1, 0.01):
             gains = ControllerGains(kappa_p=1.0, kappa_v=(1.0 + margin) / lam_min)
-            cert = build_certificate(B_ff, gains, M_f, E_f)
+            cert = build_certificate(B_ff, gains, models, 2)
             val = np.linalg.eigvalsh(cert.Q_c)[0]
             assert val > 0
             if prev is not None:
@@ -301,16 +302,14 @@ class TestLyapunovMonitor:
             integration={"t_final": 0.5},
         )
         traj = integrate(sc)
-        M_f, E_f = stack_follower_blocks(sc.models, sc.d)
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, M_f, E_f)
+        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
         V = lyapunov_monitor(traj, cert, sc)
         assert np.abs(V).max() <= 1e-12
 
     def test_initial_value_closed_form(self):
         sc = self.adaptive_scenario(integration={"t_final": 0.5})
         traj = integrate(sc)
-        M_f, E_f = stack_follower_blocks(sc.models, sc.d)
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, M_f, E_f)
+        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
         V = lyapunov_monitor(traj, cert, sc)
 
         p_t = (sc.p0[sc.n_l :] - sc.p_star0[sc.n_l :]).ravel()
@@ -343,8 +342,7 @@ class TestLyapunovMonitor:
     def test_non_increasing(self):
         sc = self.adaptive_scenario(integration={"t_final": 5.0})
         traj = integrate(sc)
-        M_f, E_f = stack_follower_blocks(sc.models, sc.d)
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, M_f, E_f)
+        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
         V = lyapunov_monitor(traj, cert, sc)
         slack = 1e-8 * (1.0 + V[:-1])
         assert np.all(np.diff(V) <= slack)
