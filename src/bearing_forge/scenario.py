@@ -34,6 +34,7 @@ from .sim_engine import CompiledScenario
 MODES = ("known", "adaptive", "feedback_only")
 ETA_POLICIES = ("velocity_feedforward", "xi_zero")
 STEP_TOL = 1e-9                  # relative distance of t_final/step from a whole number
+MAX_SAMPLE_BYTES = 1 << 30       # largest array of recorded states a run may allocate
 
 # override key -> (section, field) of the scenario JSON it replaces
 OVERRIDES = {
@@ -116,10 +117,14 @@ def _ids(value, what, allowed, read, *args):
     of followers or of all agents), each value read by read."""
     out = {}
     for k, v in _object(value, what).items():
-        try:
-            i = int(k)
-        except ValueError:
-            raise ValidationError(f"{what}: agent id {k!r} is not an integer") from None
+        # one spelling per agent: int() would also read "03", " 3" and "+3"
+        # as agent 3, and the later entry would silently replace the earlier
+        if not (k.isascii() and k.isdigit() and str(int(k)) == k):
+            raise ValidationError(
+                f"{what}: agent id {k!r} is not a decimal integer without "
+                "sign, spaces or leading zeros"
+            )
+        i = int(k)
         if i not in allowed:  # a range of followers starts after leader 1
             bad = f"agent {i} is not a follower" if allowed[0] > 1 else f"unknown agent {i}"
             raise ValidationError(f"{what}: {bad}")
@@ -356,7 +361,7 @@ def compile_scenario(data) -> CompiledScenario:
 
     outputs = _field(data, "", "outputs", _object, default={})
 
-    return CompiledScenario(
+    sc = CompiledScenario(
         graph=graph,
         bearings=bearings,
         laplacian=laplacian,
@@ -382,6 +387,15 @@ def compile_scenario(data) -> CompiledScenario:
         output_dir=_field(outputs, "outputs", "directory", _str, default="out"),
         oracles=_field(outputs, "outputs", "oracles", _bool, default=False),
     )
+    samples = -(-steps // record_every) + 1              # as integrate records them
+    size = samples * sc.state_dim * 8
+    if size > MAX_SAMPLE_BYTES:
+        raise ValidationError(
+            f"integration: the run would record {samples} samples of its "
+            f"{sc.state_dim}-entry state, {size / 2**20:.0f} MiB, over the "
+            f"limit of {MAX_SAMPLE_BYTES / 2**20:.0f} MiB"
+        )
+    return sc
 
 
 def load_scenario(path, overrides=None) -> CompiledScenario:

@@ -24,8 +24,16 @@ from .errors import (
     DimensionMismatch,
     NonFiniteState,
 )
+from .rk4_operator import multiply_adds, operator_step, probe
 
 CHECK_CHUNK = 64                 # steps propagated between vectorised state checks
+# integrate takes Engine.operator_step when one step of it costs fewer
+# multiply-adds (Engine.operator_macs, from rk4_operator.multiply_adds) than
+# this, and the staged Engine.rk4 otherwise: the dense operators grow as
+# dim^2 and n_prod * dim, the staged step roughly as dim.  Set from the
+# crossover measured by scripts/stepper_sweep.py, recorded in
+# BENCH_stepper_crossover.json.
+OPERATOR_MAX_MACS = 400_000
 
 
 @dataclass
@@ -70,6 +78,13 @@ class CompiledScenario:
     @property
     def n_f(self):
         return self.graph.n_f
+
+    @property
+    def state_dim(self):
+        """Length of the engine's state [p | v_f | eta | vartheta | theta_hat]."""
+        k = sum(m.order for m in self.models)
+        adaptive = self.mode == "adaptive"
+        return (self.n + self.n_f + 2 * k) * self.d + (k if adaptive else 0)
 
     def target_positions(self, t):
         """Target configuration at time t, shape (n, d), or (len(t), n, d)
@@ -161,6 +176,13 @@ class Engine:
     M, Phi and Lambda, so that each per-follower product of the control law
     is one batched matmul.  Padded
     rows and columns are zero and never reach the packed state.
+
+    `rhs` is composed of `_readouts` (s, w and θ̂, affine in the state) and
+    `_law`, which is affine jointly in the state and in the sums θ̂ w and
+    w s of the adaptive products: with the sums at zero it is the affine
+    part of the closed loop, and their coefficients scatter the products.
+    `operator_step` probes these pieces, with the products written out by
+    `_factors` and summed by `_sums`.
     """
 
     def __init__(self, sc: CompiledScenario):
@@ -175,14 +197,15 @@ class Engine:
         B = sc.laplacian.B
         self.Bf = B[n_l * d :, :]                       # follower rows, acts on full stacks
         self.vc_tile = np.tile(sc.v_c, n_l)
+        # s_v = B_f v splits into the follower-velocity columns and the
+        # leaders' constant share
+        self.Bf_v = np.ascontiguousarray(self.Bf[:, n_l * d :])
+        self.s_vc = self.Bf[:, : n_l * d] @ self.vc_tile
 
         m_max = self.m_max = max(self.orders)
         self.eta_idx = _pad_index(self.orders, d)
         self.M3 = _padded([m.M for m in sc.models], m_max, m_max)
         self.N3 = _padded([m.N.reshape(-1, 1) for m in sc.models], m_max, 1)
-        self.MN3 = _padded(
-            [(m.M @ m.N).reshape(-1, 1) for m in sc.models], m_max, 1
-        )
         self.Phi3 = _padded([e.Phi for e in sc.exos], m_max, m_max)
         if self.adaptive:
             self.th_idx = _pad_index(self.orders, 1)
@@ -201,6 +224,13 @@ class Engine:
         self.i_var = self.i_eta + self.q_f
         self.i_th = self.i_var + self.q_f
         self.dim = self.i_th + self.K
+
+        # the adaptive products: θ̂_ik w_ika and, unless θ̂ is frozen,
+        # w_ika s_ia, one of each per compensator coordinate
+        self.n_prod = (
+            self.q_f * (1 if sc.freeze_theta else 2) if self.adaptive else 0
+        )
+        self.operator_macs = multiply_adds(self.dim, self.n_prod)
 
     def initial_state(self):
         sc = self.sc
@@ -227,41 +257,82 @@ class Engine:
         flat = a.reshape(-1)
         return flat if idx is None else flat[idx]
 
-    def rhs(self, y):
-        sc = self.sc
-        d, n_f = self.d, self.n_f
-        p = y[self.i_p : self.i_vf]
+    def _readouts(self, y):
+        """The inputs of the law, affine in y: s_p = B_f p and s_v = B_f v,
+        each (n_f d,), w = eta - N v_f (n_f, m_max, d), and θ̂ (n_f, 1, m_max)
+        in adaptive mode (None otherwise)."""
+        d = self.d
         v_f = y[self.i_vf : self.i_eta]
         eta = self._blocks(y[self.i_eta : self.i_var], self.eta_idx, self.m_max, d)
-        var = self._blocks(y[self.i_var : self.i_th], self.eta_idx, self.m_max, d)
+        s_p = self.Bf @ y[self.i_p : self.i_vf]
+        s_v = self.Bf_v @ v_f + self.s_vc
+        w = eta - self.N3 * v_f.reshape(self.n_f, 1, d)
+        th = (
+            self._blocks(y[self.i_th :], self.th_idx, 1, self.m_max)
+            if self.adaptive
+            else None
+        )
+        return s_p, s_v, w, th
 
-        s_p = self.Bf @ p
-        s_v = self.Bf @ np.concatenate([self.vc_tile, v_f])
-        v3 = v_f.reshape(n_f, 1, d)
-        w = eta - self.N3 * v3                           # (n_f, m_max, d)
-
-        dy = np.empty(self.dim)
-        fb = (-sc.gains.kappa_p * s_p - sc.gains.kappa_v * s_v).reshape(n_f, 1, d)
+    def _law(self, y, s_p, s_v, w, tw=None, ws=None):
+        """The control law from its readouts, affine jointly in y and in the
+        sums of the adaptive products, which enter only here: tw = θ̂ w
+        (n_f, 1, d) adds to the input u = -kp s_p - kv s_v (+ E w outside
+        adaptive mode), and ws = w s (n_f, m_max, 1) drives dθ̂ = -Λ w s.
+        An absent sum is zero; with both absent this is the affine part of
+        the closed loop."""
+        d = self.d
+        gains = self.sc.gains
+        u = (-gains.kappa_p * s_p - gains.kappa_v * s_v).reshape(self.n_f, 1, d)
         if not self.adaptive:
-            u = fb + self.E3 @ w                         # (n_f, 1, d)
-        else:
-            th = self._blocks(y[self.i_th :], self.th_idx, 1, self.m_max)
-            u = fb + th @ w
-            if sc.freeze_theta:
-                dy[self.i_th :] = 0.0
-            else:
-                s = (s_p + s_v).reshape(n_f, d, 1)
-                dth = self.neg_Lam3 @ (w @ s)            # (n_f, m_max, 1)
-                dy[self.i_th :] = self._packed(dth, self.th_idx)
-
+            u = u + self.E3 @ w                          # (n_f, 1, d)
+        elif tw is not None:
+            u = u + tw
+        var = self._blocks(y[self.i_var : self.i_th], self.eta_idx, self.m_max, d)
+        dy = np.empty(self.dim)
         dy[self.i_p : self.i_p + self.n_l * d] = self.vc_tile
-        dy[self.i_p + self.n_l * d : self.i_vf] = v_f
+        dy[self.i_p + self.n_l * d : self.i_vf] = y[self.i_vf : self.i_eta]
         dy[self.i_vf : self.i_eta] = (u + var[:, :1, :]).ravel()
+        # eta' = M eta + N u - M N v_f = M w + N u
         dy[self.i_eta : self.i_var] = self._packed(
-            self.M3 @ eta + self.N3 * u - self.MN3 * v3, self.eta_idx
+            self.M3 @ w + self.N3 * u, self.eta_idx
         )
         dy[self.i_var : self.i_th] = self._packed(self.Phi3 @ var, self.eta_idx)
+        dy[self.i_th :] = (
+            0.0 if ws is None else self._packed(self.neg_Lam3 @ ws, self.th_idx)
+        )
         return dy
+
+    def rhs(self, y):
+        s_p, s_v, w, th = self._readouts(y)
+        if not self.adaptive:
+            return self._law(y, s_p, s_v, w)
+        ws = None
+        if not self.sc.freeze_theta:
+            ws = w @ (s_p + s_v).reshape(self.n_f, self.d, 1)
+        return self._law(y, s_p, s_v, w, th @ w, ws)
+
+    def _factors(self, s_p, s_v, w, th):
+        """[z_a; z_b], the packed factors of the n_prod adaptive products
+        p = z_a * z_b: first θ̂_ik w_ika, then (unless θ̂ is frozen) w_ika s_ia."""
+        th_b = np.broadcast_to(th.transpose(0, 2, 1), w.shape)
+        s_b = np.broadcast_to((s_p + s_v).reshape(self.n_f, 1, self.d), w.shape)
+        k = 1 if self.sc.freeze_theta else 2
+        return np.concatenate(
+            [self._packed(a, self.eta_idx) for a in [th_b, w][:k] + [w, s_b][:k]]
+        )
+
+    def _sums(self, P):
+        """The per-follower sums of the packed products P that `_law`
+        takes: θ̂ w (n_f, 1, d), and w s (n_f, m_max, 1) or None when θ̂ is
+        frozen."""
+        def blocks(x):
+            return self._blocks(x, self.eta_idx, self.m_max, self.d)
+
+        tw = blocks(P[: self.q_f]).sum(axis=1, keepdims=True)
+        if self.sc.freeze_theta:
+            return tw, None
+        return tw, blocks(P[self.q_f :]).sum(axis=2, keepdims=True)
 
     def rk4(self, h):
         """One classical RK4 step of size h, taken stage by stage through rhs."""
@@ -276,32 +347,38 @@ class Engine:
 
         return step
 
-    def propagator(self, h):
-        """(R, r) such that one RK4 step of size h is exactly y+ = R y + r.
+    def product_form(self):
+        """(A, b, C, c, D) such that rhs(y) = A y + b + D (z_a * z_b) with
+        [z_a; z_b] = C y + c, the n_prod adaptive products written out (the
+        known and feedback_only modes have none, and C, c and D are empty).
 
-        Only for the affine closed loop y' = A y + b of the known and
-        feedback_only modes: R = I + hA S and r = h S b with
-        S = I + hA/2 (I + hA/3 (I + hA/4)).  A and b are probed from rhs
-        (dim + 1 calls), so the control law keeps a single implementation.
+        Each is probed from the pieces of rhs: dim + 1 calls of the affine
+        part and of the readouts, and n_prod + 1 of the law at y = 0 with the
+        sums of unit products, so the control law keeps one implementation.
         """
-        b = self.rhs(np.zeros(self.dim))
-        A = np.empty((self.dim, self.dim))
-        e = np.zeros(self.dim)
-        for j in range(self.dim):
-            e[j] = 1.0
-            A[:, j] = self.rhs(e) - b
-            e[j] = 0.0
-        hA = h * A
-        eye = np.eye(self.dim)
-        S = eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0
-        return eye + hA @ S, h * (S @ b)
+        dim, n_p = self.dim, self.n_prod
+        b, A = probe(lambda y: self._law(y, *self._readouts(y)[:3]), dim)
+        if not n_p:
+            return A, b, np.zeros((0, dim)), np.zeros(0), np.zeros((dim, 0))
+        c, C = probe(lambda y: self._factors(*self._readouts(y)), dim)
+        zero = np.zeros(dim)
+        at_zero = self._readouts(zero)[:3]
+        D = probe(lambda P: self._law(zero, *at_zero, *self._sums(P)), n_p)[1]
+        return A, b, C, c, D
+
+    def operator_step(self, h):
+        """One classical RK4 step of size h in product coordinates, exact up
+        to rounding: `rk4_operator.operator_step` of the `product_form`."""
+        return operator_step(*self.product_form(), h)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(sc: CompiledScenario):
     """Run the closed loop with classical RK4 and record a Trajectory.
 
-    States are propagated CHECK_CHUNK steps at a time, and then every step
+    Each step is Engine.operator_step when its multiply-add count is below
+    OPERATOR_MAX_MACS, and the staged Engine.rk4 otherwise.  States are
+    propagated CHECK_CHUNK steps at a time, and then every step
     of the chunk is checked at once.  Raises NonFiniteState on divergence
     and CollisionDetected when two agents come within the collision
     threshold, at the first step that fails; a step that fails both reports
@@ -341,45 +418,40 @@ def integrate(sc: CompiledScenario):
     rec_steps = np.append(np.arange(0, n_steps, sc.record_every), n_steps)
     samples = np.empty((rec_steps.size, eng.dim))
     dists = np.empty(rec_steps.size)
-
-    if eng.adaptive:
-        advance = eng.rk4(h)
-    else:
-        R, r = eng.propagator(h)
-
-        def advance(y):
-            return R @ y + r
-
-    y = eng.initial_state()
-    samples[0] = y
-    dists[0] = check(y[None, :], 0)[0]
-    s = 1
     block = np.empty((CHECK_CHUNK, eng.dim))
-    done = 0
-    while done < n_steps:
-        rows = min(CHECK_CHUNK, n_steps - done)
-        for c in range(rows):
-            y = advance(y)
-            block[c] = y
-        try:
+
+    def run(advance):
+        """Fill samples and dists, one step at a time through advance."""
+        y = eng.initial_state()
+        samples[0] = y
+        dists[0] = check(y[None, :], 0)[0]
+        s, done = 1, 0
+        while done < n_steps:
+            rows = min(CHECK_CHUNK, n_steps - done)
+            for c in range(rows):
+                y = advance(y)
+                block[c] = y
             dmin = check(block[:rows], done + 1)
-        except NonFiniteState:
-            if eng.adaptive:
-                raise
-            # RK4 stage values are of the order of the state over h, so a
-            # step taken stage by stage overflows up to several steps before
-            # the propagated state does.  Replay the run that way to report
-            # the step at which the stages first leave the finite range.
-            step_rk4, y = eng.rk4(h), eng.initial_state()
-            for step in range(1, done + rows + 1):
-                y = step_rk4(y)
-                check(y[None, :], step)
+            while s < rec_steps.size and rec_steps[s] <= done + rows:
+                samples[s] = block[rec_steps[s] - done - 1]
+                dists[s] = dmin[rec_steps[s] - done - 1]
+                s += 1
+            done += rows
+
+    operator = eng.operator_macs < OPERATOR_MAX_MACS
+    try:
+        run(eng.operator_step(h) if operator else eng.rk4(h))
+    except NonFiniteState:
+        if not operator:
             raise
-        while s < rec_steps.size and rec_steps[s] <= done + rows:
-            samples[s] = block[rec_steps[s] - done - 1]
-            dists[s] = dmin[rec_steps[s] - done - 1]
-            s += 1
-        done += rows
+        # While the state grows without bound, the operator step and the
+        # stage-by-stage step round differently and leave the finite range
+        # at different steps: RK4 stage values are of the order of the state
+        # over h, and the operator's dense products can seed adaptive terms
+        # that the staged step keeps at exactly zero.  The staged run is the
+        # reference, so it is replayed from the start; it then fails at its
+        # own step (or completes).
+        run(eng.rk4(h))
 
     S = rec_steps.size
     positions = samples[:, eng.i_p : eng.i_vf].reshape(S, n, d)

@@ -3,10 +3,12 @@
 `ReferenceEngine` evaluates the closed loop with dense block-diagonal
 operators and a Python loop over followers; `reference_integrate` takes one
 RK4 step at a time through it and checks every state as it is made.  The
-engine in `sim_engine` (batched right-hand side, exact RK4 propagator in the
-linear modes, chunked checks) must agree with them to 1e-10 (1 + |ref|) on
-every recorded quantity, and must fail at the same step with the same
-report.  The post-processing keeps its per-sample forms here too: the xi
+engine in `sim_engine` (batched right-hand side, exact RK4 operator step in
+product coordinates below OPERATOR_MAX_MACS, chunked checks) must agree with
+them to 1e-10 (1 + |ref|) on every recorded quantity, and must fail at the
+same step with the same report.  The operator step must also agree with the
+staged `Engine.rk4` on formations on both sides of that bound, and the
+pieces of `Engine.rhs` that it probes must compose to `Engine.rhs`.  The post-processing keeps its per-sample forms here too: the xi
 oracle with one expm per follower and sample, the targets localized
 from the leaders at every sample, and the Lyapunov certificate from the
 dense block-diagonal M_f and E_f.
@@ -25,6 +27,7 @@ from bearing_forge.formation_graph import localize_followers
 from bearing_forge.scenario import compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     CHECK_CHUNK,
+    OPERATOR_MAX_MACS,
     Engine,
     Trajectory,
     build_certificate,
@@ -380,7 +383,7 @@ def test_post_processing_matches_reference(case):
 def test_rhs_matches_reference(case):
     sc = CASES[case]()
     eng, ref = Engine(sc), ReferenceEngine(sc)
-    assert eng.dim == ref.dim
+    assert eng.dim == ref.dim == sc.state_dim
     rng = np.random.default_rng(7)
     for y in [eng.initial_state()] + list(rng.standard_normal((5, eng.dim))):
         assert_close(eng.rhs(y), ref.rhs(y))
@@ -431,3 +434,127 @@ def test_divergence_matches_reference(mode):
             integrate(sc)
     assert str(got_info.value) == str(ref_info.value)
     assert round(float(str(ref_info.value).split("t=")[1]) / sc.h) > CHECK_CHUNK
+
+
+def complete_formation(n, mode, t_final=0.5):
+    """n agents of a complete graph in the plane with leaders 1 and 2, at
+    seeded generic positions; each follower rejects a constant and one
+    sinusoid of its own frequency, so the state dimension is 19 n - 34 in
+    adaptive and 16 n - 28 in known mode."""
+    rng = np.random.default_rng(n)
+    while True:
+        pos = np.round(rng.uniform(-n, n, size=(n, 2)), 6)
+        dist = np.linalg.norm(pos[:, None] - pos[None], axis=-1) + np.eye(n)
+        if dist.min() > 0.3:
+            break
+    agents, followers = range(1, n + 1), range(3, n + 1)
+    data = copy.deepcopy(base_scenario_dict())
+    data["graph"]["n_agents"] = n
+    data["graph"]["edges"] = [[i, j] for i in agents for j in range(i + 1, n + 1)]
+    data["geometry"]["desired_positions"] = {str(i): list(pos[i - 1]) for i in agents}
+    data["geometry"]["initial_positions"] = {
+        str(i): list(pos[i - 1] + 0.01) for i in followers
+    }
+    data["disturbances"] = {
+        str(i): {
+            "constant": [0.05, -0.05],
+            "sinusoids": [
+                {
+                    "frequency": 1.0 + 0.1 * i,
+                    "amplitudes": [0.02, 0.03],
+                    "phases": [0.1 * i, 0.5],
+                }
+            ],
+        }
+        for i in followers
+    }
+    data["integration"] = {"step": 1e-3, "t_final": t_final, "record_every": 50}
+    if mode == "adaptive":
+        lam_min = float(np.linalg.eigvalsh(compile_scenario(data).laplacian.B_ff)[0])
+        data["controller"] = {
+            "mode": "adaptive",
+            "kappa_p": 1.0,
+            "kappa_v": 3.0 / lam_min,
+            "adaptation_rate": 20.0,
+        }
+    return compile_scenario(data)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pieces_compose_rhs(case):
+    """rhs is the law at its readouts and product sums, and the probed
+    product form y' = A y + b + D (z_a * z_b), [z_a; z_b] = C y + c, gives
+    it back.  The product form sums dense rows, in another order than the
+    law and after cancellations the law does not make (M + N E is small
+    where M and N E are not), so its bound scales with the magnitude of
+    the terms summed."""
+    sc = CASES[case]()
+    eng = Engine(sc)
+    A, b, C, c, D = eng.product_form()
+    n_p = eng.n_prod
+    assert C.shape == (2 * n_p, eng.dim) and D.shape == (eng.dim, n_p)
+    rng = np.random.default_rng(3)
+    for y in [eng.initial_state()] + list(rng.standard_normal((5, eng.dim))):
+        ref = eng.rhs(y)
+        s_p, s_v, w, th = eng._readouts(y)
+        law = eng._law(y, s_p, s_v, w)
+        if n_p:
+            z = eng._factors(s_p, s_v, w, th)
+            law = eng._law(y, s_p, s_v, w, *eng._sums(z[:n_p] * z[n_p:]))
+            assert_close(z, C @ y + c)
+        assert np.all(np.abs(law - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+        z = C @ y + c
+        p = z[:n_p] * z[n_p:]
+        got = A @ y + b + D @ p
+        terms = np.abs(A) @ np.abs(y) + np.abs(b) + np.abs(D) @ np.abs(p)
+        assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + terms))
+
+
+OPERATOR_CASES = {
+    "bundled_adaptive_5s": CASES["bundled_adaptive_5s"],
+    "mixed_adaptive": mixed_adaptive,
+    "mixed_adaptive_frozen": mixed_frozen,
+    "below_bound": lambda: complete_formation(10, "adaptive"),
+    "above_bound": lambda: complete_formation(12, "adaptive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+def test_operator_step_matches_staged(case):
+    """The operator step against the staged Engine.rk4 over the whole
+    horizon: on the bundled adaptive square at 5 s, on orders 1, 3 and 5,
+    with theta_hat frozen, and on one formation on each side of
+    OPERATOR_MAX_MACS (integrate takes the staged step on the second)."""
+    sc = OPERATOR_CASES[case]()
+    eng = Engine(sc)
+    if case.endswith("_bound"):
+        assert (eng.operator_macs < OPERATOR_MAX_MACS) == (case == "below_bound")
+    operator, staged = eng.operator_step(sc.h), eng.rk4(sc.h)
+    y_op = y_st = eng.initial_state()
+    for step in range(1, round(sc.t_final / sc.h) + 1):
+        y_op, y_st = operator(y_op), staged(y_st)
+        if step % sc.record_every == 0:
+            assert_close(y_op, y_st)
+    assert_close(y_op, y_st)
+
+
+def test_swarm_size_known_takes_staged_step(monkeypatch):
+    """A 64-agent known formation (state dim 996) is past OPERATOR_MAX_MACS:
+    integrate steps it stage by stage, 4 rhs calls a step, and builds no
+    operator (every evaluation of the law comes from rhs)."""
+    sc = dataclasses.replace(
+        complete_formation(64, "known"), t_final=0.005, record_every=1
+    )
+    assert Engine(sc).operator_macs >= OPERATOR_MAX_MACS
+    calls = {"rhs": 0, "_law": 0}
+    for name in calls:
+        method = getattr(Engine, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Engine, name, counted)
+    traj = integrate(sc)
+    assert len(traj.times) == 6
+    assert calls == {"rhs": 4 * 5, "_law": 4 * 5}

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from bearing_forge import bundled_scenario, cli
 from bearing_forge.errors import ParseError, ValidationError
-from bearing_forge.scenario import compile_scenario, load_scenario
+from bearing_forge.scenario import MAX_SAMPLE_BYTES, compile_scenario, load_scenario
 
 from conftest import base_scenario_dict
 
@@ -370,6 +370,10 @@ class TestMalformedInput:
                 {**ADAPTIVE_CONTROLLER, "adaptation_gains": {"7": [[1]]}},
             ),
             (("geometry",), GEOMETRY_UNKNOWN_POSITION),
+            (("geometry", "initial_positions", "03"), [5, 5]),
+            (("geometry", "initial_positions", " 3"), [5, 5]),
+            (("geometry", "initial_positions", "+3"), [5, 5]),
+            (("integration", "t_final"), 1e12),
         ],
         ids=[
             "n_agents-string", "edge-string", "edges-int", "kappa_p-null",
@@ -377,7 +381,8 @@ class TestMalformedInput:
             "kappa_v-nan", "t_final-below-step", "t_final-not-whole",
             "freeze_theta-string", "eta_init-leader", "eta_init-unknown",
             "theta_hat_init-leader", "adaptation_gains-unknown",
-            "desired_positions-unknown",
+            "desired_positions-unknown", "id-leading-zero", "id-space",
+            "id-plus", "t_final-huge",
         ],
     )
     def test_bad_file_rejected(self, tmp_path, path, value):
@@ -387,6 +392,28 @@ class TestMalformedInput:
         code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+    def test_run_size_bound_names_the_size(self, tmp_path):
+        """validate rejects a run whose recorded samples would exceed
+        MAX_SAMPLE_BYTES before anything is allocated, and says how big."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["integration"]["t_final"] = 1e12
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 2
+        assert err == [
+            "error: integration: the run would record 10000000000001 samples "
+            "of its 36-entry state, 2746582031 MiB, over the limit of 1024 MiB"
+        ]
+        # just inside the limit: record_every 1 at the largest whole sample count
+        rows = MAX_SAMPLE_BYTES // (36 * 8)
+        data["integration"].update(t_final=(rows - 1) * 1e-3, record_every=1)
+        code, _ = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 0
+        data["integration"]["t_final"] = rows * 1e-3
+        code, _ = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 2
 
 
 def _mutation_sites(node, path=()):
