@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import SingularSylvesterOperator, SingularT
 
@@ -55,7 +54,9 @@ def choose_MN(r):
 
 
 def solve_sylvester(Phi, M, N, Psi):
-    """Solve T Phi - M T = N Psi by the Bartels-Stewart method.
+    """Solve T Phi - M T = N Psi as one dense linear system,
+    (Phi^T kron I - I kron M) vec(T) = vec(N Psi), in m^2 unknowns for
+    m = 2r+1.
 
     Raises SingularSylvesterOperator when the spectra of M and Phi overlap
     and SingularT when the solution is numerically singular.
@@ -71,8 +72,9 @@ def solve_sylvester(Phi, M, N, Psi):
         raise SingularSylvesterOperator(
             f"spectra of M and Phi overlap (min gap {gap:.3e})"
         )
-    # (-M) T + T Phi = N Psi
-    T = sla.solve_sylvester(-M, Phi, N @ Psi)
+    m = M.shape[0]
+    op = np.kron(Phi.T, np.eye(m)) - np.kron(np.eye(m), M)
+    T = np.linalg.solve(op, (N @ Psi).ravel(order="F")).reshape((m, m), order="F")
     sv = np.linalg.svd(T, compute_uv=False)
     if sv[-1] <= SINGULAR_T_TOL * max(1.0, sv[0]):
         raise SingularT(f"Sylvester solution has sigma_min = {sv[-1]:.3e}")

@@ -35,6 +35,12 @@ MODES = ("known", "adaptive", "feedback_only")
 ETA_POLICIES = ("velocity_feedforward", "xi_zero")
 STEP_TOL = 1e-9                  # relative distance of t_final/step from a whole number
 MAX_SAMPLE_BYTES = 1 << 30       # largest array of recorded states a run may allocate
+# Most steps (t_final / step) a run may take: 50 times the bundled 200 s
+# adaptive run (2e5 steps).  On a 2-core Xeon the operator step of the
+# bundled square takes about 13 us, so 1e7 steps take about 2 minutes, and
+# the staged step of a 64-agent formation (about 0.34 ms) about an hour.
+# Beyond that a mistyped t_final or step would run for days or years.
+MAX_STEPS = 10**7
 
 # override key -> (section, field) of the scenario JSON it replaces
 OVERRIDES = {
@@ -394,6 +400,11 @@ def compile_scenario(data) -> CompiledScenario:
             f"integration: the run would record {samples} samples of its "
             f"{sc.state_dim}-entry state, {size / 2**20:.0f} MiB, over the "
             f"limit of {MAX_SAMPLE_BYTES / 2**20:.0f} MiB"
+        )
+    if steps > MAX_STEPS:
+        raise ValidationError(
+            f"integration: the run would take {steps} steps, over the limit "
+            f"of {MAX_STEPS}"
         )
     return sc
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     CertificateFailed,
@@ -34,6 +33,16 @@ CHECK_CHUNK = 64                 # steps propagated between vectorised state che
 # crossover measured by scripts/stepper_sweep.py, recorded in
 # BENCH_stepper_crossover.json.
 OPERATOR_MAX_MACS = 400_000
+
+# Pade-13 coefficients b_0..b_13 and the 1-norm below which the unscaled
+# approximant meets double precision (Higham, SIAM J. Matrix Anal. Appl.
+# 26(4), 2005, Table 2.3 and eq. 2.4)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 @dataclass
@@ -129,8 +138,8 @@ def assemble_A_sigma(B_ff, models, d, gains):
             f"B_ff is {nfd}x{nfd} but {len(models)} models in dimension {d} "
             f"need {len(models) * d}"
         )
-    M_f = sla.block_diag(*[np.kron(m.M, np.eye(d)) for m in models])
-    E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), np.eye(d)) for m in models])
+    M_f = _block_diag(*[np.kron(m.M, np.eye(d)) for m in models])
+    E_f = _block_diag(*[np.kron(m.E.reshape(1, -1), np.eye(d)) for m in models])
     q_f = M_f.shape[0]
     A = np.zeros((2 * nfd + q_f, 2 * nfd + q_f))
     A[:nfd, nfd : 2 * nfd] = np.eye(nfd)
@@ -139,6 +148,75 @@ def assemble_A_sigma(B_ff, models, d, gains):
     A[nfd : 2 * nfd, 2 * nfd :] = E_f
     A[2 * nfd :, 2 * nfd :] = M_f
     return A
+
+
+def _block_diag(*mats):
+    """Dense block-diagonal matrix of 2-D blocks."""
+    out = np.zeros((sum(a.shape[0] for a in mats), sum(a.shape[1] for a in mats)))
+    r = c = 0
+    for a in mats:
+        out[r : r + a.shape[0], c : c + a.shape[1]] = a
+        r, c = r + a.shape[0], c + a.shape[1]
+    return out
+
+
+def _balance(A):
+    """Power-of-two scales D such that D^-1 A D has rows and columns of
+    comparable 2-norm (Parlett-Reinsch, the scaling of LAPACK gebal): sweep
+    the indices, scaling column i by f and row i by 1/f, until no sweep cuts
+    a row-plus-column norm by 5 %.  Scaling by powers of two is exact."""
+    B = A.copy()
+    D = np.ones(len(B))
+    converged = False
+    while not converged:
+        converged = True
+        for i in range(len(B)):
+            c, r = np.linalg.norm(B[:, i]), np.linalg.norm(B[i, :])
+            if c == 0.0 or r == 0.0:
+                continue
+            f = np.exp2(np.round(0.5 * np.log2(r / c)))
+            if c * f + r / f < 0.95 * (c + r):
+                D[i] *= f
+                B[i, :] /= f
+                B[:, i] *= f
+                converged = False
+    return D
+
+
+def _expm(A):
+    """exp(A) of a stack (S, m, m) by Pade-13 scaling and squaring (Higham
+    2005), each matrix scaled by its own power of two."""
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    A = A / np.exp2(s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (
+        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+        + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye
+    )
+    V = (
+        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+        + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    )
+    X = np.linalg.solve(V - U, V + U)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        X[sq] = X[sq] @ X[sq]
+    return X
+
+
+def _flow(M, times):
+    """exp(M t) for each t in times, (S, m, m), as D exp(t D^-1 M D) D^-1
+    with M balanced once: the companion M has a 1-norm of 1.5e8 at r = 5
+    (130 balanced), and scaling and squaring the unbalanced M loses up to
+    11 digits."""
+    D = _balance(M)
+    B = M / D[:, None] * D
+    return D[:, None] * _expm(np.multiply.outer(times, B)) / D
 
 
 def spectral_abscissa(A):
@@ -497,7 +575,7 @@ def xi_oracle(traj, sc):
     max_dev = 0.0
     for M, blocks in groups.values():
         X = np.concatenate(blocks, axis=2)
-        err = X - sla.expm(traj.times[:, None, None] * M) @ X[0]
+        err = X - _flow(M, traj.times) @ X[0]
         err = err.reshape(*X.shape[:2], len(blocks), -1)   # (S, m, g, d)
         max_dev = max(max_dev, float(np.sqrt((err * err).sum(axis=(1, 3))).max()))
     return max_dev
@@ -510,25 +588,28 @@ def build_certificate(B_ff, gains, models, d):
     identity with the feedback block, G_c solves G M_f + M_f^T G = -I, and
     gamma exceeds the Schur-complement threshold by 1 percent.
     M_f = blkdiag(M_i kron I_d) is block diagonal, so G_c = blkdiag(G_i kron I_d)
-    with one m_i x m_i equation G_i M_i + M_i^T G_i = -I per follower.
+    with one m_i x m_i equation G_i M_i + M_i^T G_i = -I per follower, solved
+    as (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).
     """
     B_ff = np.asarray(B_ff, dtype=float)
     nfd = B_ff.shape[0]
     B2 = B_ff @ B_ff
     kp, kv = gains.kappa_p, gains.kappa_v
-    Q_c = sla.block_diag(2.0 * kp * B2, 2.0 * (kv * B2 - B_ff))
+    Q_c = _block_diag(2.0 * kp * B2, 2.0 * (kv * B2 - B_ff))
     P_c = np.block([[(kp + kv) * B2, B_ff], [B_ff, B_ff]])
     for name, mat in (("Q_c", Q_c), ("P_c", P_c)):
         if np.linalg.eigvalsh(mat)[0] <= 0:
             raise CertificateFailed(f"{name} is not positive definite")
     blocks = []
     for model in models:
-        G = sla.solve_continuous_lyapunov(model.M.T, -np.eye(model.order))
+        m, eye = model.order, np.eye(model.order)
+        op = np.kron(eye, model.M.T) + np.kron(model.M.T, eye)
+        G = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
         G = 0.5 * (G + G.T)
         if np.linalg.eigvalsh(G)[0] <= 0:
             raise CertificateFailed("G_c is not positive definite")
         blocks.append(np.kron(G, np.eye(d)))
-    G_c = sla.block_diag(*blocks)
+    G_c = _block_diag(*blocks)
     # PBE = P_c B_c E_f with B_c = [0; I]; E_f E_f^T = diag(|E_i|^2 kron 1_d)
     Pb = P_c[:, nfd:]
     e2 = np.repeat([model.E @ model.E for model in models], d)
@@ -548,7 +629,7 @@ def lyapunov_monitor(traj, certificate, sc):
     """
     S, n_l = len(traj.times), sc.n_l
     xi = np.concatenate([x.reshape(S, -1) for x in _xi_samples(traj, sc)], axis=1)
-    lam_inv = sla.block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
+    lam_inv = _block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
     theta_true = np.concatenate([m.E for m in sc.models])
     p_t = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]
     v_t = traj.velocities[:, n_l:, :] - sc.v_c

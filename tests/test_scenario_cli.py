@@ -14,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from bearing_forge import bundled_scenario, cli
 from bearing_forge.errors import ParseError, ValidationError
-from bearing_forge.scenario import MAX_SAMPLE_BYTES, compile_scenario, load_scenario
+from bearing_forge.scenario import (
+    MAX_SAMPLE_BYTES,
+    MAX_STEPS,
+    compile_scenario,
+    load_scenario,
+)
 
 from conftest import base_scenario_dict
 
@@ -374,6 +379,10 @@ class TestMalformedInput:
             (("geometry", "initial_positions", " 3"), [5, 5]),
             (("geometry", "initial_positions", "+3"), [5, 5]),
             (("integration", "t_final"), 1e12),
+            (
+                ("integration",),
+                {"step": 0.001, "t_final": 1e12, "record_every": 10**16},
+            ),
         ],
         ids=[
             "n_agents-string", "edge-string", "edges-int", "kappa_p-null",
@@ -382,7 +391,7 @@ class TestMalformedInput:
             "freeze_theta-string", "eta_init-leader", "eta_init-unknown",
             "theta_hat_init-leader", "adaptation_gains-unknown",
             "desired_positions-unknown", "id-leading-zero", "id-space",
-            "id-plus", "t_final-huge",
+            "id-plus", "t_final-huge", "steps-huge",
         ],
     )
     def test_bad_file_rejected(self, tmp_path, path, value):
@@ -412,6 +421,25 @@ class TestMalformedInput:
         code, _ = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert code == 0
         data["integration"]["t_final"] = rows * 1e-3
+        code, _ = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 2
+
+    def test_step_bound_names_the_count(self, tmp_path):
+        """validate rejects a run of more than MAX_STEPS steps even when it
+        records few samples, and names the count and the limit."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["integration"].update(t_final=1e12, record_every=10**16)
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 2
+        assert err == [
+            "error: integration: the run would take 1000000000000000 steps, "
+            f"over the limit of {MAX_STEPS}"
+        ]
+        data["integration"].update(t_final=MAX_STEPS * 1e-3, record_every=10**6)
+        code, _ = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 0
+        data["integration"]["t_final"] = (MAX_STEPS + 1) * 1e-3
         code, _ = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert code == 2
 
