@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateFrequency, NonPositiveFrequency
+from .errors import DuplicateFrequency, NonFiniteExosystem, NonPositiveFrequency
 
 FREQ_GAP = 1e-9
 
@@ -105,7 +105,7 @@ def disturbance_derivative(spec, t, order):
     shift = order * np.pi / 2.0
     for term in spec.terms:
         w = term.frequency
-        out += term.amplitudes * w**order * np.sin(w * t + term.phases + shift)
+        out += term.amplitudes * np.power(w, order) * np.sin(w * t + term.phases + shift)
     return out
 
 
@@ -125,17 +125,22 @@ class CanonicalExosystem:
 
 
 def build_canonical(spec):
-    """Companion exosystem for a disturbance spec (state dimension (2r+1)d)."""
+    """Companion exosystem for a disturbance spec (state dimension (2r+1)d).
+
+    Raises NonFiniteExosystem when Phi or theta0 overflows the float range.
+    """
     r = spec.r
     m = 2 * r + 1
-    coeffs = min_poly_coeffs(spec.frequencies)
-    Phi = np.zeros((m, m))
-    if m > 1:
-        Phi[np.arange(m - 1), np.arange(1, m)] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        coeffs = min_poly_coeffs(spec.frequencies)
+        theta0 = np.concatenate(
+            [disturbance_derivative(spec, 0.0, k) for k in range(m)]
+        )
+    Phi = np.eye(m, k=1)
     Phi[-1, :] = -coeffs[::-1]
-    Psi = np.zeros(m)
-    Psi[0] = 1.0
-    theta0 = np.concatenate(
-        [disturbance_derivative(spec, 0.0, k) for k in range(m)]
-    )
-    return CanonicalExosystem(r=r, Phi=Phi, Psi=Psi, theta0=theta0)
+    if not (np.isfinite(Phi).all() and np.isfinite(theta0).all()):
+        raise NonFiniteExosystem(
+            f"the companion matrix or the derivatives up to order {m - 1} at "
+            f"t = 0 overflow (frequencies {spec.frequencies.tolist()})"
+        )
+    return CanonicalExosystem(r=r, Phi=Phi, Psi=np.eye(m)[0], theta0=theta0)

@@ -6,7 +6,8 @@ class BearingForgeError(Exception):
 
 
 class DegenerateBearing(BearingForgeError):
-    """Two points coincide (within the separation threshold); no bearing exists."""
+    """Two points coincide (within the separation threshold) or their distance
+    overflows; no bearing exists."""
 
 
 class NonUnitInput(BearingForgeError):
@@ -30,12 +31,12 @@ class NonPositiveFrequency(BearingForgeError):
     """A sinusoid frequency is zero or negative."""
 
 
-class SingularSylvesterOperator(BearingForgeError):
-    """The Sylvester operator is singular (overlapping spectra)."""
+class NonFiniteExosystem(BearingForgeError):
+    """The companion realization of a disturbance overflows the float range."""
 
 
 class SingularT(BearingForgeError):
-    """The Sylvester solution is (numerically) singular."""
+    """The Sylvester solution is not finite or misses its equation."""
 
 
 class GainConditionViolated(BearingForgeError):

@@ -31,9 +31,10 @@ def unit_bearing(p_i, p_j, eps=SEPARATION_EPS):
     p_j = np.asarray(p_j, dtype=float)
     diff = p_i - p_j
     norm = np.linalg.norm(diff)
-    if norm <= eps:
+    if not eps < norm < np.inf:  # inf: the distance is beyond float range
         raise DegenerateBearing(
-            f"points coincide within {eps:g}: ||p_i - p_j|| = {norm:.3e}"
+            f"points coincide within {eps:g} or are too far apart: "
+            f"||p_i - p_j|| = {norm:.3e}"
         )
     return diff / norm
 
@@ -101,19 +102,20 @@ class BearingSet:
 
     def __init__(self, bearings):
         self._g = {}
-        for (i, j), g in bearings.items():
-            g = np.asarray(g, dtype=float)
-            norm = np.linalg.norm(g)
-            if abs(norm - 1.0) > 1e-9:
-                raise NonUnitInput(
-                    f"bearing for edge ({i},{j}) has norm {norm:.12f}"
-                )
-            g = g / norm
-            stored = self._g.get((i, j))
-            if stored is not None and np.linalg.norm(stored - g) > 1e-9:
-                raise ValueError(f"conflicting bearings for edge ({i},{j})")
-            self._g[(i, j)] = g
-            self._g[(j, i)] = -g
+        with np.errstate(over="ignore"):  # a huge entry has norm inf: rejected
+            for (i, j), g in bearings.items():
+                g = np.asarray(g, dtype=float)
+                norm = np.linalg.norm(g)
+                if abs(norm - 1.0) > 1e-9:
+                    raise NonUnitInput(
+                        f"bearing for edge ({i},{j}) has norm {norm:.12f}"
+                    )
+                g = g / norm
+                stored = self._g.get((i, j))
+                if stored is not None and np.linalg.norm(stored - g) > 1e-9:
+                    raise ValueError(f"conflicting bearings for edge ({i},{j})")
+                self._g[(i, j)] = g
+                self._g[(j, i)] = -g
 
     @classmethod
     def from_positions(cls, graph, positions):
@@ -123,10 +125,10 @@ class BearingSet:
         """
         positions = np.asarray(positions, dtype=float)
         bearings = {}
-        for (i, j) in graph.edges:
-            if (j, i) in bearings:
-                continue
-            bearings[(i, j)] = unit_bearing(positions[i - 1], positions[j - 1])
+        with np.errstate(over="ignore"):  # a distance beyond float range: rejected
+            for (i, j) in graph.edges:
+                if (j, i) not in bearings:
+                    bearings[(i, j)] = unit_bearing(positions[i - 1], positions[j - 1])
         return cls(bearings)
 
     def __contains__(self, edge):
@@ -151,11 +153,6 @@ class BearingLaplacian:
     @property
     def n_f(self):
         return self.n - self.n_l
-
-    @property
-    def B_lf(self):
-        k = self.n_l * self.d
-        return self.B[:k, k:]
 
     @property
     def B_fl(self):
@@ -185,11 +182,10 @@ def build_bearing_laplacian(graph, bearings):
     return BearingLaplacian(B=B, n=n, d=d, n_l=graph.n_l)
 
 
-def localize_followers(laplacian, p_l_star, v_c):
+def localize_followers(laplacian, p_l_star):
     """Solve the localization problem: follower anchors from leader anchors.
 
-    Returns (p_f_star, v_f_star) as (n_f, d) arrays with
-    p_f* = -B_ff^{-1} B_fl p_l* and v_f* = 1_{n_f} (x) v_c.
+    Returns p_f* = -B_ff^{-1} B_fl p_l* as an (n_f, d) array.
     """
     d = laplacian.d
     n_f = laplacian.n_f
@@ -209,6 +205,4 @@ def localize_followers(laplacian, p_l_star, v_c):
     residual = np.linalg.norm(B_ff @ p_f + B_fl @ p_l)
     if residual > 1e-8 * (1.0 + np.linalg.norm(p_l)):
         raise NotLocalizable(f"localization residual {residual:.3e} too large")
-    v_c = np.asarray(v_c, dtype=float)
-    v_f = np.tile(v_c, n_f)
-    return p_f.reshape(n_f, d), v_f.reshape(n_f, d)
+    return p_f.reshape(n_f, d)

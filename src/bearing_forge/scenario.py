@@ -55,6 +55,15 @@ OVERRIDES = {
 _REQUIRED = object()
 
 
+@contextlib.contextmanager
+def _named(where, errors=BearingForgeError):
+    """Re-raise an error of the block as "where: ErrorType: message"."""
+    try:
+        yield
+    except errors as exc:
+        raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
 def _field(obj, where, key, read, *args, default=_REQUIRED):
     """read(obj[key], name, *args), or default when the key is absent.
 
@@ -151,10 +160,8 @@ def _disturbance(entry, what, d):
                 phases=_field(term, what, "phases", _vec, d),
             )
         )
-    try:
+    with _named(what):
         return DisturbanceSpec(d=d, C0=constant, terms=tuple(terms))
-    except BearingForgeError as exc:
-        raise ValidationError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
 def compile_scenario(data) -> CompiledScenario:
@@ -207,12 +214,8 @@ def compile_scenario(data) -> CompiledScenario:
     bearings = None
     if len(desired_positions) == n:
         positions = np.array([desired_positions[i] for i in agents])
-        try:
+        with _named("geometry.desired_positions"):
             bearings = BearingSet.from_positions(graph, positions)
-        except BearingForgeError as exc:
-            raise ValidationError(
-                f"geometry.desired_positions: {type(exc).__name__}: {exc}"
-            ) from exc
     elif not desired_bearings:
         raise ValidationError(
             "geometry: desired_positions must cover all agents when "
@@ -220,12 +223,8 @@ def compile_scenario(data) -> CompiledScenario:
         )
     if desired_bearings:
         derived = bearings
-        try:
+        with _named("geometry.desired_bearings", (BearingForgeError, ValueError)):
             bearings = BearingSet(desired_bearings)
-        except (BearingForgeError, ValueError) as exc:
-            raise ValidationError(
-                f"geometry.desired_bearings: {type(exc).__name__}: {exc}"
-            ) from exc
         for (i, j) in graph.edges:
             if (i, j) not in bearings:
                 raise ValidationError(
@@ -241,10 +240,8 @@ def compile_scenario(data) -> CompiledScenario:
     laplacian = build_bearing_laplacian(graph, bearings)
 
     p_l_star = np.array([desired_positions[i] for i in range(1, n_l + 1)])
-    try:
-        p_f_star, _ = localize_followers(laplacian, p_l_star, v_c)
-    except BearingForgeError as exc:
-        raise ValidationError(f"localization: {type(exc).__name__}: {exc}") from exc
+    with _named("localization"):
+        p_f_star = localize_followers(laplacian, p_l_star)
     p_star0 = np.vstack([p_l_star, p_f_star])
 
     # leaders start pinned at the target; followers default to it
@@ -280,20 +277,18 @@ def compile_scenario(data) -> CompiledScenario:
             "controller.mode: feedback_only permits zero disturbances only"
         )
 
-    exos = [build_canonical(s) for s in specs]
-    try:
-        models = [synthesize(e) for e in exos]
-    except BearingForgeError as exc:
-        raise ValidationError(f"internal model: {type(exc).__name__}: {exc}") from exc
+    exos, models = [], []
+    for i, spec in zip(followers, specs):
+        with _named(f"disturbances[{i}]"):
+            exos.append(build_canonical(spec))
+            models.append(synthesize(exos[-1]))
 
     gains = ControllerGains(
         kappa_p=_field(ctrl, "controller", "kappa_p", _float),
         kappa_v=_field(ctrl, "controller", "kappa_v", _float),
     )
-    try:
+    with _named("gains"):
         validate_gains(gains, laplacian.B_ff, mode)
-    except BearingForgeError as exc:
-        raise ValidationError(f"gains: {type(exc).__name__}: {exc}") from exc
 
     rate = _field(ctrl, "controller", "adaptation_rate", _float, default=1.0)
     given = _field(

@@ -226,7 +226,7 @@ def reference_lyapunov(traj, cert, sc, xi):
     V = np.empty(len(traj.times))
     for s, t in enumerate(traj.times):
         p_l = sc.p_star0[: sc.n_l] + t * sc.v_c
-        p_f, _ = localize_followers(sc.laplacian, p_l, sc.v_c)
+        p_f = localize_followers(sc.laplacian, p_l)
         p_t = traj.positions[s, sc.n_l :, :] - p_f
         v_t = traj.velocities[s, sc.n_l :, :] - sc.v_c
         x_t = np.concatenate([p_t.ravel(), v_t.ravel()])
@@ -365,7 +365,7 @@ def test_post_processing_matches_reference(case):
     err_p = metrics(traj, sc)["err_p"]
     for s, t in enumerate(traj.times):
         p_l = sc.p_star0[: sc.n_l] + t * sc.v_c
-        p_f, _ = localize_followers(sc.laplacian, p_l, sc.v_c)
+        p_f = localize_followers(sc.laplacian, p_l)
         ref = np.linalg.norm(traj.positions[s, sc.n_l :, :] - p_f, axis=1)
         assert_close(err_p[s], ref)
     if sc.mode == "adaptive":

@@ -1,18 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from bearing_forge.disturbance import (
+    CanonicalExosystem,
     DisturbanceSpec,
     SinusoidTerm,
     build_canonical,
 )
-from bearing_forge.errors import SingularSylvesterOperator, SingularT
-from bearing_forge.internal_model import (
-    choose_MN,
-    compute_E,
-    solve_sylvester,
-    synthesize,
-)
+from bearing_forge.errors import SingularT
+from bearing_forge.internal_model import choose_MN, synthesize
 
 
 def exo_for(freqs, d=1):
@@ -58,54 +56,113 @@ class TestChooseMN:
         assert np.linalg.eigvals(M).real.max() < 0
 
 
-class TestSolveSylvester:
-    def test_scalar(self):
-        T = solve_sylvester([[0.0]], [[-1.0]], [1.0], [1.0])
-        np.testing.assert_allclose(T, [[1.0]])
-        np.testing.assert_allclose(compute_E(T, [1.0]), [1.0])
+def kronecker_sylvester(Phi, M, N, Psi):
+    """T of T Phi - M T = N Psi as the dense vec-solve
+    (Phi^T kron I - I kron M) vec(T) = vec(N Psi), in m^2 unknowns."""
+    m = M.shape[0]
+    op = np.kron(Phi.T, np.eye(m)) - np.kron(np.eye(m), M)
+    vec = np.linalg.solve(op, np.outer(N, Psi).flatten(order="F"))
+    return vec.reshape((m, m), order="F")
 
+
+class TestSolveSylvester:
     def test_r1_residual(self):
         exo = exo_for([1.0])
-        M, N = choose_MN(1)
-        T = solve_sylvester(exo.Phi, M, N, exo.Psi)
-        res = T @ exo.Phi - M @ T - np.outer(N, exo.Psi)
+        model = synthesize(exo)
+        res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
         assert np.linalg.norm(res) < 1e-10
-        assert abs(np.linalg.det(T)) > 0
+        assert abs(np.linalg.det(model.T)) > 0
 
     @pytest.mark.parametrize("r", range(4))
     def test_matches_kronecker_solve(self, r):
-        """Bartels-Stewart against the dense vec-solve
-        (Phi^T kron I - I kron M) vec(T) = vec(N Psi)."""
+        """The closed-form T against the dense Kronecker vec-solve."""
         exo = exo_for(np.arange(1, r + 1) * 0.7)
-        M, N = choose_MN(r)
-        m = M.shape[0]
-        op = np.kron(exo.Phi.T, np.eye(m)) - np.kron(np.eye(m), M)
-        ref = np.linalg.solve(op, np.outer(N, exo.Psi).flatten(order="F"))
-        T = solve_sylvester(exo.Phi, M, N, exo.Psi)
-        np.testing.assert_allclose(
-            T, ref.reshape((m, m), order="F"), rtol=1e-12, atol=1e-12
-        )
+        model = synthesize(exo)
+        ref = kronecker_sylvester(exo.Phi, model.M, model.N, exo.Psi)
+        np.testing.assert_allclose(model.T, ref, rtol=1e-12, atol=1e-12)
 
-    def test_overlapping_spectra_rejected(self):
-        with pytest.raises(SingularSylvesterOperator):
-            solve_sylvester([[0.0]], [[0.0]], [1.0], [1.0])
+    def test_overflow_rejected(self):
+        """At w = 1e150 the exosystem is finite (w^2 = 1e300) but E Phi^2
+        overflows, so T cannot be formed."""
+        with pytest.raises(SingularT, match="O\\(Phi, E\\) overflows"):
+            synthesize(exo_for([1e150]))
+
+    def test_residual_gate_fires(self):
+        """An exosystem outside the companion form breaks the closed form;
+        the Sylvester residual check names the miss."""
+        exo = exo_for([1.0])
+        bad = CanonicalExosystem(r=1, Phi=2.0 * exo.Phi, Psi=exo.Psi, theta0=exo.theta0)
+        with pytest.raises(SingularT, match="misses T Phi - M T = N Psi: residual"):
+            synthesize(bad)
 
 
-class TestComputeE:
-    def test_identity_scaled(self):
-        E = compute_E(2.0 * np.eye(3), [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(E, [0.5, 0.0, 0.0])
+def _rational_solve(A, b):
+    """x with A x = b by Gauss-Jordan elimination over Fractions."""
+    n = len(A)
+    aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col] / aug[col][col]
+                aug[i] = [a - f * c for a, c in zip(aug[i], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
 
-    def test_random_consistency(self):
-        rng = np.random.default_rng(2)
-        T = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-        Psi = np.array([1.0, 0.0, 0.0])
-        E = compute_E(T, Psi)
-        assert np.linalg.norm(E @ T - Psi) <= 1e-9
 
-    def test_singular_rejected(self):
-        with pytest.raises(SingularT):
-            compute_E(np.zeros((2, 2)), [1.0, 0.0])
+def rational_internal_model(freqs):
+    """(T, E) for integer frequencies, exactly, without the closed form.
+
+    Phi is the companion with last row a (char poly s^m - sum a_k s^k).
+    Column j >= 1 of T Phi - M T = N Psi reads t_{j-1} = M t_j - a_j t_{m-1},
+    so every column is a polynomial in M applied to x = t_{m-1}, and column 0
+    reduces to chi_Phi(M) x = -N.  E solves E T = Psi.
+    """
+    poly = [Fraction(1), Fraction(0)]  # s, highest power first
+    for w in freqs:
+        poly = np.polymul(poly, [Fraction(1), Fraction(0), Fraction(w * w)]).tolist()
+    m = len(poly) - 1
+    a = [-poly[m - k] for k in range(m)]  # last row of Phi
+    Mf, _ = choose_MN((m - 1) // 2)
+    M = [[Fraction(int(v)) for v in row] for row in Mf]
+    eye = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+
+    def mul(A, B):
+        return [[sum(A[i][k] * B[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+
+    chi = eye  # chi_Phi(M) = M^m - sum_k a_k M^k, by Horner
+    for k in reversed(range(m)):
+        chi = [[v - a[k] * e for v, e in zip(rp, re)] for rp, re in zip(mul(chi, M), eye)]
+    x = _rational_solve(chi, [Fraction(0)] * (m - 1) + [Fraction(-1)])
+    cols = [None] * m
+    cols[m - 1] = x
+    for j in range(m - 1, 0, -1):
+        Mt = [sum(M[i][k] * cols[j][k] for k in range(m)) for i in range(m)]
+        cols[j - 1] = [v - a[j] * xv for v, xv in zip(Mt, x)]
+    T = [[cols[j][i] for j in range(m)] for i in range(m)]
+    E = _rational_solve([list(col) for col in zip(*T)], [Fraction(int(i == 0)) for i in range(m)])
+    return T, E
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "freqs",
+        [(), (1,), (3,), (1, 2), (2, 5), (1, 2, 3), (1, 4, 6), (1, 2, 3, 4),
+         (2, 3, 5, 6), (1, 2, 3, 4, 5)],
+        ids=str,
+    )
+    def test_matches_rational_solve(self, freqs):
+        """E is the exact integer row; T is within 1e-13 of the rational
+        solution of the Sylvester equation, relative to its norm.
+
+        The error of T follows cond(T): 4.0e-14 at w = 1..5 (cond 7.5e8),
+        3.2e-13 at w = (1, 2, 4, 5, 6) (cond 4.6e9)."""
+        T_ref, E_ref = rational_internal_model(freqs)
+        assert all(e.denominator == 1 for e in E_ref)
+        model = synthesize(exo_for([float(w) for w in freqs]))
+        assert model.E.tolist() == [float(e) for e in E_ref]
+        T_ref = np.array([[float(v) for v in row] for row in T_ref])
+        assert np.linalg.norm(model.T - T_ref) <= 1e-13 * np.linalg.norm(T_ref)
 
 
 class TestSynthesisSweep:

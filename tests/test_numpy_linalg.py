@@ -1,10 +1,10 @@
 """The package's NumPy linear algebra against SciPy as the reference, and a
 guard that no command loads SciPy.
 
-The compile and the proof oracles use three small dense routines in place of
-SciPy: the Sylvester vec-solve of the internal model, the per-follower
-Lyapunov vec-solve of the certificate, and the balanced Pade-13 matrix
-exponential of the xi oracle.
+The proof oracles use two small dense routines in place of SciPy: the
+per-follower Lyapunov vec-solve of the certificate and the balanced Pade-13
+matrix exponential of the xi oracle.  The closed-form Sylvester solution T of
+the internal model is checked against SciPy's Bartels-Stewart solver too.
 """
 
 import json
@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg as sla
 
 from bearing_forge.control_laws import ControllerGains
-from bearing_forge.internal_model import choose_MN, solve_sylvester, synthesize
+from bearing_forge.internal_model import choose_MN, synthesize
 from bearing_forge.sim_engine import _flow, build_certificate
 
 from test_internal_model import exo_for
@@ -55,11 +55,12 @@ def test_lyapunov_matches_scipy(r):
 
 @pytest.mark.parametrize("r", range(4))
 def test_sylvester_matches_scipy(r):
-    """T Phi - M T = N Psi against Bartels-Stewart (scipy.linalg.solve_sylvester)."""
+    """The closed-form T of T Phi - M T = N Psi against Bartels-Stewart
+    (scipy.linalg.solve_sylvester)."""
     exo = exo_for(np.arange(1, r + 1) * 0.7)
     M, N = choose_MN(r)
     ref = sla.solve_sylvester(-M, exo.Phi, np.outer(N, exo.Psi))
-    T = solve_sylvester(exo.Phi, M, N, exo.Psi)
+    T = synthesize(exo).T
     np.testing.assert_allclose(T, ref, rtol=1e-12, atol=1e-12)
 
 

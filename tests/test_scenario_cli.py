@@ -284,6 +284,27 @@ class TestCli:
         assert report["spectral_abscissa"] < 0
         assert report["xi_max_deviation"] < 1e-6
 
+    def test_five_sinusoids_validate_and_run(self, tmp_path):
+        """Follower 3 of square_known with five sinusoids at w = 1..5 (r = 5,
+        cond T = 7.5e8) validates, and a 20 s run follows the exact xi-flow."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["disturbances"]["3"]["sinusoids"] = [
+            {"frequency": float(w), "amplitudes": [0.001, 0.0008], "phases": [0.3, -0.5]}
+            for w in range(1, 6)
+        ]
+        path = write_scenario(tmp_path, data)
+        assert _main_stderr(["validate", path]) == (0, [])
+        out = tmp_path / "five"
+        code, _ = _main_stderr(
+            ["run", path, "--oracles", "--t-final", "20", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out / "oracles.json") as fh:
+            report = json.load(fh)
+        assert report["spectral_abscissa"] < 0
+        assert report["xi_max_deviation"] < 1e-6
+
 
 _DROP = object()
 
@@ -383,6 +404,14 @@ class TestMalformedInput:
                 ("integration",),
                 {"step": 0.001, "t_final": 1e12, "record_every": 10**16},
             ),
+            (("disturbances", "3", "sinusoids", 0, "frequency"), 1e160),
+            (("disturbances", "3", "sinusoids", 0, "amplitudes"), [1e308, 1e308]),
+            (("disturbances", "3", "sinusoids", 0, "frequency"), 1e150),
+            (("geometry", "desired_positions", "1"), [1e200, 0]),
+            (
+                ("geometry", "desired_bearings"),
+                [{"edge": [1, 2], "bearing": [1e200, 0]}],
+            ),
         ],
         ids=[
             "n_agents-string", "edge-string", "edges-int", "kappa_p-null",
@@ -391,7 +420,9 @@ class TestMalformedInput:
             "freeze_theta-string", "eta_init-leader", "eta_init-unknown",
             "theta_hat_init-leader", "adaptation_gains-unknown",
             "desired_positions-unknown", "id-leading-zero", "id-space",
-            "id-plus", "t_final-huge", "steps-huge",
+            "id-plus", "t_final-huge", "steps-huge", "frequency-1e160",
+            "amplitudes-1e308", "frequency-1e150", "desired_positions-1e200",
+            "desired_bearings-1e200",
         ],
     )
     def test_bad_file_rejected(self, tmp_path, path, value):
@@ -471,10 +502,11 @@ def _bundled_sites():
 
 
 _KEYS, _LEAVES = _bundled_sites()
-# no huge magnitudes: a valid but enormous problem would only be slow
+# 1e200 reaches overflow in the disturbance realization and the geometry;
+# MAX_STEPS and MAX_SAMPLE_BYTES keep a huge t_final or record_every cheap
 _REPLACEMENTS = [
     "x", None, [], [1.0, 2.0], {}, {"a": 1}, True, False,
-    float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -2.5,
+    float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -2.5, 1e200,
 ]
 
 
