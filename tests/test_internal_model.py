@@ -66,6 +66,17 @@ def kronecker_sylvester(Phi, M, N, Psi):
 
 
 class TestSolveSylvester:
+    def test_scalar(self):
+        """r = 0: T * 0 - (-1) T = 1 * 1 gives T = [[1]], and E T = Psi gives E = [1]."""
+        exo = exo_for([])
+        np.testing.assert_allclose(exo.Phi, [[0.0]])
+        np.testing.assert_allclose(exo.Psi, [1.0])
+        model = synthesize(exo)
+        np.testing.assert_allclose(model.T, [[1.0]])
+        np.testing.assert_allclose(model.E, [1.0])
+        res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
+        assert np.linalg.norm(res) == 0.0
+
     def test_r1_residual(self):
         exo = exo_for([1.0])
         model = synthesize(exo)
