@@ -13,8 +13,8 @@ Exit codes: 0 success, 2 validation/parse failure, 3 collision,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 
@@ -50,7 +50,11 @@ def _fmt(x):
 
 def write_trajectory_csv(path, traj, sc, mts, V=None):
     """Trajectory CSV: t, per-agent p/v, per-follower and global error norms,
-    min pairwise distance, V (blank outside adaptive monitoring)."""
+    min pairwise distance, V (blank outside adaptive monitoring).
+
+    Each number is written as format(x, ".17g"); a row is one %-format of
+    its values, with the CRLF line ends of the csv module's default dialect.
+    """
     n, d, n_l = sc.n, sc.d, sc.n_l
     header = ["t"]
     for i in range(1, n + 1):
@@ -61,21 +65,23 @@ def write_trajectory_csv(path, traj, sc, mts, V=None):
         header.append(f"err_p_norm_{i}")
     header += ["err_p_norm", "err_v_norm", "min_dist", "V"]
 
+    S = len(traj.times)
+    columns = [
+        traj.times[:, None],
+        traj.positions.reshape(S, -1),
+        traj.velocities.reshape(S, -1),
+        mts["err_p"],
+        mts["err_p_norm"][:, None],
+        mts["err_v_norm"][:, None],
+        traj.min_dist[:, None],
+    ]
+    if V is not None:
+        columns.append(np.asarray(V)[:, None])
+    rows = np.hstack(columns).tolist()
+    row = ",".join(["%.17g"] * len(rows[0])) + ("" if V is not None else ",") + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s, t in enumerate(traj.times):
-            row = [_fmt(t)]
-            row += [_fmt(x) for x in traj.positions[s].ravel()]
-            row += [_fmt(x) for x in traj.velocities[s].ravel()]
-            row += [_fmt(x) for x in mts["err_p"][s]]
-            row += [
-                _fmt(mts["err_p_norm"][s]),
-                _fmt(mts["err_v_norm"][s]),
-                _fmt(traj.min_dist[s]),
-            ]
-            row.append(_fmt(V[s]) if V is not None else "")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([row % tuple(r) for r in rows]))
 
 
 def oracle_report(sc, traj):
@@ -94,16 +100,36 @@ def oracle_report(sc, traj):
     if sc.mode == "adaptive":
         cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
         V = lyapunov_monitor(traj, cert, sc)
+        bad = ~np.isfinite(V)
+        if bad.any():
+            k = int(bad.argmax())
+            raise NonFiniteState(
+                f"oracles.lyapunov: V = {V[k]} is not finite at t={traj.times[k]:.6f}"
+            )
         slack = 1e-8 * (1.0 + V[:-1])
         report["lyapunov"] = {
             "gamma": cert.gamma,
             "gamma_sigma": cert.gamma_sigma,
-            "lambda_min_Qc": float(np.linalg.eigvalsh(cert.Q_c)[0]),
+            "lambda_min_Qc": cert.lambda_min_Qc,
             "V_initial": float(V[0]),
             "V_terminal": float(V[-1]),
             "non_increasing": bool(np.all(np.diff(V) <= slack)),
         }
     return report, V
+
+
+def _non_finite(tree, where):
+    """(dotted name, value) of the first non-finite float of a JSON-ready
+    dict, nested dicts included, or None."""
+    for key, value in tree.items():
+        name = f"{where}.{key}"
+        if isinstance(value, dict):
+            found = _non_finite(value, name)
+            if found:
+                return found
+        elif isinstance(value, float) and not math.isfinite(value):
+            return name, value
+    return None
 
 
 def cmd_run(args):
@@ -127,6 +153,10 @@ def cmd_run(args):
         "decay_rate": mts["decay_rate"],
         "min_distance": mts["min_distance"],
     }
+    for tree, where in ((summary, "metrics"), (report or {}, "oracles")):
+        bad = _non_finite(tree, where)
+        if bad:
+            raise NonFiniteState(f"{bad[0]} = {bad[1]} is not finite")
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     if report is not None:

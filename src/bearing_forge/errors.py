@@ -17,6 +17,10 @@ class NonUnitInput(BearingForgeError):
 class MissingBearing(BearingForgeError):
     """A graph edge has no desired bearing attached."""
 
+    def __init__(self, edge):
+        self.edge = edge
+        super().__init__(f"no desired bearing for edge {edge}")
+
 
 class NotLocalizable(BearingForgeError):
     """The follower-follower Laplacian block is singular; the target formation

@@ -19,6 +19,7 @@ from .control_laws import ControllerGains, validate_gains
 from .disturbance import DisturbanceSpec, SinusoidTerm, build_canonical
 from .errors import (
     BearingForgeError,
+    MissingBearing,
     ParseError,
     ValidationError,
 )
@@ -225,14 +226,16 @@ def compile_scenario(data) -> CompiledScenario:
         derived = bearings
         with _named("geometry.desired_bearings", (BearingForgeError, ValueError)):
             bearings = BearingSet(desired_bearings)
-        for (i, j) in graph.edges:
-            if (i, j) not in bearings:
-                raise ValidationError(
-                    f"geometry.desired_bearings: edge ({i},{j}) has no bearing"
-                )
-            if derived is not None and (
-                np.linalg.norm(bearings[(i, j)] - derived[(i, j)]) > 1e-9
-            ):
+        try:
+            given = bearings.along(graph)
+        except MissingBearing as exc:
+            raise ValidationError(
+                "geometry.desired_bearings: edge ({},{}) has no bearing".format(*exc.edge)
+            ) from None
+        if derived is not None:
+            off = np.linalg.norm(given - derived.along(graph), axis=1) > 1e-9
+            if off.any():
+                i, j = graph.edges[off.argmax()]
                 raise ValidationError(
                     f"geometry: desired bearing for edge ({i},{j}) disagrees "
                     "with the one derived from desired_positions"

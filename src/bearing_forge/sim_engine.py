@@ -125,6 +125,7 @@ class LyapunovCertificate:
     G_c: np.ndarray
     gamma: float
     gamma_sigma: float
+    lambda_min_Qc: float         # smallest eigenvalue of Q_c
 
 
 def assemble_A_sigma(B_ff, models, d, gains):
@@ -563,6 +564,17 @@ def _xi_samples(traj, sc):
     ]
 
 
+def _norm(x, axis):
+    """2-norm along axis (an int or a tuple) with no overflow or underflow in
+    the squares: each slice is first divided by the power of two just above
+    its largest magnitude.  The division is exact, so the result is
+    np.linalg.norm's bit for bit wherever that neither overflows nor
+    underflows."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1])
+    y = x / scale
+    return np.squeeze(scale, axis) * np.sqrt((y * y).sum(axis=axis))
+
+
 def xi_oracle(traj, sc):
     """Max deviation of the transformed state from its exact flow exp(M t) xi(0).
 
@@ -577,7 +589,7 @@ def xi_oracle(traj, sc):
         X = np.concatenate(blocks, axis=2)
         err = X - _flow(M, traj.times) @ X[0]
         err = err.reshape(*X.shape[:2], len(blocks), -1)   # (S, m, g, d)
-        max_dev = max(max_dev, float(np.sqrt((err * err).sum(axis=(1, 3))).max()))
+        max_dev = max(max_dev, float(_norm(err, (1, 3)).max()))
     return max_dev
 
 
@@ -597,8 +609,9 @@ def build_certificate(B_ff, gains, models, d):
     kp, kv = gains.kappa_p, gains.kappa_v
     Q_c = _block_diag(2.0 * kp * B2, 2.0 * (kv * B2 - B_ff))
     P_c = np.block([[(kp + kv) * B2, B_ff], [B_ff, B_ff]])
-    for name, mat in (("Q_c", Q_c), ("P_c", P_c)):
-        if np.linalg.eigvalsh(mat)[0] <= 0:
+    lam_Q = float(np.linalg.eigvalsh(Q_c)[0])
+    for name, lam in (("Q_c", lam_Q), ("P_c", np.linalg.eigvalsh(P_c)[0])):
+        if lam <= 0:
             raise CertificateFailed(f"{name} is not positive definite")
     blocks = []
     for model in models:
@@ -613,19 +626,24 @@ def build_certificate(B_ff, gains, models, d):
     # PBE = P_c B_c E_f with B_c = [0; I]; E_f E_f^T = diag(|E_i|^2 kron 1_d)
     Pb = P_c[:, nfd:]
     e2 = np.repeat([model.E @ model.E for model in models], d)
-    gamma_sigma = float(
-        np.linalg.eigvalsh((Pb * e2) @ Pb.T)[-1] / np.linalg.eigvalsh(Q_c)[0]
-    )
+    gamma_sigma = float(np.linalg.eigvalsh((Pb * e2) @ Pb.T)[-1] / lam_Q)
     return LyapunovCertificate(
-        Q_c=Q_c, P_c=P_c, G_c=G_c, gamma=1.01 * gamma_sigma, gamma_sigma=gamma_sigma
+        Q_c=Q_c,
+        P_c=P_c,
+        G_c=G_c,
+        gamma=1.01 * gamma_sigma,
+        gamma_sigma=gamma_sigma,
+        lambda_min_Qc=lam_Q,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lyapunov_monitor(traj, certificate, sc):
     """Per-sample value of V = x~' P_c x~ + gamma xi' G_c xi + th~' Lam^-1 th~.
 
     The true value of each estimate is the follower's row E (the simulation
-    knows the frequencies even when the controller does not).
+    knows the frequencies even when the controller does not).  A value
+    beyond float range comes out inf or nan, without NumPy warnings.
     """
     S, n_l = len(traj.times), sc.n_l
     xi = np.concatenate([x.reshape(S, -1) for x in _xi_samples(traj, sc)], axis=1)
@@ -649,12 +667,14 @@ def lyapunov_monitor(traj, certificate, sc):
 def metrics(traj, sc):
     """Error time series, terminal errors, decay-rate fit, and min distance."""
     S, n_l = len(traj.times), sc.n_l
-    dp = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]
-    dv = traj.velocities[:, n_l:, :] - sc.v_c
-    err_p = np.linalg.norm(dp, axis=2)
-    err_v = np.linalg.norm(dv, axis=2)
-    err_p_norm = np.linalg.norm(err_p, axis=1)
-    err_v_norm = np.linalg.norm(err_v, axis=1)
+    # a difference beyond float range is inf, and so are its norms
+    with np.errstate(over="ignore"):
+        dp = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]
+        dv = traj.velocities[:, n_l:, :] - sc.v_c
+        err_p = _norm(dp, 2)
+        err_v = _norm(dv, 2)
+        err_p_norm = _norm(err_p, 1)
+        err_v_norm = _norm(err_v, 1)
     combined = np.hypot(err_p_norm, err_v_norm)
 
     # least-squares exponential-rate fit over the final half of the run

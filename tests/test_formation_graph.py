@@ -141,3 +141,123 @@ class TestLocalizeFollowers:
             L = build_bearing_laplacian(graph, bearings)
             p_f = localize_followers(L, pos[: graph.n_l])
             assert np.linalg.norm(p_f - pos[graph.n_l :]) <= 1e-8
+
+
+def seeded_formation(n, d, complete, seed):
+    """Graph, bearings and positions of n agents drawn in [-5, 5]^d; the
+    sparse graph keeps each pair with probability 0.3, and at least (1, 2)."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-5, 5, size=(n, d))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if not complete:
+        pairs = [e for e in pairs if rng.random() < 0.3] or [(1, 2)]
+    rng.shuffle(pairs)                      # the graph orders its edges itself
+    graph = SensingGraph(n=n, d=d, n_l=2, edges=[(j, i) for i, j in pairs[::2]] + pairs[1::2])
+    return graph, BearingSet.from_positions(graph, pos), pos
+
+
+def reference_laplacian(graph, bearings):
+    """The bearing Laplacian one edge at a time, from the single-edge helpers."""
+    n, d = graph.n, graph.d
+    B = np.zeros((n * d, n * d))
+    for i, j in graph.edges.tolist():
+        P = projector(bearings[(i, j)])
+        bi = slice((i - 1) * d, i * d)
+        bj = slice((j - 1) * d, j * d)
+        B[bi, bj] -= P
+        B[bj, bi] -= P
+        B[bi, bi] += P
+        B[bj, bj] += P
+    return B
+
+
+FORMATIONS = [
+    (n, d, complete, seed)
+    for seed, (n, d, complete) in enumerate(
+        (n, d, c) for n in (3, 8, 64) for d in (2, 3) for c in (True, False)
+    )
+]
+
+
+class TestEdgeAlgebra:
+    """The whole-array edge algebra against its per-edge definition."""
+
+    @pytest.mark.parametrize("n, d, complete, seed", FORMATIONS)
+    def test_matches_per_edge_reference(self, n, d, complete, seed):
+        graph, bearings, pos = seeded_formation(n, d, complete, seed)
+        B = build_bearing_laplacian(graph, bearings).B
+        ref = reference_laplacian(graph, bearings)
+        assert np.all(np.abs(B - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+        np.testing.assert_array_equal(B, B.T)
+        ones = np.kron(np.ones((n, 1)), np.eye(d))          # 1 kron I_d
+        assert np.abs(B @ ones).max() <= 1e-12
+        assert np.abs(B @ pos.ravel()).max() <= 1e-12
+        # a subgraph takes its own edges' bearings out of the larger set
+        sub = SensingGraph(n=n, d=d, n_l=2, edges=graph.edges[1::2])
+        B_sub = build_bearing_laplacian(sub, bearings).B
+        ref_sub = reference_laplacian(sub, bearings)
+        assert np.all(np.abs(B_sub - ref_sub) <= 1e-14 * (1.0 + np.abs(ref_sub)))
+        for i, j in graph.edges.tolist():
+            np.testing.assert_array_equal(bearings[(j, i)], -bearings[(i, j)])
+            np.testing.assert_allclose(
+                bearings[(i, j)], unit_bearing(pos[i - 1], pos[j - 1]), rtol=0, atol=1e-15
+            )
+
+    def test_graph_stores_canonical_edges(self):
+        graph = SensingGraph(n=4, d=2, n_l=1, edges=[(3, 1), (1, 2), (2, 1), (4, 2)])
+        np.testing.assert_array_equal(graph.edges, [[1, 2], [1, 3], [2, 4]])
+        assert not graph.edges.flags.writeable
+        assert graph.neighbors(1) == [2, 3] and graph.neighbors(2) == [1, 4]
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1, 2), (3, 3), (1, 9)], "self-loop at agent 3"),
+            ([(1, 2), (1, 9), (3, 3)], r"edge \(1,9\) references an unknown agent"),
+        ],
+    )
+    def test_graph_names_first_bad_edge(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            SensingGraph(n=4, d=2, n_l=1, edges=edges)
+
+    def test_degenerate_names_first_edge(self):
+        graph = SensingGraph(n=5, d=2, n_l=1, edges=[(5, 4), (4, 2), (2, 1), (1, 4)])
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(
+            DegenerateBearing,
+            match=r"^edge \(2,4\): points coincide within 1e-09 or are too far "
+            r"apart: \|\|p_i - p_j\|\| = 0\.000e\+00$",
+        ):
+            BearingSet.from_positions(graph, pos)
+
+    def test_non_unit_names_edge(self):
+        with pytest.raises(
+            NonUnitInput, match=r"^bearing for edge \(3,2\) has norm 2\.000000000000$"
+        ):
+            BearingSet({(1, 2): [1.0, 0.0], (3, 2): [2.0, 0.0], (1, 3): [3.0, 0.0]})
+
+    def test_conflict_names_later_entry(self):
+        """Of two conflicting edges, the one whose second entry comes first."""
+        with pytest.raises(ValueError, match=r"^conflicting bearings for edge \(2,1\)$"):
+            BearingSet(
+                {(1, 2): [1.0, 0.0], (2, 3): [1.0, 0.0], (2, 1): [1.0, 0.0],
+                 (3, 2): [1.0, 0.0]}
+            )
+
+    def test_non_unit_checked_first(self):
+        """A non-unit entry is named even when a conflicting pair precedes it."""
+        with pytest.raises(NonUnitInput, match=r"edge \(2,3\)"):
+            BearingSet({(1, 2): [1.0, 0.0], (2, 1): [1.0, 0.0], (2, 3): [2.0, 0.0]})
+
+    def test_both_orientations_agree(self):
+        s = BearingSet({(1, 2): [1.0, 0.0], (2, 1): [-1.0, 0.0], (3, 1): [0.0, 1.0]})
+        np.testing.assert_array_equal(s.edges, [[1, 2], [1, 3]])
+        np.testing.assert_array_equal(s[(1, 3)], [0.0, -1.0])
+        assert (3, 1) in s and (2, 3) not in s
+
+    def test_missing_names_first_edge(self, square_graph):
+        partial = BearingSet({(1, 2): np.array([1.0, 0.0])})
+        with pytest.raises(MissingBearing, match=r"^no desired bearing for edge \(1, 3\)$"):
+            build_bearing_laplacian(square_graph, partial)
+        with pytest.raises(MissingBearing, match=r"^no desired bearing for edge \(4, 2\)$"):
+            partial[(4, 2)]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bearing_forge.scenario import (
     compile_scenario,
     load_scenario,
 )
+from bearing_forge.sim_engine import integrate, metrics
 
 from conftest import base_scenario_dict
 
@@ -91,6 +93,58 @@ class TestValidation:
         data["geometry"]["desired_bearings"] = bearings
         with pytest.raises(ValidationError, match="disagrees"):
             compile_scenario(data)
+
+    def _given_bearings(self, data):
+        """desired_bearings agreeing with the base square's desired positions."""
+        pos = data["geometry"]["desired_positions"]
+        out = []
+        for i, j in data["graph"]["edges"]:
+            diff = np.subtract(pos[str(i)], pos[str(j)], dtype=float)
+            out.append({"edge": [i, j], "bearing": list(diff / np.linalg.norm(diff))})
+        return out
+
+    def test_disagreement_names_first_edge(self):
+        """The check runs over all edges at once and names the first edge,
+        in the order (i, j), i < j, that disagrees."""
+        data = base_scenario_dict()
+        bearings = self._given_bearings(data)
+        bearings[4]["bearing"] = [0.0, 1.0]          # edge [1, 3]
+        bearings[5]["bearing"] = [0.0, 1.0]          # edge [2, 4]
+        data["geometry"]["desired_bearings"] = bearings
+        with pytest.raises(ValidationError) as exc:
+            compile_scenario(data)
+        assert str(exc.value) == (
+            "geometry: desired bearing for edge (1,3) disagrees with the one "
+            "derived from desired_positions"
+        )
+
+    def test_missing_bearing_names_edge(self):
+        data = base_scenario_dict()
+        data["geometry"]["desired_bearings"] = self._given_bearings(data)[:-1]
+        del data["geometry"]["desired_positions"]["4"]
+        with pytest.raises(ValidationError) as exc:
+            compile_scenario(data)
+        assert str(exc.value) == "geometry.desired_bearings: edge (2,4) has no bearing"
+
+    def test_given_bearings_name_their_edge(self):
+        data = base_scenario_dict()
+        bearings = self._given_bearings(data)
+        data["geometry"]["desired_bearings"] = bearings + [
+            {"edge": [2, 1], "bearing": [0.0, 1.0]}
+        ]
+        with pytest.raises(ValidationError) as exc:
+            compile_scenario(data)
+        assert str(exc.value) == (
+            "geometry.desired_bearings: ValueError: conflicting bearings for edge (2,1)"
+        )
+        bearings[3]["bearing"] = [0.0, 2.0]          # edge [4, 1]
+        data["geometry"]["desired_bearings"] = bearings
+        with pytest.raises(ValidationError) as exc:
+            compile_scenario(data)
+        assert str(exc.value) == (
+            "geometry.desired_bearings: NonUnitInput: bearing for edge (4,1) "
+            "has norm 2.000000000000"
+        )
 
     def test_leaders_must_be_prefix(self):
         data = base_scenario_dict()
@@ -229,6 +283,87 @@ class TestCli:
             "divergence: non-finite state component at t=0.072000"
         ]
 
+    def test_validate_names_coincident_pair(self, tmp_path):
+        """On a 64-agent complete graph (2016 edges) in which agents 17 and
+        40 coincide, validate exits 2 with one line naming that pair."""
+        n = 64
+        angle = 2 * np.pi * np.arange(n) / n
+        pos = np.column_stack([np.cos(angle), np.sin(angle)]) * (1 + np.arange(n) / n)[:, None]
+        pos[39] = pos[16]
+        data = base_scenario_dict()
+        data["graph"].update(
+            n_agents=n,
+            edges=[[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+        )
+        data["geometry"]["desired_positions"] = {
+            str(i + 1): p.tolist() for i, p in enumerate(pos)
+        }
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 2
+        assert err == [
+            "error: geometry.desired_positions: DegenerateBearing: edge (17,40): "
+            "points coincide within 1e-09 or are too far apart: "
+            "||p_i - p_j|| = 0.000e+00"
+        ]
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            ("geometry", "initial_positions"),
+            ("geometry", "initial_velocities"),
+            ("disturbances", "3", "constant"),
+        ],
+        ids=["position", "velocity", "disturbance"],
+    )
+    def test_huge_state_reports_finite_values(self, tmp_path, capsys, field):
+        """An entry of 1e200 (finite, but its square is beyond float range)
+        runs in known mode to finite metrics and oracles, with no NumPy
+        warning, and they are 1e100 times those of an entry of 1e100: the
+        known-mode loop is linear, and the rest of the scenario is far below
+        rounding at both scales."""
+        results = []
+        for big in (1e100, 1e200):
+            with open(bundled_scenario("square_known")) as fh:
+                data = json.load(fh)
+            node = data
+            for key in field[:-1]:
+                node = node[key]
+            node[field[-1]] = {"3": [big, 0.0]} if field[0] == "geometry" else [big, 0.0]
+            out = tmp_path / f"huge{big:g}"
+            argv = ["run", write_scenario(tmp_path, data), "--oracles",
+                    "--t-final", "1", "--out", str(out)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main(argv) == 0
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            printed = capsys.readouterr()
+            assert printed.err == ""
+            assert printed.out.startswith("run ok") and "inf" not in printed.out
+            with open(out / "metrics.json") as fh:
+                summary = json.load(fh)
+            with open(out / "oracles.json") as fh:
+                report = json.load(fh)
+            results.append((summary, report))
+        (lo, lo_rep), (hi, hi_rep) = results
+        for key in ("terminal_err_p", "terminal_err_v"):
+            assert hi[key] == pytest.approx(1e100 * lo[key], rel=1e-9)
+        # the xi deviation is rounding error, relative to the state's size
+        assert lo_rep["xi_max_deviation"] <= 1e-6 * 1e100
+        assert hi_rep["xi_max_deviation"] <= 1e-6 * 1e200
+
+    def test_huge_state_adaptive_names_lyapunov(self, tmp_path):
+        """In adaptive mode the Lyapunov value of the same 1e200 position is
+        beyond float range: exit 4 with one line naming it."""
+        with open(bundled_scenario("square_adaptive")) as fh:
+            data = json.load(fh)
+        data["geometry"]["initial_positions"] = {"3": [1e200, 0.0]}
+        code, err = _main_stderr(
+            ["run", write_scenario(tmp_path, data), "--oracles", "--t-final", "1",
+             "--out", str(tmp_path / "huge")]
+        )
+        assert code == 4
+        assert err == ["divergence: oracles.lyapunov: V = inf is not finite at t=0.000000"]
+
     def test_determinism_byte_identical(self, tmp_path):
         path = self.run_scenario_file(tmp_path)
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
@@ -237,6 +372,40 @@ class TestCli:
         b1 = (tmp_path / "r1" / "trajectory.csv").read_bytes()
         b2 = (tmp_path / "r2" / "trajectory.csv").read_bytes()
         assert b1 == b2
+
+    @pytest.mark.parametrize("mode", ["known", "adaptive"])
+    def test_csv_bytes_match_per_cell_format(self, tmp_path, mode):
+        """write_trajectory_csv writes the bytes of a csv.writer fed with
+        format(float(x), ".17g") per cell: the V column is blank in known
+        mode and holds the monitor series in adaptive mode."""
+
+        def mutate(data):
+            data["controller"].update(mode=mode, kappa_v=4.0)
+
+        sc = load_scenario(self.run_scenario_file(tmp_path, mutate))
+        traj = integrate(sc)
+        mts = metrics(traj, sc)
+        V = cli.oracle_report(sc, traj)[1]
+        assert (V is None) == (mode == "known")
+        cli.write_trajectory_csv(tmp_path / "fast.csv", traj, sc, mts, V)
+
+        def fmt(x):
+            return format(float(x), ".17g")
+
+        with open(tmp_path / "fast.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        for s, t in enumerate(traj.times):
+            row = [fmt(t)]
+            row += [fmt(x) for x in traj.positions[s].ravel()]
+            row += [fmt(x) for x in traj.velocities[s].ravel()]
+            row += [fmt(x) for x in mts["err_p"][s]]
+            row += [fmt(mts["err_p_norm"][s]), fmt(mts["err_v_norm"][s])]
+            row += [fmt(traj.min_dist[s]), fmt(V[s]) if V is not None else ""]
+            writer.writerow(row)
+        assert (tmp_path / "fast.csv").read_bytes() == expected.getvalue().encode()
 
     def test_csv_round_trip(self, tmp_path):
         """CSV floats are written with enough digits to reproduce the terminal

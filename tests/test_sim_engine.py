@@ -239,6 +239,15 @@ class TestCertificate:
         np.testing.assert_allclose(cert.gamma_sigma, 1.0)
         assert cert.gamma > cert.gamma_sigma
 
+    def test_lambda_min_qc_stored(self, square_laplacian):
+        """The certificate keeps the smallest eigenvalue of Q_c, which it
+        gates on and divides by, for the oracle report to read."""
+        gains = ControllerGains(kappa_p=1.3, kappa_v=4.0)
+        cert = build_certificate(
+            square_laplacian.B_ff, gains, [scalar_model(), scalar_model()], 2
+        )
+        assert cert.lambda_min_Qc == np.linalg.eigvalsh(cert.Q_c)[0] > 0
+
     def test_lyapunov_identity(self, square_laplacian):
         """A_c' P_c + P_c A_c = -Q_c for the feedback block."""
         gains = ControllerGains(kappa_p=1.3, kappa_v=4.0)
@@ -383,7 +392,7 @@ def random_complete_scenario(seed):
             "n_agents": graph.n,
             "dimension": graph.d,
             "leaders": list(range(1, graph.n_l + 1)),
-            "edges": sorted({tuple(sorted(e)) for e in graph.edges}),
+            "edges": graph.edges.tolist(),
         },
         "geometry": {
             "desired_positions": {str(i + 1): list(p) for i, p in enumerate(pos)},
