@@ -2,21 +2,20 @@
 `build_bearing_laplacian` on seeded planar complete graphs.
 
 Each formation (n = 8, 16, 32, 64 and 128 agents, so 28 to 8128 edges)
-comes from the seeded generator of the ``swarm_adaptive`` benchmark
-workload (``perfbench/swarm.py``, used as it is, with its agent count set
-per size), switched to known mode and written to a scenario file.  For each
+comes from the generator of the ``swarm_adaptive`` benchmark workload
+(``perfbench/swarm.py``, used as it is, with its agent count set per size)
+at SEED, switched to known mode and written to a scenario file.  For each
 size a fresh child process imports the package from a source tree, loads
 the file once to warm up and then REPEATS times, and times each load
 (`load_scenario`: parse, compile and every load-time check) and each
 `BearingSet.from_positions` and `build_bearing_laplacian` of the compiled
 graph; the median CPU time of each is kept.
 
-    python3 scripts/setup_sweep.py [--seed 7] [--baseline OTHER/src]
-                                   [--baseline-name NAME] [--out BENCH_setup_sweep.json]
+    python3 scripts/setup_sweep.py [--baseline PARENT/src] [--out BENCH_setup_sweep.json]
 
-With ``--baseline``, the same is measured for a second source tree (for
-instance ``src`` of a checkout of an earlier commit), the two trees taking
-turns per size, and the ratio of the medians is recorded.  Each tree is
+With ``--baseline``, the same is measured for a second source tree, ``src``
+of a checkout of the parent commit, recorded as ``parent``; the two trees
+take turns per size, and the ratio of the medians is recorded.  Each tree is
 identified by the SHA-256 of its Python files.  Run from anywhere; it runs
 with one BLAS thread, as the benchmark does, and takes about a minute on a
 2-core host.
@@ -39,11 +38,12 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 7                         # the seed of the swarm_adaptive workload's formation
 SIZES = (8, 16, 32, 64, 128)
 REPEATS = 5                      # timed loads per size and tree; the median is kept
 
 
-def scenario(n_agents, seed):
+def scenario(n_agents):
     """The generator's n_agents formation in known mode, as a scenario dict."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import swarm
@@ -51,7 +51,7 @@ def scenario(n_agents, seed):
     default = swarm.N_AGENTS
     swarm.N_AGENTS = n_agents
     try:
-        data = swarm.make_scenario(seed)
+        data = swarm.make_scenario(SEED)
     finally:
         swarm.N_AGENTS = default
     data["controller"]["mode"] = "known"
@@ -114,9 +114,7 @@ def cpu_model():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--baseline", help="src directory of a second source tree")
-    parser.add_argument("--baseline-name", default="baseline")
+    parser.add_argument("--baseline", help="src directory of a checkout of the parent commit")
     parser.add_argument("--out", default=str(ROOT / "BENCH_setup_sweep.json"))
     parser.add_argument("--child", nargs=2, metavar=("SRC", "SCENARIO"),
                         help=argparse.SUPPRESS)
@@ -129,27 +127,25 @@ def main(argv=None):
 
     trees = {"this_tree": ROOT / "src"}
     if args.baseline:
-        trees[args.baseline_name] = Path(args.baseline).resolve()
+        trees["parent"] = Path(args.baseline).resolve()
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for n_agents in SIZES:
             path = Path(tmp) / f"complete_{n_agents}.json"
-            path.write_text(json.dumps(scenario(n_agents, args.seed)))
+            path.write_text(json.dumps(scenario(n_agents)))
             row = {"n_agents": n_agents, "edges": n_agents * (n_agents - 1) // 2}
             for name, src in trees.items():
                 row[name] = measure(src, path)
             if args.baseline:
                 row["speedup"] = {
-                    key: round(row[args.baseline_name][key] / row["this_tree"][key], 2)
+                    key: round(row["parent"][key] / row["this_tree"][key], 2)
                     for key in row["this_tree"]
                 }
             rows.append(row)
             print(json.dumps(row), flush=True)
     result = {
-        "command": "python3 scripts/setup_sweep.py --seed {}{}".format(
-            args.seed,
-            f" --baseline SRC --baseline-name {args.baseline_name}" if args.baseline else "",
-        ),
+        "command": "python3 scripts/setup_sweep.py"
+        + (" --baseline PARENT/src" if args.baseline else ""),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -157,7 +153,7 @@ def main(argv=None):
             "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu_model(),
         },
-        "seed": args.seed,
+        "seed": SEED,
         "mode": "known",
         "repeats": REPEATS,
         "statistic": "median CPU time (time.process_time) per call, s",

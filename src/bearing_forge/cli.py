@@ -141,9 +141,6 @@ def cmd_run(args):
     if args.oracles or sc.oracles:
         report, V = oracle_report(sc, traj)
 
-    out_dir = sc.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj, sc, mts, V)
     summary = {
         "mode": sc.mode,
         "t_final": sc.t_final,
@@ -157,6 +154,10 @@ def cmd_run(args):
         bad = _non_finite(tree, where)
         if bad:
             raise NonFiniteState(f"{bad[0]} = {bad[1]} is not finite")
+
+    out_dir = sc.output_dir
+    os.makedirs(out_dir, exist_ok=True)
+    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj, sc, mts, V)
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     if report is not None:

@@ -181,20 +181,26 @@ class BearingSet:
             i, j = given[k]
             raise NonUnitInput(f"bearing for edge ({i},{j}) has norm {norm[k]:.12f}")
         edges = np.array(given or np.empty((0, 2)), dtype=np.int64)
-        g = g / norm[:, None]
         g = np.where((edges[:, 0] > edges[:, 1])[:, None], -g, g)   # as g_ij, i < j
+        unit = g / norm[:, None]
         keys = _keys(np.sort(edges, axis=1))
         # the stable order puts the two entries of an edge side by side,
         # the one given first in front
         order, last = _runs(keys)
         same = ~last[:-1]
         a, b = order[:-1][same], order[1:][same]
-        clash = b[np.linalg.norm(g[b] - g[a], axis=1) > 1e-9]
+        clash = b[np.linalg.norm(unit[b] - unit[a], axis=1) > 1e-9]
         if clash.size:
             i, j = given[clash.min()]
             raise ValueError(f"conflicting bearings for edge ({i},{j})")
-        self.edges = _pairs(keys[order[last]])
-        self.g = g[order[last]]
+        self._keep(_pairs(keys[order[last]]), g[order[last]])
+
+    def _keep(self, edges, g):
+        """Store the (k, 2) pairs i < j, in lexicographic order, and the
+        aligned (k, d) bearings g_ij, each row normalized (the rows are
+        unit within UNIT_TOL, so this is one rounding step)."""
+        self.edges = edges
+        self.g = g / _norms(g)[:, None]
 
     @classmethod
     def from_positions(cls, graph, positions):
@@ -210,9 +216,8 @@ class BearingSet:
         edges = graph.edges
         with np.errstate(over="ignore"):  # a distance beyond float range: rejected
             g = _unit_rows(positions[edges[:, 0] - 1] - positions[edges[:, 1] - 1], edges)
-        out = cls.__new__(cls)
-        out.edges = edges
-        out.g = g / _norms(g)[:, None]
+        out = cls.__new__(cls)    # the checks of __init__ hold by construction
+        out._keep(edges, g)
         return out
 
     def _find(self, edges):

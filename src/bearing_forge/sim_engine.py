@@ -566,13 +566,14 @@ def _xi_samples(traj, sc):
 
 def _norm(x, axis):
     """2-norm along axis (an int or a tuple) with no overflow or underflow in
-    the squares: each slice is first divided by the power of two just above
-    its largest magnitude.  The division is exact, so the result is
-    np.linalg.norm's bit for bit wherever that neither overflows nor
-    underflows."""
-    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1])
-    y = x / scale
-    return np.squeeze(scale, axis) * np.sqrt((y * y).sum(axis=axis))
+    the squares: each slice is first scaled by 2^-e, for 2^e just above its
+    largest magnitude, and the root scaled back by 2^e.  The power of two is
+    never formed (2^1024 is not a float), and the scaling is exact, so the
+    result is np.linalg.norm's bit for bit wherever that neither overflows
+    nor underflows."""
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    y = np.ldexp(x, -e)
+    return np.ldexp(np.sqrt((y * y).sum(axis=axis)), np.squeeze(e, axis))
 
 
 def xi_oracle(traj, sc):

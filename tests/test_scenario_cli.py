@@ -364,6 +364,22 @@ class TestCli:
         assert code == 4
         assert err == ["divergence: oracles.lyapunov: V = inf is not finite at t=0.000000"]
 
+    def test_non_finite_metric_writes_nothing(self, tmp_path):
+        """Two follower positions of 1.3e308 stay finite over two steps, but
+        their joint error norm is beyond float range: exit 4 with one line
+        naming the metric, and no output file is written."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["geometry"]["initial_positions"] = {"3": [1.3e308, 0.0], "4": [0.0, 1.3e308]}
+        out = tmp_path / "huge"
+        code, err = _main_stderr(
+            ["run", write_scenario(tmp_path, data), "--oracles", "--t-final", "0.002",
+             "--out", str(out)]
+        )
+        assert code == 4
+        assert err == ["divergence: metrics.terminal_err_p = inf is not finite"]
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         path = self.run_scenario_file(tmp_path)
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")

@@ -19,6 +19,7 @@ from bearing_forge.sim_engine import (
     integrate,
     lyapunov_monitor,
     metrics,
+    _norm,
     spectral_abscissa,
     xi_oracle,
 )
@@ -358,6 +359,26 @@ class TestLyapunovMonitor:
 
 
 class TestMetrics:
+    def test_norm_near_float_max(self):
+        """Slices whose largest magnitude is in [2^1023, 2^1024) still have
+        finite norms, with no floating-point warning; ordinary slices match
+        np.linalg.norm bit for bit."""
+        x = np.array([
+            [[1e308, 0.0], [3.0, 0.0]],
+            [[9e307, 0.0], [9e307, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[3.0, 4.0], [1e-320, 12.0]],
+        ])
+        # underflow of the tiny entries of a scaled slice is harmless
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rows = _norm(x, 2)
+            whole = _norm(x, (1, 2))
+        np.testing.assert_array_equal(rows[0], [1e308, 3.0])
+        np.testing.assert_allclose(whole[1], np.sqrt(2.0) * 9e307, rtol=1e-15)
+        np.testing.assert_array_equal(whole[2], 0.0)
+        np.testing.assert_array_equal(rows[3], np.linalg.norm(x[3], axis=1))
+        assert np.isfinite(whole).all()
+
     def test_min_distance_brute_force(self):
         sc = make_scenario(
             geometry=PERTURBED_GEOMETRY,
