@@ -17,8 +17,11 @@ With ``--baseline``, the same is measured for a second source tree, ``src``
 of a checkout of the parent commit, recorded as ``parent``; the two trees
 take turns per size, and the ratio of the medians is recorded.  Each tree is
 identified by the SHA-256 of its Python files.  Run from anywhere; it runs
-with one BLAS thread, as the benchmark does, and takes about a minute on a
-2-core host.
+with one BLAS thread, as the benchmark does, and takes about 5 s with
+``--baseline`` on a 2-core Xeon.
+
+``scripts/stepper_sweep.py`` takes its formations, BLAS pinning (on import,
+before NumPy loads), environment record and JSON writer from here.
 """
 
 import os
@@ -43,8 +46,8 @@ SIZES = (8, 16, 32, 64, 128)
 REPEATS = 5                      # timed loads per size and tree; the median is kept
 
 
-def scenario(n_agents):
-    """The generator's n_agents formation in known mode, as a scenario dict."""
+def formation(n_agents, mode):
+    """The generator's n_agents formation at SEED in mode, as a scenario dict."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import swarm
 
@@ -54,7 +57,7 @@ def scenario(n_agents):
         data = swarm.make_scenario(SEED)
     finally:
         swarm.N_AGENTS = default
-    data["controller"]["mode"] = "known"
+    data["controller"]["mode"] = mode
     return data
 
 
@@ -112,6 +115,23 @@ def cpu_model():
     return platform.processor() or platform.machine()
 
 
+def environment():
+    """The host and library versions a sweep ran with."""
+    import numpy as np
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": 1,
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu": cpu_model(),
+    }
+
+
+def write_json(path, result):
+    Path(path).write_text(json.dumps(result, indent=1) + "\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", help="src directory of a checkout of the parent commit")
@@ -123,8 +143,6 @@ def main(argv=None):
         child(*args.child)
         return 0
 
-    import numpy as np
-
     trees = {"this_tree": ROOT / "src"}
     if args.baseline:
         trees["parent"] = Path(args.baseline).resolve()
@@ -132,7 +150,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for n_agents in SIZES:
             path = Path(tmp) / f"complete_{n_agents}.json"
-            path.write_text(json.dumps(scenario(n_agents)))
+            path.write_text(json.dumps(formation(n_agents, "known")))
             row = {"n_agents": n_agents, "edges": n_agents * (n_agents - 1) // 2}
             for name, src in trees.items():
                 row[name] = measure(src, path)
@@ -146,13 +164,7 @@ def main(argv=None):
     result = {
         "command": "python3 scripts/setup_sweep.py"
         + (" --baseline PARENT/src" if args.baseline else ""),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": 1,
-            "nproc": len(os.sched_getaffinity(0)),
-            "cpu": cpu_model(),
-        },
+        "environment": environment(),
         "seed": SEED,
         "mode": "known",
         "repeats": REPEATS,
@@ -160,9 +172,7 @@ def main(argv=None):
         "trees": {name: {"src_sha256": tree_sha256(src)} for name, src in trees.items()},
         "rows": rows,
     }
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+    write_json(args.out, result)
     return 0
 
 

@@ -3,37 +3,29 @@ size, in known and adaptive mode.
 
 Each formation comes from the seeded generator of the ``swarm_adaptive``
 benchmark workload (``perfbench/swarm.py``, used as it is, with its agent
-count set per size), compiled once per mode.  For each one the script times
+count set per size, at the seed of ``scripts/setup_sweep.py``), compiled
+once per mode.  For each one the script times
 ``Engine.operator_step`` and ``Engine.rk4`` from the same initial state and
 records the operator step's multiply-add count, ``Engine.operator_macs``.
 ``sim_engine.OPERATOR_MAX_MACS``, the count below which ``integrate`` takes
 the operator step, is set from the crossover this sweep finds.
 
-    python3 scripts/stepper_sweep.py [--seed 7] [--out BENCH_stepper_crossover.json]
+    python3 scripts/stepper_sweep.py [--out BENCH_stepper_crossover.json]
 
 Run from anywhere; it runs with one BLAS thread, as the benchmark does, and
 takes well under a minute on a 2-core host.
 """
 
-import os
+import argparse
+import json
+import statistics
+import sys
+import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+# before anything loads NumPy: importing setup_sweep pins BLAS to one thread
+from setup_sweep import ROOT, SEED, environment, formation, write_json
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import swarm  # noqa: E402
+sys.path.insert(0, str(ROOT / "src"))
 
 from bearing_forge.scenario import compile_scenario  # noqa: E402
 from bearing_forge.sim_engine import OPERATOR_MAX_MACS, Engine  # noqa: E402
@@ -46,18 +38,6 @@ SIZES = {
 }
 STEPS = 200                      # steps per timed stretch
 REPEATS = 9                      # timed stretches per stepper; the median is kept
-
-
-def formation(n_agents, mode, seed):
-    """The generator's formation of n_agents agents, compiled in mode."""
-    default = swarm.N_AGENTS
-    swarm.N_AGENTS = n_agents
-    try:
-        data = swarm.make_scenario(seed)
-    finally:
-        swarm.N_AGENTS = default
-    data["controller"]["mode"] = mode
-    return compile_scenario(data)
 
 
 def us_per_step(steppers, y0):
@@ -75,15 +55,12 @@ def us_per_step(steppers, y0):
     return [round(statistics.median(t), 1) for t in times]
 
 
-def measure(n_agents, mode, seed):
-    sc = formation(n_agents, mode, seed)
-    eng = Engine(sc)
+def measure(n_agents, mode):
+    eng = Engine(compile_scenario(formation(n_agents, mode)))
     start = time.perf_counter()
-    operator = eng.operator_step(sc.h)
+    operator = eng.operator_step()
     build_s = time.perf_counter() - start
-    operator_us, staged_us = us_per_step(
-        [operator, eng.rk4(sc.h)], eng.initial_state()
-    )
+    operator_us, staged_us = us_per_step([operator, eng.rk4()], eng.initial_state())
     return {
         "mode": mode,
         "n_agents": n_agents,
@@ -108,39 +85,21 @@ def crossover(rows):
     }
 
 
-def cpu_model():
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=str(ROOT / "BENCH_stepper_crossover.json"))
     args = parser.parse_args(argv)
 
     rows = []
     for mode, sizes in SIZES.items():
         for n_agents in sizes:
-            row = measure(n_agents, mode, args.seed)
+            row = measure(n_agents, mode)
             rows.append(row)
             print(json.dumps(row), flush=True)
     result = {
-        "command": f"python3 scripts/stepper_sweep.py --seed {args.seed}",
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": 1,
-            "nproc": len(os.sched_getaffinity(0)),
-            "cpu": cpu_model(),
-        },
-        "seed": args.seed,
+        "command": "python3 scripts/stepper_sweep.py",
+        "environment": environment(),
+        "seed": SEED,
         "steps_per_stretch": STEPS,
         "stretches": REPEATS,
         "operator_max_macs": OPERATOR_MAX_MACS,
@@ -149,9 +108,7 @@ def main(argv=None):
         },
         "rows": rows,
     }
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+    write_json(args.out, result)
     print(json.dumps(result["crossover"]))
     return 0
 

@@ -186,7 +186,7 @@ def cmd_spectrum(args):
     eig = np.sort_complex(np.linalg.eigvals(A))
     for lam in eig:
         print(f"{lam.real:+.12e} {lam.imag:+.12e}j")
-    print(f"spectral abscissa: {spectral_abscissa(A):.12e}")
+    print(f"spectral abscissa: {float(eig.real.max()):.12e}")
     return EXIT_OK
 
 

@@ -61,43 +61,43 @@ def _norms(x):
     return np.sqrt((x[:, None, :] @ x[:, :, None]).reshape(len(x)))
 
 
-def _unit_rows(diff, edges=None, eps=SEPARATION_EPS):
+def _unit_rows(diff, edges=None):
     """Rows of diff divided by their norms; raises DegenerateBearing at the
-    first row whose norm is not in (eps, inf), naming its edge when edges
-    (aligned with diff) are given.  A norm beyond float range is inf."""
+    first row whose norm is not in (SEPARATION_EPS, inf), naming its edge when
+    edges (aligned with diff) are given.  A norm beyond float range is inf."""
     with np.errstate(over="ignore"):
         norm = _norms(diff)
-    bad = ~((norm > eps) & (norm < np.inf))
+    bad = ~((norm > SEPARATION_EPS) & (norm < np.inf))
     if bad.any():
         k = int(bad.argmax())
         where = "" if edges is None else f"edge ({edges[k, 0]},{edges[k, 1]}): "
         raise DegenerateBearing(
-            f"{where}points coincide within {eps:g} or are too far apart: "
+            f"{where}points coincide within {SEPARATION_EPS:g} or are too far apart: "
             f"||p_i - p_j|| = {norm[k]:.3e}"
         )
     return diff / norm[:, None]
 
 
-def _projectors(g, tol=UNIT_TOL):
+def _projectors(g):
     """(k, d, d) stack of I - g g^T for the (k, d) unit rows of g."""
     norm = _norms(g)
-    bad = ~(np.abs(norm - 1.0) <= tol)
+    bad = ~(np.abs(norm - 1.0) <= UNIT_TOL)
     if bad.any():
         raise NonUnitInput(
-            f"||g|| = {norm[bad.argmax()]:.12f}, expected 1 within {tol:g}"
+            f"||g|| = {norm[bad.argmax()]:.12f}, expected 1 within {UNIT_TOL:g}"
         )
     return np.eye(g.shape[1]) - g[:, :, None] * g[:, None, :]
 
 
-def unit_bearing(p_i, p_j, eps=SEPARATION_EPS):
+def unit_bearing(p_i, p_j):
     """Unit vector pointing from agent j toward agent i: (p_i - p_j)/||p_i - p_j||."""
     diff = np.asarray(p_i, dtype=float) - np.asarray(p_j, dtype=float)
-    return _unit_rows(diff[None, :], eps=eps)[0]
+    return _unit_rows(diff[None, :])[0]
 
 
-def projector(g, tol=UNIT_TOL):
+def projector(g):
     """Orthogonal projector I - g g^T onto the complement of the unit vector g."""
-    return _projectors(np.asarray(g, dtype=float)[None, :], tol)[0]
+    return _projectors(np.asarray(g, dtype=float)[None, :])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,6 +95,14 @@ _bool = _typed(bool, "true or false")
 _str = _typed(str, "a string")
 
 
+def _fields(value, what, *keys):
+    """A JSON object whose fields are all in keys, the ones the compile reads."""
+    for key in _object(value, what):
+        if key not in keys:
+            raise ValidationError(f"{what or 'scenario'}: unknown field '{key}'")
+    return value
+
+
 def _float(value, what):
     """A finite JSON number, as a float."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -149,11 +157,11 @@ def _ids(value, what, allowed, read, *args):
 
 
 def _disturbance(entry, what, d):
-    _object(entry, what)
+    _fields(entry, what, "constant", "sinusoids")
     constant = _field(entry, what, "constant", _vec, d, default=np.zeros(d))
     terms = []
     for term in _field(entry, what, "sinusoids", _list, default=[]):
-        _object(term, f"{what}.sinusoids")
+        _fields(term, f"{what}.sinusoids", "frequency", "amplitudes", "phases")
         terms.append(
             SinusoidTerm(
                 frequency=_field(term, what, "frequency", _float),
@@ -172,8 +180,14 @@ def compile_scenario(data) -> CompiledScenario:
     needs it, and every default lives here."""
     if not isinstance(data, dict):
         raise ValidationError("scenario: top level must be a JSON object")
+    _fields(
+        data, "", "graph", "geometry", "disturbances", "controller",
+        "integration", "outputs",
+    )
 
-    graph_in = _field(data, "", "graph", _object)
+    graph_in = _field(
+        data, "", "graph", _fields, "n_agents", "dimension", "leaders", "edges"
+    )
     n = _field(graph_in, "graph", "n_agents", _int)
     d = _field(graph_in, "graph", "dimension", _int)
     leaders = sorted(
@@ -192,16 +206,25 @@ def compile_scenario(data) -> CompiledScenario:
     except ValueError as exc:
         raise ValidationError(f"graph: {exc}") from exc
 
-    geom = _field(data, "", "geometry", _object)
+    geom = _field(
+        data, "", "geometry", _fields, "leader_velocity", "desired_positions",
+        "desired_bearings", "initial_positions", "initial_velocities",
+    )
     v_c = _field(geom, "geometry", "leader_velocity", _vec, d)
     agents = range(1, n + 1)
     desired_positions = _field(
         geom, "geometry", "desired_positions", _ids, agents, _vec, d, default={}
     )
     desired_bearings = {}
-    for entry in _field(geom, "geometry", "desired_bearings", _list, default=[]):
-        _object(entry, "geometry.desired_bearings")
+    entries = _field(geom, "geometry", "desired_bearings", _list, default=[])
+    sensing = set(map(tuple, graph.edges.tolist())) if entries else ()
+    for entry in entries:
+        _fields(entry, "geometry.desired_bearings", "edge", "bearing")
         i, j = _field(entry, "geometry.desired_bearings", "edge", _edge, n)
+        if (min(i, j), max(i, j)) not in sensing:
+            raise ValidationError(
+                f"geometry.desired_bearings: ({i},{j}) is not a sensing edge"
+            )
         desired_bearings[(i, j)] = _field(
             entry, f"geometry.desired_bearings[{i},{j}]", "bearing", _vec, d
         )
@@ -271,7 +294,11 @@ def compile_scenario(data) -> CompiledScenario:
     )
     specs = [disturbances.get(i, DisturbanceSpec.zero(d)) for i in followers]
 
-    ctrl = _field(data, "", "controller", _object)
+    ctrl = _field(
+        data, "", "controller", _fields, "mode", "kappa_p", "kappa_v",
+        "adaptation_rate", "adaptation_gains", "theta_hat_init", "eta_init",
+        "freeze_theta",
+    )
     mode = _field(ctrl, "controller", "mode", _str)
     if mode not in MODES:
         raise ValidationError(f"controller.mode: unknown mode '{mode}'")
@@ -347,13 +374,20 @@ def compile_scenario(data) -> CompiledScenario:
             e0 = e0 - np.kron(model.T, np.eye(d)) @ exo.theta0
         eta0.append(e0)
 
-    integ = _field(data, "", "integration", _object, default={})
+    integ = _field(
+        data, "", "integration", _fields, "step", "t_final", "record_every",
+        "collision_threshold", default={},
+    )
     h = _field(integ, "integration", "step", _float, default=1e-3)
     t_final = _field(integ, "integration", "t_final", _float)
     record_every = _field(integ, "integration", "record_every", _int, default=100)
-    if not (h > 0 and t_final > 0 and record_every >= 1):
+    collision_eps = _field(
+        integ, "integration", "collision_threshold", _float, default=1e-3
+    )
+    if not (h > 0 and t_final > 0 and collision_eps > 0 and record_every >= 1):
         raise ValidationError(
-            "integration: step and t_final must be positive, record_every >= 1"
+            "integration: step, t_final and collision_threshold must be "
+            "positive, record_every >= 1"
         )
     ratio = t_final / h
     steps = round(ratio) if math.isfinite(ratio) else 0
@@ -363,11 +397,10 @@ def compile_scenario(data) -> CompiledScenario:
             f"steps of {h}"
         )
 
-    outputs = _field(data, "", "outputs", _object, default={})
+    outputs = _field(data, "", "outputs", _fields, "directory", "oracles", default={})
 
     sc = CompiledScenario(
         graph=graph,
-        bearings=bearings,
         laplacian=laplacian,
         p_star0=p_star0,
         v_c=v_c,
@@ -375,7 +408,6 @@ def compile_scenario(data) -> CompiledScenario:
         v_f0=v_f0,
         mode=mode,
         gains=gains,
-        specs=specs,
         exos=exos,
         models=models,
         eta0=eta0,
@@ -385,9 +417,7 @@ def compile_scenario(data) -> CompiledScenario:
         h=h,
         t_final=t_final,
         record_every=record_every,
-        collision_eps=_field(
-            integ, "integration", "collision_threshold", _float, default=1e-3
-        ),
+        collision_eps=collision_eps,
         output_dir=_field(outputs, "outputs", "directory", _str, default="out"),
         oracles=_field(outputs, "outputs", "oracles", _bool, default=False),
     )

@@ -50,7 +50,6 @@ class CompiledScenario:
     """Everything the engine needs, synthesized once at load time."""
 
     graph: object
-    bearings: object
     laplacian: object
     p_star0: np.ndarray          # (n, d) target configuration at t=0
     v_c: np.ndarray              # (d,)
@@ -58,7 +57,6 @@ class CompiledScenario:
     v_f0: np.ndarray             # (n_f, d) initial follower velocities
     mode: str                    # "known" | "adaptive" | "feedback_only"
     gains: object
-    specs: list                  # per-follower DisturbanceSpec
     exos: list                   # per-follower CanonicalExosystem
     models: list                 # per-follower InternalModel
     eta0: list                   # per-follower initial compensator state
@@ -288,7 +286,8 @@ class Engine:
         self.Phi3 = _padded([e.Phi for e in sc.exos], m_max, m_max)
         if self.adaptive:
             self.th_idx = _pad_index(self.orders, 1)
-            self.neg_Lam3 = -_padded(
+            # a frozen estimate is the adaptive law with zero gain
+            self.neg_Lam3 = (0.0 if sc.freeze_theta else -1.0) * _padded(
                 [np.atleast_2d(L) for L in sc.lambdas], m_max, m_max
             )
         elif sc.mode == "known":
@@ -304,11 +303,9 @@ class Engine:
         self.i_th = self.i_var + self.q_f
         self.dim = self.i_th + self.K
 
-        # the adaptive products: θ̂_ik w_ika and, unless θ̂ is frozen,
-        # w_ika s_ia, one of each per compensator coordinate
-        self.n_prod = (
-            self.q_f * (1 if sc.freeze_theta else 2) if self.adaptive else 0
-        )
+        # the adaptive products θ̂_ik w_ika and w_ika s_ia, one of each per
+        # compensator coordinate
+        self.n_prod = 2 * self.q_f if self.adaptive else 0
         self.operator_macs = multiply_adds(self.dim, self.n_prod)
 
     def initial_state(self):
@@ -386,36 +383,29 @@ class Engine:
         s_p, s_v, w, th = self._readouts(y)
         if not self.adaptive:
             return self._law(y, s_p, s_v, w)
-        ws = None
-        if not self.sc.freeze_theta:
-            ws = w @ (s_p + s_v).reshape(self.n_f, self.d, 1)
+        ws = w @ (s_p + s_v).reshape(self.n_f, self.d, 1)
         return self._law(y, s_p, s_v, w, th @ w, ws)
 
     def _factors(self, s_p, s_v, w, th):
         """[z_a; z_b], the packed factors of the n_prod adaptive products
-        p = z_a * z_b: first θ̂_ik w_ika, then (unless θ̂ is frozen) w_ika s_ia."""
+        p = z_a * z_b: first θ̂_ik w_ika, then w_ika s_ia."""
         th_b = np.broadcast_to(th.transpose(0, 2, 1), w.shape)
         s_b = np.broadcast_to((s_p + s_v).reshape(self.n_f, 1, self.d), w.shape)
-        k = 1 if self.sc.freeze_theta else 2
         return np.concatenate(
-            [self._packed(a, self.eta_idx) for a in [th_b, w][:k] + [w, s_b][:k]]
+            [self._packed(a, self.eta_idx) for a in (th_b, w, w, s_b)]
         )
 
     def _sums(self, P):
         """The per-follower sums of the packed products P that `_law`
-        takes: θ̂ w (n_f, 1, d), and w s (n_f, m_max, 1) or None when θ̂ is
-        frozen."""
-        def blocks(x):
-            return self._blocks(x, self.eta_idx, self.m_max, self.d)
+        takes: θ̂ w (n_f, 1, d) and w s (n_f, m_max, 1)."""
+        tw, ws = (
+            self._blocks(x, self.eta_idx, self.m_max, self.d) for x in np.split(P, 2)
+        )
+        return tw.sum(axis=1, keepdims=True), ws.sum(axis=2, keepdims=True)
 
-        tw = blocks(P[: self.q_f]).sum(axis=1, keepdims=True)
-        if self.sc.freeze_theta:
-            return tw, None
-        return tw, blocks(P[self.q_f :]).sum(axis=2, keepdims=True)
-
-    def rk4(self, h):
-        """One classical RK4 step of size h, taken stage by stage through rhs."""
-        rhs = self.rhs
+    def rk4(self):
+        """One classical RK4 step of size sc.h, taken stage by stage through rhs."""
+        rhs, h = self.rhs, self.sc.h
 
         def step(y):
             k1 = rhs(y)
@@ -445,10 +435,10 @@ class Engine:
         D = probe(lambda P: self._law(zero, *at_zero, *self._sums(P)), n_p)[1]
         return A, b, C, c, D
 
-    def operator_step(self, h):
-        """One classical RK4 step of size h in product coordinates, exact up
+    def operator_step(self):
+        """One classical RK4 step of size sc.h in product coordinates, exact up
         to rounding: `rk4_operator.operator_step` of the `product_form`."""
-        return operator_step(*self.product_form(), h)
+        return operator_step(*self.product_form(), self.sc.h)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -519,7 +509,7 @@ def integrate(sc: CompiledScenario):
 
     operator = eng.operator_macs < OPERATOR_MAX_MACS
     try:
-        run(eng.operator_step(h) if operator else eng.rk4(h))
+        run(eng.operator_step() if operator else eng.rk4())
     except NonFiniteState:
         if not operator:
             raise
@@ -530,7 +520,7 @@ def integrate(sc: CompiledScenario):
         # that the staged step keeps at exactly zero.  The staged run is the
         # reference, so it is replayed from the start; it then fails at its
         # own step (or completes).
-        run(eng.rk4(h))
+        run(eng.rk4())
 
     S = rec_steps.size
     positions = samples[:, eng.i_p : eng.i_vf].reshape(S, n, d)

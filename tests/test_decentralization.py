@@ -21,6 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bearing_forge.formation_graph import BearingSet
 from bearing_forge.scenario import compile_scenario
 from bearing_forge.sim_engine import Engine
 
@@ -107,7 +108,10 @@ def local_law(sc, i, positions, velocities, eta, var, theta_hat):
     f = i - sc.n_l - 1
     model, exo, d = sc.models[f], sc.exos[f], sc.d
     v_i = velocities[i - 1]
-    s_p, s_v = projected_errors(sc.graph, sc.bearings, i, positions, velocities)
+    bearings = BearingSet.from_positions(
+        sc.graph, [POSITIONS[str(k)] for k in range(1, sc.n + 1)]
+    )
+    s_p, s_v = projected_errors(sc.graph, bearings, i, positions, velocities)
     dth = np.empty(0)
     if sc.mode == "known":
         u = control_known(s_p, s_v, eta, v_i, model, sc.gains)

@@ -529,13 +529,62 @@ def test_operator_step_matches_staged(case):
     eng = Engine(sc)
     if case.endswith("_bound"):
         assert (eng.operator_macs < OPERATOR_MAX_MACS) == (case == "below_bound")
-    operator, staged = eng.operator_step(sc.h), eng.rk4(sc.h)
+    operator, staged = eng.operator_step(), eng.rk4()
     y_op = y_st = eng.initial_state()
     for step in range(1, round(sc.t_final / sc.h) + 1):
         y_op, y_st = operator(y_op), staged(y_st)
         if step % sc.record_every == 0:
             assert_close(y_op, y_st)
     assert_close(y_op, y_st)
+
+
+def frozen(sc):
+    """sc with each estimate frozen at half of its follower's row E."""
+    return dataclasses.replace(
+        sc, freeze_theta=True, theta_hat0=[0.5 * m.E for m in sc.models]
+    )
+
+
+# Terminal follower velocities of two frozen runs, recorded with the
+# engine that skipped the w s products when the estimate was frozen (an
+# engine with a second product layout for that case): the 5 s bundled
+# adaptive square (operator step) and the 16-agent formation over 0.2 s
+# (staged step, past OPERATOR_MAX_MACS).
+FROZEN = {
+    "square_5s": (
+        lambda: frozen(CASES["bundled_adaptive_5s"]()),
+        [0.50288085460589, 0.04187576833158295,
+         0.4846289726247309, 0.015438983457603424],
+    ),
+    "formation_16": (
+        lambda: frozen(complete_formation(16, "adaptive", t_final=0.2)),
+        [0.5034121322003976, -0.0033501113760056322, 0.5041070514404082,
+         -0.00018402274724890278, 0.5021075963554503, -0.001078489245826193,
+         0.5021225462035177, -0.001059811846841916, 0.5021021680185478,
+         -0.0010887202715606802, 0.5043896080554341, 0.00018637327339605505,
+         0.503609468201693, -0.0028177693868552617, 0.5027221383335457,
+         -0.0018330657213954504, 0.5051836081873552, -0.0022732592058814635,
+         0.5028668828043857, -0.0015033202427052678, 0.5022585742869564,
+         -0.001472066290774951, 0.5042885176492143, -0.001617880986684681,
+         0.5034623232182328, -0.0008373873097781728, 0.5021139036844344,
+         -0.0011288155673997613],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN))
+def test_frozen_estimate_is_zero_gain(case):
+    """A frozen estimate runs as the adaptive law with zero adaptation
+    gain: θ̂ stays bitwise constant, and the trajectory matches the one
+    recorded before, on each side of OPERATOR_MAX_MACS."""
+    make, ref = FROZEN[case]
+    sc = make()
+    assert (Engine(sc).operator_macs < OPERATOR_MAX_MACS) == (case == "square_5s")
+    traj = integrate(sc)
+    th0 = np.concatenate(sc.theta_hat0)
+    assert (traj.theta_hat.view(np.int64) == th0.view(np.int64)).all()
+    got = traj.velocities[-1, sc.n_l :].ravel()
+    assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
 def test_swarm_size_known_takes_staged_step(monkeypatch):

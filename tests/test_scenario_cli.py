@@ -21,7 +21,12 @@ from bearing_forge.scenario import (
     compile_scenario,
     load_scenario,
 )
-from bearing_forge.sim_engine import integrate, metrics
+from bearing_forge.sim_engine import (
+    assemble_A_sigma,
+    integrate,
+    metrics,
+    spectral_abscissa,
+)
 
 from conftest import base_scenario_dict
 
@@ -220,7 +225,10 @@ class TestCli:
     def test_spectrum_reports_abscissa(self, tmp_path, capsys):
         path = self.run_scenario_file(tmp_path)
         assert cli.main(["spectrum", path]) == 0
-        assert "spectral abscissa" in capsys.readouterr().out
+        sc = load_scenario(path)
+        A = assemble_A_sigma(sc.laplacian.B_ff, sc.models, sc.d, sc.gains)
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"spectral abscissa: {spectral_abscissa(A):.12e}"
 
     def test_localize_prints_followers(self, tmp_path, capsys):
         path = self.run_scenario_file(tmp_path)
@@ -618,6 +626,68 @@ class TestMalformedInput:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
 
+
+    @pytest.mark.parametrize(
+        "where, path, key",
+        [
+            ("scenario", (), "controler"),
+            ("graph", ("graph",), "n_agent"),
+            ("geometry", ("geometry",), "initial_position"),
+            ("controller", ("controller",), "kapa_p"),
+            ("integration", ("integration",), "colision_threshold"),
+            ("outputs", ("outputs",), "oracle"),
+            ("disturbances[3]", ("disturbances", "3"), "constants"),
+            (
+                "disturbances[3].sinusoids",
+                ("disturbances", "3", "sinusoids", 0),
+                "frequencies",
+            ),
+            (
+                "geometry.desired_bearings",
+                ("geometry", "desired_bearings", 0),
+                "bearings",
+            ),
+        ],
+        ids=lambda x: x if isinstance(x, str) else None,
+    )
+    def test_unknown_field_rejected(self, tmp_path, where, path, key):
+        """A field the compile does not read, such as a misspelled optional
+        field, is named with its object rather than ignored."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["geometry"]["desired_bearings"] = copy.deepcopy(
+            GEOMETRY_UNKNOWN_POSITION["desired_bearings"]
+        )
+        _mutate(data, path + (key,), 1.0)
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert (code, err) == (2, [f"error: {where}: unknown field '{key}'"])
+
+    def test_bearing_off_the_graph_rejected(self, tmp_path):
+        """A desired bearing on a pair that is not a sensing edge is an
+        error, not ignored."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["graph"]["edges"].remove([1, 3])
+        data["geometry"]["desired_bearings"] = [{"edge": [1, 3], "bearing": [0, 1]}]
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert (code, err) == (
+            2, ["error: geometry.desired_bearings: (1,3) is not a sensing edge"]
+        )
+
+    @pytest.mark.parametrize("value", [0, -1.0])
+    def test_collision_threshold_must_be_positive(self, tmp_path, value):
+        """A threshold of zero or below would switch the collision check off."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["integration"]["collision_threshold"] = value
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert (code, err) == (
+            2,
+            [
+                "error: integration: step, t_final and collision_threshold must "
+                "be positive, record_every >= 1"
+            ],
+        )
 
     def test_run_size_bound_names_the_size(self, tmp_path):
         """validate rejects a run whose recorded samples would exceed

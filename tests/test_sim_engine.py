@@ -3,7 +3,7 @@ import pytest
 
 from bearing_forge import bundled_scenario
 from bearing_forge.control_laws import ControllerGains
-from bearing_forge.disturbance import disturbance_eval
+from bearing_forge.disturbance import DisturbanceSpec, SinusoidTerm, disturbance_eval
 from bearing_forge.errors import (
     CollisionDetected,
     DimensionMismatch,
@@ -49,6 +49,16 @@ MILLI_DISTURBANCES = {
         ],
     },
 }
+
+# the DisturbanceSpec of each follower, 3 and 4, as the compile reads it
+MILLI_SPECS = [
+    DisturbanceSpec(
+        d=2,
+        C0=entry["constant"],
+        terms=tuple(SinusoidTerm(**term) for term in entry["sinusoids"]),
+    )
+    for entry in MILLI_DISTURBANCES.values()
+]
 
 PERTURBED_GEOMETRY = {
     "initial_positions": {"3": [1.002, 0.997], "4": [-0.003, 1.004]},
@@ -111,7 +121,7 @@ class TestEngineRhs:
         dy = eng.rhs(y)
         var = y[eng.i_var : eng.i_th]
         d_out = var[ReferenceEngine(sc).d_idx]
-        for idx, spec in enumerate(sc.specs):
+        for idx, spec in enumerate(MILLI_SPECS):
             np.testing.assert_allclose(
                 d_out[idx * sc.d : (idx + 1) * sc.d],
                 disturbance_eval(spec, 0.0),
@@ -131,7 +141,7 @@ class TestEngineRhs:
         d_idx = ReferenceEngine(sc).d_idx
         for s, t in enumerate(traj.times):
             out = traj.vartheta[s][d_idx]
-            for idx, spec in enumerate(sc.specs):
+            for idx, spec in enumerate(MILLI_SPECS):
                 np.testing.assert_allclose(
                     out[idx * sc.d : (idx + 1) * sc.d],
                     disturbance_eval(spec, t),
