@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GainConditionViolated
 
 
@@ -18,12 +16,12 @@ class ControllerGains:
     kappa_v: float
 
 
-def validate_gains(gains, B_ff, mode):
+def validate_gains(gains, lam_min, mode):
     """Check the stability hypotheses for the requested mode.
 
     Known/feedback-only mode needs kappa_p, kappa_v > 0.  Adaptive mode
-    additionally needs kappa_v * lambda_min(B_ff) > 1.  Each comparison is
-    written so that NaN fails.
+    additionally needs kappa_v * lam_min > 1, where lam_min is the smallest
+    eigenvalue of B_ff.  Each comparison is written so that NaN fails.
     """
     if not gains.kappa_p > 0:
         raise GainConditionViolated(f"kappa_p = {gains.kappa_p} must be > 0")
@@ -31,7 +29,6 @@ def validate_gains(gains, B_ff, mode):
         raise GainConditionViolated(f"kappa_v = {gains.kappa_v} must be > 0")
     if mode != "adaptive":
         return
-    lam_min = float(np.linalg.eigvalsh(B_ff)[0])
     if not gains.kappa_v * lam_min > 1.0:
         raise GainConditionViolated(
             "adaptive gain condition: kappa_v*lambda_min(B_ff) = "

@@ -47,10 +47,6 @@ class GainConditionViolated(BearingForgeError):
     """A controller gain fails the stability hypotheses."""
 
 
-class DimensionMismatch(BearingForgeError):
-    """Inconsistent array dimensions."""
-
-
 class CollisionDetected(BearingForgeError):
     """Two agents came closer than the collision threshold."""
 

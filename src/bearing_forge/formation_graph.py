@@ -10,13 +10,15 @@ norm and one division, and the bearing Laplacian, the nd x nd block matrix
 whose off-diagonal (i, j) block is -P_{g*_ij} = g g^T - I for each sensing
 edge and whose diagonal block is the sum of the incident projectors, is
 scattered from the (k, d, d) stack of projectors.  Its follower-follower
-partition governs whether the target formation is uniquely localizable from
-the leader anchors.
+partition B_ff governs whether the target formation is uniquely localizable
+from the leader anchors; its eigenvalues are computed once, for that gate,
+the gain gate and the closed-loop spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -273,6 +275,11 @@ class BearingLaplacian:
         k = self.n_l * self.d
         return self.B[k:, k:]
 
+    @cached_property
+    def ff_eigenvalues(self):
+        """Ascending eigenvalues of the symmetric B_ff, computed once."""
+        return np.linalg.eigvalsh(self.B_ff)
+
 
 def build_bearing_laplacian(graph, bearings):
     """Assemble the bearing Laplacian from a graph and its desired bearings:
@@ -293,7 +300,8 @@ def build_bearing_laplacian(graph, bearings):
 def localize_followers(laplacian, p_l_star):
     """Solve the localization problem: follower anchors from leader anchors.
 
-    Returns p_f* = -B_ff^{-1} B_fl p_l* as an (n_f, d) array.
+    Returns p_f* = -B_ff^{-1} B_fl p_l* as an (n_f, d) array.  Raises
+    NotLocalizable when lambda_min(B_ff) < LOCALIZABILITY_TOL.
     """
     d = laplacian.d
     n_f = laplacian.n_f
@@ -304,10 +312,10 @@ def localize_followers(laplacian, p_l_star):
         )
     B_ff = laplacian.B_ff
     B_fl = laplacian.B_fl
-    smin = np.linalg.svd(B_ff, compute_uv=False)[-1] if B_ff.size else 0.0
-    if smin < LOCALIZABILITY_TOL:
+    lam_min = laplacian.ff_eigenvalues[0]
+    if not lam_min >= LOCALIZABILITY_TOL:
         raise NotLocalizable(
-            f"smallest singular value of B_ff is {smin:.3e} < {LOCALIZABILITY_TOL:g}"
+            f"smallest eigenvalue of B_ff is {lam_min:.3e} < {LOCALIZABILITY_TOL:g}"
         )
     p_f = np.linalg.solve(B_ff, -B_fl @ p_l)
     residual = np.linalg.norm(B_ff @ p_f + B_fl @ p_l)

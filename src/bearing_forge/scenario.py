@@ -318,7 +318,7 @@ def compile_scenario(data) -> CompiledScenario:
         kappa_v=_field(ctrl, "controller", "kappa_v", _float),
     )
     with _named("gains"):
-        validate_gains(gains, laplacian.B_ff, mode)
+        validate_gains(gains, laplacian.ff_eigenvalues[0], mode)
 
     rate = _field(ctrl, "controller", "adaptation_rate", _float, default=1.0)
     given = _field(
@@ -327,12 +327,14 @@ def compile_scenario(data) -> CompiledScenario:
     theta_init = _field(
         ctrl, "controller", "theta_hat_init", _ids, followers, _array, default={}
     )
+    # the adaptive-only fields are checked in every mode, so that a wrong
+    # value is never ignored silently
     lambdas = []
     theta_hat0 = []
-    if mode == "adaptive":
-        for i, model in zip(followers, models):
-            m = model.order
-            Lam = np.atleast_2d(given[i]) if i in given else rate * np.eye(m)
+    for i, model in zip(followers, models):
+        m = model.order
+        if i in given:
+            Lam = np.atleast_2d(given[i])
             if Lam.shape != (m, m):
                 raise ValidationError(
                     f"controller.adaptation_gains[{i}]: expected "
@@ -343,18 +345,21 @@ def compile_scenario(data) -> CompiledScenario:
                     f"gains: GainConditionViolated: Lambda for follower {i} "
                     "not symmetric"
                 )
-            if not np.linalg.eigvalsh(Lam)[0] > 0:
-                raise ValidationError(
-                    f"gains: GainConditionViolated: Lambda for follower {i} "
-                    "not positive definite"
-                )
-            lambdas.append(Lam)
-            th0 = theta_init.get(i, np.zeros(m))
-            if th0.shape != (m,):
-                raise ValidationError(
-                    f"controller.theta_hat_init[{i}]: expected {m} entries"
-                )
-            theta_hat0.append(th0)
+            definite = np.linalg.eigvalsh(Lam)[0] > 0
+        else:  # rate I is symmetric, and definite when rate is
+            Lam, definite = rate * np.eye(m), rate > 0
+        if not definite:
+            raise ValidationError(
+                f"gains: GainConditionViolated: Lambda for follower {i} "
+                "not positive definite"
+            )
+        lambdas.append(Lam)
+        th0 = theta_init.get(i, np.zeros(m))
+        if th0.shape != (m,):
+            raise ValidationError(
+                f"controller.theta_hat_init[{i}]: expected {m} entries"
+            )
+        theta_hat0.append(th0)
 
     eta_init = ctrl.get("eta_init", "velocity_feedforward")
     if isinstance(eta_init, dict):

@@ -8,7 +8,7 @@ disturbance.  The engine integrates the full stack
 
 with classical RK4, enforces the no-collision assumption at every step, and
 exposes the quantities the stability proofs reason about: the closed-loop
-system matrix, the xi-transformation, and the Lyapunov certificate.
+spectrum, the xi-transformation, and the Lyapunov certificate.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificateFailed,
-    CollisionDetected,
-    DimensionMismatch,
-    NonFiniteState,
-)
+from .errors import CertificateFailed, CollisionDetected, NonFiniteState
 from .rk4_operator import multiply_adds, operator_step, probe
 
 CHECK_CHUNK = 64                 # steps propagated between vectorised state checks
@@ -126,29 +121,6 @@ class LyapunovCertificate:
     lambda_min_Qc: float         # smallest eigenvalue of Q_c
 
 
-def assemble_A_sigma(B_ff, models, d, gains):
-    """Closed-loop system matrix [[0, I, 0], [-kp B_ff, -kv B_ff, E_f], [0, 0, M_f]]."""
-    B_ff = np.asarray(B_ff, dtype=float)
-    nfd = B_ff.shape[0]
-    if B_ff.shape[0] != B_ff.shape[1]:
-        raise DimensionMismatch("B_ff must be square")
-    if nfd != len(models) * d:
-        raise DimensionMismatch(
-            f"B_ff is {nfd}x{nfd} but {len(models)} models in dimension {d} "
-            f"need {len(models) * d}"
-        )
-    M_f = _block_diag(*[np.kron(m.M, np.eye(d)) for m in models])
-    E_f = _block_diag(*[np.kron(m.E.reshape(1, -1), np.eye(d)) for m in models])
-    q_f = M_f.shape[0]
-    A = np.zeros((2 * nfd + q_f, 2 * nfd + q_f))
-    A[:nfd, nfd : 2 * nfd] = np.eye(nfd)
-    A[nfd : 2 * nfd, :nfd] = -gains.kappa_p * B_ff
-    A[nfd : 2 * nfd, nfd : 2 * nfd] = -gains.kappa_v * B_ff
-    A[nfd : 2 * nfd, 2 * nfd :] = E_f
-    A[2 * nfd :, 2 * nfd :] = M_f
-    return A
-
-
 def _block_diag(*mats):
     """Dense block-diagonal matrix of 2-D blocks."""
     out = np.zeros((sum(a.shape[0] for a in mats), sum(a.shape[1] for a in mats)))
@@ -218,9 +190,32 @@ def _flow(M, times):
     return D[:, None] * _expm(np.multiply.outer(times, B)) / D
 
 
-def spectral_abscissa(A):
-    """Maximum real part of the eigenvalues."""
-    return float(np.linalg.eigvals(A).real.max())
+def closed_loop_spectrum(sc):
+    """Eigenvalues of the closed loop
+    A_sigma = [[0, I, 0], [-kp B_ff, -kv B_ff, E_f], [0, 0, M_f]], in
+    np.sort_complex order.
+
+    A_sigma is block triangular, so its spectrum is that of M_f, which is
+    -1, ..., -m_i, d times each, for every follower i (choose_MN), together
+    with the two roots of lambda^2 + kv mu lambda + kp mu = 0 for each
+    eigenvalue mu of B_ff.  With b = kv mu and c = kp mu, the discriminant
+    is taken as (b - 2 sqrt c)(b + 2 sqrt c), so that no square overflows.
+    Of a real pair, the root of larger magnitude is taken from the quadratic
+    formula and the other is c divided by it, so that neither loses digits
+    to cancellation; a complex pair is -b/2 +- i sqrt(4c - b^2)/2.  Real
+    roots have an imaginary part of +0.
+    """
+    mu = sc.laplacian.ff_eigenvalues
+    b, c = sc.gains.kappa_v * mu, sc.gains.kappa_p * mu
+    s = 2.0 * np.sqrt(c)
+    real = b >= s
+    root = np.sqrt(np.abs(b - s)) * np.sqrt(b + s)           # sqrt|b^2 - 4c|
+    big = -0.5 * (b + root)
+    lam = np.empty((2, len(mu)), dtype=complex)
+    lam.real = np.where(real, [big, c / big], -0.5 * b)
+    lam.imag = np.where(real, 0.0, [0.5 * root, -0.5 * root])
+    M_f = [np.repeat(-np.arange(1.0, m.order + 1), sc.d) for m in sc.models]
+    return np.sort_complex(np.concatenate([lam.ravel(), *M_f]))
 
 
 def _pad_index(sizes, width):

@@ -1,9 +1,11 @@
-"""Shared fixtures: the unit-square formation and scenario builders."""
+"""Shared fixtures: the unit-square formation, scenario builders and the
+dense closed-loop matrix that the closed-form spectrum is checked against."""
 
 import copy
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from bearing_forge.formation_graph import (
     BearingSet,
@@ -92,3 +94,21 @@ def random_formation(rng, n=None, d=None, n_l=2, complete=True):
     graph = SensingGraph(n=n, d=d, n_l=n_l, edges=edges)
     bearings = BearingSet.from_positions(graph, pos)
     return graph, bearings, pos
+
+
+def assemble_A_sigma(B_ff, models, d, gains):
+    """Dense closed-loop matrix [[0, I, 0], [-kp B_ff, -kv B_ff, E_f], [0, 0, M_f]]
+    on (p~_f, v~_f, xi), with M_f = blkdiag(M_i kron I_d) and
+    E_f = blkdiag(E_i kron I_d): the reference for `closed_loop_spectrum`."""
+    B_ff = np.asarray(B_ff, dtype=float)
+    nfd = B_ff.shape[0]
+    M_f = sla.block_diag(*[np.kron(m.M, np.eye(d)) for m in models])
+    E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), np.eye(d)) for m in models])
+    q_f = M_f.shape[0]
+    A = np.zeros((2 * nfd + q_f, 2 * nfd + q_f))
+    A[:nfd, nfd : 2 * nfd] = np.eye(nfd)
+    A[nfd : 2 * nfd, :nfd] = -gains.kappa_p * B_ff
+    A[nfd : 2 * nfd, nfd : 2 * nfd] = -gains.kappa_v * B_ff
+    A[nfd : 2 * nfd, 2 * nfd :] = E_f
+    A[2 * nfd :, 2 * nfd :] = M_f
+    return A

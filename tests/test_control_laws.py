@@ -182,22 +182,22 @@ class TestEtaDot:
 
 
 class TestValidateGains:
-    B = np.diag([2.0, 2.0])  # lambda_min = 2
+    LAM_MIN = 2.0  # smallest eigenvalue of B_ff
 
     def test_known_positive_gains_ok(self):
-        validate_gains(ControllerGains(1.0, 1.0), self.B, "known")
+        validate_gains(ControllerGains(1.0, 1.0), self.LAM_MIN, "known")
 
     def test_kappa_p_zero_rejected(self):
         with pytest.raises(GainConditionViolated):
-            validate_gains(ControllerGains(0.0, 1.0), self.B, "known")
+            validate_gains(ControllerGains(0.0, 1.0), self.LAM_MIN, "known")
 
     def test_adaptive_boundary_rejected(self):
         # kappa_v * lambda_min = 0.5 * 2 = 1 is not strictly greater than 1
         with pytest.raises(GainConditionViolated):
-            validate_gains(ControllerGains(1.0, 0.5), self.B, "adaptive")
+            validate_gains(ControllerGains(1.0, 0.5), self.LAM_MIN, "adaptive")
 
     def test_adaptive_just_above_boundary_ok(self):
-        validate_gains(ControllerGains(1.0, 0.55), self.B, "adaptive")
+        validate_gains(ControllerGains(1.0, 0.55), self.LAM_MIN, "adaptive")
 
     @staticmethod
     def adaptive_scenario(lam):

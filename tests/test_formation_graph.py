@@ -88,6 +88,13 @@ class TestBearingLaplacian:
         smin = np.linalg.svd(square_laplacian.B_ff, compute_uv=False)[-1]
         assert smin > 1e-8
 
+    def test_ff_eigenvalues_computed_once(self, square_laplacian):
+        """B_ff's ascending eigenvalues are computed on first use and kept."""
+        ev = square_laplacian.ff_eigenvalues
+        assert square_laplacian.ff_eigenvalues is ev
+        np.testing.assert_array_equal(ev, np.linalg.eigvalsh(square_laplacian.B_ff))
+        assert np.all(np.diff(ev) >= 0)
+
     def test_missing_bearing(self, square_graph):
         partial = BearingSet({(1, 2): np.array([1.0, 0.0])})
         with pytest.raises(MissingBearing):
@@ -132,6 +139,18 @@ class TestLocalizeFollowers:
         L = build_bearing_laplacian(graph, bearings)
         np.testing.assert_allclose(L.B_ff, [[0.0, 0.0], [0.0, 2.0]], atol=1e-15)
         with pytest.raises(NotLocalizable):
+            localize_followers(L, np.array([[0.0, 0.0], [2.0, 0.0]]))
+
+    def test_not_localizable_names_smallest_eigenvalue(self):
+        """The gate names the smallest eigenvalue of B_ff and the tolerance."""
+        graph = SensingGraph(n=3, d=2, n_l=2, edges=[(1, 3), (2, 3)])
+        bearings = BearingSet(
+            {(3, 1): np.array([1.0, 0.0]), (3, 2): np.array([-1.0, 0.0])}
+        )
+        L = build_bearing_laplacian(graph, bearings)
+        with pytest.raises(
+            NotLocalizable, match=r"^smallest eigenvalue of B_ff is \S+ < 1e-10$"
+        ):
             localize_followers(L, np.array([[0.0, 0.0], [2.0, 0.0]]))
 
     def test_random_recovery(self):

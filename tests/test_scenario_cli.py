@@ -21,14 +21,9 @@ from bearing_forge.scenario import (
     compile_scenario,
     load_scenario,
 )
-from bearing_forge.sim_engine import (
-    assemble_A_sigma,
-    integrate,
-    metrics,
-    spectral_abscissa,
-)
+from bearing_forge.sim_engine import closed_loop_spectrum, integrate, metrics
 
-from conftest import base_scenario_dict
+from conftest import assemble_A_sigma, base_scenario_dict
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -226,9 +221,26 @@ class TestCli:
         path = self.run_scenario_file(tmp_path)
         assert cli.main(["spectrum", path]) == 0
         sc = load_scenario(path)
-        A = assemble_A_sigma(sc.laplacian.B_ff, sc.models, sc.d, sc.gains)
+        abscissa = closed_loop_spectrum(sc).real.max()
         last = capsys.readouterr().out.splitlines()[-1]
-        assert last == f"spectral abscissa: {spectral_abscissa(A):.12e}"
+        assert last == f"spectral abscissa: {abscissa:.12e}"
+        A = assemble_A_sigma(sc.laplacian.B_ff, sc.models, sc.d, sc.gains)
+        dense = np.linalg.eigvals(A).real.max()
+        assert abs(abscissa - dense) <= 1e-12 * abs(dense)
+
+    @pytest.mark.parametrize("kappa_v", ["1", "12"])
+    def test_spectrum_lines(self, capsys, kappa_v):
+        """spectrum prints the 2 n_f d + q_f closed-loop eigenvalues of the
+        square (complex feedback roots at kappa_v 1, real ones at 12), one a
+        line: those of the compensator as exact integers, and every real one
+        with +0 as its imaginary part."""
+        path = bundled_scenario("square_known")
+        assert cli.main(["spectrum", path, "--kappa-v", kappa_v]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert len(lines) == 2 * 4 + 12
+        assert not any(line.endswith("-0.000000000000e+00j") for line in lines)
+        for k in (1, 2, 3):
+            assert lines.count(f"-{k}.000000000000e+00 +0.000000000000e+00j") == 4
 
     def test_localize_prints_followers(self, tmp_path, capsys):
         path = self.run_scenario_file(tmp_path)
@@ -662,6 +674,31 @@ class TestMalformedInput:
         code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert (code, err) == (2, [f"error: {where}: unknown field '{key}'"])
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("theta_hat_init", {"3": [1, 2]}, "theta_hat_init[3]: expected 3 entries"),
+            (
+                "adaptation_gains",
+                {"4": [[-1.0]]},
+                "adaptation_gains[4]: expected 3x3 matrix, got (1, 1)",
+            ),
+        ],
+    )
+    def test_adaptive_fields_checked_in_every_mode(self, tmp_path, field, value, message):
+        """A malformed adaptive-only field is named in known mode too, not
+        ignored because the mode does not use it."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["controller"][field] = value
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert (code, err) == (2, [f"error: controller.{message}"])
+
+    def test_adaptive_scenario_runs_known(self):
+        """The adaptive square's well-formed adaptive fields pass in known mode."""
+        path = bundled_scenario("square_adaptive")
+        assert _main_stderr(["validate", path, "--mode", "known"]) == (0, [])
+
     def test_bearing_off_the_graph_rejected(self, tmp_path):
         """A desired bearing on a pair that is not a sensing edge is an
         error, not ignored."""
@@ -731,32 +768,39 @@ class TestMalformedInput:
 
 
 def _mutation_sites(node, path=()):
-    """(droppable keys, replaceable scalar leaves) below node, as paths."""
-    keys, leaves = [], []
+    """(droppable keys, replaceable scalar leaves, objects of named fields)
+    at and below node, as paths.  An object keyed by agent ids is not one of
+    named fields."""
+    keys, leaves, objects = [], [], []
+    if isinstance(node, dict) and not all(k.isdigit() for k in node):
+        objects.append(path)
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
         if isinstance(node, dict):
             keys.append(path + (key,))
         if isinstance(value, (dict, list)):
-            k, l = _mutation_sites(value, path + (key,))
+            k, l, o = _mutation_sites(value, path + (key,))
             keys += k
             leaves += l
+            objects += o
         else:
             leaves.append(path + (key,))
-    return keys, leaves
+    return keys, leaves, objects
 
 
 def _bundled_sites():
-    keys, leaves = [], []
+    keys, leaves, objects = [], [], []
     for name in ("square_known", "square_adaptive"):
         with open(bundled_scenario(name)) as fh:
-            k, l = _mutation_sites(json.load(fh))
+            k, l, o = _mutation_sites(json.load(fh))
         keys += [(name, p) for p in k]
         leaves += [(name, p) for p in l]
-    return keys, leaves
+        objects += [(name, p) for p in o]
+    return keys, leaves, objects
 
 
-_KEYS, _LEAVES = _bundled_sites()
+_KEYS, _LEAVES, _OBJECTS = _bundled_sites()
+_UNKNOWN = object()              # insert a field that no scenario object has
 # 1e200 reaches overflow in the disturbance realization and the geometry;
 # MAX_STEPS and MAX_SAMPLE_BYTES keep a huge t_final or record_every cheap
 _REPLACEMENTS = [
@@ -770,15 +814,21 @@ _REPLACEMENTS = [
     st.one_of(
         st.tuples(st.sampled_from(_KEYS), st.just(_DROP)),
         st.tuples(st.sampled_from(_LEAVES), st.sampled_from(_REPLACEMENTS)),
+        st.tuples(st.sampled_from(_OBJECTS), st.just(_UNKNOWN)),
     )
 )
 def test_fuzz_mutated_bundled_scenario(mutation):
-    """validate on a bundled scenario with one key dropped or one leaf
-    replaced exits 0 or 2, never raises, and writes at most one stderr line."""
+    """validate on a bundled scenario with one key dropped, one leaf
+    replaced or one unknown field inserted exits 0 or 2, never raises, and
+    writes at most one stderr line; an unknown field always exits 2 and is
+    named."""
     (name, path), value = mutation
     with open(bundled_scenario(name)) as fh:
         data = json.load(fh)
-    _mutate(data, path, value)
+    if value is _UNKNOWN:
+        _mutate(data, path + ("not_a_field",), 1.0)
+    else:
+        _mutate(data, path, value)
     with tempfile.TemporaryDirectory() as tmp:
         scenario = os.path.join(tmp, "s.json")
         with open(scenario, "w") as fh:
@@ -786,3 +836,5 @@ def test_fuzz_mutated_bundled_scenario(mutation):
         code, err = _main_stderr(["validate", scenario])
     assert code in (0, 2)
     assert len(err) <= 1
+    if value is _UNKNOWN:
+        assert code == 2 and "unknown field 'not_a_field'" in err[0]

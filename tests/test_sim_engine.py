@@ -1,30 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from bearing_forge import bundled_scenario
 from bearing_forge.control_laws import ControllerGains
 from bearing_forge.disturbance import DisturbanceSpec, SinusoidTerm, disturbance_eval
-from bearing_forge.errors import (
-    CollisionDetected,
-    DimensionMismatch,
-    NonFiniteState,
-)
+from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
 from bearing_forge.internal_model import InternalModel
 from bearing_forge.scenario import compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     Engine,
-    assemble_A_sigma,
     build_certificate,
+    closed_loop_spectrum,
     integrate,
     lyapunov_monitor,
     metrics,
     _norm,
-    spectral_abscissa,
     xi_oracle,
 )
 
-from conftest import make_scenario, random_formation
+from conftest import assemble_A_sigma, make_scenario, random_formation
+from test_decentralization import sparse_scenario
 from test_engine_equivalence import ReferenceEngine
 
 
@@ -91,12 +90,119 @@ class TestAssembleASigma:
         gains = ControllerGains(kappa_p=1.0, kappa_v=1.0)
         models = [scalar_model(), scalar_model()]
         A = assemble_A_sigma(square_laplacian.B_ff, models, 2, gains)
-        assert spectral_abscissa(A) < 0
+        assert np.linalg.eigvals(A).real.max() < 0
 
-    def test_dimension_mismatch(self):
-        gains = ControllerGains(kappa_p=1.0, kappa_v=1.0)
-        with pytest.raises(DimensionMismatch):
-            assemble_A_sigma(np.eye(3), [scalar_model()], 2, gains)
+
+FIVE_SINUSOIDS = [
+    {"frequency": float(w), "amplitudes": [0.001, 0.0008], "phases": [0.3, -0.5]}
+    for w in range(1, 6)
+]
+# the compiled scenarios the closed forms are checked on: both bundled
+# squares, the mixed-order (3, 1, 5) sparse formation in both feedforward
+# modes, and the square with five sinusoids at follower 3 (order 11)
+CASES = {
+    "square_known": lambda: load_scenario(bundled_scenario("square_known")),
+    "square_adaptive": lambda: load_scenario(bundled_scenario("square_adaptive")),
+    "sparse_known": lambda: sparse_scenario("known"),
+    "sparse_adaptive": lambda: sparse_scenario("adaptive"),
+    "order_11": lambda: make_scenario(disturbances={"3": {"sinusoids": FIVE_SINUSOIDS}}),
+}
+
+
+class TestClosedLoopSpectrum:
+    """closed_loop_spectrum against eigvals of the dense reference A_sigma."""
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_dense_reference(self, case):
+        sc = CASES[case]()
+        eig = closed_loop_spectrum(sc)
+        A = assemble_A_sigma(sc.laplacian.B_ff, sc.models, sc.d, sc.gains)
+        nfd = sc.n_f * sc.d
+        assert eig.shape == (len(A),)
+        np.testing.assert_array_equal(eig, np.sort_complex(eig))
+        # the M_f lines are exactly -1, ..., -m_i, d times each
+        rest = list(eig)
+        for m in sc.models:
+            for k in range(1, m.order + 1):
+                for _ in range(sc.d):
+                    rest.remove(complex(-k, 0.0))
+        # the rest are the feedback roots: eigenvalues of the leading
+        # 2 n_f d block, matched one to one
+        dense = list(np.linalg.eigvals(A[: 2 * nfd, : 2 * nfd]))
+        assert len(rest) == len(dense) == 2 * nfd
+        for lam in rest:
+            k = int(np.argmin(np.abs(np.array(dense) - lam)))
+            assert abs(dense.pop(k) - lam) <= 1e-11 * max(1.0, abs(lam))
+        full = np.linalg.eigvals(A).real.max()
+        assert abs(eig.real.max() - full) <= 1e-12 * abs(full)
+
+    @pytest.mark.parametrize("kappa_v", [1e-200, 1e200])
+    def test_extreme_gains(self, kappa_v):
+        """No square of the quadratic formula overflows or underflows: at
+        kappa_v = 1e-200 the roots are -kv mu / 2 +- i sqrt(kp mu), and at
+        1e200 the slow roots are -kp / kv."""
+        sc = CASES["square_known"]()
+        sc = dataclasses.replace(sc, gains=ControllerGains(1.0, kappa_v))
+        eig = closed_loop_spectrum(sc)
+        assert np.isfinite(eig).all()
+        mu = sc.laplacian.ff_eigenvalues
+        abscissa = -0.5 * kappa_v * mu[0] if kappa_v < 1 else -1.0 / kappa_v
+        assert abs(eig.real.max() - abscissa) <= 1e-15 * abs(abscissa)
+        if kappa_v < 1:
+            np.testing.assert_allclose(eig.imag.max(), np.sqrt(mu[-1]), rtol=1e-15)
+
+
+LINEARISATION_TOL = 1e-12        # relative to the largest entry of the reference
+
+
+class TestEngineLinearisation:
+    """The engine's own linearisation at the formation equilibrium is
+    blkdiag(A_sigma, Phi_f) in the coordinates (p~_f, v~_f, xi, vartheta),
+    xi = eta + T_f vartheta - N_f v_f, with a zero block for theta_hat in
+    adaptive mode: the structure that closed_loop_spectrum reads."""
+
+    @staticmethod
+    def equilibrium(sc, eng):
+        """p = p*(0), v_f = v_c, eta_i = N_i kron v_c, vartheta = 0 and, in
+        adaptive mode, theta_hat = E."""
+        y = np.zeros(eng.dim)
+        y[eng.i_p : eng.i_vf] = sc.p_star0.ravel()
+        y[eng.i_vf : eng.i_eta] = np.tile(sc.v_c, sc.n_f)
+        y[eng.i_eta : eng.i_var] = np.concatenate([np.kron(m.N, sc.v_c) for m in sc.models])
+        if eng.K:
+            y[eng.i_th :] = np.concatenate([m.E for m in sc.models])
+        return y
+
+    @pytest.mark.parametrize("case", [c for c in CASES if c != "order_11"])
+    def test_jacobian_is_block_diagonal(self, case):
+        sc = CASES[case]()
+        eng = Engine(sc)
+        A, b, C, c, D = eng.product_form()
+        z = C @ self.equilibrium(sc, eng) + c
+        n_p = eng.n_prod
+        z_a, z_b = z[:n_p], z[n_p:]
+        J = A + D @ (z_b[:, None] * C[:n_p] + z_a[:, None] * C[n_p:])
+        keep = slice(sc.n_l * sc.d, None)                     # drop the leaders
+        J = J[keep, keep]
+
+        d, nfd, q_f = sc.d, sc.n_f * sc.d, eng.q_f
+        eye = np.eye(d)
+        N_f = sla.block_diag(*[np.kron(m.N.reshape(-1, 1), eye) for m in sc.models])
+        T_f = sla.block_diag(*[np.kron(m.T, eye) for m in sc.models])
+        Phi_f = sla.block_diag(*[np.kron(e.Phi, eye) for e in sc.exos])
+        # S maps (p_f, v_f, eta, vartheta, theta_hat) to (p~_f, v~_f, xi,
+        # vartheta, theta_hat), up to the constant offsets
+        S = np.eye(len(J))
+        S[2 * nfd : 2 * nfd + q_f, nfd : 2 * nfd] = -N_f
+        S[2 * nfd : 2 * nfd + q_f, 2 * nfd + q_f : 2 * nfd + 2 * q_f] = T_f
+        got = S @ J @ np.linalg.inv(S)
+        want = sla.block_diag(
+            assemble_A_sigma(sc.laplacian.B_ff, sc.models, d, sc.gains),
+            Phi_f,
+            np.zeros((eng.K, eng.K)),
+        )
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= LINEARISATION_TOL * np.abs(want).max()
 
 
 class TestEngineRhs:
@@ -335,8 +441,6 @@ class TestLyapunovMonitor:
         p_t = (sc.p0[sc.n_l :] - sc.p_star0[sc.n_l :]).ravel()
         v_t = (sc.v_f0 - sc.v_c).ravel()
         x = np.concatenate([p_t, v_t])
-        import scipy.linalg as sla
-
         T_blk = sla.block_diag(
             *[np.kron(m.T, np.eye(sc.d)) for m in sc.models]
         )
