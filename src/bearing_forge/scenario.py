@@ -333,22 +333,18 @@ def compile_scenario(data) -> CompiledScenario:
     theta_hat0 = []
     for i, model in zip(followers, models):
         m = model.order
-        if i in given:
-            Lam = np.atleast_2d(given[i])
-            if Lam.shape != (m, m):
-                raise ValidationError(
-                    f"controller.adaptation_gains[{i}]: expected "
-                    f"{m}x{m} matrix, got {Lam.shape}"
-                )
-            if not np.allclose(Lam, Lam.T, atol=1e-12):
-                raise ValidationError(
-                    f"gains: GainConditionViolated: Lambda for follower {i} "
-                    "not symmetric"
-                )
-            definite = np.linalg.eigvalsh(Lam)[0] > 0
-        else:  # rate I is symmetric, and definite when rate is
-            Lam, definite = rate * np.eye(m), rate > 0
-        if not definite:
+        Lam = np.atleast_2d(given[i]) if i in given else rate * np.eye(m)
+        if Lam.shape != (m, m):
+            raise ValidationError(
+                f"controller.adaptation_gains[{i}]: expected "
+                f"{m}x{m} matrix, got {Lam.shape}"
+            )
+        if not np.allclose(Lam, Lam.T, atol=1e-12):
+            raise ValidationError(
+                f"gains: GainConditionViolated: Lambda for follower {i} "
+                "not symmetric"
+            )
+        if not np.linalg.eigvalsh(Lam)[0] > 0:
             raise ValidationError(
                 f"gains: GainConditionViolated: Lambda for follower {i} "
                 "not positive definite"
