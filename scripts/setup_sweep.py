@@ -4,21 +4,25 @@
 Each formation (n = 8, 16, 32, 64 and 128 agents, so 28 to 8128 edges)
 comes from the generator of the ``swarm_adaptive`` benchmark workload
 (``perfbench/swarm.py``, used as it is, with its agent count set per size)
-at SEED, switched to known mode and written to a scenario file.  For each
-size a fresh child process imports the package from a source tree, loads
-the file once to warm up and then REPEATS times, and times each load
-(`load_scenario`: parse, compile and every load-time check) and each
+at SEED, switched to known mode and written to a scenario file.  Each
+measurement is a fresh child process that imports the package from a source
+tree, loads the file once to warm up and then LOADS times, and times each
+load (`load_scenario`: parse, compile and every load-time check) and each
 `BearingSet.from_positions` and `build_bearing_laplacian` of the compiled
-graph; the median CPU time of each is kept.
+graph; it reports the median CPU time of each.  The sweep makes ROUNDS such
+measurements per size and tree, and keeps their median.
 
     python3 scripts/setup_sweep.py [--baseline PARENT/src] [--out BENCH_setup_sweep.json]
 
 With ``--baseline``, the same is measured for a second source tree, ``src``
-of a checkout of the parent commit, recorded as ``parent``; the two trees
-take turns per size, and the ratio of the medians is recorded.  Each tree is
-identified by the SHA-256 of its Python files.  Run from anywhere; it runs
-with one BLAS thread, as the benchmark does, and takes about 5 s with
-``--baseline`` on a 2-core Xeon.
+of a checkout of the parent commit, recorded as ``parent``.  The two trees
+take turns within each round, first one and then the other in alternate
+rounds, and each round gives one ratio parent / this tree per quantity; the
+median ratio is recorded as ``speedup`` and the least and largest ratio
+beside it as ``speedup_range``, so that a ratio whose range straddles 1 is
+seen to be host noise.  Each tree is identified by the SHA-256 of its
+Python files.  Run from anywhere; it runs with one BLAS thread, as the
+benchmark does, and takes about 30 s with ``--baseline`` on a 2-core Xeon.
 
 ``scripts/stepper_sweep.py`` takes its formations, BLAS pinning (on import,
 before NumPy loads), environment record and JSON writer from here.
@@ -43,7 +47,8 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7                         # the seed of the swarm_adaptive workload's formation
 SIZES = (8, 16, 32, 64, 128)
-REPEATS = 5                      # timed loads per size and tree; the median is kept
+ROUNDS = 7                       # child processes per size and tree; the median is kept
+LOADS = 5                        # timed loads per child; the median is kept
 
 
 def formation(n_agents, mode):
@@ -71,7 +76,7 @@ def child(src, path):
 
     sc = load_scenario(path)
     load, bearing, laplacian = [], [], []
-    for _ in range(REPEATS):
+    for _ in range(LOADS):
         start = time.process_time()
         sc = load_scenario(path)
         load.append(time.process_time() - start)
@@ -93,7 +98,7 @@ def measure(src, path):
         [sys.executable, __file__, "--child", str(src), str(path)],
         check=True, capture_output=True, text=True,
     ).stdout
-    return {k: round(v, 6) for k, v in json.loads(out).items()}
+    return json.loads(out)
 
 
 def tree_sha256(src):
@@ -151,13 +156,26 @@ def main(argv=None):
         for n_agents in SIZES:
             path = Path(tmp) / f"complete_{n_agents}.json"
             path.write_text(json.dumps(formation(n_agents, "known")))
+            runs = {name: [] for name in trees}
+            for k in range(ROUNDS):
+                for name in list(trees)[:: 1 if k % 2 == 0 else -1]:
+                    runs[name].append(measure(trees[name], path))
             row = {"n_agents": n_agents, "edges": n_agents * (n_agents - 1) // 2}
-            for name, src in trees.items():
-                row[name] = measure(src, path)
+            for name, results in runs.items():
+                row[name] = {
+                    key: round(statistics.median(r[key] for r in results), 6)
+                    for key in results[0]
+                }
             if args.baseline:
-                row["speedup"] = {
-                    key: round(row["parent"][key] / row["this_tree"][key], 2)
+                ratios = {
+                    key: [p[key] / t[key] for p, t in zip(runs["parent"], runs["this_tree"])]
                     for key in row["this_tree"]
+                }
+                row["speedup"] = {
+                    key: round(statistics.median(r), 2) for key, r in ratios.items()
+                }
+                row["speedup_range"] = {
+                    key: [round(min(r), 2), round(max(r), 2)] for key, r in ratios.items()
                 }
             rows.append(row)
             print(json.dumps(row), flush=True)
@@ -167,8 +185,11 @@ def main(argv=None):
         "environment": environment(),
         "seed": SEED,
         "mode": "known",
-        "repeats": REPEATS,
-        "statistic": "median CPU time (time.process_time) per call, s",
+        "rounds": ROUNDS,
+        "loads_per_round": LOADS,
+        "statistic": "median over rounds of each child's median CPU time "
+        "(time.process_time) per call, s; speedup is the median of the "
+        "per-round ratios parent / this tree, speedup_range their least and largest",
         "trees": {name: {"src_sha256": tree_sha256(src)} for name, src in trees.items()},
         "rows": rows,
     }

@@ -1,12 +1,16 @@
-"""Time of one operator RK4 step against one staged RK4 step, over formation
-size, in known and adaptive mode.
+"""Time per step of the operator stepper against the staged stepper, over
+formation size, in known and adaptive mode, as `integrate` runs them: one
+chunk advance of CHECK_CHUNK states at a time.
 
 Each formation comes from the seeded generator of the ``swarm_adaptive``
 benchmark workload (``perfbench/swarm.py``, used as it is, with its agent
 count set per size, at the seed of ``scripts/setup_sweep.py``), compiled
-once per mode.  For each one the script times
-``Engine.operator_step`` and ``Engine.rk4`` from the same initial state and
-records the operator step's multiply-add count, ``Engine.operator_macs``.
+once per mode.  For each one the script times the chunk advances of
+``Engine.operator_step`` (doubling in known mode, one step at a time in
+adaptive mode) and of ``Engine.rk4`` from the same initial state, and
+records the operator step's multiply-add count, ``Engine.operator_macs``,
+and its build time: ``Engine.operator_step()`` and the first chunk, which
+squares the powers in known mode, less one median chunk.
 ``sim_engine.OPERATOR_MAX_MACS``, the count below which ``integrate`` takes
 the operator step, is set from the crossover this sweep finds.
 
@@ -25,51 +29,57 @@ import time
 # before anything loads NumPy: importing setup_sweep pins BLAS to one thread
 from setup_sweep import ROOT, SEED, environment, formation, write_json
 
+import numpy as np  # noqa: E402
+
 sys.path.insert(0, str(ROOT / "src"))
 
 from bearing_forge.scenario import compile_scenario  # noqa: E402
-from bearing_forge.sim_engine import OPERATOR_MAX_MACS, Engine  # noqa: E402
+from bearing_forge.sim_engine import CHECK_CHUNK, OPERATOR_MAX_MACS, Engine  # noqa: E402
 
 # agent counts per mode; state dim is 19 n - 34 (adaptive) and 16 n - 28
-# (known) with the generator's one sinusoid and constant per follower
+# (known) with the generator's one sinusoid and constant per follower.
+# 41 agents is the largest known formation below OPERATOR_MAX_MACS.
 SIZES = {
     "adaptive": (4, 6, 8, 10, 12, 14, 16, 20, 24),
-    "known": (8, 16, 24, 32, 40, 48, 56, 64),
+    "known": (8, 16, 24, 32, 41, 48, 56, 64, 72, 80),
 }
-STEPS = 200                      # steps per timed stretch
-REPEATS = 9                      # timed stretches per stepper; the median is kept
+CHUNKS = 3                       # chunk advances per timed stretch
+REPEATS = 7                      # timed stretches per stepper; the median is kept
 
 
-def us_per_step(steppers, y0):
-    """Median over REPEATS stretches of STEPS steps from y0, in µs per step,
-    for each stepper; the steppers take turns, so that a change of host
-    speed during the sweep reaches all of them alike."""
-    times = [[] for _ in steppers]
+def us_per_step(advances, y0):
+    """Median over REPEATS stretches of CHUNKS chunk advances from y0, in µs
+    per step, for each advance; the advances take turns, so that a change
+    of host speed during the sweep reaches all of them alike."""
+    out = np.empty((CHECK_CHUNK, len(y0)))
+    times = [[] for _ in advances]
     for _ in range(REPEATS):
-        for step, out in zip(steppers, times):
+        for advance, spent in zip(advances, times):
             y = y0
             start = time.perf_counter()
-            for _ in range(STEPS):
-                y = step(y)
-            out.append((time.perf_counter() - start) / STEPS * 1e6)
-    return [round(statistics.median(t), 1) for t in times]
+            for _ in range(CHUNKS):
+                y = advance(y, out)
+            spent.append((time.perf_counter() - start) / (CHUNKS * CHECK_CHUNK))
+    return [statistics.median(t) * 1e6 for t in times]
 
 
 def measure(n_agents, mode):
     eng = Engine(compile_scenario(formation(n_agents, mode)))
+    y0 = eng.initial_state()
     start = time.perf_counter()
     operator = eng.operator_step()
-    build_s = time.perf_counter() - start
-    operator_us, staged_us = us_per_step([operator, eng.rk4()], eng.initial_state())
+    operator(y0, np.empty((CHECK_CHUNK, eng.dim)))
+    first_s = time.perf_counter() - start
+    operator_us, staged_us = us_per_step([operator, eng.rk4()], y0)
     return {
         "mode": mode,
         "n_agents": n_agents,
         "dim": eng.dim,
         "n_prod": eng.n_prod,
         "operator_macs": eng.operator_macs,
-        "operator_build_s": round(build_s, 4),
-        "operator_us_per_step": operator_us,
-        "staged_us_per_step": staged_us,
+        "operator_build_s": round(first_s - operator_us * CHECK_CHUNK * 1e-6, 4),
+        "operator_us_per_step": round(operator_us, 1),
+        "staged_us_per_step": round(staged_us, 1),
         "operator_faster": operator_us < staged_us,
     }
 
@@ -100,12 +110,17 @@ def main(argv=None):
         "command": "python3 scripts/stepper_sweep.py",
         "environment": environment(),
         "seed": SEED,
-        "steps_per_stretch": STEPS,
+        "steps_per_stretch": CHUNKS * CHECK_CHUNK,
         "stretches": REPEATS,
         "operator_max_macs": OPERATOR_MAX_MACS,
         "crossover": {
             mode: crossover([r for r in rows if r["mode"] == mode]) for mode in SIZES
         },
+        "largest_known_below_bound": max(
+            (r for r in rows
+             if r["mode"] == "known" and r["operator_macs"] < OPERATOR_MAX_MACS),
+            key=lambda r: r["dim"],
+        ),
         "rows": rows,
     }
     write_json(args.out, result)

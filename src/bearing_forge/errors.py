@@ -48,15 +48,23 @@ class GainConditionViolated(BearingForgeError):
 
 
 class CollisionDetected(BearingForgeError):
-    """Two agents came closer than the collision threshold."""
+    """Two agents came closer than the collision threshold: at the step at
+    `time`, or, when `until` is set, between the steps at `time` and
+    `until` while both steps kept clear."""
 
-    def __init__(self, time, pair, distance):
+    def __init__(self, time, pair, distance, until=None):
         self.time = time
         self.pair = pair
         self.distance = distance
+        self.until = until
+        when = (
+            f"at t={time:.6f}"
+            if until is None
+            else f"between t={time:.6f} and t={until:.6f}"
+        )
         super().__init__(
             f"agents {pair[0]} and {pair[1]} at distance {distance:.3e} "
-            f"(below threshold) at t={time:.6f}"
+            f"(below threshold) {when}"
         )
 
 

@@ -6,21 +6,30 @@ disturbance.  The engine integrates the full stack
 
     [p (all agents) | v_f | eta_f | vartheta_f | theta_hat_f]
 
-with classical RK4, enforces the no-collision assumption at every step, and
+with classical RK4, enforces the no-collision assumption at every step and
+between steps, and
 exposes the quantities the stability proofs reason about: the closed-loop
 spectrum, the xi-transformation, and the Lyapunov certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificateFailed, CollisionDetected, NonFiniteState
-from .rk4_operator import multiply_adds, operator_step, probe
+from .rk4_operator import looped, multiply_adds, operator_step, probe
 
-CHECK_CHUNK = 64                 # steps propagated between vectorised state checks
+# integrate advances CHECK_CHUNK states at a time, by doubling in the linear
+# modes (a power of two, so a chunk takes one matrix-vector and
+# log2(CHECK_CHUNK) matrix products), and then checks the chunk's states and
+# the segments between them in one pass
+CHECK_CHUNK = 64
+# relative slack of the broad phase's bound on pair distances, far above the
+# rounding of the few operations that form it
+_REACH_SLACK = 1e-12
 # integrate takes Engine.operator_step when one step of it costs fewer
 # multiply-adds (Engine.operator_macs, from rk4_operator.multiply_adds) than
 # this, and the staged Engine.rk4 otherwise: the dense operators grow as
@@ -399,7 +408,8 @@ class Engine:
         return tw.sum(axis=1, keepdims=True), ws.sum(axis=2, keepdims=True)
 
     def rk4(self):
-        """One classical RK4 step of size sc.h, taken stage by stage through rhs."""
+        """The chunk advance of classical RK4 steps of size sc.h, each taken
+        stage by stage through rhs."""
         rhs, h = self.rhs, self.sc.h
 
         def step(y):
@@ -409,7 +419,7 @@ class Engine:
             k4 = rhs(y + h * k3)
             return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        return step
+        return looped(step)
 
     def product_form(self):
         """(A, b, C, c, D) such that rhs(y) = A y + b + D (z_a * z_b) with
@@ -431,8 +441,9 @@ class Engine:
         return A, b, C, c, D
 
     def operator_step(self):
-        """One classical RK4 step of size sc.h in product coordinates, exact up
-        to rounding: `rk4_operator.operator_step` of the `product_form`."""
+        """The chunk advance of classical RK4 steps of size sc.h in product
+        coordinates, exact up to rounding: `rk4_operator.operator_step` of
+        the `product_form`."""
         return operator_step(*self.product_form(), self.sc.h)
 
 
@@ -440,44 +451,103 @@ class Engine:
 def integrate(sc: CompiledScenario):
     """Run the closed loop with classical RK4 and record a Trajectory.
 
-    Each step is Engine.operator_step when its multiply-add count is below
-    OPERATOR_MAX_MACS, and the staged Engine.rk4 otherwise.  States are
-    propagated CHECK_CHUNK steps at a time, and then every step
-    of the chunk is checked at once.  Raises NonFiniteState on divergence
+    The stepper is Engine.operator_step when one step of it costs fewer
+    multiply-adds than OPERATOR_MAX_MACS, and the staged Engine.rk4
+    otherwise.  It advances CHECK_CHUNK states at a time, and then the chunk
+    is checked in one pass (`check`).  Raises NonFiniteState on divergence
     and CollisionDetected when two agents come within the collision
-    threshold, at the first step that fails; a step that fails both reports
-    the divergence.  Overflow on the way to a non-finite state is expected
+    threshold, at the first step that fails or between two steps that do
+    not, whichever comes first; a step that fails both ways reports the
+    divergence.  Overflow on the way to a non-finite state is expected
     there, so NumPy's overflow and invalid-value warnings are silenced.
     """
-    h = sc.h
+    h, eps = sc.h, sc.collision_eps
     eng = Engine(sc)
     n_steps = int(round(sc.t_final / h))
     n, d = eng.n, eng.d
     iu, ju = np.triu_indices(n, 1)
+    sqrt_d = math.sqrt(d)
 
-    def check(block, first):
-        """Minimum pair distance of each state block[c], taken at step
-        first + c; raises at the first state that fails."""
-        rows = block.shape[0]
-        pm = block[:, eng.i_p : eng.i_vf].reshape(rows, n, d)
-        sq = 0.0
-        for a in range(d):  # per coordinate, to avoid a (rows, pairs, d) gather
-            x = pm[:, :, a]
-            diff = x[:, iu] - x[:, ju]
-            sq = sq + diff * diff
-        dist = np.sqrt(sq)
-        k = dist.argmin(axis=1)
-        dmin = dist[np.arange(rows), k]
-        diverged = ~np.isfinite(block).all(axis=1)
-        failed = diverged | (dmin < sc.collision_eps)
-        if failed.any():
-            c = int(failed.argmax())
-            t = (first + c) * h
-            if diverged[c]:
+    def positions_of(states):
+        return states[..., eng.i_p : eng.i_vf].reshape(*states.shape[:-1], n, d)
+
+    def distances(pm, i=iu, j=ju):
+        """Distances of the pairs (i, j) in each position stack pm (..., n, d),
+        the squares summed one coordinate after another."""
+        diff = pm[..., i, :] - pm[..., j, :]
+        sq = diff * diff
+        acc = sq[..., 0]
+        for a in range(1, d):
+            acc = acc + sq[..., a]
+        return np.sqrt(acc)
+
+    def check(prev, bound, block, first):
+        """Clear the states block[c], taken at step first + c, and the
+        segments between consecutive states, from prev (step first - 1, no
+        two agents closer than bound) of divergence and contact, and return
+        a bound for the last state; raise at the first failure.
+
+        A broad phase clears pairs without forming their distances.  Let
+        delta_i be agent i's largest displacement over the chunk, relative
+        to agent 1 (a common translation moves no pair); agent i stays
+        within it on the segments too, as a ball is convex.  So a pair
+        d0 apart at prev, with d0 - delta_i - delta_j at or above the
+        threshold, never comes within it.  A relative slack keeps each bound
+        below any distance the exact test could round to.  First, bound and
+        the largest delta_i clear every pair at once; otherwise d0 is formed,
+        and the pairs it does not clear are tested at every state, and
+        between states by the closest approach on each segment, a clamped
+        quadratic in the segment's parameter (Ericson, Real-Time Collision
+        Detection, 2004, ch. 5).
+        """
+        rows = len(block)
+        p0, pm = positions_of(prev), positions_of(block)
+        moved = pm - p0
+        moved = moved - moved[:, :1]
+        lo, hi = 1.0 - _REACH_SLACK, 1.0 + _REACH_SLACK
+        # sqrt(d) times the largest coordinate step bounds every delta_i; a
+        # NaN (a non-finite state) fails the test
+        low = bound * lo - 2.0 * sqrt_d * np.abs(moved).max() * hi
+        if low >= eps and math.isfinite(block.sum()):
+            return low
+        d0 = distances(p0)
+        delta = np.sqrt((moved * moved).sum(axis=2).max(axis=0))
+        reach = delta[iu] + delta[ju]
+        near = ~(d0 * lo - reach * hi >= eps)
+        i, j = iu[near], ju[near]
+        dist = distances(pm, i, j)                        # (rows, candidates)
+        failed = ~np.isfinite(block).all(axis=1) | (dist < eps).any(axis=1)
+        stop = int(failed.argmax()) if failed.any() else rows
+
+        # segment c runs from state c - 1 (prev for c = 0) to state c; those
+        # up to the first failing state are tested, inside only, as their
+        # ends are states
+        rel = pm[:stop, i] - pm[:stop, j]                 # (stop, candidates, d)
+        a = np.concatenate([(p0[i] - p0[j])[None], rel[:-1]])[:stop]
+        e = rel - a
+        ee = (e * e).sum(axis=2)
+        s = np.divide(-(a * e).sum(axis=2), ee, out=np.zeros_like(ee), where=ee > 0)
+        gap = a + s[..., None] * e
+        closest = np.sqrt((gap * gap).sum(axis=2))
+        touch = (s > 0) & (s < 1) & (closest < eps)
+        if touch.any():
+            c = int(touch.any(axis=1).argmax())
+            k = int(np.where(touch[c], closest[c], np.inf).argmin())
+            raise CollisionDetected(
+                (first + c - 1) * h,
+                (int(i[k]) + 1, int(j[k]) + 1),
+                float(closest[c, k]),
+                until=(first + c) * h,
+            )
+        if stop < rows:
+            t = (first + stop) * h
+            if not np.isfinite(block[stop]).all():
                 raise NonFiniteState(f"non-finite state component at t={t:.6f}")
-            pair = (int(iu[k[c]]) + 1, int(ju[k[c]]) + 1)
-            raise CollisionDetected(t, pair, float(dmin[c]))
-        return dmin
+            k = int(dist[stop].argmin())
+            raise CollisionDetected(
+                t, (int(i[k]) + 1, int(j[k]) + 1), float(dist[stop, k])
+            )
+        return distances(pm[-1]).min()
 
     rec_steps = np.append(np.arange(0, n_steps, sc.record_every), n_steps)
     samples = np.empty((rec_steps.size, eng.dim))
@@ -485,22 +555,25 @@ def integrate(sc: CompiledScenario):
     block = np.empty((CHECK_CHUNK, eng.dim))
 
     def run(advance):
-        """Fill samples and dists, one step at a time through advance."""
+        """Fill samples and dists, a chunk at a time through advance.  All
+        pair distances are formed only at the recorded states, and where
+        the broad phase cannot clear a chunk."""
         y = eng.initial_state()
         samples[0] = y
-        dists[0] = check(y[None, :], 0)[0]
+        dists[0] = bound = distances(positions_of(y)).min()
+        bound = check(y, bound, y[None, :], 0)
         s, done = 1, 0
         while done < n_steps:
             rows = min(CHECK_CHUNK, n_steps - done)
-            for c in range(rows):
-                y = advance(y)
-                block[c] = y
-            dmin = check(block[:rows], done + 1)
-            while s < rec_steps.size and rec_steps[s] <= done + rows:
-                samples[s] = block[rec_steps[s] - done - 1]
-                dists[s] = dmin[rec_steps[s] - done - 1]
-                s += 1
-            done += rows
+            chunk = block[:rows]
+            y_next = advance(y, chunk)
+            bound = check(y, bound, chunk, done + 1)
+            end = int(rec_steps.searchsorted(done + rows, side="right"))
+            if end > s:
+                rec = rec_steps[s:end] - done - 1
+                samples[s:end] = chunk[rec]
+                dists[s:end] = distances(positions_of(chunk[rec])).min(axis=1)
+            s, y, done = end, y_next, done + rows
 
     operator = eng.operator_macs < OPERATOR_MAX_MACS
     try:
@@ -586,8 +659,9 @@ def build_certificate(B_ff, gains, models, d):
     identity with the feedback block, G_c solves G M_f + M_f^T G = -I, and
     gamma exceeds the Schur-complement threshold by 1 percent.
     M_f = blkdiag(M_i kron I_d) is block diagonal, so G_c = blkdiag(G_i kron I_d)
-    with one m_i x m_i equation G_i M_i + M_i^T G_i = -I per follower, solved
-    as (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).
+    with one m_i x m_i equation G_i M_i + M_i^T G_i = -I per distinct M_i
+    (choose_MN makes M_i depend only on the order), solved as
+    (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).
     """
     B_ff = np.asarray(B_ff, dtype=float)
     nfd = B_ff.shape[0]
@@ -599,16 +673,18 @@ def build_certificate(B_ff, gains, models, d):
     for name, lam in (("Q_c", lam_Q), ("P_c", np.linalg.eigvalsh(P_c)[0])):
         if lam <= 0:
             raise CertificateFailed(f"{name} is not positive definite")
-    blocks = []
+    solved = {}                  # G_i kron I_d, one solve per distinct M_i
     for model in models:
-        m, eye = model.order, np.eye(model.order)
-        op = np.kron(eye, model.M.T) + np.kron(model.M.T, eye)
-        G = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
-        G = 0.5 * (G + G.T)
-        if np.linalg.eigvalsh(G)[0] <= 0:
-            raise CertificateFailed("G_c is not positive definite")
-        blocks.append(np.kron(G, np.eye(d)))
-    G_c = _block_diag(*blocks)
+        key = model.M.tobytes()
+        if key not in solved:
+            m, eye = model.order, np.eye(model.order)
+            op = np.kron(eye, model.M.T) + np.kron(model.M.T, eye)
+            G = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
+            G = 0.5 * (G + G.T)
+            if np.linalg.eigvalsh(G)[0] <= 0:
+                raise CertificateFailed("G_c is not positive definite")
+            solved[key] = np.kron(G, np.eye(d))
+    G_c = _block_diag(*[solved[model.M.tobytes()] for model in models])
     # PBE = P_c B_c E_f with B_c = [0; I]; E_f E_f^T = diag(|E_i|^2 kron 1_d)
     Pb = P_c[:, nfd:]
     e2 = np.repeat([model.E @ model.E for model in models], d)

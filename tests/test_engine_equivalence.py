@@ -16,6 +16,7 @@ dense block-diagonal M_f and E_f.
 
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ import scipy.linalg as sla
 from bearing_forge import bundled_scenario
 from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
+from bearing_forge.rk4_operator import rk4_map
 from bearing_forge.scenario import compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     CHECK_CHUNK,
@@ -436,6 +438,131 @@ def test_divergence_matches_reference(mode):
     assert round(float(str(ref_info.value).split("t=")[1]) / sc.h) > CHECK_CHUNK
 
 
+def pair_distances(positions):
+    """All pair distances of each state (S, n, d) in the order of
+    np.triu_indices, the squares summed one coordinate after another."""
+    iu, ju = np.triu_indices(positions.shape[1], 1)
+    sq = 0.0
+    for a in range(positions.shape[2]):
+        diff = positions[:, iu, a] - positions[:, ju, a]
+        sq = sq + diff * diff
+    return np.sqrt(sq)
+
+
+def square_with_sinusoids(r, t_final=50.0):
+    """The bundled known square with r sinusoids and a constant rejected by
+    each follower (order 2 r + 1)."""
+    with open(bundled_scenario("square_known")) as fh:
+        data = json.load(fh)
+    for agent, freqs in (("3", [0.5, 1.2, 2.0]), ("4", [0.8, 1.6, 2.4])):
+        data["disturbances"][agent]["sinusoids"] = [
+            {"frequency": w, "amplitudes": [1e-3, 8e-4], "phases": [0.3 * k, -0.5]}
+            for k, w in enumerate(freqs[:r])
+        ]
+    data["integration"]["t_final"] = t_final
+    return compile_scenario(data)
+
+
+LINEAR_CASES = {
+    "square_known_50s": lambda: load_scenario(bundled_scenario("square_known")),
+    "square_r3_known_50s": lambda: square_with_sinusoids(3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+def test_chunked_linear_matches_stepwise(case):
+    """integrate's chunks, made by doubling with the powers of the augmented
+    R, against y+ = R y + r one step at a time over the whole horizon, on
+    every recorded quantity (a chunk of 64 states from 7 products against
+    64 matrix-vector products)."""
+    sc = LINEAR_CASES[case]()
+    eng = Engine(sc)
+    assert eng.n_prod == 0 and eng.operator_macs < OPERATOR_MAX_MACS
+    R, r = rk4_map(*eng.product_form(), sc.h)[:2]
+    n_steps = round(sc.t_final / sc.h)
+    y = eng.initial_state()
+    states = [y]
+    for step in range(1, n_steps + 1):
+        y = R @ y + r
+        if step % sc.record_every == 0 or step == n_steps:
+            states.append(y)
+    ref = np.array(states)
+    traj = integrate(sc)
+    S = len(traj.times)
+    assert ref.shape == (S, eng.dim)
+    assert_close(traj.positions.reshape(S, -1), ref[:, eng.i_p : eng.i_vf])
+    assert_close(
+        traj.velocities[:, sc.n_l :].reshape(S, -1), ref[:, eng.i_vf : eng.i_eta]
+    )
+    assert_close(traj.eta, ref[:, eng.i_eta : eng.i_var])
+    assert_close(traj.vartheta, ref[:, eng.i_var : eng.i_th])
+    n, d = sc.n, sc.d
+    ref_dist = pair_distances(ref[:, eng.i_p : eng.i_vf].reshape(S, n, d))
+    assert_close(traj.min_dist, ref_dist.min(axis=1))
+
+
+def crossing(mode, t_final=0.1):
+    """Follower 3 starts 0.015 behind leader 2 and 2e-4 beside its path,
+    30 units faster: it passes the leader inside the first step."""
+    return make_scenario(
+        geometry={
+            "initial_positions": {"3": [0.985, 2e-4]},
+            "initial_velocities": {"3": [30.5, 0.0]},
+        },
+        controller={"mode": mode, "kappa_v": 4.0},
+        integration={"t_final": t_final},
+    )
+
+
+@pytest.mark.parametrize("mode", ["known", "adaptive"])
+def test_crossing_within_one_step_is_a_collision(mode):
+    """Both states of the first step keep the agents 0.015 apart, so the
+    per-state reference passes that step; the closest approach on the
+    segment between them is below the threshold, and names the step's
+    two ends, the pair and that distance."""
+    sc = crossing(mode)
+    ref = reference_integrate(dataclasses.replace(crossing(mode, sc.h), record_every=1))
+    assert ref.min_dist.min() > 10 * sc.collision_eps
+    with pytest.raises(CollisionDetected) as info:
+        integrate(sc)
+    exc = info.value
+    assert (exc.time, exc.until, exc.pair) == (0.0, sc.h, (2, 3))
+    gap = ref.positions[:, 2] - ref.positions[:, 1]           # (2, d)
+    e = gap[1] - gap[0]
+    closest = np.linalg.norm(gap[0] - (gap[0] @ e) / (e @ e) * e)
+    assert abs(exc.distance - closest) <= 1e-12
+    assert exc.distance < sc.collision_eps
+    assert str(exc).endswith("between t=0.000000 and t=0.001000")
+
+
+@pytest.mark.parametrize("mode", ["known", "adaptive"])
+def test_tight_broad_phase_without_contact(mode):
+    """Follower 3 overtakes leader 2 about 5e-3 beside its path: within the
+    first chunk its displacement exceeds their starting distance, so the
+    broad phase's bound falls below the threshold, yet no state and no
+    segment comes within it.  The run completes, and min_dist is the
+    all-pairs minimum of every state, as a per-state check forms it."""
+    sc = make_scenario(
+        geometry={
+            "initial_positions": {"3": [0.95, 4e-3]},
+            "initial_velocities": {"3": [2.5, 0.0]},
+        },
+        controller={"mode": mode, "kappa_v": 4.0},
+        integration={"t_final": 0.5, "record_every": 1},
+    )
+    traj = integrate(sc)
+    dist = pair_distances(traj.positions)
+    assert (traj.min_dist.view(np.int64) == dist.min(axis=1).view(np.int64)).all()
+    assert_same_trajectory(traj, reference_integrate(sc))
+    # the bound of the first chunk, from the state before it, with each
+    # displacement taken relative to agent 1's
+    moved = traj.positions[1 : CHECK_CHUNK + 1] - traj.positions[0]
+    delta = np.linalg.norm(moved - moved[:, :1], axis=2).max(axis=0)
+    iu, ju = np.triu_indices(sc.n, 1)
+    bound = dist[0] - delta[iu] - delta[ju]
+    assert bound.min() < sc.collision_eps < traj.min_dist.min() < 1e-2
+
+
 def complete_formation(n, mode, t_final=0.5):
     """n agents of a complete graph in the plane with leaders 1 and 2, at
     seeded generic positions; each follower rejects a constant and one
@@ -529,13 +656,13 @@ def test_operator_step_matches_staged(case):
     eng = Engine(sc)
     if case.endswith("_bound"):
         assert (eng.operator_macs < OPERATOR_MAX_MACS) == (case == "below_bound")
-    operator, staged = eng.operator_step(), eng.rk4()
-    y_op = y_st = eng.initial_state()
-    for step in range(1, round(sc.t_final / sc.h) + 1):
-        y_op, y_st = operator(y_op), staged(y_st)
-        if step % sc.record_every == 0:
-            assert_close(y_op, y_st)
-    assert_close(y_op, y_st)
+    n_steps = round(sc.t_final / sc.h)
+    ys_op, ys_st = np.empty((2, n_steps, eng.dim))
+    eng.operator_step()(eng.initial_state(), ys_op)
+    eng.rk4()(eng.initial_state(), ys_st)
+    for row in range(sc.record_every - 1, n_steps, sc.record_every):
+        assert_close(ys_op[row], ys_st[row])
+    assert_close(ys_op[-1], ys_st[-1])
 
 
 def frozen(sc):

@@ -276,6 +276,20 @@ class TestCli:
         assert cli.main(["run", path, "--out", str(tmp_path / "c")]) == 3
         assert "collision" in capsys.readouterr().err
 
+    def test_crossing_within_one_step_exit_code(self, tmp_path, capsys):
+        """Follower 3 passes 2e-4 from leader 2 inside the first step while
+        both states are 0.015 apart: a per-state check misses it."""
+
+        def mutate(data):
+            data["geometry"]["initial_positions"] = {"3": [0.985, 2e-4]}
+            data["geometry"]["initial_velocities"] = {"3": [30.5, 0.0]}
+
+        path = self.run_scenario_file(tmp_path, mutate)
+        assert cli.main(["run", path, "--out", str(tmp_path / "c")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("collision: agents 2 and 3 at distance ")
+        assert err.rstrip().endswith("between t=0.000000 and t=0.001000")
+
     def test_isolated_follower_exit_code(self, tmp_path, capsys):
         def mutate(data):
             # follower 4 loses all three of its edges
