@@ -6,8 +6,8 @@ Subcommands:
     spectrum  print the closed-loop eigenvalues and spectral abscissa
     localize  print the localized follower target positions
 
-Exit codes: 0 success, 2 validation/parse failure, 3 collision,
-4 non-finite divergence, 5 I/O error.
+Exit codes: 0 success, 3 collision, 4 non-finite divergence, 5 I/O error,
+2 any other named failure (parse, validation, a Lyapunov certificate).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from .errors import (
+    BearingForgeError,
+    CertificateFailed,
     CollisionDetected,
     NonFiniteState,
-    ParseError,
-    ValidationError,
 )
 from .scenario import MODES, OVERRIDES, load_scenario
 from .sim_engine import (
@@ -96,7 +96,10 @@ def oracle_report(sc, traj):
     }
     V = None
     if sc.mode == "adaptive":
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
+        try:
+            cert = build_certificate(sc)
+        except CertificateFailed as exc:
+            raise CertificateFailed(f"oracles.lyapunov: {exc}") from exc
         V = lyapunov_monitor(traj, cert, sc)
         bad = ~np.isfinite(V)
         if bad.any():
@@ -229,15 +232,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except CollisionDetected as exc:
         print(f"collision: {exc}", file=sys.stderr)
         return EXIT_COLLISION
     except NonFiniteState as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
+    except BearingForgeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -59,13 +59,6 @@ class DisturbanceSpec:
     def frequencies(self):
         return np.array([t.frequency for t in self.terms])
 
-    @classmethod
-    def zero(cls, d):
-        return cls(d=d, C0=np.zeros(d), terms=())
-
-    def is_zero(self):
-        return not self.terms and not np.any(self.C0)
-
 
 def _check_frequencies(freqs):
     for w in freqs:

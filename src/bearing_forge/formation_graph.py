@@ -12,7 +12,7 @@ edge and whose diagonal block is the sum of the incident projectors, is
 scattered from the (k, d, d) stack of projectors.  Its follower-follower
 partition B_ff governs whether the target formation is uniquely localizable
 from the leader anchors; its eigenvalues are computed once, for that gate,
-the gain gate and the closed-loop spectrum.
+the gain gate, the closed-loop spectrum and the Lyapunov certificate.
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ def compile_scenario(data) -> CompiledScenario:
     disturbances = _field(
         data, "", "disturbances", _ids, followers, _disturbance, d, default={}
     )
-    specs = [disturbances.get(i, DisturbanceSpec.zero(d)) for i in followers]
+    specs = [disturbances.get(i, DisturbanceSpec(d=d, C0=np.zeros(d))) for i in followers]
 
     ctrl = _field(
         data, "", "controller", _fields, "mode", "kappa_p", "kappa_v",
@@ -302,10 +302,6 @@ def compile_scenario(data) -> CompiledScenario:
     mode = _field(ctrl, "controller", "mode", _str)
     if mode not in MODES:
         raise ValidationError(f"controller.mode: unknown mode '{mode}'")
-    if mode == "feedback_only" and any(not s.is_zero() for s in specs):
-        raise ValidationError(
-            "controller.mode: feedback_only permits zero disturbances only"
-        )
 
     exos, models = [], []
     for i, spec in zip(followers, specs):
@@ -422,17 +418,16 @@ def compile_scenario(data) -> CompiledScenario:
         output_dir=_field(outputs, "outputs", "directory", _str, default="out"),
         oracles=_field(outputs, "outputs", "oracles", _bool, default=False),
     )
-    samples = -(-steps // record_every) + 1              # as integrate records them
-    size = samples * sc.state_dim * 8
+    size = sc.n_samples * sc.state_dim * 8
     if size > MAX_SAMPLE_BYTES:
         raise ValidationError(
-            f"integration: the run would record {samples} samples of its "
+            f"integration: the run would record {sc.n_samples} samples of its "
             f"{sc.state_dim}-entry state, {size / 2**20:.0f} MiB, over the "
             f"limit of {MAX_SAMPLE_BYTES / 2**20:.0f} MiB"
         )
-    if steps > MAX_STEPS:
+    if sc.n_steps > MAX_STEPS:
         raise ValidationError(
-            f"integration: the run would take {steps} steps, over the limit "
+            f"integration: the run would take {sc.n_steps} steps, over the limit "
             f"of {MAX_STEPS}"
         )
     return sc

@@ -97,6 +97,15 @@ class CompiledScenario:
         adaptive = self.mode == "adaptive"
         return (self.n + self.n_f + 2 * k) * self.d + (k if adaptive else 0)
 
+    @property
+    def n_steps(self):
+        return round(self.t_final / self.h)
+
+    @property
+    def n_samples(self):
+        """States integrate records: every record_every-th step, and the last."""
+        return -(-self.n_steps // self.record_every) + 1
+
     def target_positions(self, t):
         """Target configuration at time t, shape (n, d), or (len(t), n, d)
         for an array of times.  The bearing Laplacian annihilates
@@ -122,12 +131,11 @@ class Trajectory:
 class LyapunovCertificate:
     """Constants of the Lyapunov argument for the adaptive closed loop."""
 
-    Q_c: np.ndarray
     P_c: np.ndarray
     G_c: np.ndarray
     gamma: float
     gamma_sigma: float
-    lambda_min_Qc: float         # smallest eigenvalue of Q_c
+    lambda_min_Qc: float         # smallest eigenvalue of Q (build_certificate)
 
 
 def _block_diag(*mats):
@@ -463,8 +471,7 @@ def integrate(sc: CompiledScenario):
     """
     h, eps = sc.h, sc.collision_eps
     eng = Engine(sc)
-    n_steps = int(round(sc.t_final / h))
-    n, d = eng.n, eng.d
+    n_steps, n, d = sc.n_steps, eng.n, eng.d
     iu, ju = np.triu_indices(n, 1)
     sqrt_d = math.sqrt(d)
 
@@ -549,7 +556,7 @@ def integrate(sc: CompiledScenario):
             )
         return distances(pm[-1]).min()
 
-    rec_steps = np.append(np.arange(0, n_steps, sc.record_every), n_steps)
+    rec_steps = np.minimum(np.arange(sc.n_samples) * sc.record_every, n_steps)
     samples = np.empty((rec_steps.size, eng.dim))
     dists = np.empty(rec_steps.size)
     block = np.empty((CHECK_CHUNK, eng.dim))
@@ -652,29 +659,29 @@ def xi_oracle(traj, sc):
     return max_dev
 
 
-def build_certificate(B_ff, gains, models, d):
-    """Lyapunov certificate for the adaptive closed loop.
+def build_certificate(sc):
+    """Lyapunov certificate of the adaptive loop from B_ff's cached spectrum.
 
-    Q_c = blkdiag(2 kp B_ff^2, 2 (kv B_ff^2 - B_ff)), P_c solves the Lyapunov
-    identity with the feedback block, G_c solves G M_f + M_f^T G = -I, and
-    gamma exceeds the Schur-complement threshold by 1 percent.
-    M_f = blkdiag(M_i kron I_d) is block diagonal, so G_c = blkdiag(G_i kron I_d)
-    with one m_i x m_i equation G_i M_i + M_i^T G_i = -I per distinct M_i
-    (choose_MN makes M_i depend only on the order), solved as
-    (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).
+    P_c solves A_c^T P_c + P_c A_c = -Q for the feedback block, where
+    Q = blkdiag(2 kp B_ff^2, 2 (kv B_ff^2 - B_ff)) has the eigenvalues
+    2 kp mu^2 and 2 mu (kv mu - 1) for each eigenvalue mu of B_ff, both
+    least at the smallest, mu_1, once kv mu_1 > 1 (the gain gate).  In the
+    eigenbasis of B_ff, P_c's 2 x 2 blocks [[(kp + kv) mu^2, mu], [mu, mu]]
+    are positive definite when (kp + kv) mu_1 > 1: lambda_min(Q) > 0 covers it.
+    P_c B_c = [B_ff; B_ff] for B_c = [0; I], so the Schur threshold
+    is gamma_sigma = 2 lambda_max(B_ff W B_ff) / lambda_min(Q), with
+    W = E_f E_f^T = diag(|E_i|^2 kron 1_d); gamma exceeds it by 1 percent.
+    G_c = blkdiag(G_i kron I_d) solves G M_f + M_f^T G = -I, with one
+    (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I) per distinct M_i
+    (choose_MN makes M_i depend only on the order).
     """
-    B_ff = np.asarray(B_ff, dtype=float)
-    nfd = B_ff.shape[0]
-    B2 = B_ff @ B_ff
-    kp, kv = gains.kappa_p, gains.kappa_v
-    Q_c = _block_diag(2.0 * kp * B2, 2.0 * (kv * B2 - B_ff))
-    P_c = np.block([[(kp + kv) * B2, B_ff], [B_ff, B_ff]])
-    lam_Q = float(np.linalg.eigvalsh(Q_c)[0])
-    for name, lam in (("Q_c", lam_Q), ("P_c", np.linalg.eigvalsh(P_c)[0])):
-        if lam <= 0:
-            raise CertificateFailed(f"{name} is not positive definite")
+    B_ff, mu = sc.laplacian.B_ff, float(sc.laplacian.ff_eigenvalues[0])
+    kp, kv = sc.gains.kappa_p, sc.gains.kappa_v
+    lam_Q = 2.0 * mu * min(kp * mu, kv * mu - 1.0)
+    if not lam_Q > 0:
+        raise CertificateFailed(f"Q is not positive definite (lambda_min {lam_Q:.3e})")
     solved = {}                  # G_i kron I_d, one solve per distinct M_i
-    for model in models:
+    for model in sc.models:
         key = model.M.tobytes()
         if key not in solved:
             m, eye = model.order, np.eye(model.order)
@@ -682,21 +689,25 @@ def build_certificate(B_ff, gains, models, d):
             G = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
             G = 0.5 * (G + G.T)
             if np.linalg.eigvalsh(G)[0] <= 0:
-                raise CertificateFailed("G_c is not positive definite")
-            solved[key] = np.kron(G, np.eye(d))
-    G_c = _block_diag(*[solved[model.M.tobytes()] for model in models])
-    # PBE = P_c B_c E_f with B_c = [0; I]; E_f E_f^T = diag(|E_i|^2 kron 1_d)
-    Pb = P_c[:, nfd:]
-    e2 = np.repeat([model.E @ model.E for model in models], d)
-    gamma_sigma = float(np.linalg.eigvalsh((Pb * e2) @ Pb.T)[-1] / lam_Q)
+                raise CertificateFailed(f"G_c is not positive definite at order {m}")
+            solved[key] = np.kron(G, np.eye(sc.d))
+    e2 = np.repeat([model.E @ model.E for model in sc.models], sc.d)
+    gamma_sigma = float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
     return LyapunovCertificate(
-        Q_c=Q_c,
-        P_c=P_c,
-        G_c=G_c,
+        P_c=np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]]),
+        G_c=_block_diag(*[solved[model.M.tobytes()] for model in sc.models]),
         gamma=1.01 * gamma_sigma,
         gamma_sigma=gamma_sigma,
         lambda_min_Qc=lam_Q,
     )
+
+
+def _tracking_error(traj, sc):
+    """p~ = p_f - p*_f(t) and v~ = v_f - v_c, each (S, n_f, d); inf beyond
+    float range."""
+    with np.errstate(over="ignore"):
+        p_t = traj.positions - sc.target_positions(traj.times)
+        return p_t[:, sc.n_l :], traj.velocities[:, sc.n_l :] - sc.v_c
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -707,14 +718,12 @@ def lyapunov_monitor(traj, certificate, sc):
     knows the frequencies even when the controller does not).  A value
     beyond float range comes out inf or nan, without NumPy warnings.
     """
-    S, n_l = len(traj.times), sc.n_l
+    S = len(traj.times)
     xi = np.concatenate([x.reshape(S, -1) for x in _xi_samples(traj, sc)], axis=1)
     lam_inv = _block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
-    theta_true = np.concatenate([m.E for m in sc.models])
-    p_t = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]
-    v_t = traj.velocities[:, n_l:, :] - sc.v_c
+    p_t, v_t = _tracking_error(traj, sc)
     x_t = np.concatenate([p_t.reshape(S, -1), v_t.reshape(S, -1)], axis=1)
-    th_t = theta_true - traj.theta_hat
+    th_t = np.concatenate([m.E for m in sc.models]) - traj.theta_hat
 
     def quad(X, Q):
         return ((X @ Q) * X).sum(axis=1)
@@ -728,11 +737,9 @@ def lyapunov_monitor(traj, certificate, sc):
 
 def metrics(traj, sc):
     """Error time series, terminal errors, decay-rate fit, and min distance."""
-    S, n_l = len(traj.times), sc.n_l
-    # a difference beyond float range is inf, and so are its norms
+    dp, dv = _tracking_error(traj, sc)
+    # a norm beyond float range is inf
     with np.errstate(over="ignore"):
-        dp = traj.positions[:, n_l:, :] - sc.target_positions(traj.times)[:, n_l:, :]
-        dv = traj.velocities[:, n_l:, :] - sc.v_c
         err_p = _norm(dp, 2)
         err_v = _norm(dv, 2)
         err_p_norm = _norm(err_p, 1)
@@ -740,7 +747,7 @@ def metrics(traj, sc):
     combined = np.hypot(err_p_norm, err_v_norm)
 
     # least-squares exponential-rate fit over the final half of the run
-    half = S // 2
+    half = len(traj.times) // 2
     t_fit = traj.times[half:]
     c_fit = combined[half:]
     mask = c_fit > 1e-300

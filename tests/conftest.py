@@ -1,7 +1,9 @@
-"""Shared fixtures: the unit-square formation, scenario builders and the
-dense closed-loop matrix that the closed-form spectrum is checked against."""
+"""Shared fixtures: the unit-square formation, scenario builders, and the
+dense matrices that the closed forms of the spectrum and of the Lyapunov
+certificate are checked against."""
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bearing_forge.formation_graph import (
     build_bearing_laplacian,
 )
 from bearing_forge.scenario import compile_scenario
+from bearing_forge.sim_engine import build_certificate
 
 SQUARE_POSITIONS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)]
@@ -112,3 +115,22 @@ def assemble_A_sigma(B_ff, models, d, gains):
     A[nfd : 2 * nfd, 2 * nfd :] = E_f
     A[2 * nfd :, 2 * nfd :] = M_f
     return A
+
+
+def dense_Q(B_ff, gains):
+    """Q = blkdiag(2 kp B_ff^2, 2 (kv B_ff^2 - B_ff)), the right side of the
+    certificate's Lyapunov identity, assembled densely."""
+    B2 = B_ff @ B_ff
+    return sla.block_diag(
+        2.0 * gains.kappa_p * B2, 2.0 * (gains.kappa_v * B2 - B_ff)
+    )
+
+
+def certificate_for(B_ff, gains, models, d):
+    """build_certificate for a given B_ff, on a stand-in for the compiled
+    scenario that carries only what the certificate reads."""
+    B_ff = np.asarray(B_ff, dtype=float)
+    laplacian = SimpleNamespace(B_ff=B_ff, ff_eigenvalues=np.linalg.eigvalsh(B_ff))
+    return build_certificate(
+        SimpleNamespace(laplacian=laplacian, gains=gains, models=models, d=d)
+    )

@@ -226,7 +226,7 @@ def test_criterion_6_adaptive_rejection(adaptive_run):
     assert mts["terminal_err_p"] <= 1e-3
     assert mts["terminal_err_v"] <= 1e-3
 
-    cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
+    cert = build_certificate(sc)
     assert abs(cert.gamma - 1.01 * cert.gamma_sigma) <= 1e-12 * cert.gamma
     V = lyapunov_monitor(traj, cert, sc)
     slack = 1e-8 * (1.0 + V[:-1])

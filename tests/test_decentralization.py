@@ -16,7 +16,6 @@ in every mode.
 """
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -204,7 +203,7 @@ def sparse_scenario(mode):
     data["geometry"]["desired_positions"] = POSITIONS
     data["disturbances"] = DISTURBANCES
     # kappa_v lambda_min(B_ff) = 12 * 0.094 > 1, as adaptive mode requires
-    ctrl = {"mode": "known", "kappa_p": 2.0, "kappa_v": 12.0}
+    ctrl = {"mode": mode, "kappa_p": 2.0, "kappa_v": 12.0}
     if mode.startswith("adaptive"):
         ctrl.update(
             mode="adaptive",
@@ -215,12 +214,7 @@ def sparse_scenario(mode):
             freeze_theta=mode == "adaptive_frozen",
         )
     data["controller"] = ctrl
-    sc = compile_scenario(data)
-    if mode == "feedback_only":
-        # feedback_only rejects disturbances at load time; swapping the mode
-        # into the compiled scenario keeps the mixed-order compensators.
-        sc = dataclasses.replace(sc, mode=mode)
-    return sc
+    return compile_scenario(data)
 
 
 MODES = ["known", "adaptive", "adaptive_frozen", "feedback_only"]

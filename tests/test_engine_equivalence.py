@@ -39,7 +39,7 @@ from bearing_forge.sim_engine import (
     xi_oracle,
 )
 
-from conftest import base_scenario_dict, make_scenario
+from conftest import base_scenario_dict, dense_Q, make_scenario
 
 TOL = 1e-10
 
@@ -203,22 +203,24 @@ def reference_xi_oracle(traj, sc):
 
 
 def reference_certificate(sc):
-    """Q_c, P_c, G_c and gamma_sigma from the dense stacked operators:
-    one Lyapunov solve on the full blkdiag(M_i kron I_d), and gamma_sigma
-    from P_c B_c E_f with the dense E_f."""
+    """lambda_min(Q), P_c, G_c and gamma_sigma from the dense stacked
+    operators: eigvalsh of the assembled Q, one Lyapunov solve on the full
+    blkdiag(M_i kron I_d), and gamma_sigma from P_c B_c E_f with the dense
+    E_f."""
     B_ff, nfd = sc.laplacian.B_ff, sc.n_f * sc.d
     kp, kv = sc.gains.kappa_p, sc.gains.kappa_v
-    B2 = B_ff @ B_ff
-    Q_c = sla.block_diag(2.0 * kp * B2, 2.0 * (kv * B2 - B_ff))
-    P_c = np.block([[(kp + kv) * B2, B_ff], [B_ff, B_ff]])
+    lam_Q = np.linalg.eigvalsh(dense_Q(B_ff, sc.gains))[0]
+    P_c = np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]])
     eye_d = np.eye(sc.d)
     M_f = sla.block_diag(*[np.kron(m.M, eye_d) for m in sc.models])
     E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), eye_d) for m in sc.models])
     G_c = sla.solve_continuous_lyapunov(M_f.T, -np.eye(M_f.shape[0]))
     G_c = 0.5 * (G_c + G_c.T)
     PBE = P_c[:, nfd:] @ E_f
-    gamma_sigma = np.linalg.eigvalsh(PBE @ PBE.T)[-1] / np.linalg.eigvalsh(Q_c)[0]
-    return {"Q_c": Q_c, "P_c": P_c, "G_c": G_c, "gamma_sigma": gamma_sigma}
+    gamma_sigma = np.linalg.eigvalsh(PBE @ PBE.T)[-1] / lam_Q
+    return {
+        "lambda_min_Qc": lam_Q, "P_c": P_c, "G_c": G_c, "gamma_sigma": gamma_sigma
+    }
 
 
 def reference_lyapunov(traj, cert, sc, xi):
@@ -327,10 +329,7 @@ def mixed_frozen():
 
 
 def mixed_feedback_only():
-    # feedback_only rejects disturbances at load time, which would leave
-    # every follower at order 1; swapping the mode into the compiled
-    # scenario keeps the mixed-order exosystems and compensators.
-    return dataclasses.replace(mixed_order_scenario(), mode="feedback_only")
+    return mixed_order_scenario(mode="feedback_only")
 
 
 CASES = {
@@ -371,7 +370,7 @@ def test_post_processing_matches_reference(case):
         ref = np.linalg.norm(traj.positions[s, sc.n_l :, :] - p_f, axis=1)
         assert_close(err_p[s], ref)
     if sc.mode == "adaptive":
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
+        cert = build_certificate(sc)
         for name, ref in reference_certificate(sc).items():
             got = getattr(cert, name)
             assert np.shape(got) == np.shape(ref)
@@ -379,6 +378,16 @@ def test_post_processing_matches_reference(case):
         assert_close(
             lyapunov_monitor(traj, cert, sc), reference_lyapunov(traj, cert, sc, xi)
         )
+
+
+def test_certificate_on_a_swarm():
+    """On a 64-agent adaptive complete formation, lambda_min(Q) from the
+    spectrum of B_ff is within the backward error of a stable eigvalsh,
+    1e-14 ||Q||_2, of the dense decomposition of the assembled Q."""
+    sc = complete_formation(64, "adaptive")
+    cert = build_certificate(sc)
+    dense = np.linalg.eigvalsh(dense_Q(sc.laplacian.B_ff, sc.gains))
+    assert abs(cert.lambda_min_Qc - dense[0]) <= 1e-14 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

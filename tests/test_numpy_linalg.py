@@ -17,8 +17,9 @@ import scipy.linalg as sla
 
 from bearing_forge.control_laws import ControllerGains
 from bearing_forge.internal_model import choose_MN, synthesize
-from bearing_forge.sim_engine import _flow, build_certificate
+from bearing_forge.sim_engine import _flow
 
+from conftest import certificate_for
 from test_internal_model import exo_for
 
 
@@ -47,7 +48,7 @@ def test_lyapunov_matches_scipy(r):
     """The certificate's G_i against solve_continuous_lyapunov(M_i^T, -I)."""
     model = synthesize(exo_for(np.arange(1, r + 1) * 0.7))
     gains = ControllerGains(kappa_p=1.0, kappa_v=4.0)
-    cert = build_certificate(np.eye(1), gains, [model], 1)
+    cert = certificate_for(np.eye(1), gains, [model], 1)
     ref = sla.solve_continuous_lyapunov(model.M.T, -np.eye(model.order))
     ref = 0.5 * (ref + ref.T)
     assert np.abs(cert.G_c - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bearing_forge import bundled_scenario, cli
+from bearing_forge import bundled_scenario, cli, errors
 from bearing_forge.errors import ParseError, ValidationError
 from bearing_forge.scenario import (
     MAX_SAMPLE_BYTES,
@@ -66,13 +66,6 @@ class TestValidation:
             "1": [0, 0], "2": [1, 0], "3": [2, 0], "4": [3, 0]
         }
         with pytest.raises(ValidationError, match="NotLocalizable"):
-            compile_scenario(data)
-
-    def test_feedback_only_rejects_disturbance(self):
-        data = base_scenario_dict()
-        data["controller"]["mode"] = "feedback_only"
-        data["disturbances"] = {"3": {"constant": [0.1, 0.0]}}
-        with pytest.raises(ValidationError, match="feedback_only"):
             compile_scenario(data)
 
     def test_leader_must_start_at_target(self):
@@ -523,6 +516,89 @@ class TestCli:
             report = json.load(fh)
         assert report["spectral_abscissa"] < 0
         assert report["xi_max_deviation"] < 1e-6
+
+    def test_certificate_at_the_gain_gate(self, tmp_path):
+        """kappa_v = 2 + sqrt(2) puts kappa_v lambda_min(B_ff) - 1 at 2.2e-16
+        on square_adaptive: the gain gate passes, and the certificate,
+        which reads the same spectrum, forms finite constants."""
+        out = tmp_path / "edge"
+        code, err = _main_stderr(
+            ["run", bundled_scenario("square_adaptive"), "--oracles",
+             "--t-final", "0.01", "--kappa-v", "3.414213562373099",
+             "--out", str(out)]
+        )
+        assert (code, err) == (0, [])
+        with open(out / "oracles.json") as fh:
+            lyapunov = json.load(fh)["lyapunov"]
+        assert 0 < lyapunov["lambda_min_Qc"] < 1e-15
+        assert all(np.isfinite(v) for v in lyapunov.values())
+
+    def test_certificate_failure_exits_2(self, tmp_path):
+        """Six sinusoids on follower 3 of square_adaptive (order 13, G_i of
+        condition number 2.3e18): the scenario validates, but G_c rounds to
+        a matrix that is not positive definite.  run --oracles exits 2 with
+        one line naming the certificate and the order, and writes nothing."""
+        with open(bundled_scenario("square_adaptive")) as fh:
+            data = json.load(fh)
+        data["disturbances"]["3"]["sinusoids"] = [
+            {"frequency": 0.5 * k, "amplitudes": [0.1, 0.1], "phases": [0.0, 0.5]}
+            for k in range(1, 7)
+        ]
+        path = write_scenario(tmp_path, data)
+        assert _main_stderr(["validate", path]) == (0, [])
+        out = tmp_path / "six"
+        code, err = _main_stderr(
+            ["run", path, "--oracles", "--t-final", "0.1", "--out", str(out)]
+        )
+        assert (code, err) == (
+            2, ["error: oracles.lyapunov: G_c is not positive definite at order 13"]
+        )
+        assert not out.exists()
+
+
+# each error class, one instance, and the exit code and stderr prefix that
+# the CLI documents for it
+LIBRARY_ERRORS = [
+    (errors.BearingForgeError("boom"), 2, "error"),
+    (errors.DegenerateBearing("boom"), 2, "error"),
+    (errors.NonUnitInput("boom"), 2, "error"),
+    (errors.MissingBearing((3, 4)), 2, "error"),
+    (errors.NotLocalizable("boom"), 2, "error"),
+    (errors.DuplicateFrequency("boom"), 2, "error"),
+    (errors.NonPositiveFrequency("boom"), 2, "error"),
+    (errors.NonFiniteExosystem("boom"), 2, "error"),
+    (errors.SingularT("boom"), 2, "error"),
+    (errors.GainConditionViolated("boom"), 2, "error"),
+    (errors.CollisionDetected(0.5, (1, 2), 1e-4), 3, "collision"),
+    (errors.NonFiniteState("boom"), 4, "divergence"),
+    (errors.CertificateFailed("boom"), 2, "error"),
+    (errors.ParseError("boom"), 2, "error"),
+    (errors.ValidationError("boom"), 2, "error"),
+    (OSError("boom"), 5, "io error"),
+]
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = {
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.BearingForgeError)
+    }
+    assert classes <= {type(exc) for exc, _, _ in LIBRARY_ERRORS}
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix", LIBRARY_ERRORS,
+    ids=[type(exc).__name__ for exc, _, _ in LIBRARY_ERRORS],
+)
+def test_error_exit_codes(monkeypatch, exc, code, prefix):
+    """An error raised in a command exits with its documented code and one
+    stderr line, no traceback."""
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_scenario", fail)
+    assert _main_stderr(["run", "s.json"]) == (code, [f"{prefix}: {exc}"])
 
 
 _DROP = object()

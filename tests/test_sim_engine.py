@@ -22,7 +22,13 @@ from bearing_forge.sim_engine import (
     xi_oracle,
 )
 
-from conftest import assemble_A_sigma, make_scenario, random_formation
+from conftest import (
+    assemble_A_sigma,
+    certificate_for,
+    dense_Q,
+    make_scenario,
+    random_formation,
+)
 from test_decentralization import sparse_scenario
 from test_engine_equivalence import ReferenceEngine
 
@@ -280,6 +286,22 @@ class TestIntegrate:
         assert mts["terminal_err_p"] <= 1e-2 * mts["err_p_norm"][0]
         assert mts["decay_rate"] is not None and mts["decay_rate"] < 0
 
+    def test_feedback_only_keeps_disturbance_error(self):
+        """Bearing feedback alone leaves a persistent error under
+        square_known's own disturbances, which the internal model rejects:
+        over t > 60 s of an 80 s run, feedback_only's largest combined error
+        is at least 1e3 times that of known mode."""
+        late = {}
+        for mode in ("feedback_only", "known"):
+            sc = load_scenario(
+                bundled_scenario("square_known"), {"mode": mode, "t_final": 80.0}
+            )
+            traj = integrate(sc)
+            mts = metrics(traj, sc)
+            combined = np.hypot(mts["err_p_norm"], mts["err_v_norm"])
+            late[mode] = combined[traj.times > 60.0].max()
+        assert late["feedback_only"] >= 1e3 * late["known"]
+
     def test_step_halving_agreement(self):
         t1, t2 = (
             integrate(
@@ -348,8 +370,9 @@ class TestXiOracle:
 class TestCertificate:
     def test_scalar_certificate(self):
         gains = ControllerGains(kappa_p=1.0, kappa_v=2.0)
-        cert = build_certificate(np.array([[1.0]]), gains, [scalar_model()], 1)
-        np.testing.assert_allclose(cert.Q_c, [[2.0, 0.0], [0.0, 2.0]])
+        cert = certificate_for(np.array([[1.0]]), gains, [scalar_model()], 1)
+        # Q = diag(2, 2)
+        np.testing.assert_allclose(cert.lambda_min_Qc, 2.0)
         np.testing.assert_allclose(cert.P_c, [[3.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(cert.G_c, [[0.5]])
         # gamma exceeds the Schur threshold lam_max(PBE PBE')/lam_min(Qc)
@@ -357,20 +380,28 @@ class TestCertificate:
         assert cert.gamma > cert.gamma_sigma
 
     def test_lambda_min_qc_stored(self, square_laplacian):
-        """The certificate keeps the smallest eigenvalue of Q_c, which it
-        gates on and divides by, for the oracle report to read."""
+        """The certificate keeps the smallest eigenvalue of Q, which it
+        gates on and divides by, for the oracle report to read: exactly the
+        smallest of Q's eigenvalues 2 mu min(kp mu, kv mu - 1) over the
+        spectrum of B_ff, and within the backward error of a stable
+        eigvalsh, 1e-14 ||Q||_2, of the dense decomposition."""
         gains = ControllerGains(kappa_p=1.3, kappa_v=4.0)
-        cert = build_certificate(
+        cert = certificate_for(
             square_laplacian.B_ff, gains, [scalar_model(), scalar_model()], 2
         )
-        assert cert.lambda_min_Qc == np.linalg.eigvalsh(cert.Q_c)[0] > 0
+        mu = square_laplacian.ff_eigenvalues
+        kp, kv = gains.kappa_p, gains.kappa_v
+        closed = 2.0 * mu * np.minimum(kp * mu, kv * mu - 1.0)
+        assert cert.lambda_min_Qc == closed.min() > 0
+        dense = np.linalg.eigvalsh(dense_Q(square_laplacian.B_ff, gains))
+        assert abs(cert.lambda_min_Qc - dense[0]) <= 1e-14 * np.abs(dense).max()
 
     def test_lyapunov_identity(self, square_laplacian):
-        """A_c' P_c + P_c A_c = -Q_c for the feedback block."""
+        """A_c' P_c + P_c A_c = -Q for the feedback block."""
         gains = ControllerGains(kappa_p=1.3, kappa_v=4.0)
         B_ff = square_laplacian.B_ff
         models = [scalar_model(), scalar_model()]
-        cert = build_certificate(B_ff, gains, models, 2)
+        cert = certificate_for(B_ff, gains, models, 2)
         nfd = B_ff.shape[0]
         A_c = np.block(
             [
@@ -378,19 +409,19 @@ class TestCertificate:
                 [-gains.kappa_p * B_ff, -gains.kappa_v * B_ff],
             ]
         )
-        res = A_c.T @ cert.P_c + cert.P_c @ A_c + cert.Q_c
+        res = A_c.T @ cert.P_c + cert.P_c @ A_c + dense_Q(B_ff, gains)
         assert np.linalg.norm(res) <= 1e-9
 
     def test_qc_degenerates_at_gain_boundary(self, square_laplacian):
-        """lambda_min(Q_c) tends to zero as kappa_v approaches 1/lambda_min(B_ff)."""
+        """lambda_min(Q) tends to zero as kappa_v approaches 1/lambda_min(B_ff)."""
         B_ff = square_laplacian.B_ff
         lam_min = np.linalg.eigvalsh(B_ff)[0]
         models = [scalar_model(), scalar_model()]
         prev = None
         for margin in (1.0, 0.1, 0.01):
             gains = ControllerGains(kappa_p=1.0, kappa_v=(1.0 + margin) / lam_min)
-            cert = build_certificate(B_ff, gains, models, 2)
-            val = np.linalg.eigvalsh(cert.Q_c)[0]
+            cert = certificate_for(B_ff, gains, models, 2)
+            val = cert.lambda_min_Qc
             assert val > 0
             if prev is not None:
                 assert val < prev
@@ -428,14 +459,14 @@ class TestLyapunovMonitor:
             integration={"t_final": 0.5},
         )
         traj = integrate(sc)
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
+        cert = build_certificate(sc)
         V = lyapunov_monitor(traj, cert, sc)
         assert np.abs(V).max() <= 1e-12
 
     def test_initial_value_closed_form(self):
         sc = self.adaptive_scenario(integration={"t_final": 0.5})
         traj = integrate(sc)
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
+        cert = build_certificate(sc)
         V = lyapunov_monitor(traj, cert, sc)
 
         p_t = (sc.p0[sc.n_l :] - sc.p_star0[sc.n_l :]).ravel()
@@ -466,7 +497,7 @@ class TestLyapunovMonitor:
     def test_non_increasing(self):
         sc = self.adaptive_scenario(integration={"t_final": 5.0})
         traj = integrate(sc)
-        cert = build_certificate(sc.laplacian.B_ff, sc.gains, sc.models, sc.d)
+        cert = build_certificate(sc)
         V = lyapunov_monitor(traj, cert, sc)
         slack = 1e-8 * (1.0 + V[:-1])
         assert np.all(np.diff(V) <= slack)
