@@ -83,9 +83,20 @@ def write_trajectory_csv(path, traj, sc, mts, V=None):
         fh.write("".join([row % tuple(r) for r in rows]))
 
 
-def oracle_report(sc, traj):
+def certificate(sc):
+    """The Lyapunov certificate of adaptive mode, None in the other modes."""
+    if sc.mode != "adaptive":
+        return None
+    try:
+        return build_certificate(sc)
+    except CertificateFailed as exc:
+        raise CertificateFailed(f"oracles.lyapunov: {exc}") from exc
+
+
+def oracle_report(sc, traj, cert):
     """Proof-level diagnostics: closed-loop spectrum, xi deviation, and (in
-    adaptive mode) the Lyapunov certificate and monotonicity verdict.
+    adaptive mode) the monotonicity verdict of the Lyapunov certificate
+    cert, from `certificate`.
 
     Returns (report, V): V is the monitor series of adaptive mode, None
     otherwise.
@@ -95,11 +106,7 @@ def oracle_report(sc, traj):
         "xi_max_deviation": float(xi_oracle(traj, sc)),
     }
     V = None
-    if sc.mode == "adaptive":
-        try:
-            cert = build_certificate(sc)
-        except CertificateFailed as exc:
-            raise CertificateFailed(f"oracles.lyapunov: {exc}") from exc
+    if cert is not None:
         V = lyapunov_monitor(traj, cert, sc)
         bad = ~np.isfinite(V)
         if bad.any():
@@ -135,12 +142,15 @@ def _non_finite(tree, where):
 
 def cmd_run(args):
     sc = load_scenario(args.scenario, _overrides(args))
+    oracles = args.oracles or sc.oracles
+    # a certificate that cannot be formed fails the run before it integrates
+    cert = certificate(sc) if oracles else None
     traj = integrate(sc)
     mts = metrics(traj, sc)
 
     report, V = None, None
-    if args.oracles or sc.oracles:
-        report, V = oracle_report(sc, traj)
+    if oracles:
+        report, V = oracle_report(sc, traj, cert)
 
     summary = {
         "mode": sc.mode,

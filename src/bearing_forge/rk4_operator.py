@@ -4,20 +4,25 @@ products, and the chunk advance that `sim_engine.integrate` runs.
 
 The closed loop is y' = A y + b + D (z_a * z_b), with n_p products of the
 readout factors [z_a; z_b] = C y + c.  Each RK4 stage state is affine in y
-and in the products of the earlier stages, so one step is exactly (up to
-rounding)
+and in the products of the earlier stages, so on the row
+u = [y; 1; p_1; ...; p_4] one step is exactly (up to rounding)
 
-    z_j = Z_j y + zeta_j + sum_{i<j} H_ji p_i,   p_j = z_ja * z_jb,
-    y+ = R y + r + G [p_1; p_2; p_3; p_4],
+    z_j = W_j [y; 1; p_1; ...; p_(j-1)],   p_j = z_ja * z_jb,
+    y+ = X u,
 
-and without products (n_p = 0) y+ = R y + r.  The stage matrices follow by
-carrying each stage state's coefficients on [y; 1; p_1; ...; p_4].
+with W_j = [Z_j, zeta_j, H_j1 ... H_j,j-1] and X = [R, r, G]; without
+products (n_p = 0) y+ = [R, r] [y; 1].  The matrices follow by carrying
+each stage state's coefficients on u.
 
 A stepper is a chunk advance: advance(y, out) fills the rows of out with
 the states that follow y, one step apart, and returns the last of them.
 """
 
 import numpy as np
+
+# rows of the adaptive advance's work array; a longer out is filled in
+# pieces of this many states
+ROWS = 64
 
 
 def probe(f, n):
@@ -34,37 +39,23 @@ def probe(f, n):
 
 
 def multiply_adds(dim, n_p):
-    """Multiply-adds of one step: every stage readout and R y
-    ((8 n_p + dim) x dim), the stage corrections H_ji p_i (2 n_p x 6 n_p in
-    all) and G [p_1; ...; p_4] (dim x 4 n_p)."""
+    """Multiply-adds of one step, less the constant columns: the readouts
+    W_j (2 n_p x (dim + j n_p), j = 0..3) and X (dim x (dim + 4 n_p))."""
     return dim * dim + 12 * n_p * (dim + n_p)
-
-
-def looped(step):
-    """The chunk advance of a one-state step function."""
-
-    def advance(y, out):
-        for c in range(len(out)):
-            y = step(y)
-            out[c] = y
-        return y
-
-    return advance
 
 
 def rk4_map(A, b, C, c, D, h):
     """The RK4 step of size h of y' = A y + b + D (z_a * z_b),
-    [z_a; z_b] = C y + c, as (top, top0, H, G): top y + top0 stacks every
-    stage's readout Z_j y + zeta_j and then R y + r, H[j] holds the H_ji of
-    the earlier stages side by side, and G is the update's product
-    coefficient.  Without products, (top, top0) = (R, r)."""
+    [z_a; z_b] = C y + c, as (Ws, X): stage j reads z_j = Ws[j] u[:k_j],
+    k_j = dim + 1 + j n_p, and the step is y+ = X u, on
+    u = [y; 1; p_1; ...; p_4].  Without products, X = [R, r]."""
     dim, n_p = A.shape[0], D.shape[1]
     one = dim                                        # column of the constant
     X1 = np.zeros((dim, dim + 1 + 4 * n_p))
     X1[:, :dim] = np.eye(dim)
 
     def slope(X, j):
-        """Coefficients of k_j = f(Y_j) for stage state Y_j = X [y; 1; p]."""
+        """Coefficients of k_j = f(Y_j) for stage state Y_j = X u."""
         K = A @ X
         K[:, one] += b
         K[:, one + 1 + j * n_p : one + 1 + (j + 1) * n_p] += D
@@ -74,32 +65,25 @@ def rk4_map(A, b, C, c, D, h):
     for j, frac in enumerate((0.5, 0.5, 1.0), 1):
         Xs.append(X1 + (frac * h) * Ks[-1])
         Ks.append(slope(Xs[-1], j))
-    X_next = X1 + (h / 6.0) * (Ks[0] + 2.0 * Ks[1] + 2.0 * Ks[2] + Ks[3])
-    Ws = [C @ X for X in Xs]                          # stage readouts
-    for W in Ws:
+    X = X1 + (h / 6.0) * (Ks[0] + 2.0 * Ks[1] + 2.0 * Ks[2] + Ks[3])
+    Ws = []
+    for j, Y in enumerate(Xs):
+        W = C @ Y[:, : one + 1 + j * n_p]
         W[:, one] += c
-    # one product gives every stage's readout of y and R y: [Z_1..Z_4; R]
-    top = np.vstack([W[:, :dim] for W in Ws] + [X_next[:, :dim]])
-    top0 = np.concatenate([W[:, one] for W in Ws] + [X_next[:, one]])
-    H = [
-        np.ascontiguousarray(W[:, one + 1 : one + 1 + j * n_p])
-        for j, W in enumerate(Ws)
-    ]
-    G = np.ascontiguousarray(X_next[:, one + 1 :])
-    return top, top0, H, G
+        Ws.append(W)
+    return Ws, X
 
 
-def doubling(R, r):
-    """The chunk advance of y+ = R y + r by doubling.  With the augmented
-    R~ = [[R, r], [0, 1]] acting on [y; 1], the first state is R~ [y; 1] and
-    the states k to 2k - 1 are the first k times R~^k, so a chunk of 2^j
-    states takes one matrix-vector and j matrix products.  The rows are
-    states, so the products take the transposed powers; R~^2, R~^4, ... are
-    squared when a chunk first needs them, and kept."""
-    dim = len(r)
+def doubling(X):
+    """The chunk advance of y+ = X [y; 1] = R y + r by doubling.  With the
+    augmented R~ = [[R, r], [0, 1]] acting on [y; 1], the first state is
+    R~ [y; 1] and the states k to 2k - 1 are the first k times R~^k, so a
+    chunk of 2^j states takes one matrix-vector and j matrix products.  The
+    rows are states, so the products take the transposed powers; R~^2, R~^4,
+    ... are squared when a chunk first needs them, and kept."""
+    dim = X.shape[0]
     RT = np.zeros((dim + 1, dim + 1))
-    RT[:dim, :dim] = R.T
-    RT[dim, :dim] = r
+    RT[:, :dim] = X.T
     RT[dim, dim] = 1.0
     powers = [RT]                                    # (R~^(2^j))^T
     y1 = np.ones(dim + 1)
@@ -126,27 +110,37 @@ def operator_step(A, b, C, c, D, h):
     """The chunk advance of the RK4 step of size h of
     y' = A y + b + D (z_a * z_b), [z_a; z_b] = C y + c: by doubling without
     products, and one step at a time otherwise.  The advance keeps its work
-    buffers, so it serves one run at a time."""
-    top, top0, H, G = rk4_map(A, b, C, c, D, h)
-    n_p = D.shape[1]
+    buffers, so it serves one run at a time: row s of its work array holds
+    u of the s-th state of a piece of out, and X u writes row s + 1."""
+    Ws, X = rk4_map(A, b, C, c, D, h)
+    dim, n_p = X.shape[0], D.shape[1]
     if not n_p:
-        return doubling(top, top0)
+        return doubling(X)
 
-    z, P = np.empty(top.shape[0]), np.empty(4 * n_p)
-    stage = [z[2 * j * n_p : 2 * (j + 1) * n_p] for j in range(4)]
-    za = [zj[:n_p] for zj in stage]
-    zb = [zj[n_p:] for zj in stage]
-    p = [P[j * n_p : (j + 1) * n_p] for j in range(4)]
-    earlier = [P[: j * n_p] for j in range(4)]
-    Ry = z[8 * n_p :]
+    U = np.empty((ROWS + 1, X.shape[1]))
+    U[:, dim] = 1.0
+    z = np.empty(2 * n_p)
+    za, zb = z[:n_p], z[n_p:]
+    # per row: (W_j, the prefix of u that W_j reads, the slot of p_j)
+    stages = [
+        [(W, u[: W.shape[1]], u[W.shape[1] : W.shape[1] + n_p]) for W in Ws]
+        for u in U[:ROWS]
+    ]
+    rows = list(zip(U, U[1:, :dim]))
+    dot, multiply = np.dot, np.multiply
 
-    def step(y):
-        np.matmul(top, y, out=z)
-        np.add(z, top0, out=z)
-        np.multiply(za[0], zb[0], out=p[0])
-        for j in (1, 2, 3):
-            stage[j] += H[j] @ earlier[j]
-            np.multiply(za[j], zb[j], out=p[j])
-        return Ry + G @ P
+    def advance(y, out):
+        U[0, :dim] = y
+        for first in range(0, len(out), ROWS):
+            m = min(ROWS, len(out) - first)
+            for s in range(m):
+                for W, x, p in stages[s]:
+                    dot(W, x, z)
+                    multiply(za, zb, p)
+                u, y_next = rows[s]
+                dot(X, u, y_next)
+            out[first : first + m] = U[1 : m + 1, :dim]
+            U[0, :dim] = U[m, :dim]
+        return U[0, :dim].copy()
 
-    return looped(step)
+    return advance

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateFailed, CollisionDetected, NonFiniteState
-from .rk4_operator import looped, multiply_adds, operator_step, probe
+from .rk4_operator import multiply_adds, operator_step, probe
 
 # integrate advances CHECK_CHUNK states at a time, by doubling in the linear
 # modes (a power of two, so a chunk takes one matrix-vector and
@@ -36,7 +36,7 @@ _REACH_SLACK = 1e-12
 # dim^2 and n_prod * dim, the staged step roughly as dim.  Set from the
 # crossover measured by scripts/stepper_sweep.py, recorded in
 # BENCH_stepper_crossover.json.
-OPERATOR_MAX_MACS = 400_000
+OPERATOR_MAX_MACS = 600_000
 
 # Pade-13 coefficients b_0..b_13 and the 1-norm below which the unscaled
 # approximant meets double precision (Higham, SIAM J. Matrix Anal. Appl.
@@ -420,14 +420,17 @@ class Engine:
         stage by stage through rhs."""
         rhs, h = self.rhs, self.sc.h
 
-        def step(y):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def advance(y, out):
+            for c in range(len(out)):
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                out[c] = y
+            return y
 
-        return looped(step)
+        return advance
 
     def product_form(self):
         """(A, b, C, c, D) such that rhs(y) = A y + b + D (z_a * z_b) with

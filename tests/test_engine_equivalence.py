@@ -487,7 +487,8 @@ def test_chunked_linear_matches_stepwise(case):
     sc = LINEAR_CASES[case]()
     eng = Engine(sc)
     assert eng.n_prod == 0 and eng.operator_macs < OPERATOR_MAX_MACS
-    R, r = rk4_map(*eng.product_form(), sc.h)[:2]
+    X = rk4_map(*eng.product_form(), sc.h)[1]
+    R, r = X[:, :-1], X[:, -1]
     n_steps = round(sc.t_final / sc.h)
     y = eng.initial_state()
     states = [y]
@@ -650,8 +651,8 @@ OPERATOR_CASES = {
     "bundled_adaptive_5s": CASES["bundled_adaptive_5s"],
     "mixed_adaptive": mixed_adaptive,
     "mixed_adaptive_frozen": mixed_frozen,
-    "below_bound": lambda: complete_formation(10, "adaptive"),
-    "above_bound": lambda: complete_formation(12, "adaptive"),
+    "below_bound": lambda: complete_formation(12, "adaptive"),
+    "above_bound": lambda: complete_formation(14, "adaptive"),
 }
 
 
@@ -660,18 +661,33 @@ def test_operator_step_matches_staged(case):
     """The operator step against the staged Engine.rk4 over the whole
     horizon: on the bundled adaptive square at 5 s, on orders 1, 3 and 5,
     with theta_hat frozen, and on one formation on each side of
-    OPERATOR_MAX_MACS (integrate takes the staged step on the second)."""
+    OPERATOR_MAX_MACS (integrate takes the staged step on the second).
+    The operator step is also driven in pieces of 1, 63, 64 and 65 states
+    and then the rest, each from the state the last returned: the
+    arithmetic of a step does not depend on how the steps are chunked, so
+    the states are bitwise those of one call over the whole horizon."""
     sc = OPERATOR_CASES[case]()
     eng = Engine(sc)
     if case.endswith("_bound"):
         assert (eng.operator_macs < OPERATOR_MAX_MACS) == (case == "below_bound")
     n_steps = round(sc.t_final / sc.h)
-    ys_op, ys_st = np.empty((2, n_steps, eng.dim))
-    eng.operator_step()(eng.initial_state(), ys_op)
+    ys_op, ys_st, pieces = np.empty((3, n_steps, eng.dim))
+    advance = eng.operator_step()
+    advance(eng.initial_state(), ys_op)
     eng.rk4()(eng.initial_state(), ys_st)
     for row in range(sc.record_every - 1, n_steps, sc.record_every):
         assert_close(ys_op[row], ys_st[row])
     assert_close(ys_op[-1], ys_st[-1])
+
+    assert n_steps > 1 + 63 + 64 + 65
+    y, first = eng.initial_state(), 0
+    for rows in (1, 63, 64, 65, n_steps):
+        piece = pieces[first : first + rows]
+        y = advance(y, piece)
+        first += len(piece)
+    assert first == n_steps
+    assert pieces.tobytes() == ys_op.tobytes()
+    assert y.tobytes() == ys_op[-1].tobytes()
 
 
 def frozen(sc):

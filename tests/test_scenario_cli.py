@@ -428,7 +428,7 @@ class TestCli:
         sc = load_scenario(self.run_scenario_file(tmp_path, mutate))
         traj = integrate(sc)
         mts = metrics(traj, sc)
-        V = cli.oracle_report(sc, traj)[1]
+        V = cli.oracle_report(sc, traj, cli.certificate(sc))[1]
         assert (V is None) == (mode == "known")
         cli.write_trajectory_csv(tmp_path / "fast.csv", traj, sc, mts, V)
 
@@ -533,11 +533,12 @@ class TestCli:
         assert 0 < lyapunov["lambda_min_Qc"] < 1e-15
         assert all(np.isfinite(v) for v in lyapunov.values())
 
-    def test_certificate_failure_exits_2(self, tmp_path):
+    def test_certificate_failure_exits_2(self, tmp_path, monkeypatch):
         """Six sinusoids on follower 3 of square_adaptive (order 13, G_i of
         condition number 2.3e18): the scenario validates, but G_c rounds to
         a matrix that is not positive definite.  run --oracles exits 2 with
-        one line naming the certificate and the order, and writes nothing."""
+        one line naming the certificate and the order, and writes nothing;
+        the certificate is built first, so nothing is integrated."""
         with open(bundled_scenario("square_adaptive")) as fh:
             data = json.load(fh)
         data["disturbances"]["3"]["sinusoids"] = [
@@ -546,6 +547,11 @@ class TestCli:
         ]
         path = write_scenario(tmp_path, data)
         assert _main_stderr(["validate", path]) == (0, [])
+
+        def fail(sc):
+            raise AssertionError("integrated before the certificate")
+
+        monkeypatch.setattr(cli, "integrate", fail)
         out = tmp_path / "six"
         code, err = _main_stderr(
             ["run", path, "--oracles", "--t-final", "0.1", "--out", str(out)]
