@@ -38,7 +38,7 @@ from bearing_forge.sim_engine import CHECK_CHUNK, OPERATOR_MAX_MACS, Engine  # n
 
 # agent counts per mode; state dim is 19 n - 34 (adaptive) and 16 n - 28
 # (known) with the generator's one sinusoid and constant per follower.
-# 48 agents is the largest known formation below OPERATOR_MAX_MACS.
+# 41 agents is the largest known formation below OPERATOR_MAX_MACS.
 SIZES = {
     "adaptive": (4, 6, 8, 10, 12, 14, 16, 20, 24),
     "known": (8, 16, 24, 32, 41, 48, 56, 64, 72, 80),

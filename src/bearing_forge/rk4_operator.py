@@ -20,10 +20,6 @@ the states that follow y, one step apart, and returns the last of them.
 
 import numpy as np
 
-# rows of the adaptive advance's work array; a longer out is filled in
-# pieces of this many states
-ROWS = 64
-
 
 def probe(f, n):
     """(f(0), F) for an affine map f of n inputs, so that f(x) = f(0) + F x;
@@ -110,37 +106,28 @@ def operator_step(A, b, C, c, D, h):
     """The chunk advance of the RK4 step of size h of
     y' = A y + b + D (z_a * z_b), [z_a; z_b] = C y + c: by doubling without
     products, and one step at a time otherwise.  The advance keeps its work
-    buffers, so it serves one run at a time: row s of its work array holds
-    u of the s-th state of a piece of out, and X u writes row s + 1."""
+    row u, so it serves one run at a time; X u is written straight into
+    the next row of out, which must be C-contiguous."""
     Ws, X = rk4_map(A, b, C, c, D, h)
     dim, n_p = X.shape[0], D.shape[1]
     if not n_p:
         return doubling(X)
 
-    U = np.empty((ROWS + 1, X.shape[1]))
-    U[:, dim] = 1.0
+    u = np.ones(X.shape[1])
     z = np.empty(2 * n_p)
     za, zb = z[:n_p], z[n_p:]
-    # per row: (W_j, the prefix of u that W_j reads, the slot of p_j)
-    stages = [
-        [(W, u[: W.shape[1]], u[W.shape[1] : W.shape[1] + n_p]) for W in Ws]
-        for u in U[:ROWS]
-    ]
-    rows = list(zip(U, U[1:, :dim]))
+    # (W_j, the prefix of u that W_j reads, the slot of p_j)
+    stages = [(W, u[: W.shape[1]], u[W.shape[1] : W.shape[1] + n_p]) for W in Ws]
     dot, multiply = np.dot, np.multiply
 
     def advance(y, out):
-        U[0, :dim] = y
-        for first in range(0, len(out), ROWS):
-            m = min(ROWS, len(out) - first)
-            for s in range(m):
-                for W, x, p in stages[s]:
-                    dot(W, x, z)
-                    multiply(za, zb, p)
-                u, y_next = rows[s]
-                dot(X, u, y_next)
-            out[first : first + m] = U[1 : m + 1, :dim]
-            U[0, :dim] = U[m, :dim]
-        return U[0, :dim].copy()
+        u[:dim] = y
+        for row in out:
+            for W, x, p in stages:
+                dot(W, x, z)
+                multiply(za, zb, p)
+            dot(X, u, row)
+            u[:dim] = row
+        return out[-1].copy()
 
     return advance

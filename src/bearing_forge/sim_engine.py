@@ -36,7 +36,7 @@ _REACH_SLACK = 1e-12
 # dim^2 and n_prod * dim, the staged step roughly as dim.  Set from the
 # crossover measured by scripts/stepper_sweep.py, recorded in
 # BENCH_stepper_crossover.json.
-OPERATOR_MAX_MACS = 600_000
+OPERATOR_MAX_MACS = 400_000
 
 # Pade-13 coefficients b_0..b_13 and the 1-norm below which the unscaled
 # approximant meets double precision (Higham, SIAM J. Matrix Anal. Appl.

@@ -651,8 +651,8 @@ OPERATOR_CASES = {
     "bundled_adaptive_5s": CASES["bundled_adaptive_5s"],
     "mixed_adaptive": mixed_adaptive,
     "mixed_adaptive_frozen": mixed_frozen,
-    "below_bound": lambda: complete_formation(12, "adaptive"),
-    "above_bound": lambda: complete_formation(14, "adaptive"),
+    "below_bound": lambda: complete_formation(10, "adaptive"),
+    "above_bound": lambda: complete_formation(12, "adaptive"),
 }
 
 
