@@ -10,9 +10,13 @@ once per mode.  For each one the script times the chunk advances of
 adaptive mode) and of ``Engine.rk4`` from the same initial state, and
 records the operator step's multiply-add count, ``Engine.operator_macs``,
 and its build time: ``Engine.operator_step()`` and the first chunk, which
-squares the powers in known mode, less one median chunk.
-``sim_engine.OPERATOR_MAX_MACS``, the count below which ``integrate`` takes
-the operator step, is set from the crossover this sweep finds.
+squares the powers in known mode, less one median chunk.  Each stepper's
+time per step is kept as the quartiles of its timed stretches; a row is
+decided only when the two interquartile ranges do not overlap, and the
+crossover is bracketed from the decided rows alone, with the undecided ones
+listed beside it.  ``sim_engine.OPERATOR_MAX_MACS``, the count below which
+``integrate`` takes the operator step, is set from the crossover this
+sweep finds.
 
     python3 scripts/stepper_sweep.py [--out BENCH_stepper_crossover.json]
 
@@ -44,13 +48,14 @@ SIZES = {
     "known": (8, 16, 24, 32, 41, 48, 56, 64, 72, 80),
 }
 CHUNKS = 3                       # chunk advances per timed stretch
-REPEATS = 7                      # timed stretches per stepper; the median is kept
+REPEATS = 7                      # timed stretches per stepper, summarised by quartiles
 
 
 def us_per_step(advances, y0):
-    """Median over REPEATS stretches of CHUNKS chunk advances from y0, in µs
-    per step, for each advance; the advances take turns, so that a change
-    of host speed during the sweep reaches all of them alike."""
+    """Quartiles [q1, median, q3] over REPEATS stretches of CHUNKS chunk
+    advances from y0, in µs per step, for each advance; the advances take
+    turns, so that a change of host speed during the sweep reaches all of
+    them alike."""
     out = np.empty((CHECK_CHUNK, len(y0)))
     times = [[] for _ in advances]
     for _ in range(REPEATS):
@@ -60,7 +65,10 @@ def us_per_step(advances, y0):
             for _ in range(CHUNKS):
                 y = advance(y, out)
             spent.append((time.perf_counter() - start) / (CHUNKS * CHECK_CHUNK))
-    return [statistics.median(t) * 1e6 for t in times]
+    return [
+        [round(q * 1e6, 1) for q in statistics.quantiles(t, n=4, method="inclusive")]
+        for t in times
+    ]
 
 
 def measure(n_agents, mode):
@@ -70,28 +78,41 @@ def measure(n_agents, mode):
     operator = eng.operator_step()
     operator(y0, np.empty((CHECK_CHUNK, eng.dim)))
     first_s = time.perf_counter() - start
-    operator_us, staged_us = us_per_step([operator, eng.rk4()], y0)
+    operator_q, staged_q = us_per_step([operator, eng.rk4()], y0)
+    # decided when the interquartile ranges do not overlap
+    if operator_q[2] < staged_q[0]:
+        faster = True
+    elif staged_q[2] < operator_q[0]:
+        faster = False
+    else:
+        faster = None
     return {
         "mode": mode,
         "n_agents": n_agents,
         "dim": eng.dim,
         "n_prod": eng.n_prod,
         "operator_macs": eng.operator_macs,
-        "operator_build_s": round(first_s - operator_us * CHECK_CHUNK * 1e-6, 4),
-        "operator_us_per_step": round(operator_us, 1),
-        "staged_us_per_step": round(staged_us, 1),
-        "operator_faster": operator_us < staged_us,
+        "operator_build_s": round(first_s - operator_q[1] * CHECK_CHUNK * 1e-6, 4),
+        "operator_us_per_step": operator_q[1],
+        "staged_us_per_step": staged_q[1],
+        "operator_us_quartiles": [operator_q[0], operator_q[2]],
+        "staged_us_quartiles": [staged_q[0], staged_q[2]],
+        "operator_faster": faster,
     }
 
 
 def crossover(rows):
-    """Largest multiply-add count at which the operator step was faster,
-    and smallest at which it was not."""
-    won = [r["operator_macs"] for r in rows if r["operator_faster"]]
-    lost = [r["operator_macs"] for r in rows if not r["operator_faster"]]
+    """From the decided rows, the largest multiply-add count at which the
+    operator step was faster and the smallest at which the staged step was;
+    and the counts of the undecided rows."""
+    won = [r["operator_macs"] for r in rows if r["operator_faster"] is True]
+    lost = [r["operator_macs"] for r in rows if r["operator_faster"] is False]
     return {
         "largest_macs_operator_faster": max(won, default=None),
         "smallest_macs_staged_faster": min(lost, default=None),
+        "undecided_macs": [
+            r["operator_macs"] for r in rows if r["operator_faster"] is None
+        ],
     }
 
 

@@ -92,8 +92,9 @@ class CompiledScenario:
 
     @property
     def state_dim(self):
-        """Length of the engine's state [p | v_f | eta | vartheta | theta_hat]."""
-        k = sum(m.order for m in self.models)
+        """Length of the engine's state [p | v_f | eta | vartheta | theta_hat],
+        each follower's blocks padded to the largest order (Engine)."""
+        k = self.n_f * max(m.order for m in self.models)
         adaptive = self.mode == "adaptive"
         return (self.n + self.n_f + 2 * k) * self.d + (k if adaptive else 0)
 
@@ -235,18 +236,6 @@ def closed_loop_spectrum(sc):
     return np.sort_complex(np.concatenate([lam.ravel(), *M_f]))
 
 
-def _pad_index(sizes, width):
-    """Flat positions of a packed stack of (size_i, width) blocks inside the
-    zero-padded (len(sizes), max(sizes), width) array; None when the sizes
-    are equal and the packed stack already has the padded layout."""
-    if len(set(sizes)) == 1:
-        return None
-    stride = max(sizes) * width
-    return np.concatenate(
-        [i * stride + np.arange(s * width) for i, s in enumerate(sizes)]
-    )
-
-
 def _padded(mats, rows, cols):
     """Stack 2-D blocks into a zero-padded (len(mats), rows, cols) array."""
     out = np.zeros((len(mats), rows, cols))
@@ -259,12 +248,13 @@ class Engine:
     """The closed loop in stacked per-follower form.
 
     Follower i's compensator and exosystem states are (m_i, d) blocks and its
-    estimate of the feedforward row E_i is a row of m_i entries.  They are
-    held zero-padded to the largest order, as (n_f, m_max, d) and
+    estimate of the feedforward row E_i is a row of m_i entries.  The state
+    holds them zero-padded to the largest order, as flat (n_f, m_max, d) and
     (n_f, 1, m_max) arrays, next to the stacked (n_f, m_max, m_max) matrices
     M, Phi and Lambda, so that each per-follower product of the control law
-    is one batched matmul.  Padded
-    rows and columns are zero and never reach the packed state.
+    is one batched matmul on a reshape of the state.  The padded rows and
+    columns of the matrices are zero, so padding entries that start at 0
+    stay exactly 0; `real` lists the other coordinates.
 
     `rhs` is composed of `_readouts` (s, w and θ̂, affine in the state) and
     `_law`, which is affine jointly in the state and in the sums θ̂ w and
@@ -279,9 +269,7 @@ class Engine:
         self.sc = sc
         self.n, self.d, self.n_l, self.n_f = n, d, n_l, n_f
         self.orders = [m.order for m in sc.models]
-        self.q_f = sum(self.orders) * d
         self.adaptive = sc.mode == "adaptive"
-        self.K = sum(self.orders) if self.adaptive else 0
 
         B = sc.laplacian.B
         self.Bf = B[n_l * d :, :]                       # follower rows, acts on full stacks
@@ -292,12 +280,10 @@ class Engine:
         self.s_vc = self.Bf[:, : n_l * d] @ self.vc_tile
 
         m_max = self.m_max = max(self.orders)
-        self.eta_idx = _pad_index(self.orders, d)
         self.M3 = _padded([m.M for m in sc.models], m_max, m_max)
         self.N3 = _padded([m.N.reshape(-1, 1) for m in sc.models], m_max, 1)
         self.Phi3 = _padded([e.Phi for e in sc.exos], m_max, m_max)
         if self.adaptive:
-            self.th_idx = _pad_index(self.orders, 1)
             # a frozen estimate is the adaptive law with zero gain
             self.neg_Lam3 = (0.0 if sc.freeze_theta else -1.0) * _padded(
                 [np.atleast_2d(L) for L in sc.lambdas], m_max, m_max
@@ -308,42 +294,37 @@ class Engine:
             self.E3 = np.zeros((n_f, 1, m_max))
 
         # state layout offsets
+        k = n_f * m_max
         self.i_p = 0
         self.i_vf = n * d
         self.i_eta = self.i_vf + n_f * d
-        self.i_var = self.i_eta + self.q_f
-        self.i_th = self.i_var + self.q_f
-        self.dim = self.i_th + self.K
+        self.i_var = self.i_eta + k * d
+        self.i_th = self.i_var + k * d
+        self.dim = self.i_th + (k if self.adaptive else 0)
+
+        # the real (non-padding) coordinates, in the packed order of the
+        # Trajectory: each follower's m_i rows of its blocks
+        rows = np.arange(m_max) < np.array(self.orders)[:, None]    # (n_f, m_max)
+        blocks = np.flatnonzero(np.repeat(rows, d, axis=1))
+        real = [np.arange(self.i_eta), self.i_eta + blocks, self.i_var + blocks]
+        if self.adaptive:
+            real.append(self.i_th + np.flatnonzero(rows))
+        self.real = np.concatenate(real)
 
         # the adaptive products θ̂_ik w_ika and w_ika s_ia, one of each per
         # compensator coordinate
-        self.n_prod = 2 * self.q_f if self.adaptive else 0
+        self.n_prod = 2 * k * d if self.adaptive else 0
         self.operator_macs = multiply_adds(self.dim, self.n_prod)
 
     def initial_state(self):
+        """The packed initial state scattered into its real coordinates."""
         sc = self.sc
         y = np.zeros(self.dim)
-        y[self.i_p : self.i_vf] = sc.p0.ravel()
-        y[self.i_vf : self.i_eta] = sc.v_f0.ravel()
-        y[self.i_eta : self.i_var] = np.concatenate(sc.eta0)
-        y[self.i_var : self.i_th] = np.concatenate([e.theta0 for e in sc.exos])
-        if self.K:
-            y[self.i_th :] = np.concatenate(sc.theta_hat0)
+        y[self.real] = np.concatenate(
+            [sc.p0.ravel(), sc.v_f0.ravel(), *sc.eta0, *[e.theta0 for e in sc.exos]]
+            + (sc.theta_hat0 if self.adaptive else [])
+        )
         return y
-
-    def _blocks(self, x, idx, rows, cols):
-        """Packed per-follower blocks -> padded (n_f, rows, cols) array."""
-        if idx is None:
-            return x.reshape(self.n_f, rows, cols)
-        buf = np.zeros(self.n_f * rows * cols)
-        buf[idx] = x
-        return buf.reshape(self.n_f, rows, cols)
-
-    @staticmethod
-    def _packed(a, idx):
-        """Padded per-follower array -> packed flat blocks."""
-        flat = a.reshape(-1)
-        return flat if idx is None else flat[idx]
 
     def _readouts(self, y):
         """The inputs of the law, affine in y: s_p = B_f p and s_v = B_f v,
@@ -351,15 +332,11 @@ class Engine:
         in adaptive mode (None otherwise)."""
         d = self.d
         v_f = y[self.i_vf : self.i_eta]
-        eta = self._blocks(y[self.i_eta : self.i_var], self.eta_idx, self.m_max, d)
+        eta = y[self.i_eta : self.i_var].reshape(self.n_f, self.m_max, d)
         s_p = self.Bf @ y[self.i_p : self.i_vf]
         s_v = self.Bf_v @ v_f + self.s_vc
         w = eta - self.N3 * v_f.reshape(self.n_f, 1, d)
-        th = (
-            self._blocks(y[self.i_th :], self.th_idx, 1, self.m_max)
-            if self.adaptive
-            else None
-        )
+        th = y[self.i_th :].reshape(self.n_f, 1, self.m_max) if self.adaptive else None
         return s_p, s_v, w, th
 
     def _law(self, y, s_p, s_v, w, tw=None, ws=None):
@@ -376,19 +353,15 @@ class Engine:
             u = u + self.E3 @ w                          # (n_f, 1, d)
         elif tw is not None:
             u = u + tw
-        var = self._blocks(y[self.i_var : self.i_th], self.eta_idx, self.m_max, d)
+        var = y[self.i_var : self.i_th].reshape(self.n_f, self.m_max, d)
         dy = np.empty(self.dim)
         dy[self.i_p : self.i_p + self.n_l * d] = self.vc_tile
         dy[self.i_p + self.n_l * d : self.i_vf] = y[self.i_vf : self.i_eta]
         dy[self.i_vf : self.i_eta] = (u + var[:, :1, :]).ravel()
         # eta' = M eta + N u - M N v_f = M w + N u
-        dy[self.i_eta : self.i_var] = self._packed(
-            self.M3 @ w + self.N3 * u, self.eta_idx
-        )
-        dy[self.i_var : self.i_th] = self._packed(self.Phi3 @ var, self.eta_idx)
-        dy[self.i_th :] = (
-            0.0 if ws is None else self._packed(self.neg_Lam3 @ ws, self.th_idx)
-        )
+        dy[self.i_eta : self.i_var] = (self.M3 @ w + self.N3 * u).ravel()
+        dy[self.i_var : self.i_th] = (self.Phi3 @ var).ravel()
+        dy[self.i_th :] = 0.0 if ws is None else (self.neg_Lam3 @ ws).ravel()
         return dy
 
     def rhs(self, y):
@@ -399,20 +372,16 @@ class Engine:
         return self._law(y, s_p, s_v, w, th @ w, ws)
 
     def _factors(self, s_p, s_v, w, th):
-        """[z_a; z_b], the packed factors of the n_prod adaptive products
+        """[z_a; z_b], the flat factors of the n_prod adaptive products
         p = z_a * z_b: first θ̂_ik w_ika, then w_ika s_ia."""
         th_b = np.broadcast_to(th.transpose(0, 2, 1), w.shape)
         s_b = np.broadcast_to((s_p + s_v).reshape(self.n_f, 1, self.d), w.shape)
-        return np.concatenate(
-            [self._packed(a, self.eta_idx) for a in (th_b, w, w, s_b)]
-        )
+        return np.concatenate([th_b, w, w, s_b], axis=None)
 
     def _sums(self, P):
-        """The per-follower sums of the packed products P that `_law`
-        takes: θ̂ w (n_f, 1, d) and w s (n_f, m_max, 1)."""
-        tw, ws = (
-            self._blocks(x, self.eta_idx, self.m_max, self.d) for x in np.split(P, 2)
-        )
+        """The per-follower sums of the flat products P that `_law` takes:
+        θ̂ w (n_f, 1, d) and w s (n_f, m_max, 1)."""
+        tw, ws = (x.reshape(self.n_f, self.m_max, self.d) for x in np.split(P, 2))
         return tw.sum(axis=1, keepdims=True), ws.sum(axis=2, keepdims=True)
 
     def rk4(self):
@@ -600,20 +569,20 @@ def integrate(sc: CompiledScenario):
         # own step (or completes).
         run(eng.rk4())
 
-    S = rec_steps.size
-    positions = samples[:, eng.i_p : eng.i_vf].reshape(S, n, d)
+    # one gather of the real coordinates gives the packed blocks
+    S, q_f = rec_steps.size, sum(eng.orders) * d
+    cuts = [eng.i_vf, eng.i_eta, eng.i_eta + q_f, eng.i_eta + 2 * q_f]
+    p, v_f, eta, var, th = np.split(samples[:, eng.real], cuts, axis=1)
     velocities = np.empty((S, n, d))
     velocities[:, : eng.n_l, :] = sc.v_c
-    velocities[:, eng.n_l :, :] = samples[:, eng.i_vf : eng.i_eta].reshape(
-        S, eng.n_f, d
-    )
+    velocities[:, eng.n_l :, :] = v_f.reshape(S, eng.n_f, d)
     return Trajectory(
         times=rec_steps * h,
-        positions=positions,
+        positions=p.reshape(S, n, d),
         velocities=velocities,
-        eta=samples[:, eng.i_eta : eng.i_var],
-        vartheta=samples[:, eng.i_var : eng.i_th],
-        theta_hat=samples[:, eng.i_th :],
+        eta=eta,
+        vartheta=var,
+        theta_hat=th,
         min_dist=dists,
     )
 
@@ -676,7 +645,8 @@ def build_certificate(sc):
     W = E_f E_f^T = diag(|E_i|^2 kron 1_d); gamma exceeds it by 1 percent.
     G_c = blkdiag(G_i kron I_d) solves G M_f + M_f^T G = -I, with one
     (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I) per distinct M_i
-    (choose_MN makes M_i depend only on the order).
+    (choose_MN makes M_i depend only on the order); G_i counts as positive
+    definite when lambda_min(G_i) > m_i eps lambda_max(G_i).
     """
     B_ff, mu = sc.laplacian.B_ff, float(sc.laplacian.ff_eigenvalues[0])
     kp, kv = sc.gains.kappa_p, sc.gains.kappa_v
@@ -691,7 +661,11 @@ def build_certificate(sc):
             op = np.kron(eye, model.M.T) + np.kron(model.M.T, eye)
             G = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
             G = 0.5 * (G + G.T)
-            if np.linalg.eigvalsh(G)[0] <= 0:
+            # eigvalsh is backward stable: its eigenvalues are those of G
+            # within m eps lambda_max (Weyl), so a smaller lambda_min has no
+            # certain sign
+            lam = np.linalg.eigvalsh(G)
+            if not lam[0] > m * np.finfo(float).eps * lam[-1]:
                 raise CertificateFailed(f"G_c is not positive definite at order {m}")
             solved[key] = np.kron(G, np.eye(sc.d))
     e2 = np.repeat([model.E @ model.E for model in sc.models], sc.d)

@@ -126,6 +126,19 @@ def dense_Q(B_ff, gains):
     )
 
 
+def padded_state(eng, packed):
+    """The engine state whose real coordinates (`Engine.real`) hold the
+    packed state [p | v_f | eta | vartheta | theta_hat], zero elsewhere."""
+    y = np.zeros(packed.shape[:-1] + (eng.dim,))
+    y[..., eng.real] = packed
+    return y
+
+
+def padding(eng, states):
+    """The padding entries of engine states (..., eng.dim)."""
+    return np.delete(states, eng.real, axis=-1)
+
+
 def certificate_for(B_ff, gains, models, d):
     """build_certificate for a given B_ff, on a stand-in for the compiled
     scenario that carries only what the certificate reads."""

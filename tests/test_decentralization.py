@@ -24,7 +24,7 @@ from bearing_forge.formation_graph import BearingSet
 from bearing_forge.scenario import compile_scenario
 from bearing_forge.sim_engine import Engine
 
-from conftest import base_scenario_dict
+from conftest import base_scenario_dict, padded_state, padding
 
 TOL = 1e-12
 
@@ -136,8 +136,9 @@ def local_law(sc, i, positions, velocities, eta, var, theta_hat):
 
 def agent_rows(eng, k):
     """Indices of agent k's entries in the engine state, in the order
-    [p, v, eta, vartheta, theta_hat]; a leader has only p."""
-    d = eng.d
+    [p, v, eta, vartheta, theta_hat]; a leader has only p.  They are the
+    agent's entries of the packed state, mapped through `Engine.real`."""
+    d, q = eng.d, sum(eng.orders)
     rows = [np.arange((k - 1) * d, k * d)]
     if k > eng.n_l:
         f = k - eng.n_l - 1
@@ -145,11 +146,11 @@ def agent_rows(eng, k):
         rows += [
             eng.i_vf + f * d + np.arange(d),
             eng.i_eta + off * d + np.arange(m * d),
-            eng.i_var + off * d + np.arange(m * d),
+            eng.i_eta + (q + off) * d + np.arange(m * d),
         ]
-        if eng.K:
-            rows.append(eng.i_th + off + np.arange(m))
-    return np.concatenate(rows)
+        if eng.adaptive:
+            rows.append(eng.i_eta + 2 * q * d + off + np.arange(m))
+    return eng.real[np.concatenate(rows)]
 
 
 def local_view(sc, eng, y, i):
@@ -221,8 +222,10 @@ MODES = ["known", "adaptive", "adaptive_frozen", "feedback_only"]
 
 
 def states(eng, seed):
+    """The initial state and three random ones, each with zero padding."""
     rng = np.random.default_rng(seed)
-    return [eng.initial_state()] + list(rng.standard_normal((3, eng.dim)))
+    random = padded_state(eng, rng.standard_normal((3, len(eng.real))))
+    return [eng.initial_state()] + list(random)
 
 
 def test_formation_is_sparse_and_mixed_order():
@@ -242,6 +245,7 @@ def test_rows_depend_only_on_neighbours(mode):
     rng = np.random.default_rng(11)
     for y in states(eng, 3):
         base = eng.rhs(y)
+        assert (padding(eng, base) == 0).all()
         for i in sc.graph.followers:
             rows = agent_rows(eng, i)
             others = set(range(1, sc.n + 1)) - {i} - set(sc.graph.neighbors(i))
@@ -261,6 +265,7 @@ def test_rows_equal_local_law(mode):
     eng = Engine(sc)
     for y in states(eng, 5):
         dy = eng.rhs(y)
+        assert (padding(eng, dy) == 0).all()
         for i in sc.graph.followers:
             ref = local_law(sc, i, *local_view(sc, eng, y, i))
             got = dy[agent_rows(eng, i)]

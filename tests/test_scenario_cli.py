@@ -561,6 +561,39 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_certificate_failure_on_any_blas_thread_count(self, tmp_path):
+        """The same scenario in fresh processes with one and with two BLAS
+        threads: the rounded lambda_min(G_i) at order 13 is +5.7e-3 on one
+        thread and -1.1 on two, both far inside the eigvalsh error bound
+        m eps lambda_max(G_i) = 37, so both runs exit 2 with the same line
+        and write nothing."""
+        with open(bundled_scenario("square_adaptive")) as fh:
+            data = json.load(fh)
+        data["disturbances"]["3"]["sinusoids"] = [
+            {"frequency": 0.5 * k, "amplitudes": [0.1, 0.1], "phases": [0.0, 0.5]}
+            for k in range(1, 7)
+        ]
+        path = write_scenario(tmp_path, data)
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            out = tmp_path / f"threads_{threads}"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "bearing_forge.cli", "run", path,
+                    "--oracles", "--t-final", "0.1", "--out", str(out),
+                ],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 2, (threads, proc.stderr)
+            assert proc.stderr.splitlines() == [
+                "error: oracles.lyapunov: G_c is not positive definite at order 13"
+            ], threads
+            assert not out.exists()
+
 
 # each error class, one instance, and the exit code and stderr prefix that
 # the CLI documents for it

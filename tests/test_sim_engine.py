@@ -27,6 +27,8 @@ from conftest import (
     certificate_for,
     dense_Q,
     make_scenario,
+    padded_state,
+    padding,
     random_formation,
 )
 from test_decentralization import sparse_scenario
@@ -168,30 +170,33 @@ class TestEngineLinearisation:
     adaptive mode: the structure that closed_loop_spectrum reads."""
 
     @staticmethod
-    def equilibrium(sc, eng):
+    def equilibrium(sc, ref):
         """p = p*(0), v_f = v_c, eta_i = N_i kron v_c, vartheta = 0 and, in
-        adaptive mode, theta_hat = E."""
-        y = np.zeros(eng.dim)
-        y[eng.i_p : eng.i_vf] = sc.p_star0.ravel()
-        y[eng.i_vf : eng.i_eta] = np.tile(sc.v_c, sc.n_f)
-        y[eng.i_eta : eng.i_var] = np.concatenate([np.kron(m.N, sc.v_c) for m in sc.models])
-        if eng.K:
-            y[eng.i_th :] = np.concatenate([m.E for m in sc.models])
+        adaptive mode, theta_hat = E, in the packed layout of ref."""
+        y = np.zeros(ref.dim)
+        y[ref.i_p : ref.i_vf] = sc.p_star0.ravel()
+        y[ref.i_vf : ref.i_eta] = np.tile(sc.v_c, sc.n_f)
+        y[ref.i_eta : ref.i_var] = np.concatenate([np.kron(m.N, sc.v_c) for m in sc.models])
+        if ref.K:
+            y[ref.i_th :] = np.concatenate([m.E for m in sc.models])
         return y
 
     @pytest.mark.parametrize("case", [c for c in CASES if c != "order_11"])
     def test_jacobian_is_block_diagonal(self, case):
+        """On the real coordinates (`Engine.real`), at a state with zero
+        padding; the padding's rows of the Jacobian are exactly 0."""
         sc = CASES[case]()
-        eng = Engine(sc)
+        eng, ref = Engine(sc), ReferenceEngine(sc)
         A, b, C, c, D = eng.product_form()
-        z = C @ self.equilibrium(sc, eng) + c
+        z = C @ padded_state(eng, self.equilibrium(sc, ref)) + c
         n_p = eng.n_prod
         z_a, z_b = z[:n_p], z[n_p:]
         J = A + D @ (z_b[:, None] * C[:n_p] + z_a[:, None] * C[n_p:])
-        keep = slice(sc.n_l * sc.d, None)                     # drop the leaders
-        J = J[keep, keep]
+        assert (padding(eng, J.T) == 0).all()
+        keep = eng.real[sc.n_l * sc.d :]                      # drop the leaders
+        J = J[np.ix_(keep, keep)]
 
-        d, nfd, q_f = sc.d, sc.n_f * sc.d, eng.q_f
+        d, nfd, q_f = sc.d, sc.n_f * sc.d, ref.q_f
         eye = np.eye(d)
         N_f = sla.block_diag(*[np.kron(m.N.reshape(-1, 1), eye) for m in sc.models])
         T_f = sla.block_diag(*[np.kron(m.T, eye) for m in sc.models])
@@ -205,7 +210,7 @@ class TestEngineLinearisation:
         want = sla.block_diag(
             assemble_A_sigma(sc.laplacian.B_ff, sc.models, d, sc.gains),
             Phi_f,
-            np.zeros((eng.K, eng.K)),
+            np.zeros((ref.K, ref.K)),
         )
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= LINEARISATION_TOL * np.abs(want).max()
