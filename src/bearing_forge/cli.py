@@ -20,12 +20,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    BearingForgeError,
-    CertificateFailed,
-    CollisionDetected,
-    NonFiniteState,
-)
+from .errors import BearingForgeError, CollisionDetected, NonFiniteState
 from .scenario import MODES, OVERRIDES, load_scenario
 from .sim_engine import (
     build_certificate,
@@ -83,20 +78,10 @@ def write_trajectory_csv(path, traj, sc, mts, V=None):
         fh.write("".join([row % tuple(r) for r in rows]))
 
 
-def certificate(sc):
-    """The Lyapunov certificate of adaptive mode, None in the other modes."""
-    if sc.mode != "adaptive":
-        return None
-    try:
-        return build_certificate(sc)
-    except CertificateFailed as exc:
-        raise CertificateFailed(f"oracles.lyapunov: {exc}") from exc
-
-
-def oracle_report(sc, traj, cert):
+def oracle_report(sc, traj):
     """Proof-level diagnostics: closed-loop spectrum, xi deviation, and (in
-    adaptive mode) the monotonicity verdict of the Lyapunov certificate
-    cert, from `certificate`.
+    adaptive mode) the monotonicity verdict of the Lyapunov certificate,
+    whose positivity checks passed at load.
 
     Returns (report, V): V is the monitor series of adaptive mode, None
     otherwise.
@@ -106,7 +91,8 @@ def oracle_report(sc, traj, cert):
         "xi_max_deviation": float(xi_oracle(traj, sc)),
     }
     V = None
-    if cert is not None:
+    if sc.mode == "adaptive":
+        cert = build_certificate(sc)
         V = lyapunov_monitor(traj, cert, sc)
         bad = ~np.isfinite(V)
         if bad.any():
@@ -142,15 +128,12 @@ def _non_finite(tree, where):
 
 def cmd_run(args):
     sc = load_scenario(args.scenario, _overrides(args))
-    oracles = args.oracles or sc.oracles
-    # a certificate that cannot be formed fails the run before it integrates
-    cert = certificate(sc) if oracles else None
     traj = integrate(sc)
     mts = metrics(traj, sc)
 
     report, V = None, None
-    if oracles:
-        report, V = oracle_report(sc, traj, cert)
+    if args.oracles or sc.oracles:
+        report, V = oracle_report(sc, traj)
 
     summary = {
         "mode": sc.mode,

@@ -31,13 +31,18 @@ class InternalModel:
         return self.M.shape[0]
 
 
+def poles(m):
+    """sigma(M) of the order-m internal model: -1, ..., -m (choose_MN)."""
+    return -np.arange(1.0, m + 1)
+
+
 def choose_MN(r):
     """Deterministic Hurwitz controllable pair of dimension m = 2r+1: M is the
-    companion matrix of prod_{k=1..m} (s + k), N = e_m."""
+    companion matrix of prod (s - lambda) over the poles lambda, N = e_m."""
     if r < 0:
         raise ValueError("r must be >= 0")
     m = 2 * r + 1
-    coeffs = np.poly(np.arange(-1, -m - 1, -1))  # monic, [1, c_1, ..., c_m]
+    coeffs = np.poly(poles(m))  # monic, [1, c_1, ..., c_m]
     M = np.eye(m, k=1)
     M[-1, :] = -coeffs[1:][::-1]
     return M, np.eye(m)[-1]

@@ -3,8 +3,9 @@
 A scenario is one JSON object with `graph`, `geometry`, `disturbances`,
 `controller`, `integration`, and `outputs` sections.  Agent IDs are explicit
 and 1-based; leaders must be exactly 1..n_l.  All validation (schema,
-localizability, disturbance well-posedness, gain conditions) happens at load
-time so that a run never fails on a stability hypothesis mid-integration.
+localizability, disturbance well-posedness, gain conditions, and in adaptive
+mode the Lyapunov certificate's positivity checks) happens at load time so
+that a run never fails on a stability hypothesis mid-integration.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .formation_graph import (
     localize_followers,
 )
 from .internal_model import synthesize
-from .sim_engine import CompiledScenario
+from .sim_engine import CompiledScenario, check_certificate
 
 MODES = ("known", "adaptive", "feedback_only")
 ETA_POLICIES = ("velocity_feedforward", "xi_zero")
@@ -313,9 +314,6 @@ def compile_scenario(data) -> CompiledScenario:
         kappa_p=_field(ctrl, "controller", "kappa_p", _float),
         kappa_v=_field(ctrl, "controller", "kappa_v", _float),
     )
-    with _named("gains"):
-        validate_gains(gains, laplacian.ff_eigenvalues[0], mode)
-
     rate = _field(ctrl, "controller", "adaptation_rate", _float, default=1.0)
     given = _field(
         ctrl, "controller", "adaptation_gains", _ids, followers, _array, default={}
@@ -335,16 +333,6 @@ def compile_scenario(data) -> CompiledScenario:
                 f"controller.adaptation_gains[{i}]: expected "
                 f"{m}x{m} matrix, got {Lam.shape}"
             )
-        if not np.allclose(Lam, Lam.T, atol=1e-12):
-            raise ValidationError(
-                f"gains: GainConditionViolated: Lambda for follower {i} "
-                "not symmetric"
-            )
-        if not np.linalg.eigvalsh(Lam)[0] > 0:
-            raise ValidationError(
-                f"gains: GainConditionViolated: Lambda for follower {i} "
-                "not positive definite"
-            )
         lambdas.append(Lam)
         th0 = theta_init.get(i, np.zeros(m))
         if th0.shape != (m,):
@@ -352,6 +340,13 @@ def compile_scenario(data) -> CompiledScenario:
                 f"controller.theta_hat_init[{i}]: expected {m} entries"
             )
         theta_hat0.append(th0)
+
+    mu_1 = laplacian.ff_eigenvalues[0]
+    with _named("gains"):
+        validate_gains(gains, mu_1, mode, zip(followers, lambdas))
+    if mode == "adaptive":
+        with _named("certificate"):
+            check_certificate(gains, mu_1, models)
 
     eta_init = ctrl.get("eta_init", "velocity_feedforward")
     if isinstance(eta_init, dict):

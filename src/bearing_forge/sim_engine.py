@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateFailed, CollisionDetected, NonFiniteState
+from .internal_model import poles
 from .rk4_operator import multiply_adds, operator_step, probe
 
 # integrate advances CHECK_CHUNK states at a time, by doubling in the linear
@@ -133,20 +134,10 @@ class LyapunovCertificate:
     """Constants of the Lyapunov argument for the adaptive closed loop."""
 
     P_c: np.ndarray
-    G_c: np.ndarray
+    G: dict                      # order m -> G_i (m, m); G_c = blkdiag(G_i kron I_d)
     gamma: float
     gamma_sigma: float
     lambda_min_Qc: float         # smallest eigenvalue of Q (build_certificate)
-
-
-def _block_diag(*mats):
-    """Dense block-diagonal matrix of 2-D blocks."""
-    out = np.zeros((sum(a.shape[0] for a in mats), sum(a.shape[1] for a in mats)))
-    r = c = 0
-    for a in mats:
-        out[r : r + a.shape[0], c : c + a.shape[1]] = a
-        r, c = r + a.shape[0], c + a.shape[1]
-    return out
 
 
 def _balance(A):
@@ -214,7 +205,7 @@ def closed_loop_spectrum(sc):
     np.sort_complex order.
 
     A_sigma is block triangular, so its spectrum is that of M_f, which is
-    -1, ..., -m_i, d times each, for every follower i (choose_MN), together
+    internal_model.poles(m_i), d times each, for every follower i, together
     with the two roots of lambda^2 + kv mu lambda + kp mu = 0 for each
     eigenvalue mu of B_ff.  With b = kv mu and c = kp mu, the discriminant
     is taken as (b - 2 sqrt c)(b + 2 sqrt c), so that no square overflows.
@@ -232,7 +223,7 @@ def closed_loop_spectrum(sc):
     lam = np.empty((2, len(mu)), dtype=complex)
     lam.real = np.where(real, [big, c / big], -0.5 * b)
     lam.imag = np.where(real, 0.0, [0.5 * root, -0.5 * root])
-    M_f = [np.repeat(-np.arange(1.0, m.order + 1), sc.d) for m in sc.models]
+    M_f = [np.repeat(poles(m.order), sc.d) for m in sc.models]
     return np.sort_complex(np.concatenate([lam.ravel(), *M_f]))
 
 
@@ -587,18 +578,30 @@ def integrate(sc: CompiledScenario):
     )
 
 
-def _xi_samples(traj, sc):
-    """xi_i(t) = eta_i + T_i vartheta_i - N_i v_i at each sample, one
-    (S, m_i, d) array per follower."""
+def _by_order(models):
+    """Follower indices grouped by order, {m: [i, ...]}: choose_MN makes M_i
+    and N_i depend only on the order m_i."""
+    groups = {}
+    for i, model in enumerate(models):
+        groups.setdefault(model.order, []).append(i)
+    return groups
+
+
+def _xi_by_order(traj, sc):
+    """Per order m, with the g followers idx of that order: (idx, rows, xi),
+    where rows (g, m) are their rows in the packed compensator blocks and in
+    theta_hat, and xi (S, g, m, d) is xi_i(t) = eta_i + T_i vartheta_i -
+    N v_i at each sample."""
     S, d = len(traj.times), sc.d
-    cuts = np.cumsum([m.order for m in sc.models])[:-1]
-    eta = np.split(traj.eta.reshape(S, -1, d), cuts, axis=1)
-    var = np.split(traj.vartheta.reshape(S, -1, d), cuts, axis=1)
+    start = np.cumsum([0] + [m.order for m in sc.models])
+    eta = traj.eta.reshape(S, -1, d)
+    var = traj.vartheta.reshape(S, -1, d)
     v_f = traj.velocities[:, sc.n_l :, None, :]                # (S, n_f, 1, d)
-    return [
-        e + model.T @ th - model.N[:, None] * v_f[:, i]
-        for i, (model, e, th) in enumerate(zip(sc.models, eta, var))
-    ]
+    for m, idx in _by_order(sc.models).items():
+        rows = start[idx, None] + np.arange(m)
+        T = np.stack([sc.models[i].T for i in idx])
+        N = sc.models[idx[0]].N[:, None]
+        yield idx, rows, eta[:, rows] + T @ var[:, rows] - N * v_f[:, idx]
 
 
 def _norm(x, axis):
@@ -616,19 +619,38 @@ def _norm(x, axis):
 def xi_oracle(traj, sc):
     """Max deviation of the transformed state from its exact flow exp(M t) xi(0).
 
-    Followers with the same M sit side by side, as the column blocks of one
-    (S, m, g d) array, and share one batched expm(M t) over the samples.
+    Followers of one order share M, and one batched expm(M t) over the
+    samples.
     """
-    groups = {}
-    for model, xi in zip(sc.models, _xi_samples(traj, sc)):
-        groups.setdefault(model.M.tobytes(), (model.M, []))[1].append(xi)
     max_dev = 0.0
-    for M, blocks in groups.values():
-        X = np.concatenate(blocks, axis=2)
-        err = X - _flow(M, traj.times) @ X[0]
-        err = err.reshape(*X.shape[:2], len(blocks), -1)   # (S, m, g, d)
-        max_dev = max(max_dev, float(_norm(err, (1, 3)).max()))
+    for idx, _, xi in _xi_by_order(traj, sc):
+        err = xi - _flow(sc.models[idx[0]].M, traj.times)[:, None] @ xi[0]
+        max_dev = max(max_dev, float(_norm(err, (2, 3)).max()))
     return max_dev
+
+
+def check_certificate(gains, mu_1, models):
+    """(lambda_min(Q), {m: G_i}) with the two positivity checks of
+    build_certificate, which compile_scenario runs at load in adaptive mode;
+    mu_1 = lambda_min(B_ff).  G_i solves G M_i + M_i^T G = -I once per order
+    (_by_order), as (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).
+    Raises CertificateFailed."""
+    kp, kv = gains.kappa_p, gains.kappa_v
+    lam_Q = 2.0 * mu_1 * min(kp * mu_1, kv * mu_1 - 1.0)
+    if not lam_Q > 0:
+        raise CertificateFailed(f"Q is not positive definite (lambda_min {lam_Q:.3e})")
+    G = {}
+    for m, idx in _by_order(models).items():
+        M, eye = models[idx[0]].M, np.eye(m)
+        op = np.kron(eye, M.T) + np.kron(M.T, eye)
+        G_m = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
+        G[m] = G_m = 0.5 * (G_m + G_m.T)
+        # eigvalsh is backward stable: its eigenvalues are those of G within
+        # m eps lambda_max (Weyl), so a smaller lambda_min has no certain sign
+        lam = np.linalg.eigvalsh(G_m)
+        if not lam[0] > m * np.finfo(float).eps * lam[-1]:
+            raise CertificateFailed(f"G_c is not positive definite at order {m}")
+    return lam_Q, G
 
 
 def build_certificate(sc):
@@ -643,36 +665,17 @@ def build_certificate(sc):
     P_c B_c = [B_ff; B_ff] for B_c = [0; I], so the Schur threshold
     is gamma_sigma = 2 lambda_max(B_ff W B_ff) / lambda_min(Q), with
     W = E_f E_f^T = diag(|E_i|^2 kron 1_d); gamma exceeds it by 1 percent.
-    G_c = blkdiag(G_i kron I_d) solves G M_f + M_f^T G = -I, with one
-    (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I) per distinct M_i
-    (choose_MN makes M_i depend only on the order); G_i counts as positive
-    definite when lambda_min(G_i) > m_i eps lambda_max(G_i).
+    G_c = blkdiag(G_i kron I_d) solves G M_f + M_f^T G = -I and is kept as
+    its G_i per order; lambda_min(Q) and G_i come from check_certificate.
     """
     B_ff, mu = sc.laplacian.B_ff, float(sc.laplacian.ff_eigenvalues[0])
     kp, kv = sc.gains.kappa_p, sc.gains.kappa_v
-    lam_Q = 2.0 * mu * min(kp * mu, kv * mu - 1.0)
-    if not lam_Q > 0:
-        raise CertificateFailed(f"Q is not positive definite (lambda_min {lam_Q:.3e})")
-    solved = {}                  # G_i kron I_d, one solve per distinct M_i
-    for model in sc.models:
-        key = model.M.tobytes()
-        if key not in solved:
-            m, eye = model.order, np.eye(model.order)
-            op = np.kron(eye, model.M.T) + np.kron(model.M.T, eye)
-            G = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
-            G = 0.5 * (G + G.T)
-            # eigvalsh is backward stable: its eigenvalues are those of G
-            # within m eps lambda_max (Weyl), so a smaller lambda_min has no
-            # certain sign
-            lam = np.linalg.eigvalsh(G)
-            if not lam[0] > m * np.finfo(float).eps * lam[-1]:
-                raise CertificateFailed(f"G_c is not positive definite at order {m}")
-            solved[key] = np.kron(G, np.eye(sc.d))
+    lam_Q, G = check_certificate(sc.gains, mu, sc.models)
     e2 = np.repeat([model.E @ model.E for model in sc.models], sc.d)
     gamma_sigma = float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
     return LyapunovCertificate(
         P_c=np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]]),
-        G_c=_block_diag(*[solved[model.M.tobytes()] for model in sc.models]),
+        G=G,
         gamma=1.01 * gamma_sigma,
         gamma_sigma=gamma_sigma,
         lambda_min_Qc=lam_Q,
@@ -691,25 +694,26 @@ def _tracking_error(traj, sc):
 def lyapunov_monitor(traj, certificate, sc):
     """Per-sample value of V = x~' P_c x~ + gamma xi' G_c xi + th~' Lam^-1 th~.
 
-    The true value of each estimate is the follower's row E (the simulation
+    The xi and th~ terms are summed per order: xi_i' (G_i kron I_d) xi_i and
+    th~_i' Lam_i^-1 th~_i, with one batched solve on the stacked Lam_i.  The
+    true value of each estimate is the follower's row E (the simulation
     knows the frequencies even when the controller does not).  A value
     beyond float range comes out inf or nan, without NumPy warnings.
     """
     S = len(traj.times)
-    xi = np.concatenate([x.reshape(S, -1) for x in _xi_samples(traj, sc)], axis=1)
-    lam_inv = _block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
     p_t, v_t = _tracking_error(traj, sc)
     x_t = np.concatenate([p_t.reshape(S, -1), v_t.reshape(S, -1)], axis=1)
-    th_t = np.concatenate([m.E for m in sc.models]) - traj.theta_hat
-
-    def quad(X, Q):
-        return ((X @ Q) * X).sum(axis=1)
-
-    return (
-        quad(x_t, certificate.P_c)
-        + certificate.gamma * quad(xi, certificate.G_c)
-        + quad(th_t, lam_inv)
-    )
+    V_xi = V_th = 0.0
+    for idx, rows, xi in _xi_by_order(traj, sc):
+        G = certificate.G[rows.shape[1]]
+        V_xi = V_xi + np.einsum("sgak,sgak->s", xi, G @ xi)
+        th_t = np.stack([sc.models[i].E for i in idx]) - traj.theta_hat[:, rows]
+        Lam = np.stack([sc.lambdas[i] for i in idx])
+        V_th = V_th + np.einsum(
+            "sga,gas->s", th_t, np.linalg.solve(Lam, th_t.transpose(1, 2, 0))
+        )
+    V_x = ((x_t @ certificate.P_c) * x_t).sum(axis=1)
+    return V_x + certificate.gamma * V_xi + V_th
 
 
 def metrics(traj, sc):

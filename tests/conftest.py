@@ -139,6 +139,12 @@ def padding(eng, states):
     return np.delete(states, eng.real, axis=-1)
 
 
+def dense_G_c(cert, models, d):
+    """G_c = blkdiag(G_i kron I_d) assembled from the certificate's G_i per
+    order."""
+    return sla.block_diag(*[np.kron(cert.G[m.order], np.eye(d)) for m in models])
+
+
 def certificate_for(B_ff, gains, models, d):
     """build_certificate for a given B_ff, on a stand-in for the compiled
     scenario that carries only what the certificate reads."""

@@ -41,6 +41,7 @@ from bearing_forge.sim_engine import (
 
 from conftest import (
     base_scenario_dict,
+    dense_G_c,
     dense_Q,
     make_scenario,
     padded_state,
@@ -233,6 +234,7 @@ def reference_lyapunov(traj, cert, sc, xi):
     """Per-sample V with the targets localized from the leaders each time."""
     lam_inv = sla.block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
     theta_true = np.concatenate([m.E for m in sc.models])
+    G_c = dense_G_c(cert, sc.models, sc.d)
     V = np.empty(len(traj.times))
     for s, t in enumerate(traj.times):
         p_l = sc.p_star0[: sc.n_l] + t * sc.v_c
@@ -243,7 +245,7 @@ def reference_lyapunov(traj, cert, sc, xi):
         th_t = theta_true - traj.theta_hat[s]
         V[s] = (
             x_t @ cert.P_c @ x_t
-            + cert.gamma * (xi[s] @ cert.G_c @ xi[s])
+            + cert.gamma * (xi[s] @ G_c @ xi[s])
             + th_t @ lam_inv @ th_t
         )
     return V
@@ -408,7 +410,10 @@ def test_post_processing_matches_reference(case):
     if sc.mode == "adaptive":
         cert = build_certificate(sc)
         for name, ref in reference_certificate(sc).items():
-            got = getattr(cert, name)
+            if name == "G_c":
+                got = dense_G_c(cert, sc.models, sc.d)
+            else:
+                got = getattr(cert, name)
             assert np.shape(got) == np.shape(ref)
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), name
         assert_close(
@@ -705,19 +710,29 @@ def complete_formation(n, mode, t_final=0.5):
     return compile_scenario(data)
 
 
-@pytest.mark.parametrize(
-    "case", sorted(c for c in CASES if not c.startswith("skewed"))
-)
+def law_terms(eng, y):
+    """Magnitudes of the terms the law sums in the compensator rows,
+    |M| |w| + |N| (kp |s_p| + kv |s_v| + |E| |w|), with |th| in place of |E|
+    in adaptive mode.  At order 11 the entries of M and N E reach 1.5e8, so
+    on a random state the law's own rounding of M w + N E w, a few eps of
+    these, is about 1e-8 where M w + N E w itself is small."""
+    s_p, s_v, w, th = eng._readouts(y)
+    kp, kv = eng.sc.gains.kappa_p, eng.sc.gains.kappa_v
+    u = (kp * np.abs(s_p) + kv * np.abs(s_v)).reshape(eng.n_f, 1, eng.d)
+    u = u + (np.abs(th) if eng.adaptive else np.abs(eng.E3)) @ np.abs(w)
+    terms = np.zeros(eng.dim)
+    terms[eng.i_eta : eng.i_var] = (np.abs(eng.M3) @ np.abs(w) + eng.N3 * u).ravel()
+    return terms
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_pieces_compose_rhs(case):
     """rhs is the law at its readouts and product sums, and the probed
     product form y' = A y + b + D (z_a * z_b), [z_a; z_b] = C y + c, gives
     it back.  The product form sums dense rows, in another order than the
     law and after cancellations the law does not make (M + N E is small
     where M and N E are not), so its bound scales with the magnitude of
-    the terms summed.  The skewed cases are left out: at order 11 the
-    entries of M and N E reach 1.5e8, so on a random state the law's own
-    rounding in that cancellation (about 1e-8) exceeds a bound on the
-    product form's terms."""
+    the terms summed, both the product form's and the law's (law_terms)."""
     sc = CASES[case]()
     eng = Engine(sc)
     A, b, C, c, D = eng.product_form()
@@ -737,6 +752,7 @@ def test_pieces_compose_rhs(case):
         p = z[:n_p] * z[n_p:]
         got = A @ y + b + D @ p
         terms = np.abs(A) @ np.abs(y) + np.abs(b) + np.abs(D) @ np.abs(p)
+        terms += law_terms(eng, y)
         assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + terms))
 
 

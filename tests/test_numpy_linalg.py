@@ -51,7 +51,7 @@ def test_lyapunov_matches_scipy(r):
     cert = certificate_for(np.eye(1), gains, [model], 1)
     ref = sla.solve_continuous_lyapunov(model.M.T, -np.eye(model.order))
     ref = 0.5 * (ref + ref.T)
-    assert np.abs(cert.G_c - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(cert.G[model.order] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("r", range(4))

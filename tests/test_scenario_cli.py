@@ -428,7 +428,7 @@ class TestCli:
         sc = load_scenario(self.run_scenario_file(tmp_path, mutate))
         traj = integrate(sc)
         mts = metrics(traj, sc)
-        V = cli.oracle_report(sc, traj, cli.certificate(sc))[1]
+        V = cli.oracle_report(sc, traj)[1]
         assert (V is None) == (mode == "known")
         cli.write_trajectory_csv(tmp_path / "fast.csv", traj, sc, mts, V)
 
@@ -519,80 +519,109 @@ class TestCli:
 
     def test_certificate_at_the_gain_gate(self, tmp_path):
         """kappa_v = 2 + sqrt(2) puts kappa_v lambda_min(B_ff) - 1 at 2.2e-16
-        on square_adaptive: the gain gate passes, and the certificate,
-        which reads the same spectrum, forms finite constants."""
+        on square_adaptive, where the certificate's lambda_min(Q) would carry
+        no digits: validate and run --oracles exit 2 with one line naming
+        the margin of 1e-8, and write nothing.  Just above the margin both
+        exit 0, and the certificate's constants are finite."""
+        path = bundled_scenario("square_adaptive")
         out = tmp_path / "edge"
-        code, err = _main_stderr(
-            ["run", bundled_scenario("square_adaptive"), "--oracles",
-             "--t-final", "0.01", "--kappa-v", "3.414213562373099",
-             "--out", str(out)]
+        run = ["run", path, "--oracles", "--t-final", "0.01", "--out", str(out)]
+        line = (
+            "error: gains: GainConditionViolated: adaptive gain condition: "
+            "kappa_v*lambda_min(B_ff) - 1 = 2.22045e-16 is below the margin 1e-8"
         )
-        assert (code, err) == (0, [])
+        for argv in (["validate", path], run):
+            assert _main_stderr(argv + ["--kappa-v", "3.414213562373099"]) == (
+                2, [line]
+            )
+        assert not out.exists()
+
+        mu_1 = load_scenario(path).laplacian.ff_eigenvalues[0]
+        above = repr(float((1.0 + 1.5e-8) / mu_1))
+        for argv in (["validate", path], run):
+            assert _main_stderr(argv + ["--kappa-v", above]) == (0, [])
         with open(out / "oracles.json") as fh:
             lyapunov = json.load(fh)["lyapunov"]
-        assert 0 < lyapunov["lambda_min_Qc"] < 1e-15
+        assert 0 < lyapunov["lambda_min_Qc"] < 1e-7
         assert all(np.isfinite(v) for v in lyapunov.values())
 
-    def test_certificate_failure_exits_2(self, tmp_path, monkeypatch):
-        """Six sinusoids on follower 3 of square_adaptive (order 13, G_i of
-        condition number 2.3e18): the scenario validates, but G_c rounds to
-        a matrix that is not positive definite.  run --oracles exits 2 with
-        one line naming the certificate and the order, and writes nothing;
-        the certificate is built first, so nothing is integrated."""
+    @staticmethod
+    def order_13_scenario(tmp_path):
+        """square_adaptive with six sinusoids on follower 3 (order 13, G_i
+        of condition number 2.3e18)."""
         with open(bundled_scenario("square_adaptive")) as fh:
             data = json.load(fh)
         data["disturbances"]["3"]["sinusoids"] = [
             {"frequency": 0.5 * k, "amplitudes": [0.1, 0.1], "phases": [0.0, 0.5]}
             for k in range(1, 7)
         ]
-        path = write_scenario(tmp_path, data)
-        assert _main_stderr(["validate", path]) == (0, [])
+        return write_scenario(tmp_path, data)
+
+    ORDER_13_LINE = (
+        "error: certificate: CertificateFailed: G_c is not positive definite "
+        "at order 13"
+    )
+
+    def test_certificate_failure_exits_2(self, tmp_path, monkeypatch):
+        """At order 13, G_i rounds to a matrix that is not positive definite.
+        The certificate's checks run at load, so validate and run --oracles
+        both exit 2 with one line naming the certificate and the order, and
+        write nothing; nothing is integrated."""
+        path = self.order_13_scenario(tmp_path)
+        assert _main_stderr(["validate", path]) == (2, [self.ORDER_13_LINE])
 
         def fail(sc):
-            raise AssertionError("integrated before the certificate")
+            raise AssertionError("integrated a scenario that fails at load")
 
         monkeypatch.setattr(cli, "integrate", fail)
         out = tmp_path / "six"
         code, err = _main_stderr(
             ["run", path, "--oracles", "--t-final", "0.1", "--out", str(out)]
         )
-        assert (code, err) == (
-            2, ["error: oracles.lyapunov: G_c is not positive definite at order 13"]
-        )
+        assert (code, err) == (2, [self.ORDER_13_LINE])
         assert not out.exists()
 
     def test_certificate_failure_on_any_blas_thread_count(self, tmp_path):
         """The same scenario in fresh processes with one and with two BLAS
         threads: the rounded lambda_min(G_i) at order 13 is +5.7e-3 on one
         thread and -1.1 on two, both far inside the eigvalsh error bound
-        m eps lambda_max(G_i) = 37, so both runs exit 2 with the same line
-        and write nothing."""
-        with open(bundled_scenario("square_adaptive")) as fh:
-            data = json.load(fh)
-        data["disturbances"]["3"]["sinusoids"] = [
-            {"frequency": 0.5 * k, "amplitudes": [0.1, 0.1], "phases": [0.0, 0.5]}
-            for k in range(1, 7)
-        ]
-        path = write_scenario(tmp_path, data)
+        m eps lambda_max(G_i) = 37.  On both, validate, run, run --oracles,
+        spectrum and localize each exit 2 with the same line and write
+        nothing."""
+        path = self.order_13_scenario(tmp_path)
         for threads in ("1", "2"):
             env = dict(os.environ)
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                 env[var] = threads
             out = tmp_path / f"threads_{threads}"
             proc = subprocess.run(
-                [
-                    sys.executable, "-m", "bearing_forge.cli", "run", path,
-                    "--oracles", "--t-final", "0.1", "--out", str(out),
-                ],
+                [sys.executable, "-c", ORDER_13_COMMANDS, path, str(out)],
                 capture_output=True,
                 text=True,
                 env=env,
             )
-            assert proc.returncode == 2, (threads, proc.stderr)
-            assert proc.stderr.splitlines() == [
-                "error: oracles.lyapunov: G_c is not positive definite at order 13"
-            ], threads
+            assert proc.returncode == 0, (threads, proc.stderr)
+            assert proc.stdout.splitlines() == ["[2, 2, 2, 2, 2]"], threads
+            assert proc.stderr.splitlines() == [self.ORDER_13_LINE] * 5, threads
             assert not out.exists()
+
+
+# each command on the order-13 scenario in one process: argv[1] is the
+# scenario, argv[2] an output directory that must stay absent
+ORDER_13_COMMANDS = """
+import sys
+from bearing_forge import cli
+
+path, out = sys.argv[1:]
+opts = ["--t-final", "0.1", "--out", out]
+print([
+    cli.main(argv + opts)
+    for argv in (
+        ["validate", path], ["run", path], ["run", path, "--oracles"],
+        ["spectrum", path], ["localize", path],
+    )
+])
+"""
 
 
 # each error class, one instance, and the exit code and stderr prefix that

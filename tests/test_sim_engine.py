@@ -25,6 +25,7 @@ from bearing_forge.sim_engine import (
 from conftest import (
     assemble_A_sigma,
     certificate_for,
+    dense_G_c,
     dense_Q,
     make_scenario,
     padded_state,
@@ -379,7 +380,8 @@ class TestCertificate:
         # Q = diag(2, 2)
         np.testing.assert_allclose(cert.lambda_min_Qc, 2.0)
         np.testing.assert_allclose(cert.P_c, [[3.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_allclose(cert.G_c, [[0.5]])
+        assert cert.G.keys() == {1}
+        np.testing.assert_allclose(cert.G[1], [[0.5]])
         # gamma exceeds the Schur threshold lam_max(PBE PBE')/lam_min(Qc)
         np.testing.assert_allclose(cert.gamma_sigma, 1.0)
         assert cert.gamma > cert.gamma_sigma
@@ -494,7 +496,7 @@ class TestLyapunovMonitor:
         lam_inv = sla.block_diag(*[np.linalg.inv(L) for L in sc.lambdas])
         expected = (
             x @ cert.P_c @ x
-            + cert.gamma * (xi0 @ cert.G_c @ xi0)
+            + cert.gamma * (xi0 @ dense_G_c(cert, sc.models, sc.d) @ xi0)
             + th_t @ lam_inv @ th_t
         )
         np.testing.assert_allclose(V[0], expected, rtol=1e-10)
