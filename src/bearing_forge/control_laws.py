@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,19 +19,25 @@ class ControllerGains:
     kappa_v: float
 
 
-def validate_gains(gains, lam_min, mode, lambdas=()):
-    """Check the stability hypotheses for the requested mode.
+def validate_gains(gains, mu, mode, lambdas=()):
+    """Check the stability hypotheses for the requested mode; mu is the
+    ascending spectrum of B_ff.
 
-    Known/feedback-only mode needs kappa_p, kappa_v > 0.  Adaptive mode
-    also needs kappa_v * lam_min - 1 >= 1e-8 (lam_min = lambda_min(B_ff)),
-    a margin that leaves the certificate's lambda_min(Q) digits.  Each
-    Lambda of the (follower, Lambda) pairs in lambdas must be symmetric
-    positive definite, in every mode.  Each comparison fails on NaN.
+    Every mode needs kappa_p, kappa_v > 0, each with a finite product with
+    lambda_max(B_ff), so that the closed-loop spectrum is finite.  Adaptive
+    mode also needs kappa_v * lambda_min(B_ff) - 1 >= 1e-8, a margin that
+    leaves the certificate's lambda_min(Q) digits.  Each Lambda of the
+    (follower, Lambda) pairs in lambdas must be symmetric positive definite,
+    in every mode.  Each comparison fails on NaN.
     """
-    if not gains.kappa_p > 0:
-        raise GainConditionViolated(f"kappa_p = {gains.kappa_p} must be > 0")
-    if not gains.kappa_v > 0:
-        raise GainConditionViolated(f"kappa_v = {gains.kappa_v} must be > 0")
+    lam_min, lam_max = float(mu[0]), float(mu[-1])
+    for name, k in (("kappa_p", gains.kappa_p), ("kappa_v", gains.kappa_v)):
+        if not k > 0:
+            raise GainConditionViolated(f"{name} = {k} must be > 0")
+        if not math.isfinite(k * lam_max):
+            raise GainConditionViolated(
+                f"{name}*lambda_max(B_ff) = {k:g}*{lam_max:.6g} overflows"
+            )
     if mode == "adaptive":
         margin = gains.kappa_v * lam_min - 1.0
         if not margin >= 1e-8:

@@ -9,7 +9,7 @@ first block is the signal itself and whose k-th block is the k-th derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,45 +19,33 @@ FREQ_GAP = 1e-9
 
 
 @dataclass(frozen=True)
-class SinusoidTerm:
-    """One shared-frequency term: per-axis amplitudes and phases."""
-
-    frequency: float
-    amplitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=float))
-        object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
-        if self.amplitudes.shape != self.phases.shape:
-            raise ValueError("amplitudes and phases must have the same length")
-
-
-@dataclass(frozen=True)
 class DisturbanceSpec:
-    """Closed-form disturbance: constant offset plus r sinusoid terms."""
+    """Closed-form disturbance: constant offset C0 (d,) plus r sinusoid
+    terms, term j at frequencies[j] with per-axis amplitudes[j] and
+    phases[j], both (r, d)."""
 
     d: int
     C0: np.ndarray
-    terms: tuple = field(default_factory=tuple)
+    frequencies: np.ndarray = ()
+    amplitudes: np.ndarray = ()
+    phases: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "C0", np.asarray(self.C0, dtype=float))
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if self.C0.shape != (self.d,):
-            raise ValueError(f"C0 must have shape ({self.d},)")
-        for term in self.terms:
-            if term.amplitudes.shape != (self.d,):
-                raise ValueError("per-axis amplitude count must equal d")
-        _check_frequencies([t.frequency for t in self.terms])
+        r, d = np.size(self.frequencies), self.d
+        for name, shape in (
+            ("C0", (d,)), ("frequencies", (r,)), ("amplitudes", (r, d)), ("phases", (r, d)),
+        ):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape == (0,) and shape[0] == 0:  # () stands for (0, d)
+                a = a.reshape(shape)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            object.__setattr__(self, name, a)
+        _check_frequencies(self.frequencies)
 
     @property
     def r(self):
-        return len(self.terms)
-
-    @property
-    def frequencies(self):
-        return np.array([t.frequency for t in self.terms])
+        return len(self.frequencies)
 
 
 def _check_frequencies(freqs):
@@ -73,33 +61,41 @@ def _check_frequencies(freqs):
 
 
 def min_poly_coeffs(frequencies):
-    """Coefficients (a_1, ..., a_{2r+1}) of s^{2r+1} + a_1 s^{2r} + ... + a_{2r+1}
-    = s * prod_j (s^2 + w_j^2)."""
-    _check_frequencies(list(frequencies))
+    """Monic coefficients [1, a_1, ..., a_{2r+1}], highest power first (the
+    convention of np.poly), of s * prod_j (s^2 + w_j^2)."""
+    _check_frequencies(frequencies)
     poly = np.array([1.0, 0.0])  # s
     for w in frequencies:
-        poly = np.polymul(poly, np.array([1.0, 0.0, w * w]))
-    return poly[1:]
+        poly = np.convolve(poly, [1.0, 0.0, w * w])  # np.polymul without its poly1d
+    return poly
+
+
+def companion(poly):
+    """Companion matrix of the monic polynomial poly = [1, c_1, ..., c_m]:
+    ones on the superdiagonal, last row -c_m, ..., -c_1."""
+    C = np.eye(len(poly) - 1, k=1)
+    C[-1, :] = -poly[:0:-1]
+    return C
+
+
+def _derivatives(spec, t, m):
+    """d(t), d'(t), ..., d^(m-1)(t), shape (m, d).  The k-th derivative of
+    A sin(w t + phi) is A w^k sin(w t + phi + k pi/2); row k sums its
+    constant (C0 for k = 0, 0 after) and then the terms, in that order.
+    w^k is one np.power per order k: a scalar exponent of 2 is squared, as
+    an array of exponents is not, and the rounding may differ."""
+    k = np.arange(m)[:, None, None]
+    w = spec.frequencies[:, None]
+    w_k = np.array([np.power(w, j) for j in range(m)])
+    terms = spec.amplitudes * w_k * np.sin(w * t + spec.phases + k * np.pi / 2.0)
+    const = np.zeros((m, 1, spec.d))
+    const[0, 0] = spec.C0
+    return np.add.accumulate(np.concatenate([const, terms], axis=1), axis=1)[:, -1]
 
 
 def disturbance_eval(spec, t):
     """Closed-form disturbance value at time t, shape (d,)."""
-    out = spec.C0.copy()
-    for term in spec.terms:
-        out += term.amplitudes * np.sin(term.frequency * t + term.phases)
-    return out
-
-
-def disturbance_derivative(spec, t, order):
-    """order-th time derivative of the disturbance at time t, shape (d,)."""
-    if order == 0:
-        return disturbance_eval(spec, t)
-    out = np.zeros(spec.d)
-    shift = order * np.pi / 2.0
-    for term in spec.terms:
-        w = term.frequency
-        out += term.amplitudes * np.power(w, order) * np.sin(w * t + term.phases + shift)
-    return out
+    return _derivatives(spec, t, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -125,12 +121,8 @@ def build_canonical(spec):
     r = spec.r
     m = 2 * r + 1
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        coeffs = min_poly_coeffs(spec.frequencies)
-        theta0 = np.concatenate(
-            [disturbance_derivative(spec, 0.0, k) for k in range(m)]
-        )
-    Phi = np.eye(m, k=1)
-    Phi[-1, :] = -coeffs[::-1]
+        Phi = companion(min_poly_coeffs(spec.frequencies))
+        theta0 = _derivatives(spec, 0.0, m).ravel()
     if not (np.isfinite(Phi).all() and np.isfinite(theta0).all()):
         raise NonFiniteExosystem(
             f"the companion matrix or the derivatives up to order {m - 1} at "

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .disturbance import companion
 from .errors import SingularT
 
 RESIDUAL_TOL = 1e-12  # ||T Phi - M T - N Psi|| <= RESIDUAL_TOL ||T|| (||Phi|| + ||M||)
@@ -42,10 +43,7 @@ def choose_MN(r):
     if r < 0:
         raise ValueError("r must be >= 0")
     m = 2 * r + 1
-    coeffs = np.poly(poles(m))  # monic, [1, c_1, ..., c_m]
-    M = np.eye(m, k=1)
-    M[-1, :] = -coeffs[1:][::-1]
-    return M, np.eye(m)[-1]
+    return companion(np.poly(poles(m))), np.eye(m)[-1]
 
 
 def synthesize(exosystem):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .control_laws import ControllerGains, validate_gains
-from .disturbance import DisturbanceSpec, SinusoidTerm, build_canonical
+from .disturbance import DisturbanceSpec, build_canonical
 from .errors import (
     BearingForgeError,
     MissingBearing,
@@ -160,18 +160,14 @@ def _ids(value, what, allowed, read, *args):
 def _disturbance(entry, what, d):
     _fields(entry, what, "constant", "sinusoids")
     constant = _field(entry, what, "constant", _vec, d, default=np.zeros(d))
-    terms = []
+    freqs, amps, phases = [], [], []
     for term in _field(entry, what, "sinusoids", _list, default=[]):
         _fields(term, f"{what}.sinusoids", "frequency", "amplitudes", "phases")
-        terms.append(
-            SinusoidTerm(
-                frequency=_field(term, what, "frequency", _float),
-                amplitudes=_field(term, what, "amplitudes", _vec, d),
-                phases=_field(term, what, "phases", _vec, d),
-            )
-        )
+        freqs.append(_field(term, what, "frequency", _float))
+        amps.append(_field(term, what, "amplitudes", _vec, d))
+        phases.append(_field(term, what, "phases", _vec, d))
     with _named(what):
-        return DisturbanceSpec(d=d, C0=constant, terms=tuple(terms))
+        return DisturbanceSpec(d, constant, freqs, amps, phases)
 
 
 def compile_scenario(data) -> CompiledScenario:
@@ -341,12 +337,12 @@ def compile_scenario(data) -> CompiledScenario:
             )
         theta_hat0.append(th0)
 
-    mu_1 = laplacian.ff_eigenvalues[0]
+    mu = laplacian.ff_eigenvalues
     with _named("gains"):
-        validate_gains(gains, mu_1, mode, zip(followers, lambdas))
+        validate_gains(gains, mu, mode, zip(followers, lambdas))
     if mode == "adaptive":
         with _named("certificate"):
-            check_certificate(gains, mu_1, models)
+            check_certificate(gains, mu[0], models)
 
     eta_init = ctrl.get("eta_init", "velocity_feedforward")
     if isinstance(eta_init, dict):
@@ -408,7 +404,8 @@ def compile_scenario(data) -> CompiledScenario:
         freeze_theta=_field(ctrl, "controller", "freeze_theta", _bool, default=False),
         h=h,
         t_final=t_final,
-        record_every=record_every,
+        # any interval from n_steps on records steps 0 and n_steps only
+        record_every=min(record_every, steps),
         collision_eps=collision_eps,
         output_dir=_field(outputs, "outputs", "directory", _str, default="out"),
         oracles=_field(outputs, "outputs", "oracles", _bool, default=False),

@@ -219,7 +219,7 @@ def closed_loop_spectrum(sc):
     s = 2.0 * np.sqrt(c)
     real = b >= s
     root = np.sqrt(np.abs(b - s)) * np.sqrt(b + s)           # sqrt|b^2 - 4c|
-    big = -0.5 * (b + root)
+    big = -0.5 * b - 0.5 * root                              # b + root may overflow
     lam = np.empty((2, len(mu)), dtype=complex)
     lam.real = np.where(real, [big, c / big], -0.5 * b)
     lam.imag = np.where(real, 0.0, [0.5 * root, -0.5 * root])
@@ -695,7 +695,8 @@ def lyapunov_monitor(traj, certificate, sc):
     """Per-sample value of V = x~' P_c x~ + gamma xi' G_c xi + th~' Lam^-1 th~.
 
     The xi and th~ terms are summed per order: xi_i' (G_i kron I_d) xi_i and
-    th~_i' Lam_i^-1 th~_i, with one batched solve on the stacked Lam_i.  The
+    th~_i' Lam_i^-1 th~_i, with Lam_i^-1 from one m x m solve per follower,
+    applied to every sample in one batched product.  The
     true value of each estimate is the follower's row E (the simulation
     knows the frequencies even when the controller does not).  A value
     beyond float range comes out inf or nan, without NumPy warnings.
@@ -709,9 +710,8 @@ def lyapunov_monitor(traj, certificate, sc):
         V_xi = V_xi + np.einsum("sgak,sgak->s", xi, G @ xi)
         th_t = np.stack([sc.models[i].E for i in idx]) - traj.theta_hat[:, rows]
         Lam = np.stack([sc.lambdas[i] for i in idx])
-        V_th = V_th + np.einsum(
-            "sga,gas->s", th_t, np.linalg.solve(Lam, th_t.transpose(1, 2, 0))
-        )
+        Lam_inv = np.linalg.solve(Lam, np.eye(rows.shape[1]))
+        V_th = V_th + np.einsum("sga,gsa->s", th_t, th_t.transpose(1, 0, 2) @ Lam_inv)
     V_x = ((x_t @ certificate.P_c) * x_t).sum(axis=1)
     return V_x + certificate.gamma * V_xi + V_th
 

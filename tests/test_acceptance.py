@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bearing_forge import bundled_scenario, cli
-from bearing_forge.disturbance import DisturbanceSpec, SinusoidTerm, build_canonical
+from bearing_forge.disturbance import DisturbanceSpec, build_canonical
 from bearing_forge.errors import NotLocalizable, ValidationError
 from bearing_forge.formation_graph import (
     BearingSet,
@@ -130,13 +130,7 @@ def test_criterion_3_internal_model_synthesis():
             freqs = np.sort(rng.uniform(lo, hi, size=r))
             while r > 1 and np.diff(freqs).min() < 0.1:
                 freqs = np.sort(rng.uniform(lo, hi, size=r))
-            spec = DisturbanceSpec(
-                d=1,
-                C0=np.ones(1),
-                terms=tuple(
-                    SinusoidTerm(w, np.ones(1), np.zeros(1)) for w in freqs
-                ),
-            )
+            spec = DisturbanceSpec(1, np.ones(1), freqs, np.ones((r, 1)), np.zeros((r, 1)))
             exo = build_canonical(spec)
             model = synthesize(exo)
             m = 2 * r + 1

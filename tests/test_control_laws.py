@@ -9,7 +9,7 @@ from bearing_forge.control_laws import ControllerGains, validate_gains
 from bearing_forge.errors import GainConditionViolated, ValidationError
 from bearing_forge.formation_graph import BearingSet, SensingGraph
 from bearing_forge.internal_model import synthesize
-from bearing_forge.disturbance import DisturbanceSpec, SinusoidTerm, build_canonical
+from bearing_forge.disturbance import DisturbanceSpec, build_canonical
 from bearing_forge.scenario import compile_scenario
 
 from conftest import SQUARE_POSITIONS, base_scenario_dict
@@ -28,9 +28,9 @@ def simple_model(r=0):
     spec = DisturbanceSpec(
         d=2,
         C0=np.array([1.0, 0.0]),
-        terms=tuple(
-            SinusoidTerm(1.0 + k, np.ones(2), np.zeros(2)) for k in range(r)
-        ),
+        frequencies=1.0 + np.arange(r),
+        amplitudes=np.ones((r, 2)),
+        phases=np.zeros((r, 2)),
     )
     return synthesize(build_canonical(spec))
 
@@ -182,22 +182,33 @@ class TestEtaDot:
 
 
 class TestValidateGains:
-    LAM_MIN = 2.0  # smallest eigenvalue of B_ff
+    MU = (2.0, 5.0)  # ascending eigenvalues of B_ff
 
     def test_known_positive_gains_ok(self):
-        validate_gains(ControllerGains(1.0, 1.0), self.LAM_MIN, "known")
+        validate_gains(ControllerGains(1.0, 1.0), self.MU, "known")
 
     def test_kappa_p_zero_rejected(self):
         with pytest.raises(GainConditionViolated):
-            validate_gains(ControllerGains(0.0, 1.0), self.LAM_MIN, "known")
+            validate_gains(ControllerGains(0.0, 1.0), self.MU, "known")
 
     def test_adaptive_boundary_rejected(self):
         # kappa_v * lambda_min = 0.5 * 2 = 1 is not strictly greater than 1
         with pytest.raises(GainConditionViolated):
-            validate_gains(ControllerGains(1.0, 0.5), self.LAM_MIN, "adaptive")
+            validate_gains(ControllerGains(1.0, 0.5), self.MU, "adaptive")
 
     def test_adaptive_just_above_boundary_ok(self):
-        validate_gains(ControllerGains(1.0, 0.55), self.LAM_MIN, "adaptive")
+        validate_gains(ControllerGains(1.0, 0.55), self.MU, "adaptive")
+
+    @pytest.mark.parametrize("mode", ["known", "adaptive", "feedback_only"])
+    @pytest.mark.parametrize(
+        "gains, name", [((4e307, 1.0), "kappa_p"), ((1.0, 4e307), "kappa_v")]
+    )
+    def test_gain_times_lambda_max_overflow_rejected(self, mode, gains, name):
+        """4e307 * 2 is finite and 4e307 * 5 is not: lambda_max bounds the gain."""
+        with pytest.raises(GainConditionViolated, match=(
+            rf"^{name}\*lambda_max\(B_ff\) = 4e\+307\*5 overflows$"
+        )):
+            validate_gains(ControllerGains(*gains), self.MU, mode)
 
     @staticmethod
     def adaptive_scenario(lam):

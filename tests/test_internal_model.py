@@ -6,7 +6,6 @@ import pytest
 from bearing_forge.disturbance import (
     CanonicalExosystem,
     DisturbanceSpec,
-    SinusoidTerm,
     build_canonical,
 )
 from bearing_forge.errors import SingularT
@@ -14,13 +13,8 @@ from bearing_forge.internal_model import choose_MN, synthesize
 
 
 def exo_for(freqs, d=1):
-    spec = DisturbanceSpec(
-        d=d,
-        C0=np.ones(d),
-        terms=tuple(
-            SinusoidTerm(w, np.ones(d), np.zeros(d)) for w in freqs
-        ),
-    )
+    r = len(freqs)
+    spec = DisturbanceSpec(d, np.ones(d), freqs, np.ones((r, d)), np.zeros((r, d)))
     return build_canonical(spec)
 
 
@@ -206,6 +200,22 @@ class TestSynthesisSweep:
                 )
                 assert np.linalg.eigvals(model.M).real.max() < 0
                 assert is_controllable(model.M, model.N)
+        # the full band at r = 3, 4: T grows too ill-conditioned for the
+        # sigma_min floor (down to 1e-17 of sigma_max at r = 4), but the
+        # closed form still meets the equation and E T = Psi
+        for r in (3, 4):
+            for _ in range(20):
+                freqs = np.sort(rng.uniform(0.3, 10.0, size=r))
+                while np.diff(freqs).min() < 1e-2:
+                    freqs = np.sort(rng.uniform(0.3, 10.0, size=r))
+                exo = exo_for(freqs)
+                model = synthesize(exo)
+                res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
+                norm_T = np.linalg.norm(model.T)
+                assert np.linalg.norm(res) <= 1e-9 * (1 + norm_T)
+                assert np.linalg.norm(model.E @ model.T - exo.Psi) <= 1e-8 * (
+                    1 + np.linalg.norm(model.E) * norm_T
+                )
 
     def test_spectral_disjointness(self):
         exo = exo_for([3.0, 9.9])

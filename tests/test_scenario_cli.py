@@ -724,6 +724,8 @@ class TestMalformedInput:
             ["--t-final", "nan"],
             ["--h", "inf"],
             ["--kappa-p", "nan"],
+            ["--kappa-p", "1e308"],
+            ["--kappa-v", "1e308"],
         ],
         ids=lambda flag: " ".join(flag),
     )
@@ -905,6 +907,20 @@ class TestMalformedInput:
         code, _ = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["square_known", "square_adaptive"])
+    def test_record_every_beyond_int64(self, tmp_path, name):
+        """A recording interval of 2**63, past int64 and past the run's
+        steps, records t = 0 and t_final only."""
+        with open(bundled_scenario(name)) as fh:
+            data = json.load(fh)
+        data["integration"]["record_every"] = 2**63
+        out = tmp_path / "out"
+        argv = ["run", write_scenario(tmp_path, data), "--t-final", "0.2", "--out", str(out)]
+        assert _main_stderr(argv) == (0, [])
+        with open(out / "trajectory.csv", newline="") as fh:
+            times = [float(row["t"]) for row in csv.DictReader(fh)]
+        assert times == [0.0, 0.2]
+
     def test_step_bound_names_the_count(self, tmp_path):
         """validate rejects a run of more than MAX_STEPS steps even when it
         records few samples, and names the count and the limit."""
@@ -959,11 +975,13 @@ def _bundled_sites():
 
 _KEYS, _LEAVES, _OBJECTS = _bundled_sites()
 _UNKNOWN = object()              # insert a field that no scenario object has
-# 1e200 reaches overflow in the disturbance realization and the geometry;
+# 1e200 reaches overflow in the disturbance realization and the geometry,
+# 1e308 in a gain's product with lambda_max(B_ff), and 2**63 is past int64;
 # MAX_STEPS and MAX_SAMPLE_BYTES keep a huge t_final or record_every cheap
 _REPLACEMENTS = [
     "x", None, [], [1.0, 2.0], {}, {"a": 1}, True, False,
     float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -2.5, 1e200,
+    1e308, 2**63,
 ]
 
 

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from bearing_forge import bundled_scenario
 from bearing_forge.control_laws import ControllerGains
-from bearing_forge.disturbance import DisturbanceSpec, SinusoidTerm, disturbance_eval
+from bearing_forge.disturbance import DisturbanceSpec, disturbance_eval
 from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
 from bearing_forge.internal_model import InternalModel
@@ -63,7 +63,9 @@ MILLI_SPECS = [
     DisturbanceSpec(
         d=2,
         C0=entry["constant"],
-        terms=tuple(SinusoidTerm(**term) for term in entry["sinusoids"]),
+        frequencies=[term["frequency"] for term in entry["sinusoids"]],
+        amplitudes=[term["amplitudes"] for term in entry["sinusoids"]],
+        phases=[term["phases"] for term in entry["sinusoids"]],
     )
     for entry in MILLI_DISTURBANCES.values()
 ]
@@ -145,11 +147,13 @@ class TestClosedLoopSpectrum:
         full = np.linalg.eigvals(A).real.max()
         assert abs(eig.real.max() - full) <= 1e-12 * abs(full)
 
-    @pytest.mark.parametrize("kappa_v", [1e-200, 1e200])
+    @pytest.mark.parametrize("kappa_v", [1e-200, 1e200, 4e307])
     def test_extreme_gains(self, kappa_v):
         """No square of the quadratic formula overflows or underflows: at
         kappa_v = 1e-200 the roots are -kv mu / 2 +- i sqrt(kp mu), and at
-        1e200 the slow roots are -kp / kv."""
+        1e200 the slow roots are -kp / kv.  At 4e307, kv mu stays finite up
+        to lambda_max(B_ff) = 2.71, but kv mu plus the root of the
+        discriminant does not."""
         sc = CASES["square_known"]()
         sc = dataclasses.replace(sc, gains=ControllerGains(1.0, kappa_v))
         eig = closed_loop_spectrum(sc)
