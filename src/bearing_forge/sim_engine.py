@@ -695,8 +695,8 @@ def lyapunov_monitor(traj, certificate, sc):
     """Per-sample value of V = x~' P_c x~ + gamma xi' G_c xi + th~' Lam^-1 th~.
 
     The xi and th~ terms are summed per order: xi_i' (G_i kron I_d) xi_i and
-    th~_i' Lam_i^-1 th~_i, with Lam_i^-1 from one m x m solve per follower,
-    applied to every sample in one batched product.  The
+    th~_i' Lam_i^-1 th~_i, with Lam_i^-1 from one batched inverse of the
+    stacked Lam_i, applied to every sample in one batched product.  The
     true value of each estimate is the follower's row E (the simulation
     knows the frequencies even when the controller does not).  A value
     beyond float range comes out inf or nan, without NumPy warnings.
@@ -710,7 +710,7 @@ def lyapunov_monitor(traj, certificate, sc):
         V_xi = V_xi + np.einsum("sgak,sgak->s", xi, G @ xi)
         th_t = np.stack([sc.models[i].E for i in idx]) - traj.theta_hat[:, rows]
         Lam = np.stack([sc.lambdas[i] for i in idx])
-        Lam_inv = np.linalg.solve(Lam, np.eye(rows.shape[1]))
+        Lam_inv = np.linalg.inv(Lam)
         V_th = V_th + np.einsum("sga,gsa->s", th_t, th_t.transpose(1, 0, 2) @ Lam_inv)
     V_x = ((x_t @ certificate.P_c) * x_t).sum(axis=1)
     return V_x + certificate.gamma * V_xi + V_th

@@ -296,7 +296,7 @@ MIXED_DISTURBANCES = {
 }
 
 
-def mixed_order_scenario(**controller):
+def mixed_order_scenario(disturbances=MIXED_DISTURBANCES, **controller):
     data = copy.deepcopy(base_scenario_dict())
     data["graph"]["n_agents"] = 5
     data["graph"]["edges"] = [
@@ -313,7 +313,7 @@ def mixed_order_scenario(**controller):
         "4": [0.45, -0.05],
         "5": [0.5, 0.1],
     }
-    data["disturbances"] = MIXED_DISTURBANCES
+    data["disturbances"] = disturbances
     data["controller"].update(controller)
     data["integration"] = {"step": 1e-3, "t_final": 2.0, "record_every": 50}
     return compile_scenario(data)
@@ -419,6 +419,42 @@ def test_post_processing_matches_reference(case):
         assert_close(
             lyapunov_monitor(traj, cert, sc), reference_lyapunov(traj, cert, sc, xi)
         )
+
+
+def test_lyapunov_monitor_with_as_many_followers_as_their_order():
+    """Three order-3 followers, each with its own full Lam_i: the stack of
+    Lam_i has as many matrices as each has rows, so a solve that took the
+    identity for a stack of vectors would give every follower the one matrix
+    whose row j is column j of Lam_j^-1, with no error.  V matches the sum of
+    the per-follower quadratic forms at every sample."""
+    disturbances = {
+        str(i): {
+            "constant": [0.1 * k, -0.05],
+            "sinusoids": [
+                {"frequency": w, "amplitudes": [0.3, 0.2], "phases": [0.3 * k, -0.5]}
+            ],
+        }
+        for k, (i, w) in enumerate(zip((3, 4, 5), (1.5, 2.0, 3.0)), start=1)
+    }
+    lambdas = {
+        "3": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]],
+        "4": [[1.0, -0.3, 0.1], [-0.3, 4.0, 0.0], [0.1, 0.0, 0.5]],
+        "5": [[6.0, 1.0, 1.0], [1.0, 2.0, -0.5], [1.0, -0.5, 1.5]],
+    }
+    lam_min = float(mixed_order_scenario().laplacian.ff_eigenvalues[0])
+    sc = mixed_order_scenario(
+        disturbances,
+        mode="adaptive",
+        kappa_v=3.0 / lam_min,
+        adaptation_gains=lambdas,
+    )
+    assert [m.order for m in sc.models] == [3, 3, 3]
+    traj = integrate(sc)
+    cert = build_certificate(sc)
+    _, xi = reference_xi_oracle(traj, sc)
+    assert_close(
+        lyapunov_monitor(traj, cert, sc), reference_lyapunov(traj, cert, sc, xi)
+    )
 
 
 def test_certificate_on_a_swarm():
