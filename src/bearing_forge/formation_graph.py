@@ -166,14 +166,15 @@ class BearingSet:
     k, (i, j) with i < j, of the (k, 2) array `edges`; g_ji = -g_ij."""
 
     def __init__(self, bearings):
-        """bearings : {(i, j): g_ij}, each edge in either orientation or
-        both.  Each bearing must be unit within UNIT_TOL, and is then
-        normalized; the first that is not is named.  The two orientations
-        of an edge must agree within 1e-9; the first pair that does not is
-        named by its later entry.  Of two agreeing orientations the later
-        is kept."""
-        given = list(bearings)
-        g = np.array([np.asarray(v, dtype=float) for v in bearings.values()])
+        """bearings : {(i, j): g_ij}, or a sequence of ((i, j), g_ij) pairs
+        that may repeat an edge, each edge in either orientation.  Each
+        bearing must be unit within UNIT_TOL, and is then normalized; the
+        first that is not is named.  The entries of an edge must agree
+        within 1e-9; the first pair that does not is named by its later
+        entry.  Of agreeing entries the last is kept."""
+        pairs = list(bearings.items() if isinstance(bearings, dict) else bearings)
+        given = [edge for edge, _ in pairs]
+        g = np.array([np.asarray(v, dtype=float) for _, v in pairs])
         g = g.reshape(len(given), -1) if given else np.zeros((0, 0))
         with np.errstate(over="ignore"):  # a huge entry has norm inf: not unit
             norm = _norms(g)
@@ -186,8 +187,8 @@ class BearingSet:
         g = np.where((edges[:, 0] > edges[:, 1])[:, None], -g, g)   # as g_ij, i < j
         unit = g / norm[:, None]
         keys = _keys(np.sort(edges, axis=1))
-        # the stable order puts the two entries of an edge side by side,
-        # the one given first in front
+        # the stable order puts the entries of an edge side by side, in the
+        # order given
         order, last = _runs(keys)
         same = ~last[:-1]
         a, b = order[:-1][same], order[1:][same]

@@ -31,12 +31,15 @@ from .formation_graph import (
     localize_followers,
 )
 from .internal_model import synthesize
-from .sim_engine import CompiledScenario, check_certificate
+from .sim_engine import CompiledScenario, check_certificate, closed_loop_spectrum
 
 MODES = ("known", "adaptive", "feedback_only")
 ETA_POLICIES = ("velocity_feedforward", "xi_zero")
 STEP_TOL = 1e-9                  # relative distance of t_final/step from a whole number
-MAX_SAMPLE_BYTES = 1 << 30       # largest array of recorded states a run may allocate
+# Largest array a run may allocate: of its recorded states, and of the dense
+# nd x nd bearing Laplacian, which also keeps agent ids far below the 2^32
+# that formation_graph._keys packs two of into one int64
+MAX_SAMPLE_BYTES = 1 << 30
 # Most steps (t_final / step) a run may take: 50 times the bundled 200 s
 # adaptive run (2e5 steps).  On a 2-core Xeon the operator step of the
 # bundled square takes about 13 us, so 1e7 steps take about 2 minutes, and
@@ -55,6 +58,12 @@ OVERRIDES = {
 }
 
 _REQUIRED = object()
+# |R(i y)|^2 = 1 - y^6/72 + y^8/576 for RK4's stability function R, so a
+# neutral mode i omega stays bounded exactly for |h omega| < 2 sqrt 2
+RK4_AXIS_LIMIT = 2.0 * math.sqrt(2.0)
+# every z with |R(z)| < 1 has |z| < 2.96, so a mode lambda bounds the
+# steps it allows by 3 / |lambda|
+RK4_REACH = 3.0
 
 
 @contextlib.contextmanager
@@ -170,6 +179,46 @@ def _disturbance(entry, what, d):
         return DisturbanceSpec(d, constant, freqs, amps, phases)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4_damps(z):
+    """|R(z)| < 1 for each z = h lambda, with R(z) = 1 + z + z^2/2 + z^3/6
+    + z^4/24 the stability function of classical RK4.  With p = R - 1,
+    formed without the 1, |R|^2 = 1 + 2 Re p + |p|^2, so the test is
+    2 Re p + |p|^2 < 0: 1 + p would round to 1 at |z| near 1e-20 and put a
+    stable mode on the boundary.  A z whose powers overflow fails."""
+    p = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    return 2.0 * p.real + (p.real * p.real + p.imag * p.imag) < 0.0
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _check_step(sc, frequencies):
+    """Reject a step h with which classical RK4 grows a mode of the closed
+    loop: an eigenvalue lambda of closed_loop_spectrum with |R(h lambda)|
+    >= 1, or a disturbance frequency omega, a neutral mode, with |h omega|
+    >= 2 sqrt 2.  (The modes of theta-hat, linearised at theta-hat = E,
+    are neutral and stay so.)  The message names the failing mode that
+    allows the smallest step, and that step, found for lambda by bisection
+    along its ray."""
+    h, lam = sc.h, closed_loop_spectrum(sc)
+    lam = lam[~_rk4_damps(h * lam)]
+    omega = frequencies[~(h * frequencies < RK4_AXIS_LIMIT)]
+    if not (len(lam) or len(omega)):
+        return
+    lo, hi = np.zeros(len(lam)), np.minimum(h, RK4_REACH / np.abs(lam))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = _rk4_damps(mid * lam)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    modes = [f"the closed-loop eigenvalue lambda = {x:.4g}" for x in lam]
+    modes += [f"the disturbance frequency omega = {w:.4g}" for w in omega]
+    limits = np.concatenate([lo, RK4_AXIS_LIMIT / omega])
+    k = int(limits.argmin())
+    raise ValidationError(
+        f"integration: step {h:g} is outside the stability region of RK4 at "
+        f"{modes[k]}, which allows steps below {limits[k]:.4g}"
+    )
+
+
 def compile_scenario(data) -> CompiledScenario:
     """Check a decoded scenario JSON object and synthesize graph algebra,
     exosystems, and internal models; gate on the localizability and gain
@@ -187,6 +236,12 @@ def compile_scenario(data) -> CompiledScenario:
     )
     n = _field(graph_in, "graph", "n_agents", _int)
     d = _field(graph_in, "graph", "dimension", _int)
+    size = (n * d) ** 2 * 8
+    if size > MAX_SAMPLE_BYTES:
+        raise ValidationError(
+            f"graph: the bearing Laplacian of {n} agents in dimension {d} would "
+            f"take {size >> 20} MiB, over the limit of {MAX_SAMPLE_BYTES >> 20} MiB"
+        )
     leaders = sorted(
         _int(x, "graph.leaders") for x in _field(graph_in, "graph", "leaders", _list)
     )
@@ -212,7 +267,7 @@ def compile_scenario(data) -> CompiledScenario:
     desired_positions = _field(
         geom, "geometry", "desired_positions", _ids, agents, _vec, d, default={}
     )
-    desired_bearings = {}
+    desired_bearings = []
     entries = _field(geom, "geometry", "desired_bearings", _list, default=[])
     sensing = set(map(tuple, graph.edges.tolist())) if entries else ()
     for entry in entries:
@@ -222,9 +277,9 @@ def compile_scenario(data) -> CompiledScenario:
             raise ValidationError(
                 f"geometry.desired_bearings: ({i},{j}) is not a sensing edge"
             )
-        desired_bearings[(i, j)] = _field(
+        desired_bearings.append(((i, j), _field(
             entry, f"geometry.desired_bearings[{i},{j}]", "bearing", _vec, d
-        )
+        )))
     for i in range(1, n_l + 1):
         if i not in desired_positions:
             raise ValidationError(
@@ -422,6 +477,7 @@ def compile_scenario(data) -> CompiledScenario:
             f"integration: the run would take {sc.n_steps} steps, over the limit "
             f"of {MAX_STEPS}"
         )
+    _check_step(sc, np.concatenate([spec.frequencies for spec in specs]))
     return sc
 
 

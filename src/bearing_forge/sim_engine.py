@@ -123,9 +123,9 @@ class Trajectory:
     times: np.ndarray            # (S,)
     positions: np.ndarray        # (S, n, d)
     velocities: np.ndarray       # (S, n, d); leaders at v_c
-    eta: np.ndarray              # (S, q_f)
-    vartheta: np.ndarray         # (S, q_f)
-    theta_hat: np.ndarray        # (S, K); K = sum of orders, 0 outside adaptive mode
+    eta: np.ndarray              # (S, n_f, m_max, d), follower i's in rows :m_i
+    vartheta: np.ndarray         # (S, n_f, m_max, d), as eta
+    theta_hat: np.ndarray        # (S, n_f, m_max) in adaptive mode, (S, n_f, 0) otherwise
     min_dist: np.ndarray         # (S,)
 
 
@@ -294,7 +294,7 @@ class Engine:
         self.dim = self.i_th + (k if self.adaptive else 0)
 
         # the real (non-padding) coordinates, in the packed order of the
-        # Trajectory: each follower's m_i rows of its blocks
+        # scenario's initial values: each follower's m_i rows of its blocks
         rows = np.arange(m_max) < np.array(self.orders)[:, None]    # (n_f, m_max)
         blocks = np.flatnonzero(np.repeat(rows, d, axis=1))
         real = [np.arange(self.i_eta), self.i_eta + blocks, self.i_var + blocks]
@@ -560,20 +560,19 @@ def integrate(sc: CompiledScenario):
         # own step (or completes).
         run(eng.rk4())
 
-    # one gather of the real coordinates gives the packed blocks
-    S, q_f = rec_steps.size, sum(eng.orders) * d
-    cuts = [eng.i_vf, eng.i_eta, eng.i_eta + q_f, eng.i_eta + 2 * q_f]
-    p, v_f, eta, var, th = np.split(samples[:, eng.real], cuts, axis=1)
+    # the Trajectory's arrays are views of the recorded states
+    S, n_f = rec_steps.size, eng.n_f
     velocities = np.empty((S, n, d))
     velocities[:, : eng.n_l, :] = sc.v_c
-    velocities[:, eng.n_l :, :] = v_f.reshape(S, eng.n_f, d)
+    velocities[:, eng.n_l :, :] = samples[:, eng.i_vf : eng.i_eta].reshape(S, n_f, d)
+    blocks = (S, n_f, eng.m_max, d)
     return Trajectory(
         times=rec_steps * h,
-        positions=p.reshape(S, n, d),
+        positions=positions_of(samples),
         velocities=velocities,
-        eta=eta,
-        vartheta=var,
-        theta_hat=th,
+        eta=samples[:, eng.i_eta : eng.i_var].reshape(blocks),
+        vartheta=samples[:, eng.i_var : eng.i_th].reshape(blocks),
+        theta_hat=samples[:, eng.i_th :].reshape(S, n_f, -1),
         min_dist=dists,
     )
 
@@ -588,20 +587,15 @@ def _by_order(models):
 
 
 def _xi_by_order(traj, sc):
-    """Per order m, with the g followers idx of that order: (idx, rows, xi),
-    where rows (g, m) are their rows in the packed compensator blocks and in
-    theta_hat, and xi (S, g, m, d) is xi_i(t) = eta_i + T_i vartheta_i -
-    N v_i at each sample."""
-    S, d = len(traj.times), sc.d
-    start = np.cumsum([0] + [m.order for m in sc.models])
-    eta = traj.eta.reshape(S, -1, d)
-    var = traj.vartheta.reshape(S, -1, d)
+    """Per order m, with the g followers idx of that order: (m, idx, xi),
+    where xi (S, g, m, d) is xi_i(t) = eta_i + T_i vartheta_i - N v_i at
+    each sample, from the first m rows of their padded blocks."""
     v_f = traj.velocities[:, sc.n_l :, None, :]                # (S, n_f, 1, d)
     for m, idx in _by_order(sc.models).items():
-        rows = start[idx, None] + np.arange(m)
         T = np.stack([sc.models[i].T for i in idx])
         N = sc.models[idx[0]].N[:, None]
-        yield idx, rows, eta[:, rows] + T @ var[:, rows] - N * v_f[:, idx]
+        eta, var = traj.eta[:, idx, :m], traj.vartheta[:, idx, :m]
+        yield m, idx, eta + T @ var - N * v_f[:, idx]
 
 
 def _norm(x, axis):
@@ -623,7 +617,7 @@ def xi_oracle(traj, sc):
     samples.
     """
     max_dev = 0.0
-    for idx, _, xi in _xi_by_order(traj, sc):
+    for _, idx, xi in _xi_by_order(traj, sc):
         err = xi - _flow(sc.models[idx[0]].M, traj.times)[:, None] @ xi[0]
         max_dev = max(max_dev, float(_norm(err, (2, 3)).max()))
     return max_dev
@@ -705,10 +699,9 @@ def lyapunov_monitor(traj, certificate, sc):
     p_t, v_t = _tracking_error(traj, sc)
     x_t = np.concatenate([p_t.reshape(S, -1), v_t.reshape(S, -1)], axis=1)
     V_xi = V_th = 0.0
-    for idx, rows, xi in _xi_by_order(traj, sc):
-        G = certificate.G[rows.shape[1]]
-        V_xi = V_xi + np.einsum("sgak,sgak->s", xi, G @ xi)
-        th_t = np.stack([sc.models[i].E for i in idx]) - traj.theta_hat[:, rows]
+    for m, idx, xi in _xi_by_order(traj, sc):
+        V_xi = V_xi + np.einsum("sgak,sgak->s", xi, certificate.G[m] @ xi)
+        th_t = np.stack([sc.models[i].E for i in idx]) - traj.theta_hat[:, idx, :m]
         Lam = np.stack([sc.lambdas[i] for i in idx])
         Lam_inv = np.linalg.inv(Lam)
         V_th = V_th + np.einsum("sga,gsa->s", th_t, th_t.transpose(1, 0, 2) @ Lam_inv)

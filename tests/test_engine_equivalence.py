@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bearing_forge import bundled_scenario
+from bearing_forge import bundled_scenario, sim_engine
+from bearing_forge.control_laws import ControllerGains
 from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
 from bearing_forge.rk4_operator import rk4_map
@@ -178,15 +179,27 @@ def reference_integrate(sc):
     velocities = np.empty((S, n, d))
     velocities[:, : eng.n_l, :] = sc.v_c
     velocities[:, eng.n_l :, :] = arr[:, eng.i_vf : eng.i_eta].reshape(S, eng.n_f, d)
+    # the compensator blocks in the Trajectory's padded layout
+    pad = Engine(sc)
+    padded = padded_state(pad, arr)
+    blocks = (S, eng.n_f, pad.m_max, d)
     return Trajectory(
         times=np.array(times),
         positions=arr[:, eng.i_p : eng.i_vf].reshape(S, n, d),
         velocities=velocities,
-        eta=arr[:, eng.i_eta : eng.i_var],
-        vartheta=arr[:, eng.i_var : eng.i_th],
-        theta_hat=arr[:, eng.i_th :],
+        eta=padded[:, pad.i_eta : pad.i_var].reshape(blocks),
+        vartheta=padded[:, pad.i_var : pad.i_th].reshape(blocks),
+        theta_hat=padded[:, pad.i_th :].reshape(S, eng.n_f, -1),
         min_dist=np.array(dists),
     )
+
+
+def packed(blocks, sc):
+    """The packed form (S, K) of a Trajectory's padded per-follower blocks
+    (S, n_f, m_max, ...): each follower's first m_i rows, in order."""
+    orders = np.array([m.order for m in sc.models])
+    real = np.arange(blocks.shape[2]) < orders[:, None]
+    return blocks[:, real].reshape(len(blocks), -1)
 
 
 def reference_xi_oracle(traj, sc):
@@ -196,7 +209,8 @@ def reference_xi_oracle(traj, sc):
     T_blk = sla.block_diag(*[np.kron(m.T, eye_d) for m in sc.models])
     N_blk = sla.block_diag(*[np.kron(m.N.reshape(-1, 1), eye_d) for m in sc.models])
     v_f = traj.velocities[:, sc.n_l :, :].reshape(len(traj.times), -1)
-    xi = traj.eta + traj.vartheta @ T_blk.T - v_f @ N_blk.T
+    eta, var = packed(traj.eta, sc), packed(traj.vartheta, sc)
+    xi = eta + var @ T_blk.T - v_f @ N_blk.T
     max_dev, off = 0.0, 0
     for model in sc.models:
         m = model.order
@@ -235,6 +249,7 @@ def reference_lyapunov(traj, cert, sc, xi):
     lam_inv = sla.block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
     theta_true = np.concatenate([m.E for m in sc.models])
     G_c = dense_G_c(cert, sc.models, sc.d)
+    theta_hat = packed(traj.theta_hat, sc)
     V = np.empty(len(traj.times))
     for s, t in enumerate(traj.times):
         p_l = sc.p_star0[: sc.n_l] + t * sc.v_c
@@ -242,7 +257,7 @@ def reference_lyapunov(traj, cert, sc, xi):
         p_t = traj.positions[s, sc.n_l :, :] - p_f
         v_t = traj.velocities[s, sc.n_l :, :] - sc.v_c
         x_t = np.concatenate([p_t.ravel(), v_t.ravel()])
-        th_t = theta_true - traj.theta_hat[s]
+        th_t = theta_true - theta_hat[s]
         V[s] = (
             x_t @ cert.P_c @ x_t
             + cert.gamma * (xi[s] @ G_c @ xi[s])
@@ -511,10 +526,12 @@ def test_padded_steppers_match_reference(case):
     sc = dataclasses.replace(CASES[case](), record_every=1)
     eng = Engine(sc)
     ref = reference_integrate(sc)
+    # the reference's states in the engine's layout
     ref_states = np.concatenate(
-        [ref.positions.reshape(len(ref.times), -1),
-         ref.velocities[:, sc.n_l :].reshape(len(ref.times), -1),
-         ref.eta, ref.vartheta, ref.theta_hat],
+        [x.reshape(len(ref.times), -1) for x in (
+            ref.positions, ref.velocities[:, sc.n_l :],
+            ref.eta, ref.vartheta, ref.theta_hat,
+        )],
         axis=1,
     )[1:]
     for advance in (eng.operator_step(), eng.rk4()):
@@ -523,7 +540,7 @@ def test_padded_steppers_match_reference(case):
             rows = chunk[: min(CHECK_CHUNK, sc.n_steps - first)]
             y = advance(y, rows)
             assert not padding(eng, rows).view(np.int64).any()
-            assert_close(rows[:, eng.real], ref_states[first : first + len(rows)])
+            assert_close(rows, ref_states[first : first + len(rows)])
 
 
 @pytest.mark.parametrize("mode", ["known", "adaptive"])
@@ -550,21 +567,19 @@ def test_collision_mid_chunk_matches_reference(mode):
     assert abs(got.distance - ref.distance) <= TOL * (1.0 + ref.distance)
 
 
-@pytest.mark.parametrize(
-    "mode", ["known", "adaptive", "mixed_known", "mixed_adaptive"]
-)
-def test_divergence_matches_reference(mode):
-    """Gains far outside the RK4 stability region for h = 1e-3 blow up;
-    the mixed cases have followers of orders 1 and 11, padded to 11."""
+def assert_diverges_as_reference(mode):
+    """Gains far outside the RK4 stability region for h = 1e-3 blow up at
+    the reference's step; the mixed cases have followers of orders 1 and
+    11, padded to 11.  The step gate rejects such gains at load, so they
+    are set after it."""
     mixed = mode.startswith("mixed_")
     sc = make_scenario(
         geometry={"initial_positions": {"3": [1.01, 0.99]}},
         disturbances=SKEWED_DISTURBANCES if mixed else {},
-        controller={
-            "mode": mode.removeprefix("mixed_"), "kappa_p": 1e4, "kappa_v": 1e4
-        },
+        controller={"mode": mode.removeprefix("mixed_"), "kappa_v": 4.0},
         integration={"t_final": 1.0},
     )
+    sc = dataclasses.replace(sc, gains=ControllerGains(1e4, 1e4))
     assert (len(set(Engine(sc).orders)) > 1) == mixed
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as ref_info:
@@ -573,6 +588,21 @@ def test_divergence_matches_reference(mode):
             integrate(sc)
     assert str(got_info.value) == str(ref_info.value)
     assert round(float(str(ref_info.value).split("t=")[1]) / sc.h) > CHECK_CHUNK
+
+
+@pytest.mark.parametrize(
+    "mode", ["known", "adaptive", "mixed_known", "mixed_adaptive"]
+)
+def test_divergence_matches_reference(mode):
+    assert_diverges_as_reference(mode)
+
+
+def test_divergence_on_the_staged_step_matches_reference(monkeypatch):
+    """With every formation past OPERATOR_MAX_MACS, integrate steps stage
+    by stage, and a divergence there is raised as it is."""
+    monkeypatch.setattr(sim_engine, "OPERATOR_MAX_MACS", 0)
+    monkeypatch.setattr(Engine, "operator_step", None)
+    assert_diverges_as_reference("adaptive")
 
 
 def pair_distances(positions):
@@ -624,19 +654,18 @@ def test_chunked_linear_matches_stepwise(case):
         y = R @ y + r
         if step % sc.record_every == 0 or step == n_steps:
             states.append(y)
-    # the packed states, in the layout of ReferenceEngine
-    ref, pk = np.array(states)[:, eng.real], ReferenceEngine(sc)
+    ref = np.array(states)
     traj = integrate(sc)
     S = len(traj.times)
-    assert ref.shape == (S, pk.dim)
-    assert_close(traj.positions.reshape(S, -1), ref[:, pk.i_p : pk.i_vf])
+    assert ref.shape == (S, eng.dim)
+    assert_close(traj.positions.reshape(S, -1), ref[:, eng.i_p : eng.i_vf])
     assert_close(
-        traj.velocities[:, sc.n_l :].reshape(S, -1), ref[:, pk.i_vf : pk.i_eta]
+        traj.velocities[:, sc.n_l :].reshape(S, -1), ref[:, eng.i_vf : eng.i_eta]
     )
-    assert_close(traj.eta, ref[:, pk.i_eta : pk.i_var])
-    assert_close(traj.vartheta, ref[:, pk.i_var : pk.i_th])
+    assert_close(traj.eta.reshape(S, -1), ref[:, eng.i_eta : eng.i_var])
+    assert_close(traj.vartheta.reshape(S, -1), ref[:, eng.i_var : eng.i_th])
     n, d = sc.n, sc.d
-    ref_dist = pair_distances(ref[:, pk.i_p : pk.i_vf].reshape(S, n, d))
+    ref_dist = pair_distances(ref[:, eng.i_p : eng.i_vf].reshape(S, n, d))
     assert_close(traj.min_dist, ref_dist.min(axis=1))
 
 
@@ -876,9 +905,10 @@ def test_frozen_estimate_is_zero_gain(case):
     recorded before, on each side of OPERATOR_MAX_MACS."""
     make, ref = FROZEN[case]
     sc = make()
-    assert (Engine(sc).operator_macs < OPERATOR_MAX_MACS) == (case == "square_5s")
+    eng = Engine(sc)
+    assert (eng.operator_macs < OPERATOR_MAX_MACS) == (case == "square_5s")
     traj = integrate(sc)
-    th0 = np.concatenate(sc.theta_hat0)
+    th0 = eng.initial_state()[eng.i_th :].reshape(sc.n_f, eng.m_max)
     assert (traj.theta_hat.view(np.int64) == th0.view(np.int64)).all()
     got = traj.velocities[-1, sc.n_l :].ravel()
     assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))

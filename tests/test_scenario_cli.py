@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bearing_forge import bundled_scenario, cli, errors
+from bearing_forge.control_laws import ControllerGains
 from bearing_forge.errors import ParseError, ValidationError
 from bearing_forge.scenario import (
     MAX_SAMPLE_BYTES,
@@ -21,7 +23,13 @@ from bearing_forge.scenario import (
     compile_scenario,
     load_scenario,
 )
-from bearing_forge.sim_engine import closed_loop_spectrum, integrate, metrics
+from bearing_forge.sim_engine import (
+    Engine,
+    closed_loop_spectrum,
+    integrate,
+    metrics,
+    xi_oracle,
+)
 
 from conftest import assemble_A_sigma, base_scenario_dict
 
@@ -139,6 +147,29 @@ class TestValidation:
             "has norm 2.000000000000"
         )
 
+    def test_repeated_bearing_must_agree(self):
+        """An edge given twice in the same orientation follows the rule of
+        the two orientations: an agreeing repeat changes nothing, and a
+        conflicting one is named rather than replacing the earlier entry
+        (it used to move the localized agents 3 and 4 to (0.2, 0.2) and
+        (0.2, 0.4))."""
+        data = base_scenario_dict()
+        bearings = self._given_bearings(data)
+        data["geometry"]["desired_bearings"] = bearings
+        for agent in ("3", "4"):
+            del data["geometry"]["desired_positions"][agent]
+        once = compile_scenario(copy.deepcopy(data)).p_star0
+        data["geometry"]["desired_bearings"] = bearings + [bearings[1]]  # edge [2, 3]
+        assert compile_scenario(copy.deepcopy(data)).p_star0.tobytes() == once.tobytes()
+        data["geometry"]["desired_bearings"] = bearings + [
+            {"edge": [2, 3], "bearing": [1, 0]}
+        ]
+        with pytest.raises(ValidationError) as exc:
+            compile_scenario(data)
+        assert str(exc.value) == (
+            "geometry.desired_bearings: ValueError: conflicting bearings for edge (2,3)"
+        )
+
     def test_leaders_must_be_prefix(self):
         data = base_scenario_dict()
         data["graph"]["leaders"] = [1, 3]
@@ -186,6 +217,28 @@ class TestOverrides:
         sc = load_scenario(path, {"mode": "feedback_only", "t_final": 7.5})
         assert sc.mode == "feedback_only"
         assert sc.t_final == 7.5
+
+    def test_unknown_override_rejected(self, tmp_path):
+        path = write_scenario(tmp_path, base_scenario_dict())
+        with pytest.raises(ValidationError, match="^unknown override 'step'$"):
+            load_scenario(path, {"step": 0.01})
+
+
+def test_explicit_eta_init_lands_in_the_state():
+    """A per-follower eta_init vector is follower 3's compensator state at
+    t = 0, its m rows of d entries in order; follower 4 keeps the default
+    N kron v_f(0).  xi = eta + T vartheta - N v then still follows its
+    exact flow."""
+    with open(bundled_scenario("square_known")) as fh:
+        data = json.load(fh)
+    data["controller"]["eta_init"] = {"3": [1, 2, 3, 4, 5, 6]}
+    data["integration"]["t_final"] = 10.0
+    sc = compile_scenario(data)
+    eng = Engine(sc)
+    eta = eng.initial_state()[eng.i_eta : eng.i_var].reshape(sc.n_f, eng.m_max, sc.d)
+    assert eta[0].tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert eta[1].tobytes() == np.kron(sc.models[1].N, sc.v_f0[1]).tobytes()
+    assert xi_oracle(integrate(sc), sc) < 1e-6
 
 
 class TestCli:
@@ -292,9 +345,12 @@ class TestCli:
         assert cli.main(["validate", path]) == 2
         assert "localization: NotLocalizable" in capsys.readouterr().err
 
-    def test_divergence_prints_one_line(self, tmp_path):
-        """Exit 4 with the divergence message alone on stderr: the overflow
-        on the way to it raises no NumPy warnings."""
+    def test_divergence_prints_one_line(self, tmp_path, monkeypatch):
+        """Gains of 1e4 put h = 1e-3 far outside the RK4 stability region:
+        the step gate rejects them at load with one line.  Set after the
+        load-time checks, they diverge: exit 4 with the divergence message
+        alone on stderr, and the overflow on the way to it raises no NumPy
+        warnings."""
         proc = subprocess.run(
             [
                 sys.executable, "-m", "bearing_forge.cli", "run",
@@ -305,10 +361,22 @@ class TestCli:
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 4
+        assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            "divergence: non-finite state component at t=0.072000"
+            "error: integration: step 0.001 is outside the stability region of "
+            "RK4 at the closed-loop eigenvalue lambda = -2.707e+04+0j, which "
+            "allows steps below 0.0001029"
         ]
+        sc = load_scenario(bundled_scenario("square_known"), {"t_final": 1.0})
+        sc = dataclasses.replace(sc, gains=ControllerGains(1e4, 1e4))
+        monkeypatch.setattr(cli, "load_scenario", lambda *args: sc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _main_stderr(["run", "s.json", "--out", str(tmp_path / "div")])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert (code, err) == (
+            4, ["divergence: non-finite state component at t=0.072000"]
+        )
 
     def test_validate_names_coincident_pair(self, tmp_path):
         """On a 64-agent complete graph (2016 edges) in which agents 17 and
@@ -854,6 +922,31 @@ class TestMalformedInput:
         code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert (code, err) == (2, [f"error: controller.{message}"])
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("controller", "eta_init"), {"3": [1, 2, 3]},
+             "controller.eta_init[3]: expected 6 entries"),
+            (("controller", "eta_init"), "zero",
+             "controller.eta_init: unknown policy 'zero'"),
+            (("geometry", "leader_velocity"), [0.5, 0, 0],
+             "geometry.leader_velocity: expected 2 coordinates, got shape (3,)"),
+            (("graph", "leaders"), [1, 2, 3, 4],
+             "graph.leaders: need 1 <= n_l < n, got n_l=4, n=4"),
+        ],
+        ids=["eta_init-length", "eta_init-policy", "vector-length", "all-leaders"],
+    )
+    def test_bad_value_names_its_field(self, tmp_path, path, value, message):
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        _mutate(data, path, value)
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert (code, err) == (2, [f"error: {message}"])
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, [1, 2])])
+        assert (code, err) == (2, ["error: scenario: top level must be a JSON object"])
+
     def test_adaptive_scenario_runs_known(self):
         """The adaptive square's well-formed adaptive fields pass in known mode."""
         path = bundled_scenario("square_adaptive")
@@ -921,6 +1014,67 @@ class TestMalformedInput:
             times = [float(row["t"]) for row in csv.DictReader(fh)]
         assert times == [0.0, 0.2]
 
+    @pytest.mark.parametrize(
+        "name, flags, mode, limit",
+        [
+            # these two ran to err_p = 1.041e+93 and 2.570e+11 with exit 0
+            ("square_adaptive", ["--h", "0.3", "--t-final", "60"],
+             "the closed-loop eigenvalue lambda = -10.57+0j", "0.2635"),
+            ("square_known", ["--h", "1", "--t-final", "100"],
+             "the closed-loop eigenvalue lambda = -3+0j", "0.9284"),
+            # 20 rad/s on follower 3 allows h < 2 sqrt 2 / 20, below the
+            # 0.9284 of lambda = -3
+            ("square_known_20", ["--h", "0.2", "--t-final", "100"],
+             "the disturbance frequency omega = 20", "0.1414"),
+        ],
+        ids=["adaptive-h0.3", "known-h1", "omega-h0.2"],
+    )
+    def test_step_outside_rk4_stability_rejected(self, tmp_path, name, flags, mode, limit):
+        """A step with which RK4 grows a closed-loop mode, |R(h lambda)|
+        >= 1, or a disturbance mode, |h omega| >= 2 sqrt 2, is rejected
+        with one line naming the mode that allows the smallest step."""
+        with open(bundled_scenario(name.removesuffix("_20"))) as fh:
+            data = json.load(fh)
+        if name.endswith("_20"):
+            data["disturbances"]["3"]["sinusoids"][0]["frequency"] = 20.0
+        argv = ["run", write_scenario(tmp_path, data), "--out", str(tmp_path)]
+        h = flags[1]
+        assert _main_stderr(argv + flags) == (
+            2,
+            [f"error: integration: step {h} is outside the stability region of "
+             f"RK4 at {mode}, which allows steps below {limit}"],
+        )
+        below = ["--h", limit[:-1], "--t-final", limit[:-1]]
+        assert _main_stderr(["validate", argv[1]] + below) == (0, [])
+
+    def test_laplacian_size_bound_names_the_size(self, tmp_path):
+        """A formation whose dense bearing Laplacian, (n d)^2 entries, would
+        exceed MAX_SAMPLE_BYTES is rejected before it is allocated (100 000
+        agents need 298 GiB); n d = 11 585 is the largest it admits, which a
+        dimension of 1 then fails in the graph check."""
+        data = base_scenario_dict()
+        data["graph"].update(n_agents=100_000, edges=[[1, 2], [1, 3], [2, 3]])
+        data["geometry"]["desired_bearings"] = [
+            {"edge": [1, 2], "bearing": [-1, 0]},
+            {"edge": [1, 3], "bearing": [0, -1]},
+            {"edge": [2, 3], "bearing": [0, -1]},
+        ]
+        del data["geometry"]["desired_positions"]["3"]
+        del data["geometry"]["desired_positions"]["4"]
+        assert _main_stderr(["validate", write_scenario(tmp_path, data)]) == (
+            2,
+            ["error: graph: the bearing Laplacian of 100000 agents in dimension 2 "
+             "would take 305175 MiB, over the limit of 1024 MiB"],
+        )
+        assert 11_585**2 * 8 <= MAX_SAMPLE_BYTES < 11_586**2 * 8
+        data["graph"].update(n_agents=11_585, dimension=1)
+        assert _main_stderr(["validate", write_scenario(tmp_path, data)]) == (
+            2, ["error: graph: need dimension >= 2, got d=1"]
+        )
+        data["graph"]["n_agents"] = 11_586
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert code == 2 and err[0].startswith("error: graph: the bearing Laplacian")
+
     def test_step_bound_names_the_count(self, tmp_path):
         """validate rejects a run of more than MAX_STEPS steps even when it
         records few samples, and names the count and the limit."""
@@ -977,11 +1131,12 @@ _KEYS, _LEAVES, _OBJECTS = _bundled_sites()
 _UNKNOWN = object()              # insert a field that no scenario object has
 # 1e200 reaches overflow in the disturbance realization and the geometry,
 # 1e308 in a gain's product with lambda_max(B_ff), and 2**63 is past int64;
-# MAX_STEPS and MAX_SAMPLE_BYTES keep a huge t_final or record_every cheap
+# MAX_STEPS and MAX_SAMPLE_BYTES keep a huge t_final or record_every cheap;
+# a step of 1.0 is outside RK4's stability region on both squares
 _REPLACEMENTS = [
     "x", None, [], [1.0, 2.0], {}, {"a": 1}, True, False,
     float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -2.5, 1e200,
-    1e308, 2**63,
+    1e308, 2**63, 1.0,
 ]
 
 

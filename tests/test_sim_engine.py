@@ -260,12 +260,11 @@ class TestEngineRhs:
             integration={"t_final": 1.0},
         )
         traj = integrate(sc)
-        d_idx = ReferenceEngine(sc).d_idx
         for s, t in enumerate(traj.times):
-            out = traj.vartheta[s][d_idx]
+            out = traj.vartheta[s, :, 0]                     # (n_f, d)
             for idx, spec in enumerate(MILLI_SPECS):
                 np.testing.assert_allclose(
-                    out[idx * sc.d : (idx + 1) * sc.d],
+                    out[idx],
                     disturbance_eval(spec, t),
                     atol=1e-8,
                 )
