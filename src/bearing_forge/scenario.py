@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import reprlib
 import sys
 
 import numpy as np
@@ -44,7 +45,7 @@ MAX_SAMPLE_BYTES = 1 << 30
 # Most steps (t_final / step) a run may take: 50 times the bundled 200 s
 # adaptive run (2e5 steps).  On a 2-core Xeon the operator step of the
 # bundled square takes about 13 us, so 1e7 steps take about 2 minutes, and
-# the staged step of a 64-agent formation (about 0.34 ms) about an hour.
+# the staged step of a 64-agent formation (about 0.17 ms) about half an hour.
 # Beyond that a mistyped t_final or step would run for days or years.
 MAX_STEPS = 10**7
 
@@ -59,6 +60,11 @@ OVERRIDES = {
 }
 
 _REQUIRED = object()
+# a bad value is echoed in its message in at most this many characters
+ECHO_WIDTH = 60
+# nesting of JSON lists _array reads: far above the 1-D vectors it serves,
+# and far below the interpreter's recursion limit
+MAX_NESTING = 16
 # |R(i y)|^2 = 1 - y^6/72 + y^8/576 for RK4's stability function R, so a
 # neutral mode i omega stays bounded exactly for |h omega| < 2 sqrt 2
 RK4_AXIS_LIMIT = 2.0 * math.sqrt(2.0)
@@ -88,12 +94,26 @@ def _field(obj, where, key, read, *args, default=_REQUIRED):
     return read(obj[key], f"{where}.{key}" if where else key, *args)
 
 
+def _echo(value):
+    """value as its message shows it, in at most ECHO_WIDTH characters:
+    an integer past 16 digits in scientific form (_count), containers cut
+    to their first few entries and levels (reprlib), and the rest cut at
+    the width."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        text = _count(value)
+    else:
+        short = reprlib.Repr()
+        short.maxlevel, short.maxlist, short.maxtuple, short.maxdict = 3, 4, 4, 4
+        text = short.repr(value)
+    return text if len(text) <= ECHO_WIDTH else text[: ECHO_WIDTH - 3] + "..."
+
+
 def _typed(types, noun):
     """Reader of a JSON value of the given types; a bool is never a number."""
 
     def read(value, what):
         if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
-            raise ValidationError(f"{what}: expected {noun}, got {value!r}")
+            raise ValidationError(f"{what}: expected {noun}, got {_echo(value)}")
         return value
 
     return read
@@ -131,14 +151,16 @@ def _float(value, what):
         with contextlib.suppress(OverflowError):  # an integer beyond float range
             if math.isfinite(value):
                 return float(value)
-    raise ValidationError(f"{what}: expected a finite number, got {value!r}")
+    raise ValidationError(f"{what}: expected a finite number, got {_echo(value)}")
 
 
-def _array(value, what):
+def _array(value, what, depth=0):
     """A number or a nested JSON list of finite numbers, as a float array."""
     if not isinstance(value, (list, tuple)):
         return np.array(_float(value, what))
-    parts = [_array(x, what) for x in value]
+    if depth == MAX_NESTING:
+        raise ValidationError(f"{what}: lists nested more than {MAX_NESTING} deep")
+    parts = [_array(x, what, depth + 1) for x in value]
     if len({p.shape for p in parts}) > 1:
         raise ValidationError(f"{what}: rows of unequal length")
     return np.array(parts, dtype=float)
@@ -154,7 +176,7 @@ def _vec(value, what, d):
 def _edge(value, what, n):
     e = tuple(_list(value, what))
     if len(e) != 2 or not all(1 <= _int(x, what) <= n for x in e) or e[0] == e[1]:
-        raise ValidationError(f"{what}: malformed edge {e}")
+        raise ValidationError(f"{what}: malformed edge {_echo(e)}")
     return e
 
 
@@ -167,7 +189,7 @@ def _ids(value, what, allowed, read, *args):
         # as agent 3, and the later entry would silently replace the earlier
         if not (k.isascii() and k.isdigit() and str(int(k)) == k):
             raise ValidationError(
-                f"{what}: agent id {k!r} is not a decimal integer without "
+                f"{what}: agent id {_echo(k)} is not a decimal integer without "
                 "sign, spaces or leading zeros"
             )
         i = int(k)
@@ -547,6 +569,11 @@ def load_scenario(path, overrides=None) -> CompiledScenario:
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"scenario file {path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError(
+            f"malformed JSON in {path}: lists or objects nested deeper than the "
+            "parser's recursion limit"
         ) from exc
     except ValueError as exc:   # int() refuses a literal past the digit limit
         raise ParseError(

@@ -243,17 +243,22 @@ class Engine:
     estimate of the feedforward row E_i is a row of m_i entries.  The state
     holds them zero-padded to the largest order, as flat (n_f, m_max, d) and
     (n_f, 1, m_max) arrays, next to the stacked (n_f, m_max, m_max) matrices
-    M, Phi and Lambda, so that each per-follower product of the control law
-    is one batched matmul on a reshape of the state.  The padded rows and
-    columns of the matrices are zero, so padding entries that start at 0
-    stay exactly 0; `real` lists the other coordinates.
+    Phi and Lambda, so that each per-follower product of the control law is
+    one batched matmul on a reshape of the state.  M depends only on the
+    order (choose_MN), so M w is one GEMM per order on the (n_f, m_max d)
+    view of w, and N_i = e_{m_i}, so N v_f and N u touch only row m_i - 1
+    of each block (`last`).  The padded rows and columns of the matrices are
+    zero, so padding entries that start at 0 stay exactly 0; `real` lists
+    the other coordinates.
 
     `rhs` is composed of `_readouts` (s, w and θ̂, affine in the state) and
     `_law`, which is affine jointly in the state and in the sums θ̂ w and
     w s of the adaptive products: with the sums at zero it is the affine
     part of the closed loop, and their coefficients scatter the products.
     `operator_step` probes these pieces, with the products written out by
-    `_factors` and summed by `_sums`.
+    `_factors` and summed by `_sums`.  `rhs` writes its readouts and
+    products into buffers the engine keeps, and `rk4` its stages, so a
+    staged step allocates no state-sized array.
     """
 
     def __init__(self, sc: CompiledScenario):
@@ -272,8 +277,19 @@ class Engine:
         self.s_vc = self.Bf[:, : n_l * d] @ self.vc_tile
 
         m_max = self.m_max = max(self.orders)
-        self.M3 = _padded([m.M for m in sc.models], m_max, m_max)
-        self.N3 = _padded([m.N.reshape(-1, 1) for m in sc.models], m_max, 1)
+        # per order m, its followers (a slice when they are consecutive) and
+        # (pad(M_m) kron I_d)^T, which maps a follower's flat row of w to its
+        # row of M w
+        self.M_by_order = []
+        for idx in _by_order(sc.models).values():
+            M = _padded([sc.models[idx[0]].M], m_max, m_max)[0]
+            consecutive = idx[-1] - idx[0] == len(idx) - 1
+            g = slice(idx[0], idx[-1] + 1) if consecutive else np.array(idx)
+            self.M_by_order.append((g, np.kron(M, np.eye(d)).T.copy()))
+        # flat offsets of row 0 and of row m_i - 1 (N_i = e_{m_i}) in the
+        # (n_f, m_max, d) blocks, in the order of v_f
+        block = (np.arange(n_f)[:, None] * m_max * d + np.arange(d)).ravel()
+        self.last = block + np.repeat((np.array(self.orders) - 1) * d, d)
         self.Phi3 = _padded([e.Phi for e in sc.exos], m_max, m_max)
         if self.adaptive:
             # a frozen estimate is the adaptive law with zero gain
@@ -294,6 +310,8 @@ class Engine:
         self.i_th = self.i_var + k * d
         self.dim = self.i_th + (k if self.adaptive else 0)
 
+        # row 0 of each follower's vartheta, which drives its velocity
+        self.var0 = self.i_var + block
         # the real (non-padding) coordinates, in the packed order of the
         # scenario's initial values: each follower's m_i rows of its blocks
         rows = np.arange(m_max) < np.array(self.orders)[:, None]    # (n_f, m_max)
@@ -308,6 +326,18 @@ class Engine:
         self.n_prod = 2 * k * d if self.adaptive else 0
         self.operator_macs = multiply_adds(self.dim, self.n_prod)
 
+        # buffers that rhs writes its readouts (s_p, s_v, w) and products
+        # (s = s_p + s_v, θ̂ w, w s) into, and _law its input u and one term
+        # of it, with the shaped views the products take
+        self._reads = (np.empty(n_f * d), np.empty(n_f * d), np.empty((n_f, m_max, d)))
+        self._s, self._u, self._term = np.empty((3, n_f * d))
+        self._s3 = self._s.reshape(n_f, d, 1)
+        self._u3, self._term3 = (x.reshape(n_f, 1, d) for x in (self._u, self._term))
+        self._tw = np.empty((n_f, 1, d))
+        self._ws = np.empty((n_f, m_max, 1))
+        # N v_f or N u as a flat (n_f, m_max, d) block: zero but at `last`
+        self._N_x = np.zeros(k * d)
+
     def initial_state(self):
         """The packed initial state scattered into its real coordinates."""
         sc = self.sc
@@ -318,49 +348,77 @@ class Engine:
         )
         return y
 
-    def _readouts(self, y):
+    def _readouts(self, y, out=None):
         """The inputs of the law, affine in y: s_p = B_f p and s_v = B_f v,
         each (n_f d,), w = eta - N v_f (n_f, m_max, d), and θ̂ (n_f, 1, m_max)
-        in adaptive mode (None otherwise)."""
-        d = self.d
+        in adaptive mode (None otherwise).  s_p, s_v and w are written into
+        out = (s_p, s_v, w), C-contiguous arrays of those shapes, when it is
+        given, and are fresh arrays otherwise."""
+        d, n_f, m_max = self.d, self.n_f, self.m_max
+        if out is None:
+            out = (np.empty(n_f * d), np.empty(n_f * d), np.empty((n_f, m_max, d)))
+        s_p, s_v, w = out
         v_f = y[self.i_vf : self.i_eta]
-        eta = y[self.i_eta : self.i_var].reshape(self.n_f, self.m_max, d)
-        s_p = self.Bf @ y[self.i_p : self.i_vf]
-        s_v = self.Bf_v @ v_f + self.s_vc
-        w = eta - self.N3 * v_f.reshape(self.n_f, 1, d)
-        th = y[self.i_th :].reshape(self.n_f, 1, self.m_max) if self.adaptive else None
+        np.matmul(self.Bf, y[self.i_p : self.i_vf], out=s_p)
+        np.matmul(self.Bf_v, v_f, out=s_v)
+        s_v += self.s_vc
+        N_v = self._N_x
+        N_v[self.last] = v_f
+        np.subtract(y[self.i_eta : self.i_var], N_v, out=w.reshape(-1))
+        th = y[self.i_th :].reshape(n_f, 1, m_max) if self.adaptive else None
         return s_p, s_v, w, th
 
-    def _law(self, y, s_p, s_v, w, tw=None, ws=None):
+    def _law(self, y, s_p, s_v, w, tw=None, ws=None, out=None):
         """The control law from its readouts, affine jointly in y and in the
         sums of the adaptive products, which enter only here: tw = θ̂ w
         (n_f, 1, d) adds to the input u = -kp s_p - kv s_v (+ E w outside
         adaptive mode), and ws = w s (n_f, m_max, 1) drives dθ̂ = -Λ w s.
         An absent sum is zero; with both absent this is the affine part of
-        the closed loop."""
-        d = self.d
-        u = (-self.sc.kappa_p * s_p - self.sc.kappa_v * s_v).reshape(self.n_f, 1, d)
+        the closed loop.  dy is written into out, a C-contiguous array of
+        dim floats, when it is given, and is a fresh array otherwise."""
+        d, n_f, m_max = self.d, self.n_f, self.m_max
+        dy = np.empty(self.dim) if out is None else out
+        u = self._u
+        np.multiply(s_p, -self.sc.kappa_p, out=u)
+        u -= np.multiply(s_v, self.sc.kappa_v, out=self._term)
         if not self.adaptive:
-            u = u + self.E3 @ w                          # (n_f, 1, d)
+            self._u3 += np.matmul(self.E3, w, out=self._term3)
         elif tw is not None:
-            u = u + tw
-        var = y[self.i_var : self.i_th].reshape(self.n_f, self.m_max, d)
-        dy = np.empty(self.dim)
-        dy[self.i_p : self.i_p + self.n_l * d] = self.vc_tile
-        dy[self.i_p + self.n_l * d : self.i_vf] = y[self.i_vf : self.i_eta]
-        dy[self.i_vf : self.i_eta] = (u + var[:, :1, :]).ravel()
+            self._u3 += tw
+        n_l = self.n_l * d
+        dy[self.i_p : self.i_p + n_l] = self.vc_tile
+        dy[self.i_p + n_l : self.i_vf] = y[self.i_vf : self.i_eta]
+        np.add(u, y[self.var0], out=dy[self.i_vf : self.i_eta])
         # eta' = M eta + N u - M N v_f = M w + N u
-        dy[self.i_eta : self.i_var] = (self.M3 @ w + self.N3 * u).ravel()
-        dy[self.i_var : self.i_th] = (self.Phi3 @ var).ravel()
-        dy[self.i_th :] = 0.0 if ws is None else (self.neg_Lam3 @ ws).ravel()
+        eta_flat = dy[self.i_eta : self.i_var]
+        eta_dot = eta_flat.reshape(n_f, m_max * d)
+        w_rows = w.reshape(n_f, m_max * d)
+        for g, MT in self.M_by_order:
+            if isinstance(g, slice):
+                np.matmul(w_rows[g], MT, out=eta_dot[g])
+            else:
+                eta_dot[g] = w_rows[g] @ MT
+        N_u = self._N_x
+        N_u[self.last] = u
+        eta_flat += N_u
+        var = y[self.i_var : self.i_th].reshape(n_f, m_max, d)
+        np.matmul(self.Phi3, var, out=dy[self.i_var : self.i_th].reshape(n_f, m_max, d))
+        if ws is None:
+            dy[self.i_th :] = 0.0
+        else:
+            np.matmul(self.neg_Lam3, ws, out=dy[self.i_th :].reshape(n_f, m_max, 1))
         return dy
 
-    def rhs(self, y):
-        s_p, s_v, w, th = self._readouts(y)
+    def rhs(self, y, out=None):
+        """The closed loop's dy/dt at y, written into out (as `_law`) when it
+        is given and a fresh array otherwise; y is only read."""
+        s_p, s_v, w, th = self._readouts(y, self._reads)
         if not self.adaptive:
-            return self._law(y, s_p, s_v, w)
-        ws = w @ (s_p + s_v).reshape(self.n_f, self.d, 1)
-        return self._law(y, s_p, s_v, w, th @ w, ws)
+            return self._law(y, s_p, s_v, w, out=out)
+        np.add(s_p, s_v, out=self._s)
+        np.matmul(w, self._s3, out=self._ws)
+        np.matmul(th, w, out=self._tw)
+        return self._law(y, s_p, s_v, w, self._tw, self._ws, out=out)
 
     def _factors(self, s_p, s_v, w, th):
         """[z_a; z_b], the flat factors of the n_prod adaptive products
@@ -377,18 +435,28 @@ class Engine:
 
     def rk4(self):
         """The chunk advance of classical RK4 steps of size sc.h, each taken
-        stage by stage through rhs."""
+        stage by stage through rhs.  The slopes k1..k4 and the stage states
+        are preallocated buffers, and y + (h/6)(k1 + 2 k2 + 2 k3 + k4) is
+        formed in place in that association order, so the states are
+        bitwise those of RK4 written with fresh arrays.  The last state is
+        returned as a copy, which the next chunk's out may overwrite."""
         rhs, h = self.rhs, self.sc.h
+        k1, k2, k3, k4, stage = np.empty((5, self.dim))
 
         def advance(y, out):
             for c in range(len(out)):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * h * k1)
-                k3 = rhs(y + 0.5 * h * k2)
-                k4 = rhs(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                out[c] = y
-            return y
+                rhs(y, out=k1)
+                np.add(y, np.multiply(k1, 0.5 * h, out=stage), out=stage)
+                rhs(stage, out=k2)
+                np.add(y, np.multiply(k2, 0.5 * h, out=stage), out=stage)
+                rhs(stage, out=k3)
+                np.add(y, np.multiply(k3, h, out=stage), out=stage)
+                rhs(stage, out=k4)
+                acc = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+                np.add(acc, np.multiply(k3, 2.0, out=k3), out=acc)
+                np.add(acc, k4, out=acc)
+                y = np.add(y, np.multiply(acc, h / 6.0, out=acc), out=out[c])
+            return y.copy()
 
         return advance
 

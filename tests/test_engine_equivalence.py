@@ -354,6 +354,20 @@ def mixed_feedback_only():
     return mixed_order_scenario(mode="feedback_only")
 
 
+# Orders 1, 3 and 1: the followers of order 1 are not consecutive, so the
+# engine gathers and scatters their rows of M w by index.
+INTERLEAVED_DISTURBANCES = {**MIXED_DISTURBANCES, "5": {"constant": [0.05, 0.1]}}
+
+
+def interleaved_adaptive():
+    known = mixed_order_scenario(INTERLEAVED_DISTURBANCES)
+    lam_min = float(known.laplacian.ff_eigenvalues[0])
+    return mixed_order_scenario(
+        INTERLEAVED_DISTURBANCES,
+        mode="adaptive", kappa_v=3.0 / lam_min, adaptation_rate=20.0,
+    )
+
+
 # The unit square whose followers reject a constant (r = 0, order 1) and
 # five sinusoids (r = 5, order 11): the first follower's blocks are mostly
 # padding.
@@ -389,6 +403,7 @@ CASES = {
     "bundled_adaptive_5s": lambda: load_scenario(
         bundled_scenario("square_adaptive"), {"t_final": 5.0}
     ),
+    "interleaved_adaptive": interleaved_adaptive,
     "mixed_known": mixed_order_scenario,
     "mixed_adaptive": mixed_adaptive,
     "mixed_adaptive_frozen": mixed_frozen,
@@ -516,6 +531,15 @@ def test_mixed_orders_are_padded():
     assert y[eng.real].tobytes() == packed.tobytes()
 
 
+def test_interleaved_orders_are_indexed():
+    """M w is one product per order, on a slice of the followers when they
+    are consecutive and on an index otherwise."""
+    eng = Engine(interleaved_adaptive())
+    assert eng.orders == [1, 3, 1]
+    (one, _), (three, _) = eng.M_by_order
+    assert one.tolist() == [0, 2] and three == slice(1, 2)
+
+
 @pytest.mark.parametrize("case", ["skewed_known", "skewed_adaptive"])
 def test_padded_steppers_match_reference(case):
     """Both chunk advances, the operator step and the staged Engine.rk4,
@@ -540,6 +564,49 @@ def test_padded_steppers_match_reference(case):
             y = advance(y, rows)
             assert not padding(eng, rows).view(np.int64).any()
             assert_close(rows, ref_states[first : first + len(rows)])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_buffered_rk4_is_plain_rk4(case):
+    """The staged Engine.rk4, which forms its stages in preallocated
+    buffers, against RK4 written with fresh arrays on Engine.rhs: over two
+    chunks, each from the state the last returned, the states are bitwise
+    equal.  The advance leaves its input alone and returns a copy of the
+    last state, which the next chunk may overwrite."""
+    sc = CASES[case]()
+    eng = Engine(sc)
+    rhs, h = eng.rhs, sc.h
+    y = y0 = eng.initial_state()
+    ref = []
+    for _ in range(5 + 3):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ref.append(y)
+    advance, got = eng.rk4(), np.empty((8, eng.dim))
+    start = y0.copy()
+    last = advance(start, got[:5])
+    assert start.tobytes() == y0.tobytes()
+    assert last.tobytes() == got[4].tobytes() and not np.shares_memory(last, got)
+    advance(last, got[5:])
+    assert got.tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rhs_into_a_buffer(case):
+    """rhs(y, out=buf) returns buf holding bitwise rhs(y), and reads y only."""
+    sc = CASES[case]()
+    eng = Engine(sc)
+    rng = np.random.default_rng(11)
+    buf = np.full(eng.dim, np.nan)
+    random = padded_state(eng, rng.standard_normal((3, len(eng.real))))
+    for y in [eng.initial_state()] + list(random):
+        before = y.copy()
+        assert eng.rhs(y, out=buf) is buf
+        assert buf.tobytes() == eng.rhs(y).tobytes()
+        assert y.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["known", "adaptive"])
@@ -809,7 +876,10 @@ def law_terms(eng, y):
     u = (kp * np.abs(s_p) + kv * np.abs(s_v)).reshape(eng.n_f, 1, eng.d)
     u = u + (np.abs(th) if eng.adaptive else np.abs(eng.E3)) @ np.abs(w)
     terms = np.zeros(eng.dim)
-    terms[eng.i_eta : eng.i_var] = (np.abs(eng.M3) @ np.abs(w) + eng.N3 * u).ravel()
+    rows = terms[eng.i_eta : eng.i_var].reshape(eng.n_f, eng.m_max, eng.d)
+    for i, model in enumerate(eng.sc.models):
+        m = model.order
+        rows[i, :m] = np.abs(model.M) @ np.abs(w[i, :m]) + np.abs(model.N)[:, None] * u[i]
     return terms
 
 
@@ -949,9 +1019,9 @@ def test_swarm_size_known_takes_staged_step(monkeypatch):
     for name in calls:
         method = getattr(Engine, name)
 
-        def counted(self, *args, _method=method, _name=name):
+        def counted(self, *args, _method=method, _name=name, **kwargs):
             calls[_name] += 1
-            return _method(self, *args)
+            return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(Engine, name, counted)
     traj = integrate(sc)

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bearing_forge import bundled_scenario, cli, errors
 from bearing_forge.errors import ParseError, ValidationError
@@ -949,12 +949,16 @@ class TestMalformedInput:
         assert (code, err) == (2, [f"error: {message}"])
 
     @pytest.mark.parametrize(
-        "case", ["not-utf8", "5000-digits", "n_agents-1e300", "h-1e-300"]
+        "case",
+        ["not-utf8", "5000-digits", "graph-nested-100000", "n_agents-1e300",
+         "h-1e-300", "kappa_p-100000-entries", "kappa_p-1e400", "edge-1e4000"],
     )
     def test_unreadable_or_huge_input_is_one_short_line(self, tmp_path, case):
-        """A file that is not UTF-8 or holds an integer literal past Python's
-        int-to-str digit limit fails to parse with a named line, and a count
-        of more than 16 digits is printed in scientific form."""
+        """A file that is not UTF-8, holds an integer literal past Python's
+        int-to-str digit limit or nests past the parser's recursion limit
+        fails to parse with a named line; a count of more than 16 digits is
+        printed in scientific form, and so is a bad integer value, while a
+        bad list is echoed by its first entries."""
         path = tmp_path / "scenario.json"
         flags = []
         if case == "not-utf8":
@@ -966,6 +970,12 @@ class TestMalformedInput:
                 f"malformed JSON in {path}: an integer literal of more than "
                 f"{sys.get_int_max_str_digits()} digits"
             )
+        elif case == "graph-nested-100000":
+            path.write_text('{"graph": ' + "[" * 100_000 + "]" * 100_000 + "}")
+            message = (
+                f"malformed JSON in {path}: lists or objects nested deeper than "
+                "the parser's recursion limit"
+            )
         else:
             with open(bundled_scenario("square_known")) as fh:
                 data = json.load(fh)
@@ -974,6 +984,18 @@ class TestMalformedInput:
                 message = (
                     "graph: the bearing Laplacian of 1.000e+300 agents in dimension 2 "
                     "would take 3.052e+595 MiB, over the limit of 1024 MiB"
+                )
+            elif case == "kappa_p-100000-entries":
+                data["controller"]["kappa_p"] = list(range(100_000))
+                message = "controller.kappa_p: expected a finite number, got [0, 1, 2, 3, ...]"
+            elif case == "kappa_p-1e400":
+                data["controller"]["kappa_p"] = 10**400
+                message = "controller.kappa_p: expected a finite number, got 1.000e+400"
+            elif case == "edge-1e4000":
+                data["graph"]["edges"][0] = [1, 10**4000]
+                message = (
+                    "graph.edges: malformed edge "
+                    f"(1, {'1' + '0' * 17}...{'0' * 19})"
                 )
             else:
                 flags = ["--h", "1e-300"]
@@ -985,6 +1007,25 @@ class TestMalformedInput:
         code, err = _main_stderr(["validate", str(path)] + flags)
         assert (code, err) == (2, [f"error: {message}"])
         assert len(err[0]) < 200
+
+    def test_deeply_nested_vector_is_one_named_line(self, tmp_path):
+        """A leader_velocity nested 900 deep parses (json's limit is the
+        interpreter's, 1000) and is rejected by its field, in a fresh
+        process, whose shallow stack lets the parse through."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["geometry"]["leader_velocity"] = "@"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data).replace('"@"', "[" * 900 + "]" * 900))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bearing_forge.cli", "validate", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: geometry.leader_velocity: lists nested more than 16 deep"
+        ]
 
     def test_top_level_must_be_an_object(self, tmp_path):
         code, err = _main_stderr(["validate", write_scenario(tmp_path, [1, 2])])
@@ -1207,32 +1248,57 @@ _REPLACEMENTS = [
 ]
 
 
+@dataclasses.dataclass(frozen=True)
+class _Nested:
+    """Empty JSON lists nested depth deep, written into the file as text
+    (json.dump would recurse once per level)."""
+
+    depth: int
+
+    def text(self):
+        return "[" * self.depth + "]" * self.depth
+
+
+# 900 levels parse and reach the scenario's readers; 100 000 exceed the
+# parser's recursion limit
+_NESTINGS = [_Nested(900), _Nested(100_000)]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     st.one_of(
         st.tuples(st.sampled_from(_KEYS), st.just(_DROP)),
         st.tuples(st.sampled_from(_LEAVES), st.sampled_from(_REPLACEMENTS)),
         st.tuples(st.sampled_from(_OBJECTS), st.just(_UNKNOWN)),
+        st.tuples(st.sampled_from(_KEYS), st.sampled_from(_NESTINGS)),
     )
 )
+@example((("square_known", ("graph",)), _Nested(100_000)))
+@example((("square_known", ("geometry", "leader_velocity")), _Nested(900)))
 def test_fuzz_mutated_bundled_scenario(mutation):
     """validate on a bundled scenario with one key dropped, one leaf
-    replaced or one unknown field inserted exits 0 or 2, never raises, and
-    writes at most one stderr line; an unknown field always exits 2 and is
-    named."""
+    replaced, one unknown field inserted or one value replaced by deeply
+    nested lists exits 0 or 2, never raises, and writes at most one stderr
+    line; an unknown field always exits 2 and is named, and deep nesting
+    always exits 2."""
     (name, path), value = mutation
     with open(bundled_scenario(name)) as fh:
         data = json.load(fh)
     if value is _UNKNOWN:
         _mutate(data, path + ("not_a_field",), 1.0)
     else:
-        _mutate(data, path, value)
+        _mutate(data, path, "@nested@" if isinstance(value, _Nested) else value)
+    text = json.dumps(data)
+    if isinstance(value, _Nested):
+        text = text.replace('"@nested@"', value.text())
     with tempfile.TemporaryDirectory() as tmp:
         scenario = os.path.join(tmp, "s.json")
         with open(scenario, "w") as fh:
-            json.dump(data, fh)
+            fh.write(text)
         code, err = _main_stderr(["validate", scenario])
     assert code in (0, 2)
     assert len(err) <= 1
     if value is _UNKNOWN:
         assert code == 2 and "unknown field 'not_a_field'" in err[0]
+    if isinstance(value, _Nested):
+        assert code == 2 and len(err[0]) < 200
