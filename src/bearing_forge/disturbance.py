@@ -62,40 +62,59 @@ def _check_frequencies(freqs):
 
 def min_poly_coeffs(frequencies):
     """Monic coefficients [1, a_1, ..., a_{2r+1}], highest power first (the
-    convention of np.poly), of s * prod_j (s^2 + w_j^2)."""
+    convention of np.poly), of s * prod_j (s^2 + w_j^2): _min_polys of a
+    stack of one, after the check that DisturbanceSpec makes."""
     _check_frequencies(frequencies)
-    poly = np.array([1.0, 0.0])  # s
-    for w in frequencies:
-        poly = np.convolve(poly, [1.0, 0.0, w * w])  # np.polymul without its poly1d
+    return _min_polys(np.asarray(frequencies, dtype=float)[None])[0]
+
+
+def _min_polys(w):
+    """min_poly_coeffs of each row of a (g, r) stack of checked frequencies,
+    shape (g, 2r + 2).  Multiplying by s^2 + w^2 adds w^2 times the
+    coefficients two places up, as np.convolve with [1, 0, w^2] does, to
+    the bit."""
+    g, r = w.shape
+    poly = np.zeros((g, 2 * r + 2))
+    poly[:, 0] = 1.0  # s
+    for j in range(r):
+        w2 = (w[:, j] * w[:, j])[:, None]
+        poly[:, 2 : 2 * j + 4] = poly[:, 2 : 2 * j + 4] + w2 * poly[:, : 2 * j + 2]
     return poly
 
 
 def companion(poly):
-    """Companion matrix of the monic polynomial poly = [1, c_1, ..., c_m]:
-    ones on the superdiagonal, last row -c_m, ..., -c_1."""
-    C = np.eye(len(poly) - 1, k=1)
-    C[-1, :] = -poly[:0:-1]
+    """Companion matrices of the monic polynomials of a (..., m + 1) stack
+    poly = [1, c_1, ..., c_m]: ones on the superdiagonal, last row -c_m,
+    ..., -c_1."""
+    m = poly.shape[-1] - 1
+    C = np.zeros(poly.shape[:-1] + (m, m))
+    C[..., np.arange(m - 1), np.arange(1, m)] = 1.0
+    C[..., -1, :] = -poly[..., :0:-1]
     return C
 
 
-def _derivatives(spec, t, m):
-    """d(t), d'(t), ..., d^(m-1)(t), shape (m, d).  The k-th derivative of
+def _derivatives(C0, w, A, ph, t, m):
+    """d(t), d'(t), ..., d^(m-1)(t) of each disturbance of a stack with
+    constants C0 (..., d), frequencies w (..., r), amplitudes A and phases
+    ph (..., r, d); shape (..., m, d).  The k-th derivative of
     A sin(w t + phi) is A w^k sin(w t + phi + k pi/2); row k sums its
     constant (C0 for k = 0, 0 after) and then the terms, in that order.
     w^k is one np.power per order k: a scalar exponent of 2 is squared, as
     an array of exponents is not, and the rounding may differ."""
     k = np.arange(m)[:, None, None]
-    w = spec.frequencies[:, None]
-    w_k = np.array([np.power(w, j) for j in range(m)])
-    terms = spec.amplitudes * w_k * np.sin(w * t + spec.phases + k * np.pi / 2.0)
-    const = np.zeros((m, 1, spec.d))
-    const[0, 0] = spec.C0
-    return np.add.accumulate(np.concatenate([const, terms], axis=1), axis=1)[:, -1]
+    w = w[..., None, :, None]
+    w_k = np.concatenate([np.power(w, j) for j in range(m)], axis=-3)
+    A, ph = A[..., None, :, :], ph[..., None, :, :]
+    terms = A * w_k * np.sin(w * t + ph + k * np.pi / 2.0)
+    const = np.zeros(terms.shape[:-2] + (1, C0.shape[-1]))
+    const[..., 0, 0, :] = C0
+    terms = np.concatenate([const, terms], axis=-2)
+    return np.add.accumulate(terms, axis=-2)[..., -1, :]
 
 
 def disturbance_eval(spec, t):
     """Closed-form disturbance value at time t, shape (d,)."""
-    return _derivatives(spec, t, 1)[0]
+    return _derivatives(spec.C0, spec.frequencies, spec.amplitudes, spec.phases, t, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -113,19 +132,29 @@ class CanonicalExosystem:
     theta0: np.ndarray
 
 
-def build_canonical(spec):
-    """Companion exosystem for a disturbance spec (state dimension (2r+1)d).
+def build_canonical(specs):
+    """Companion exosystems of disturbance specs of one order r (state
+    dimension (2r+1)d each), built in one pass: each record's Phi and
+    theta0 are rows of one stack, and Psi is shared.
 
-    Raises NonFiniteExosystem when Phi or theta0 overflows the float range.
+    Raises NonFiniteExosystem for the first spec whose Phi or theta0
+    overflows the float range.
     """
-    r = spec.r
-    m = 2 * r + 1
+    r, m = specs[0].r, 2 * specs[0].r + 1
+    w = np.array([s.frequencies for s in specs])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        Phi = companion(min_poly_coeffs(spec.frequencies))
-        theta0 = _derivatives(spec, 0.0, m).ravel()
-    if not (np.isfinite(Phi).all() and np.isfinite(theta0).all()):
+        Phi = companion(_min_polys(w))
+        theta0 = _derivatives(
+            np.array([s.C0 for s in specs]), w,
+            np.array([s.amplitudes for s in specs]), np.array([s.phases for s in specs]),
+            0.0, m,
+        ).reshape(len(specs), -1)
+    finite = np.isfinite(Phi).all(axis=(1, 2)) & np.isfinite(theta0).all(axis=1)
+    if not finite.all():
+        k = int(finite.argmin())
         raise NonFiniteExosystem(
             f"the companion matrix or the derivatives up to order {m - 1} at "
-            f"t = 0 overflow (frequencies {spec.frequencies.tolist()})"
+            f"t = 0 overflow (frequencies {specs[k].frequencies.tolist()})"
         )
-    return CanonicalExosystem(r=r, Phi=Phi, Psi=np.eye(m)[0], theta0=theta0)
+    Psi = np.eye(m)[0]
+    return [CanonicalExosystem(r, P, Psi, th) for P, th in zip(Phi, theta0)]

@@ -46,27 +46,36 @@ def choose_MN(r):
     return companion(np.poly(poles(m))), np.eye(m)[-1]
 
 
-def synthesize(exosystem):
-    """Internal model of a canonical exosystem, in closed form.  M and Phi are
-    companions with one superdiagonal, N = e_m and Psi = e_1, so E T = Psi turns
-    the equation into T Phi = (M + N E) T: E = Phi[-1] - M[-1] (M + N E = Phi),
-    and E Phi^k T = e_{k+1} makes T the inverse of O(Phi, E), rows E Phi^k.
-    Raises SingularT when O or T is not finite or T misses the equation."""
-    Phi, Psi = exosystem.Phi, exosystem.Psi
-    M, N = choose_MN(exosystem.r)
+def synthesize(exosystems):
+    """Internal models of canonical exosystems of one order, in closed form
+    and in one pass: each record's T and E are rows of one stack, and M and
+    N are shared.  M and Phi are companions with one superdiagonal, N = e_m
+    and Psi = e_1, so E T = Psi turns the equation into T Phi = (M + N E) T:
+    E = Phi[-1] - M[-1] (M + N E = Phi), and E Phi^k T = e_{k+1} makes T the
+    inverse of O(Phi, E), rows E Phi^k.  Raises SingularT for the first
+    exosystem whose O or T is not finite or whose T misses the equation."""
+    Phi = np.stack([exo.Phi for exo in exosystems])
+    Psi, M, N = exosystems[0].Psi, *choose_MN(exosystems[0].r)
     m = M.shape[0]
-    O = np.empty((m, m))
-    O[0] = E = Phi[-1] - M[-1]
+    O = np.empty(Phi.shape)
+    O[:, 0] = E = Phi[:, -1] - M[-1]
     with np.errstate(all="ignore"):  # an overflow fails the check below
         for k in range(1, m):
-            O[k] = O[k - 1] @ Phi
-        finite = np.isfinite(O).all()
-        T = np.linalg.solve(O, np.eye(m)) if finite else O
-        res = np.linalg.norm(T @ Phi - M @ T - np.outer(N, Psi))
-        tol = RESIDUAL_TOL * np.linalg.norm(T) * (np.linalg.norm(Phi) + np.linalg.norm(M))
-    if not (finite and np.isfinite(T).all() and res <= tol):
-        raise SingularT(
-            f"T misses T Phi - M T = N Psi: residual {res:.3e}, limit {tol:.3e}"
-            if finite else f"O(Phi, E) overflows: T is not finite, residual {res:.3e}"
+            O[:, k] = (O[:, k - 1, None] @ Phi)[:, 0]
+        finite = np.isfinite(O).all(axis=(1, 2))
+        # an O that is not finite is solved as I, and T keeps O in its place
+        eye, keep = np.broadcast_to(np.eye(m), O.shape), finite[:, None, None]
+        T = np.where(keep, np.linalg.solve(np.where(keep, O, eye), eye), O)
+        res = np.linalg.norm(T @ Phi - M @ T - np.outer(N, Psi), axis=(1, 2))
+        tol = RESIDUAL_TOL * np.linalg.norm(T, axis=(1, 2)) * (
+            np.linalg.norm(Phi, axis=(1, 2)) + np.linalg.norm(M)
         )
-    return InternalModel(M=M, N=N, T=T, E=E)
+    ok = finite & np.isfinite(T).all(axis=(1, 2)) & (res <= tol)
+    if not ok.all():
+        k = int(ok.argmin())
+        raise SingularT(
+            f"T misses T Phi - M T = N Psi: residual {res[k]:.3e}, limit {tol[k]:.3e}"
+            if finite[k] else
+            f"O(Phi, E) overflows: T is not finite, residual {res[k]:.3e}"
+        )
+    return [InternalModel(M=M, N=N, T=t, E=e) for t, e in zip(T, E)]

@@ -23,7 +23,9 @@ from .errors import (
     BearingForgeError,
     GainConditionViolated,
     MissingBearing,
+    NonFiniteExosystem,
     ParseError,
+    SingularT,
     ValidationError,
 )
 from .formation_graph import (
@@ -154,16 +156,22 @@ def _float(value, what):
     raise ValidationError(f"{what}: expected a finite number, got {_echo(value)}")
 
 
-def _array(value, what, depth=0):
+def _array(value, what):
     """A number or a nested JSON list of finite numbers, as a float array."""
+    return np.array(_floats(value, what, 0)[0], dtype=float)
+
+
+def _floats(value, what, depth):
+    """value with each number read by _float, and its shape."""
     if not isinstance(value, (list, tuple)):
-        return np.array(_float(value, what))
+        return _float(value, what), ()
     if depth == MAX_NESTING:
         raise ValidationError(f"{what}: lists nested more than {MAX_NESTING} deep")
-    parts = [_array(x, what, depth + 1) for x in value]
-    if len({p.shape for p in parts}) > 1:
+    parts = [_floats(x, what, depth + 1) for x in value]
+    shapes = {shape for _, shape in parts}
+    if len(shapes) > 1:
         raise ValidationError(f"{what}: rows of unequal length")
-    return np.array(parts, dtype=float)
+    return [x for x, _ in parts], (len(parts), *(shapes.pop() if shapes else ()))
 
 
 def _vec(value, what, d):
@@ -175,7 +183,10 @@ def _vec(value, what, d):
 
 def _edge(value, what, n):
     e = tuple(_list(value, what))
-    if len(e) != 2 or not all(1 <= _int(x, what) <= n for x in e) or e[0] == e[1]:
+    if not (
+        len(e) == 2 and 1 <= _int(e[0], what) <= n and 1 <= _int(e[1], what) <= n
+        and e[0] != e[1]
+    ):
         raise ValidationError(f"{what}: malformed edge {_echo(e)}")
     return e
 
@@ -236,7 +247,9 @@ def validate_gains(kappa_p, kappa_v, mu, mode, lambdas=()):
     mode also needs kappa_v * lambda_min(B_ff) - 1 >= 1e-8, a margin that
     leaves the certificate's lambda_min(Q) digits.  Each Lambda of the
     (follower, Lambda) pairs in lambdas must be symmetric positive definite,
-    in every mode.  Each comparison fails on NaN.
+    in every mode: symmetric to within 1e-12 max|Lambda|, and checked in one
+    stack per shape; the lowest follower at fault is named.  Each comparison
+    fails on NaN.
     """
     lam_min, lam_max = float(mu[0]), float(mu[-1])
     for name, k in (("kappa_p", kappa_p), ("kappa_v", kappa_v)):
@@ -253,13 +266,21 @@ def validate_gains(kappa_p, kappa_v, mu, mode, lambdas=()):
                 "adaptive gain condition: kappa_v*lambda_min(B_ff) - 1 = "
                 f"{margin:.6g} is below the margin 1e-8"
             )
+    by_shape, bad = {}, []
     for i, Lam in lambdas:
-        if not np.allclose(Lam, Lam.T, atol=1e-12):
-            raise GainConditionViolated(f"Lambda for follower {i} not symmetric")
-        if not np.linalg.eigvalsh(Lam)[0] > 0:
-            raise GainConditionViolated(
-                f"Lambda for follower {i} not positive definite"
-            )
+        by_shape.setdefault(Lam.shape, []).append((i, Lam))
+    for group in by_shape.values():
+        Lam = np.stack([L for _, L in group])
+        tol = 1e-12 * np.abs(Lam).max(axis=(1, 2), keepdims=True)
+        sym = (np.abs(Lam - Lam.swapaxes(1, 2)) <= tol).all(axis=(1, 2))
+        ok = sym & (np.linalg.eigvalsh(Lam)[:, 0] > 0)
+        bad += [(i, s) for (i, _), s, o in zip(group, sym, ok) if not o]
+    if bad:
+        i, sym = min(bad)
+        raise GainConditionViolated(
+            f"Lambda for follower {i} not "
+            + ("positive definite" if sym else "symmetric")
+        )
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -419,7 +440,8 @@ def compile_scenario(data) -> CompiledScenario:
     disturbances = _field(
         data, "", "disturbances", _ids, followers, _disturbance, d, default={}
     )
-    specs = [disturbances.get(i, DisturbanceSpec(d=d, C0=np.zeros(d))) for i in followers]
+    undisturbed = DisturbanceSpec(d=d, C0=np.zeros(d))
+    specs = [disturbances.get(i, undisturbed) for i in followers]
 
     ctrl = _field(
         data, "", "controller", _fields, "mode", "kappa_p", "kappa_v",
@@ -445,14 +467,39 @@ def compile_scenario(data) -> CompiledScenario:
         raise ValidationError(f"controller.eta_init: unknown policy '{eta_init}'")
 
     # each follower's controller: exosystem, internal model, Lambda_i,
-    # theta-hat_i(0) and eta_i(0).  The adaptive-only fields are checked in
-    # every mode, so that a wrong value is never ignored silently
-    built = []
-    for i, spec, v in zip(followers, specs, v_f0):
-        with _named(f"disturbances[{i}]"):
-            exo = build_canonical(spec)
-            model = synthesize(exo)
-        m = model.order
+    # theta-hat_i(0) and eta_i(0), built for all followers of one order in
+    # one pass and then checked follower by follower, so that the first at
+    # fault is named.  The adaptive-only fields are checked in every mode,
+    # so that a wrong value is never ignored silently
+    exos, models, eta0 = ([None] * len(specs) for _ in range(3))
+    lambdas, theta_hat0, by_order, failed = [], [], {}, {}
+    for k, spec in enumerate(specs):
+        by_order.setdefault(spec.r, []).append(k)
+    batches = list(by_order.values())
+    while batches:
+        idx = batches.pop()
+        try:
+            group_exos = build_canonical([specs[k] for k in idx])
+            group_models = synthesize(group_exos)
+        except (NonFiniteExosystem, SingularT) as exc:
+            # a batch that fails is built again one follower at a time
+            if len(idx) > 1:
+                batches += [[k] for k in idx]
+            else:
+                failed[idx[0]] = exc
+            continue
+        m, N = group_models[0].order, group_models[0].N
+        e0 = N[:, None] * v_f0[idx][:, None]      # kron(N, v) of each follower
+        if eta_init == "xi_zero":
+            theta0 = np.stack([exo.theta0 for exo in group_exos]).reshape(-1, m, d)
+            e0 = e0 - np.stack([model.T for model in group_models]) @ theta0
+        for k, *row in zip(idx, group_exos, group_models, e0.reshape(len(idx), -1)):
+            exos[k], models[k], eta0[k] = row
+    for k, i in enumerate(followers):
+        if k in failed:
+            with _named(f"disturbances[{i}]"):
+                raise failed[k]
+        m = 2 * specs[k].r + 1
         Lam = np.atleast_2d(given[i]) if i in given else rate * np.eye(m)
         if Lam.shape != (m, m):
             raise ValidationError(
@@ -465,17 +512,13 @@ def compile_scenario(data) -> CompiledScenario:
                 f"controller.theta_hat_init[{i}]: expected {m} entries"
             )
         if isinstance(eta_init, dict) and i in eta_init:
-            e0 = eta_init[i]
-            if e0.shape != (m * d,):
+            eta0[k] = eta_init[i]
+            if eta0[k].shape != (m * d,):
                 raise ValidationError(
                     f"controller.eta_init[{i}]: expected {m * d} entries"
                 )
-        else:
-            e0 = np.kron(model.N, v)
-            if eta_init == "xi_zero":
-                e0 = e0 - np.kron(model.T, np.eye(d)) @ exo.theta0
-        built.append((exo, model, Lam, th0, e0))
-    exos, models, lambdas, theta_hat0, eta0 = map(list, zip(*built))
+        lambdas.append(Lam)
+        theta_hat0.append(th0)
 
     mu = laplacian.ff_eigenvalues
     with _named("gains"):

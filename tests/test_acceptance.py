@@ -131,8 +131,8 @@ def test_criterion_3_internal_model_synthesis():
             while r > 1 and np.diff(freqs).min() < 0.1:
                 freqs = np.sort(rng.uniform(lo, hi, size=r))
             spec = DisturbanceSpec(1, np.ones(1), freqs, np.ones((r, 1)), np.zeros((r, 1)))
-            exo = build_canonical(spec)
-            model = synthesize(exo)
+            exo = build_canonical([spec])[0]
+            model = synthesize([exo])[0]
             m = 2 * r + 1
             res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
             assert np.linalg.norm(res) <= 1e-10

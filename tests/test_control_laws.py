@@ -31,7 +31,7 @@ def simple_model(r=0):
         amplitudes=np.ones((r, 2)),
         phases=np.zeros((r, 2)),
     )
-    return synthesize(build_canonical(spec))
+    return synthesize(build_canonical([spec]))[0]
 
 
 class TestKronApply:
@@ -207,6 +207,24 @@ class TestValidateGains:
             rf"^{name}\*lambda_max\(B_ff\) = 4e\+307\*5 overflows$"
         )):
             validate_gains(*gains, self.MU, mode)
+
+    ASYM = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "lambdas, message",
+        [
+            ([(3, np.eye(1)), (4, ASYM), (5, -np.eye(1))], "4 not symmetric"),
+            ([(3, np.eye(3)), (4, -np.eye(1)), (5, ASYM)], "4 not positive definite"),
+            ([(3, np.eye(1)), (4, np.eye(3)), (5, 1e-20 * ASYM)], "5 not symmetric"),
+        ],
+        ids=["groups-out-of-order", "definite-before-symmetric", "scaled"],
+    )
+    def test_first_bad_lambda_is_named(self, lambdas, message):
+        """Lambdas of different shapes are checked in one stack per shape;
+        the lowest follower at fault is named, and the symmetry tolerance
+        scales with the entries of Lambda."""
+        with pytest.raises(GainConditionViolated, match=f"^Lambda for follower {message}$"):
+            validate_gains(1.0, 1.0, self.MU, "known", lambdas)
 
     @staticmethod
     def adaptive_scenario(lam):

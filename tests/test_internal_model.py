@@ -8,14 +8,17 @@ from bearing_forge.disturbance import (
     DisturbanceSpec,
     build_canonical,
 )
-from bearing_forge.errors import SingularT
+from bearing_forge.errors import SingularT, ValidationError
 from bearing_forge.internal_model import choose_MN, synthesize
+from bearing_forge.scenario import compile_scenario
+
+from test_disturbance import derivative_ladder
 
 
 def exo_for(freqs, d=1):
     r = len(freqs)
     spec = DisturbanceSpec(d, np.ones(d), freqs, np.ones((r, d)), np.zeros((r, d)))
-    return build_canonical(spec)
+    return build_canonical([spec])[0]
 
 
 def is_controllable(M, N):
@@ -69,7 +72,7 @@ class TestSolveSylvester:
         exo = exo_for([])
         np.testing.assert_allclose(exo.Phi, [[0.0]])
         np.testing.assert_allclose(exo.Psi, [1.0])
-        model = synthesize(exo)
+        model = synthesize([exo])[0]
         np.testing.assert_allclose(model.T, [[1.0]])
         np.testing.assert_allclose(model.E, [1.0])
         res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
@@ -77,7 +80,7 @@ class TestSolveSylvester:
 
     def test_r1_residual(self):
         exo = exo_for([1.0])
-        model = synthesize(exo)
+        model = synthesize([exo])[0]
         res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
         assert np.linalg.norm(res) < 1e-10
         assert abs(np.linalg.det(model.T)) > 0
@@ -86,7 +89,7 @@ class TestSolveSylvester:
     def test_matches_kronecker_solve(self, r):
         """The closed-form T against the dense Kronecker vec-solve."""
         exo = exo_for(np.arange(1, r + 1) * 0.7)
-        model = synthesize(exo)
+        model = synthesize([exo])[0]
         ref = kronecker_sylvester(exo.Phi, model.M, model.N, exo.Psi)
         np.testing.assert_allclose(model.T, ref, rtol=1e-12, atol=1e-12)
 
@@ -94,15 +97,16 @@ class TestSolveSylvester:
         """At w = 1e150 the exosystem is finite (w^2 = 1e300) but E Phi^2
         overflows, so T cannot be formed."""
         with pytest.raises(SingularT, match="O\\(Phi, E\\) overflows"):
-            synthesize(exo_for([1e150]))
+            synthesize([exo_for([1e150])])
 
     def test_residual_gate_fires(self):
         """An exosystem outside the companion form breaks the closed form;
         the Sylvester residual check names the miss."""
         exo = exo_for([1.0])
         bad = CanonicalExosystem(r=1, Phi=2.0 * exo.Phi, Psi=exo.Psi, theta0=exo.theta0)
-        with pytest.raises(SingularT, match="misses T Phi - M T = N Psi: residual"):
-            synthesize(bad)
+        for batch in ([bad], [exo, bad]):
+            with pytest.raises(SingularT, match="misses T Phi - M T = N Psi: residual"):
+                synthesize(batch)
 
 
 def _rational_solve(A, b):
@@ -168,7 +172,7 @@ class TestClosedForm:
         3.2e-13 at w = (1, 2, 4, 5, 6) (cond 4.6e9)."""
         T_ref, E_ref = rational_internal_model(freqs)
         assert all(e.denominator == 1 for e in E_ref)
-        model = synthesize(exo_for([float(w) for w in freqs]))
+        model = synthesize([exo_for([float(w) for w in freqs])])[0]
         assert model.E.tolist() == [float(e) for e in E_ref]
         T_ref = np.array([[float(v) for v in row] for row in T_ref])
         assert np.linalg.norm(model.T - T_ref) <= 1e-13 * np.linalg.norm(T_ref)
@@ -176,7 +180,7 @@ class TestClosedForm:
 
 class TestSynthesisSweep:
     def test_r0_reduces_to_scalars(self):
-        model = synthesize(exo_for([]))
+        model = synthesize([exo_for([])])[0]
         np.testing.assert_allclose(model.M, [[-1.0]])
         np.testing.assert_allclose(model.N, [1.0])
         np.testing.assert_allclose(model.T, [[1.0]])
@@ -193,7 +197,7 @@ class TestSynthesisSweep:
                 while r > 1 and np.diff(freqs).min() < 1e-2:
                     freqs = np.sort(rng.uniform(0.3, hi, size=r))
                 exo = exo_for(freqs)
-                model = synthesize(exo)
+                model = synthesize([exo])[0]
                 res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
                 norm_T = np.linalg.norm(model.T)
                 assert np.linalg.norm(res) <= 1e-9 * (1 + norm_T)
@@ -213,7 +217,7 @@ class TestSynthesisSweep:
                 while np.diff(freqs).min() < 1e-2:
                     freqs = np.sort(rng.uniform(0.3, 10.0, size=r))
                 exo = exo_for(freqs)
-                model = synthesize(exo)
+                model = synthesize([exo])[0]
                 res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
                 norm_T = np.linalg.norm(model.T)
                 assert np.linalg.norm(res) <= 1e-9 * (1 + norm_T)
@@ -227,3 +231,130 @@ class TestSynthesisSweep:
         eig_M = np.linalg.eigvals(M)
         eig_Phi = np.linalg.eigvals(exo.Phi)
         assert np.abs(eig_M[:, None] - eig_Phi[None, :]).min() >= 1.0
+
+
+# orders of the followers by id: every r in 0..5 twice, and no two
+# followers of one order adjacent, so no order's group is consecutive
+BATCH_ORDERS = [1, 0, 2, 1, 0, 2, 5, 3, 4, 5, 3, 4]
+
+
+def batch_scenario(orders, seed=23, d=2):
+    """Complete-graph scenario with two leaders and one follower per entry
+    of orders, follower k with orders[k] random sinusoids and a random
+    initial velocity (so kron(N, v) carries signed zeros)."""
+    rng = np.random.default_rng(seed)
+    n = len(orders) + 2
+    pos = rng.uniform(-5.0, 5.0, size=(n, d))
+    disturbances = {}
+    for k, r in enumerate(orders):
+        freqs = 0.3 + 0.4 * np.arange(r) + rng.uniform(0.0, 0.2, size=r)
+        disturbances[str(k + 3)] = {
+            "constant": rng.normal(size=d).tolist(),
+            "sinusoids": [
+                {
+                    "frequency": float(w),
+                    "amplitudes": rng.normal(size=d).tolist(),
+                    "phases": rng.uniform(-3.0, 3.0, size=d).tolist(),
+                }
+                for w in freqs
+            ],
+        }
+    return {
+        "graph": {
+            "n_agents": n, "dimension": d, "leaders": [1, 2],
+            "edges": [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+        },
+        "geometry": {
+            "desired_positions": {str(i + 1): p.tolist() for i, p in enumerate(pos)},
+            "initial_velocities": {
+                str(k + 3): rng.normal(size=d).tolist() for k in range(len(orders))
+            },
+            "leader_velocity": [0.5, 0.0],
+        },
+        "disturbances": disturbances,
+        "controller": {"mode": "known", "kappa_p": 1.0, "kappa_v": 1.0},
+        "integration": {"step": 1e-3, "t_final": 1.0},
+    }
+
+
+class TestBatchedBuild:
+    """compile_scenario builds all followers of one order in one pass; each
+    follower's arrays keep the bits of a build of that follower alone."""
+
+    @pytest.mark.parametrize("eta_init", ["velocity_feedforward", "xi_zero"])
+    def test_bitwise_per_follower(self, eta_init):
+        data = batch_scenario(BATCH_ORDERS)
+        data["controller"]["eta_init"] = eta_init
+        sc = compile_scenario(data)
+        assert [exo.r for exo in sc.exos] == BATCH_ORDERS
+        d = sc.d
+        for k, (exo, model, e0) in enumerate(zip(sc.exos, sc.models, sc.eta0)):
+            spec = DisturbanceSpec(**_spec_fields(data["disturbances"][str(k + 3)], d))
+            r, m = spec.r, 2 * spec.r + 1
+            poly = np.array([1.0, 0.0])
+            for w in spec.frequencies:
+                poly = np.convolve(poly, [1.0, 0.0, w * w])
+            Phi = np.eye(m, k=1)
+            Phi[-1] = -poly[:0:-1]
+            theta0 = np.concatenate([derivative_ladder(spec, j) for j in range(m)])
+            M, N = choose_MN(r)
+            O = np.empty((m, m))
+            O[0] = E = Phi[-1] - M[-1]
+            for j in range(1, m):
+                O[j] = O[j - 1] @ Phi
+            T = np.linalg.solve(O, np.eye(m))
+            eta0 = np.kron(N, sc.v_f0[k])
+            if eta_init == "xi_zero":
+                eta0 = eta0 - (T @ theta0.reshape(m, d)).ravel()
+            for got, want in [
+                (exo.Phi, Phi), (exo.theta0, theta0), (model.T, T), (model.E, E),
+                (e0, eta0),
+            ]:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    OVERFLOW_T = "SingularT: O(Phi, E) overflows: T is not finite, residual nan"
+
+    @pytest.mark.parametrize(
+        "faults, theta_init, named, message",
+        [
+            # follower 4 (r = 2) overflows its exosystem, 5 (r = 1) its T
+            ({4: 1e200, 5: 1e150}, {}, 4, None),
+            ({3: 1e150, 6: 1e200}, {}, 3, OVERFLOW_T),
+            # both faults in the order-3 group, T's at the lower id
+            ({3: 1e150, 5: 1e200}, {}, 3, OVERFLOW_T),
+            ({4: 1e200}, {"5": [1.0]}, 4, None),
+            ({6: 1e200}, {"3": [1.0]}, None,
+             "controller.theta_hat_init[3]: expected 3 entries"),
+        ],
+        ids=["exo-then-T", "T-then-exo", "one-order", "exo-then-shape", "shape-then-exo"],
+    )
+    def test_first_faulty_follower_is_named(self, faults, theta_init, named, message):
+        """Faults in different order groups, or in one: the lowest follower
+        at fault is named, with the words of a follower-by-follower build.
+        A frequency of 1e150 overflows O(Phi, E), one of 1e200 Phi."""
+        data = batch_scenario([1, 2, 1, 2])
+        for i, w in faults.items():
+            data["disturbances"][str(i)]["sinusoids"][0]["frequency"] = w
+        data["controller"]["theta_hat_init"] = theta_init
+        if message is None:
+            terms = data["disturbances"][str(named)]["sinusoids"]
+            message = (
+                "NonFiniteExosystem: the companion matrix or the derivatives up to "
+                f"order 4 at t = 0 overflow (frequencies {[t['frequency'] for t in terms]})"
+            )
+        if named is not None:
+            message = f"disturbances[{named}]: {message}"
+        with pytest.raises(ValidationError) as info:
+            compile_scenario(data)
+        assert str(info.value) == message
+
+
+def _spec_fields(entry, d):
+    """DisturbanceSpec fields of a scenario's disturbance entry."""
+    terms = entry["sinusoids"]
+    return dict(
+        d=d, C0=entry["constant"],
+        frequencies=[t["frequency"] for t in terms],
+        amplitudes=np.reshape([t["amplitudes"] for t in terms], (-1, d)),
+        phases=np.reshape([t["phases"] for t in terms], (-1, d)),
+    )

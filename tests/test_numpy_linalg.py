@@ -45,7 +45,7 @@ class TestFlow:
 @pytest.mark.parametrize("r", range(5))
 def test_lyapunov_matches_scipy(r):
     """The certificate's G_i against solve_continuous_lyapunov(M_i^T, -I)."""
-    model = synthesize(exo_for(np.arange(1, r + 1) * 0.7))
+    model = synthesize([exo_for(np.arange(1, r + 1) * 0.7)])[0]
     cert = certificate_for(np.eye(1), 1.0, 4.0, [model], 1)
     ref = sla.solve_continuous_lyapunov(model.M.T, -np.eye(model.order))
     ref = 0.5 * (ref + ref.T)
@@ -59,7 +59,7 @@ def test_sylvester_matches_scipy(r):
     exo = exo_for(np.arange(1, r + 1) * 0.7)
     M, N = choose_MN(r)
     ref = sla.solve_sylvester(-M, exo.Phi, np.outer(N, exo.Psi))
-    T = synthesize(exo).T
+    T = synthesize([exo])[0].T
     np.testing.assert_allclose(T, ref, rtol=1e-12, atol=1e-12)
 
 

@@ -927,6 +927,21 @@ class TestMalformedInput:
         code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert (code, err) == (2, [f"error: controller.{message}"])
 
+    @pytest.mark.parametrize("command", [["validate"], ["run", "--oracles"]])
+    def test_lambda_asymmetric_past_relative_tolerance(self, tmp_path, command):
+        """An asymmetry of 1e-5 in an entry of 1 is rejected: the symmetry
+        gate compares with 1e-12 max|Lambda| and no relative slack."""
+        with open(bundled_scenario("square_adaptive")) as fh:
+            data = json.load(fh)
+        data["controller"]["adaptation_gains"] = {
+            "3": [[4, 1.00001, 0], [1, 4, 0], [0, 0, 4]]
+        }
+        data["outputs"]["directory"] = str(tmp_path / "out")
+        code, err = _main_stderr([*command, write_scenario(tmp_path, data)])
+        assert (code, err) == (
+            2, ["error: gains: GainConditionViolated: Lambda for follower 3 not symmetric"]
+        )
+
     @pytest.mark.parametrize(
         "path, value, message",
         [
