@@ -117,30 +117,16 @@ def disturbance_eval(spec, t):
     return _derivatives(spec.C0, spec.frequencies, spec.amplitudes, spec.phases, t, 1)[0]
 
 
-@dataclass(frozen=True)
-class CanonicalExosystem:
-    """Companion-form realization of a disturbance spec.
-
-    Phi is (2r+1)x(2r+1) companion (superdiagonal identity, last row the
-    negated minimal-polynomial coefficients); Psi = [1, 0, ..., 0] selects
-    the signal block; theta0 stacks the derivatives d(0), d'(0), ..., d^(2r)(0).
-    """
-
-    r: int
-    Phi: np.ndarray
-    Psi: np.ndarray
-    theta0: np.ndarray
-
-
 def build_canonical(specs):
-    """Companion exosystems of disturbance specs of one order r (state
-    dimension (2r+1)d each), built in one pass: each record's Phi and
-    theta0 are rows of one stack, and Psi is shared.
+    """Companion exosystems of disturbance specs of one order r, built in
+    one pass: the stacks Phi (g, m, m) of companion matrices and theta0
+    (g, m, d) of the derivatives d(0), d'(0), ..., d^(m-1)(0), m = 2r+1.
+    The output matrix Psi = e_1 selects the signal block.
 
     Raises NonFiniteExosystem for the first spec whose Phi or theta0
     overflows the float range.
     """
-    r, m = specs[0].r, 2 * specs[0].r + 1
+    m = 2 * specs[0].r + 1
     w = np.array([s.frequencies for s in specs])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         Phi = companion(_min_polys(w))
@@ -148,13 +134,12 @@ def build_canonical(specs):
             np.array([s.C0 for s in specs]), w,
             np.array([s.amplitudes for s in specs]), np.array([s.phases for s in specs]),
             0.0, m,
-        ).reshape(len(specs), -1)
-    finite = np.isfinite(Phi).all(axis=(1, 2)) & np.isfinite(theta0).all(axis=1)
+        )
+    finite = np.isfinite(Phi).all(axis=(1, 2)) & np.isfinite(theta0).all(axis=(1, 2))
     if not finite.all():
         k = int(finite.argmin())
         raise NonFiniteExosystem(
             f"the companion matrix or the derivatives up to order {m - 1} at "
             f"t = 0 overflow (frequencies {specs[k].frequencies.tolist()})"
         )
-    Psi = np.eye(m)[0]
-    return [CanonicalExosystem(r, P, Psi, th) for P, th in zip(Phi, theta0)]
+    return Phi, theta0

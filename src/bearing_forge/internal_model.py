@@ -19,13 +19,22 @@ RESIDUAL_TOL = 1e-12  # ||T Phi - M T - N Psi|| <= RESIDUAL_TOL ||T|| (||Phi|| +
 
 
 @dataclass(frozen=True)
-class InternalModel:
-    """Per-follower internal-model data (all for the scalar companion block)."""
+class FollowerGroup:
+    """The followers of one order m = 2r+1, their controllers stacked: g
+    followers at the ascending positions idx among the followers, sharing
+    M and N (choose_MN), each with its exosystem, internal model, initial
+    states and adaptation gain as one row of each stack."""
 
-    M: np.ndarray   # (m, m), Hurwitz
-    N: np.ndarray   # (m,), column of the controllable pair
-    T: np.ndarray   # (m, m), nonsingular Sylvester solution
-    E: np.ndarray   # (m,), row Psi T^{-1}
+    idx: np.ndarray         # (g,) positions among the followers
+    M: np.ndarray           # (m, m), Hurwitz
+    N: np.ndarray           # (m,), column of the controllable pair
+    Phi: np.ndarray         # (g, m, m) companion exosystem matrices
+    T: np.ndarray           # (g, m, m) nonsingular Sylvester solutions
+    E: np.ndarray           # (g, m) rows Psi T^{-1}
+    theta0: np.ndarray      # (g, m, d) initial exosystem states
+    eta0: np.ndarray        # (g, m, d) initial compensator states
+    theta_hat0: np.ndarray  # (g, m) initial estimates of the rows E
+    Lam: np.ndarray         # (g, m, m) adaptation gains
 
     @property
     def order(self):
@@ -46,17 +55,17 @@ def choose_MN(r):
     return companion(np.poly(poles(m))), np.eye(m)[-1]
 
 
-def synthesize(exosystems):
-    """Internal models of canonical exosystems of one order, in closed form
-    and in one pass: each record's T and E are rows of one stack, and M and
-    N are shared.  M and Phi are companions with one superdiagonal, N = e_m
-    and Psi = e_1, so E T = Psi turns the equation into T Phi = (M + N E) T:
-    E = Phi[-1] - M[-1] (M + N E = Phi), and E Phi^k T = e_{k+1} makes T the
-    inverse of O(Phi, E), rows E Phi^k.  Raises SingularT for the first
-    exosystem whose O or T is not finite or whose T misses the equation."""
-    Phi = np.stack([exo.Phi for exo in exosystems])
-    Psi, M, N = exosystems[0].Psi, *choose_MN(exosystems[0].r)
-    m = M.shape[0]
+def synthesize(Phi):
+    """(M, N, T, E) of the internal models of a stack Phi (g, m, m) of
+    companion exosystems of one order, in closed form and in one pass: M
+    and N are shared, T (g, m, m) and E (g, m) are stacks.  M and Phi are
+    companions with one superdiagonal, N = e_m and Psi = e_1, so E T = Psi
+    turns the equation into T Phi = (M + N E) T: E = Phi[-1] - M[-1]
+    (M + N E = Phi), and E Phi^k T = e_{k+1} makes T the inverse of
+    O(Phi, E), rows E Phi^k.  Raises SingularT for the first exosystem
+    whose O or T is not finite or whose T misses the equation."""
+    m = Phi.shape[-1]
+    (M, N), Psi = choose_MN((m - 1) // 2), np.eye(m)[0]
     O = np.empty(Phi.shape)
     O[:, 0] = E = Phi[:, -1] - M[-1]
     with np.errstate(all="ignore"):  # an overflow fails the check below
@@ -78,4 +87,4 @@ def synthesize(exosystems):
             if finite[k] else
             f"O(Phi, E) overflows: T is not finite, residual {res[k]:.3e}"
         )
-    return [InternalModel(M=M, N=N, T=t, E=e) for t, e in zip(T, E)]
+    return M, N, T, E

@@ -34,7 +34,7 @@ from .formation_graph import (
     build_bearing_laplacian,
     localize_followers,
 )
-from .internal_model import synthesize
+from .internal_model import FollowerGroup, synthesize
 from .sim_engine import CompiledScenario, check_certificate, closed_loop_spectrum
 
 MODES = ("known", "adaptive", "feedback_only")
@@ -129,10 +129,11 @@ _str = _typed(str, "a string")
 
 
 def _count(k):
-    """An integer as text: in full up to 16 digits, beyond that in
-    scientific form, which Decimal forms exactly for a k beyond float range
-    and beyond the digits str() converts."""
-    if abs(k) < 10**16:
+    """An integer, or the string of its decimal digits, as text: in full up
+    to 16 digits, beyond that in scientific form, which Decimal forms
+    exactly for a k beyond float range and beyond the digits int() and
+    str() convert."""
+    if len(k) <= 16 if isinstance(k, str) else abs(k) < 10**16:
         return str(k)
     from decimal import Decimal   # only on the way to an error message
 
@@ -143,7 +144,7 @@ def _fields(value, what, *keys):
     """A JSON object whose fields are all in keys, the ones the compile reads."""
     for key in _object(value, what):
         if key not in keys:
-            raise ValidationError(f"{what or 'scenario'}: unknown field '{key}'")
+            raise ValidationError(f"{what or 'scenario'}: unknown field {_echo(key)}")
     return value
 
 
@@ -198,14 +199,20 @@ def _ids(value, what, allowed, read, *args):
     for k, v in _object(value, what).items():
         # one spelling per agent: int() would also read "03", " 3" and "+3"
         # as agent 3, and the later entry would silently replace the earlier
-        if not (k.isascii() and k.isdigit() and str(int(k)) == k):
+        if not (k.isascii() and k.isdigit() and (k[0] != "0" or k == "0")):
             raise ValidationError(
                 f"{what}: agent id {_echo(k)} is not a decimal integer without "
                 "sign, spaces or leading zeros"
             )
-        i = int(k)
-        if i not in allowed:  # a range of followers starts after leader 1
-            bad = f"agent {i} is not a follower" if allowed[0] > 1 else f"unknown agent {i}"
+        # a key of more digits than the last id names no agent and is not
+        # read, as int() refuses a string of more than 4300 digits
+        i = int(k) if len(k) <= len(str(allowed[-1])) else None
+        if i is None or i not in allowed:  # a range of followers starts after leader 1
+            agent = _count(k)
+            bad = (
+                f"agent {agent} is not a follower" if allowed[0] > 1
+                else f"unknown agent {agent}"
+            )
             raise ValidationError(f"{what}: {bad}")
         out[i] = read(v, f"{what}[{k}]", *args)
     return out
@@ -246,10 +253,10 @@ def validate_gains(kappa_p, kappa_v, mu, mode, lambdas=()):
     lambda_max(B_ff), so that the closed-loop spectrum is finite.  Adaptive
     mode also needs kappa_v * lambda_min(B_ff) - 1 >= 1e-8, a margin that
     leaves the certificate's lambda_min(Q) digits.  Each Lambda of the
-    (follower, Lambda) pairs in lambdas must be symmetric positive definite,
-    in every mode: symmetric to within 1e-12 max|Lambda|, and checked in one
-    stack per shape; the lowest follower at fault is named.  Each comparison
-    fails on NaN.
+    (follower ids (g,), Lambda stack (g, m, m)) pairs in lambdas, one per
+    order, must be symmetric positive definite, in every mode: symmetric to
+    within 1e-12 max|Lambda|; the lowest follower at fault is named.  Each
+    comparison fails on NaN.
     """
     lam_min, lam_max = float(mu[0]), float(mu[-1])
     for name, k in (("kappa_p", kappa_p), ("kappa_v", kappa_v)):
@@ -266,15 +273,12 @@ def validate_gains(kappa_p, kappa_v, mu, mode, lambdas=()):
                 "adaptive gain condition: kappa_v*lambda_min(B_ff) - 1 = "
                 f"{margin:.6g} is below the margin 1e-8"
             )
-    by_shape, bad = {}, []
-    for i, Lam in lambdas:
-        by_shape.setdefault(Lam.shape, []).append((i, Lam))
-    for group in by_shape.values():
-        Lam = np.stack([L for _, L in group])
+    bad = []
+    for ids, Lam in lambdas:
         tol = 1e-12 * np.abs(Lam).max(axis=(1, 2), keepdims=True)
         sym = (np.abs(Lam - Lam.swapaxes(1, 2)) <= tol).all(axis=(1, 2))
         ok = sym & (np.linalg.eigvalsh(Lam)[:, 0] > 0)
-        bad += [(i, s) for (i, _), s, o in zip(group, sym, ok) if not o]
+        bad += [(int(i), s) for i, s, o in zip(ids, sym, ok) if not o]
     if bad:
         i, sym = min(bad)
         raise GainConditionViolated(
@@ -341,7 +345,7 @@ def compile_scenario(data) -> CompiledScenario:
     )
     if leaders != list(range(1, len(leaders) + 1)):
         raise ValidationError(
-            f"graph.leaders: leaders must be exactly 1..n_l, got {leaders}"
+            f"graph.leaders: leaders must be exactly 1..n_l, got {_echo(leaders)}"
         )
     n_l = len(leaders)
     if not 1 <= n_l < n:
@@ -450,7 +454,7 @@ def compile_scenario(data) -> CompiledScenario:
     )
     mode = _field(ctrl, "controller", "mode", _str)
     if mode not in MODES:
-        raise ValidationError(f"controller.mode: unknown mode '{mode}'")
+        raise ValidationError(f"controller.mode: unknown mode {_echo(mode)}")
     kappa_p = _field(ctrl, "controller", "kappa_p", _float)
     kappa_v = _field(ctrl, "controller", "kappa_v", _float)
     rate = _field(ctrl, "controller", "adaptation_rate", _float, default=1.0)
@@ -464,68 +468,76 @@ def compile_scenario(data) -> CompiledScenario:
     if isinstance(eta_init, dict):
         eta_init = _ids(eta_init, "controller.eta_init", followers, _array)
     elif eta_init not in ETA_POLICIES:
-        raise ValidationError(f"controller.eta_init: unknown policy '{eta_init}'")
+        raise ValidationError(f"controller.eta_init: unknown policy {_echo(eta_init)}")
 
     # each follower's controller: exosystem, internal model, Lambda_i,
     # theta-hat_i(0) and eta_i(0), built for all followers of one order in
-    # one pass and then checked follower by follower, so that the first at
-    # fault is named.  The adaptive-only fields are checked in every mode,
-    # so that a wrong value is never ignored silently
-    exos, models, eta0 = ([None] * len(specs) for _ in range(3))
-    lambdas, theta_hat0, by_order, failed = [], [], {}, {}
+    # one pass as one FollowerGroup, and checked follower by follower, so
+    # that the first at fault is named.  The adaptive-only fields are
+    # checked in every mode, so that a wrong value is never ignored silently
+    by_order, groups, failed = {}, [], {}
     for k, spec in enumerate(specs):
         by_order.setdefault(spec.r, []).append(k)
     batches = list(by_order.values())
     while batches:
-        idx = batches.pop()
+        idx = batches.pop(0)
         try:
-            group_exos = build_canonical([specs[k] for k in idx])
-            group_models = synthesize(group_exos)
+            Phi, theta0 = build_canonical([specs[k] for k in idx])
+            M, N, T, E = synthesize(Phi)
         except (NonFiniteExosystem, SingularT) as exc:
             # a batch that fails is built again one follower at a time
             if len(idx) > 1:
-                batches += [[k] for k in idx]
+                batches[:0] = [[k] for k in idx]
             else:
                 failed[idx[0]] = exc
             continue
-        m, N = group_models[0].order, group_models[0].N
-        e0 = N[:, None] * v_f0[idx][:, None]      # kron(N, v) of each follower
+        m = len(M)
+        eta0 = N[:, None] * v_f0[idx][:, None]      # kron(N, v) of each follower
         if eta_init == "xi_zero":
-            theta0 = np.stack([exo.theta0 for exo in group_exos]).reshape(-1, m, d)
-            e0 = e0 - np.stack([model.T for model in group_models]) @ theta0
-        for k, *row in zip(idx, group_exos, group_models, e0.reshape(len(idx), -1)):
-            exos[k], models[k], eta0[k] = row
+            eta0 = eta0 - T @ theta0
+        Lam = np.empty((len(idx), m, m))
+        Lam[:] = rate * np.eye(m)
+        groups.append(FollowerGroup(
+            np.array(idx), M, N, Phi, T, E, theta0, eta0, np.zeros((len(idx), m)), Lam
+        ))
+    # the given values, checked follower by follower and written into the
+    # rows of their groups
+    rows = {k: (g, j) for g in groups for j, k in enumerate(g.idx.tolist())}
     for k, i in enumerate(followers):
         if k in failed:
             with _named(f"disturbances[{i}]"):
                 raise failed[k]
-        m = 2 * specs[k].r + 1
-        Lam = np.atleast_2d(given[i]) if i in given else rate * np.eye(m)
-        if Lam.shape != (m, m):
-            raise ValidationError(
-                f"controller.adaptation_gains[{i}]: expected "
-                f"{m}x{m} matrix, got {Lam.shape}"
-            )
-        th0 = theta_init.get(i, np.zeros(m))
-        if th0.shape != (m,):
-            raise ValidationError(
-                f"controller.theta_hat_init[{i}]: expected {m} entries"
-            )
+        g, j = rows[k]
+        m = g.order
+        if i in given:
+            Lam = np.atleast_2d(given[i])
+            if Lam.shape != (m, m):
+                raise ValidationError(
+                    f"controller.adaptation_gains[{i}]: expected "
+                    f"{m}x{m} matrix, got {Lam.shape}"
+                )
+            g.Lam[j] = Lam
+        if i in theta_init:
+            if theta_init[i].shape != (m,):
+                raise ValidationError(
+                    f"controller.theta_hat_init[{i}]: expected {m} entries"
+                )
+            g.theta_hat0[j] = theta_init[i]
         if isinstance(eta_init, dict) and i in eta_init:
-            eta0[k] = eta_init[i]
-            if eta0[k].shape != (m * d,):
+            if eta_init[i].shape != (m * d,):
                 raise ValidationError(
                     f"controller.eta_init[{i}]: expected {m * d} entries"
                 )
-        lambdas.append(Lam)
-        theta_hat0.append(th0)
+            g.eta0[j] = eta_init[i].reshape(m, d)
 
     mu = laplacian.ff_eigenvalues
     with _named("gains"):
-        validate_gains(kappa_p, kappa_v, mu, mode, zip(followers, lambdas))
+        validate_gains(
+            kappa_p, kappa_v, mu, mode, [(n_l + 1 + g.idx, g.Lam) for g in groups]
+        )
     if mode == "adaptive":
         with _named("certificate"):
-            check_certificate(kappa_p, kappa_v, mu[0], models)
+            check_certificate(kappa_p, kappa_v, mu[0], groups)
 
     integ = _field(
         data, "", "integration", _fields, "step", "t_final", "record_every",
@@ -562,11 +574,7 @@ def compile_scenario(data) -> CompiledScenario:
         mode=mode,
         kappa_p=kappa_p,
         kappa_v=kappa_v,
-        exos=exos,
-        models=models,
-        eta0=eta0,
-        theta_hat0=theta_hat0,
-        lambdas=lambdas,
+        groups=groups,
         freeze_theta=_field(ctrl, "controller", "freeze_theta", _bool, default=False),
         h=h,
         t_final=t_final,

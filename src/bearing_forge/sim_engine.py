@@ -63,11 +63,7 @@ class CompiledScenario:
     mode: str                    # "known" | "adaptive" | "feedback_only"
     kappa_p: float               # position and velocity feedback gains
     kappa_v: float
-    exos: list                   # per-follower CanonicalExosystem
-    models: list                 # per-follower InternalModel
-    eta0: list                   # per-follower initial compensator state
-    theta_hat0: list             # per-follower initial estimates of the row E
-    lambdas: list                # per-follower adaptation-gain matrices
+    groups: list                 # one internal_model.FollowerGroup per order
     freeze_theta: bool
     h: float
     t_final: float
@@ -96,7 +92,7 @@ class CompiledScenario:
     def state_dim(self):
         """Length of the engine's state [p | v_f | eta | vartheta | theta_hat],
         each follower's blocks padded to the largest order (Engine)."""
-        k = self.n_f * max(m.order for m in self.models)
+        k = self.n_f * max(g.order for g in self.groups)
         adaptive = self.mode == "adaptive"
         return (self.n + self.n_f + 2 * k) * self.d + (k if adaptive else 0)
 
@@ -224,16 +220,8 @@ def closed_loop_spectrum(sc):
     lam = np.empty((2, len(mu)), dtype=complex)
     lam.real = np.where(real, [big, c / big], -0.5 * b)
     lam.imag = np.where(real, 0.0, [0.5 * root, -0.5 * root])
-    M_f = [np.repeat(poles(m.order), sc.d) for m in sc.models]
+    M_f = [np.tile(np.repeat(poles(g.order), sc.d), len(g.idx)) for g in sc.groups]
     return np.sort_complex(np.concatenate([lam.ravel(), *M_f]))
-
-
-def _padded(mats, rows, cols):
-    """Stack 2-D blocks into a zero-padded (len(mats), rows, cols) array."""
-    out = np.zeros((len(mats), rows, cols))
-    for i, a in enumerate(mats):
-        out[i, : a.shape[0], : a.shape[1]] = a
-    return out
 
 
 class Engine:
@@ -265,7 +253,6 @@ class Engine:
         n, d, n_l, n_f = sc.n, sc.d, sc.n_l, sc.n_f
         self.sc = sc
         self.n, self.d, self.n_l, self.n_f = n, d, n_l, n_f
-        self.orders = [m.order for m in sc.models]
         self.adaptive = sc.mode == "adaptive"
 
         B = sc.laplacian.B
@@ -276,30 +263,36 @@ class Engine:
         self.Bf_v = np.ascontiguousarray(self.Bf[:, n_l * d :])
         self.s_vc = self.Bf[:, : n_l * d] @ self.vc_tile
 
-        m_max = self.m_max = max(self.orders)
-        # per order m, its followers (a slice when they are consecutive) and
-        # (pad(M_m) kron I_d)^T, which maps a follower's flat row of w to its
-        # row of M w
+        m_max = self.m_max = max(g.order for g in sc.groups)
+        # each group's order and padded blocks scattered into its followers'
+        # rows of orders, of the (n_f, m_max, m_max) stacks Phi and Lambda
+        # and of the (n_f, 1, m_max) rows E, and per group its followers (a
+        # slice when they are consecutive) and (pad(M) kron I_d)^T, which
+        # maps a follower's flat row of w to its row of M w
+        self.orders = np.empty(n_f, dtype=int)
+        self.Phi3 = np.zeros((n_f, m_max, m_max))
+        Lam3 = np.zeros((n_f, m_max, m_max))
+        self.E3 = np.zeros((n_f, 1, m_max))
         self.M_by_order = []
-        for idx in _by_order(sc.models).values():
-            M = _padded([sc.models[idx[0]].M], m_max, m_max)[0]
-            consecutive = idx[-1] - idx[0] == len(idx) - 1
-            g = slice(idx[0], idx[-1] + 1) if consecutive else np.array(idx)
-            self.M_by_order.append((g, np.kron(M, np.eye(d)).T.copy()))
+        for g in sc.groups:
+            m, idx = g.order, g.idx
+            self.orders[idx] = m
+            self.Phi3[idx, :m, :m] = g.Phi
+            Lam3[idx, :m, :m] = g.Lam
+            if sc.mode == "known":
+                self.E3[idx, 0, :m] = g.E
+            M = np.zeros((m_max, m_max))
+            M[:m, :m] = g.M
+            first, last = int(idx[0]), int(idx[-1])
+            at = slice(first, last + 1) if last - first == len(idx) - 1 else idx
+            self.M_by_order.append((at, np.kron(M, np.eye(d)).T.copy()))
         # flat offsets of row 0 and of row m_i - 1 (N_i = e_{m_i}) in the
         # (n_f, m_max, d) blocks, in the order of v_f
         block = (np.arange(n_f)[:, None] * m_max * d + np.arange(d)).ravel()
-        self.last = block + np.repeat((np.array(self.orders) - 1) * d, d)
-        self.Phi3 = _padded([e.Phi for e in sc.exos], m_max, m_max)
-        if self.adaptive:
-            # a frozen estimate is the adaptive law with zero gain
-            self.neg_Lam3 = (0.0 if sc.freeze_theta else -1.0) * _padded(
-                [np.atleast_2d(L) for L in sc.lambdas], m_max, m_max
-            )
-        elif sc.mode == "known":
-            self.E3 = _padded([m.E.reshape(1, -1) for m in sc.models], 1, m_max)
-        else:  # feedback_only: the same loop with a zero feedforward row
-            self.E3 = np.zeros((n_f, 1, m_max))
+        self.last = block + np.repeat((self.orders - 1) * d, d)
+        # a frozen estimate is the adaptive law with zero gain; the E3 of
+        # feedback_only is the zero feedforward row
+        self.neg_Lam3 = (0.0 if sc.freeze_theta else -1.0) * Lam3
 
         # state layout offsets
         k = n_f * m_max
@@ -314,7 +307,7 @@ class Engine:
         self.var0 = self.i_var + block
         # the real (non-padding) coordinates, in the packed order of the
         # scenario's initial values: each follower's m_i rows of its blocks
-        rows = np.arange(m_max) < np.array(self.orders)[:, None]    # (n_f, m_max)
+        rows = np.arange(m_max) < self.orders[:, None]              # (n_f, m_max)
         blocks = np.flatnonzero(np.repeat(rows, d, axis=1))
         real = [np.arange(self.i_eta), self.i_eta + blocks, self.i_var + blocks]
         if self.adaptive:
@@ -339,13 +332,20 @@ class Engine:
         self._N_x = np.zeros(k * d)
 
     def initial_state(self):
-        """The packed initial state scattered into its real coordinates."""
-        sc = self.sc
+        """The scenario's initial values, each group's scattered into its
+        followers' padded blocks."""
+        sc, n_f, m_max, d = self.sc, self.n_f, self.m_max, self.d
         y = np.zeros(self.dim)
-        y[self.real] = np.concatenate(
-            [sc.p0.ravel(), sc.v_f0.ravel(), *sc.eta0, *[e.theta0 for e in sc.exos]]
-            + (sc.theta_hat0 if self.adaptive else [])
-        )
+        y[: self.i_eta] = np.concatenate([sc.p0.ravel(), sc.v_f0.ravel()])
+        eta = y[self.i_eta : self.i_var].reshape(n_f, m_max, d)
+        var = y[self.i_var : self.i_th].reshape(n_f, m_max, d)
+        th = y[self.i_th :].reshape(n_f, -1)
+        for g in sc.groups:
+            m = g.order
+            eta[g.idx, :m] = g.eta0
+            var[g.idx, :m] = g.theta0
+            if self.adaptive:
+                th[g.idx, :m] = g.theta_hat0
         return y
 
     def _readouts(self, y, out=None):
@@ -645,25 +645,15 @@ def integrate(sc: CompiledScenario):
     )
 
 
-def _by_order(models):
-    """Follower indices grouped by order, {m: [i, ...]}: choose_MN makes M_i
-    and N_i depend only on the order m_i."""
-    groups = {}
-    for i, model in enumerate(models):
-        groups.setdefault(model.order, []).append(i)
-    return groups
-
-
 def _xi_by_order(traj, sc):
-    """Per order m, with the g followers idx of that order: (m, idx, xi),
-    where xi (S, g, m, d) is xi_i(t) = eta_i + T_i vartheta_i - N v_i at
-    each sample, from the first m rows of their padded blocks."""
+    """Per group g: (g, xi), where xi (S, len(g.idx), m, d) is
+    xi_i(t) = eta_i + T_i vartheta_i - N v_i at each sample, from the first
+    m rows of the followers' padded blocks."""
     v_f = traj.velocities[:, sc.n_l :, None, :]                # (S, n_f, 1, d)
-    for m, idx in _by_order(sc.models).items():
-        T = np.stack([sc.models[i].T for i in idx])
-        N = sc.models[idx[0]].N[:, None]
+    for g in sc.groups:
+        m, idx = g.order, g.idx
         eta, var = traj.eta[:, idx, :m], traj.vartheta[:, idx, :m]
-        yield m, idx, eta + T @ var - N * v_f[:, idx]
+        yield g, eta + g.T @ var - g.N[:, None] * v_f[:, idx]
 
 
 def _norm(x, axis):
@@ -685,24 +675,24 @@ def xi_oracle(traj, sc):
     samples.
     """
     max_dev = 0.0
-    for _, idx, xi in _xi_by_order(traj, sc):
-        err = xi - _flow(sc.models[idx[0]].M, traj.times)[:, None] @ xi[0]
+    for g, xi in _xi_by_order(traj, sc):
+        err = xi - _flow(g.M, traj.times)[:, None] @ xi[0]
         max_dev = max(max_dev, float(_norm(err, (2, 3)).max()))
     return max_dev
 
 
-def check_certificate(kp, kv, mu_1, models):
+def check_certificate(kp, kv, mu_1, groups):
     """(lambda_min(Q), {m: G_i}) for gains kp, kv and mu_1 = lambda_min(B_ff),
     with the two positivity checks of build_certificate, which compile_scenario
-    runs at load in adaptive mode.  G_i solves G M_i + M_i^T G = -I once per order
-    (_by_order), as (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).
-    Raises CertificateFailed."""
+    runs at load in adaptive mode.  G_i solves G M_i + M_i^T G = -I once per
+    order (one FollowerGroup each), as
+    (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).  Raises CertificateFailed."""
     lam_Q = 2.0 * mu_1 * min(kp * mu_1, kv * mu_1 - 1.0)
     if not lam_Q > 0:
         raise CertificateFailed(f"Q is not positive definite (lambda_min {lam_Q:.3e})")
     G = {}
-    for m, idx in _by_order(models).items():
-        M, eye = models[idx[0]].M, np.eye(m)
+    for g in groups:
+        m, M, eye = g.order, g.M, np.eye(g.order)
         op = np.kron(eye, M.T) + np.kron(M.T, eye)
         G_m = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
         G[m] = G_m = 0.5 * (G_m + G_m.T)
@@ -731,8 +721,12 @@ def build_certificate(sc):
     """
     B_ff, mu = sc.laplacian.B_ff, float(sc.laplacian.ff_eigenvalues[0])
     kp, kv = sc.kappa_p, sc.kappa_v
-    lam_Q, G = check_certificate(kp, kv, mu, sc.models)
-    e2 = np.repeat([model.E @ model.E for model in sc.models], sc.d)
+    lam_Q, G = check_certificate(kp, kv, mu, sc.groups)
+    # |E_i|^2 of each follower, as the 1-D dot E_i @ E_i rounds it
+    e2 = np.empty(sc.n_f)
+    for g in sc.groups:
+        e2[g.idx] = (g.E[:, None, :] @ g.E[:, :, None]).reshape(-1)
+    e2 = np.repeat(e2, sc.d)
     gamma_sigma = float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
     return LyapunovCertificate(
         P_c=np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]]),
@@ -766,11 +760,11 @@ def lyapunov_monitor(traj, certificate, sc):
     p_t, v_t = _tracking_error(traj, sc)
     x_t = np.concatenate([p_t.reshape(S, -1), v_t.reshape(S, -1)], axis=1)
     V_xi = V_th = 0.0
-    for m, idx, xi in _xi_by_order(traj, sc):
+    for g, xi in _xi_by_order(traj, sc):
+        m = g.order
         V_xi = V_xi + np.einsum("sgak,sgak->s", xi, certificate.G[m] @ xi)
-        th_t = np.stack([sc.models[i].E for i in idx]) - traj.theta_hat[:, idx, :m]
-        Lam = np.stack([sc.lambdas[i] for i in idx])
-        Lam_inv = np.linalg.inv(Lam)
+        th_t = g.E - traj.theta_hat[:, g.idx, :m]
+        Lam_inv = np.linalg.inv(g.Lam)
         V_th = V_th + np.einsum("sga,gsa->s", th_t, th_t.transpose(1, 0, 2) @ Lam_inv)
     V_x = ((x_t @ certificate.P_c) * x_t).sum(axis=1)
     return V_x + certificate.gamma * V_xi + V_th

@@ -137,19 +137,43 @@ def padding(eng, states):
     return np.delete(states, eng.real, axis=-1)
 
 
+def per_follower(sc):
+    """Each follower's controller as a record, in follower order, sliced from
+    the compiled scenario's groups: order, M, N, Psi = e_1, Phi, T, E, Lam
+    and theta_hat0, and theta0 and eta0 flat (m d,), the packed layout of
+    the dense references."""
+    out = [None] * sc.n_f
+    for g in sc.groups:
+        for j, k in enumerate(g.idx):
+            out[k] = SimpleNamespace(
+                order=g.order, M=g.M, N=g.N, Psi=np.eye(g.order)[0],
+                Phi=g.Phi[j], T=g.T[j], E=g.E[j],
+                Lam=g.Lam[j], theta_hat0=g.theta_hat0[j],
+                theta0=g.theta0[j].ravel(), eta0=g.eta0[j].ravel(),
+            )
+    return out
+
+
 def dense_G_c(cert, models, d):
     """G_c = blkdiag(G_i kron I_d) assembled from the certificate's G_i per
-    order."""
+    order, for the per-follower records models (per_follower)."""
     return sla.block_diag(*[np.kron(cert.G[m.order], np.eye(d)) for m in models])
 
 
 def certificate_for(B_ff, kp, kv, models, d):
-    """build_certificate for a given B_ff, on a stand-in for the compiled
-    scenario that carries only what the certificate reads."""
+    """build_certificate for a given B_ff and per-follower models of one
+    order (records with M and E), on a stand-in for the compiled scenario
+    that carries only what the certificate reads."""
     B_ff = np.asarray(B_ff, dtype=float)
+    (m,) = {model.order for model in models}
+    group = SimpleNamespace(
+        idx=np.arange(len(models)), order=m, M=models[0].M,
+        E=np.stack([model.E for model in models]),
+    )
     laplacian = SimpleNamespace(B_ff=B_ff, ff_eigenvalues=np.linalg.eigvalsh(B_ff))
     return build_certificate(
         SimpleNamespace(
-            laplacian=laplacian, kappa_p=kp, kappa_v=kv, models=models, d=d
+            laplacian=laplacian, kappa_p=kp, kappa_v=kv, groups=[group],
+            n_f=len(models), d=d,
         )
     )

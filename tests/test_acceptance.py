@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from bearing_forge import bundled_scenario, cli
-from bearing_forge.disturbance import DisturbanceSpec, build_canonical
 from bearing_forge.errors import NotLocalizable, ValidationError
 from bearing_forge.formation_graph import (
     BearingSet,
@@ -24,7 +23,6 @@ from bearing_forge.formation_graph import (
     projector,
     unit_bearing,
 )
-from bearing_forge.internal_model import synthesize
 from bearing_forge.scenario import compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     Trajectory,
@@ -36,7 +34,8 @@ from bearing_forge.sim_engine import (
     xi_oracle,
 )
 
-from conftest import random_formation
+from conftest import per_follower, random_formation
+from test_internal_model import model_for
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +129,7 @@ def test_criterion_3_internal_model_synthesis():
             freqs = np.sort(rng.uniform(lo, hi, size=r))
             while r > 1 and np.diff(freqs).min() < 0.1:
                 freqs = np.sort(rng.uniform(lo, hi, size=r))
-            spec = DisturbanceSpec(1, np.ones(1), freqs, np.ones((r, 1)), np.zeros((r, 1)))
-            exo = build_canonical([spec])[0]
-            model = synthesize([exo])[0]
+            exo = model = model_for(freqs)
             m = 2 * r + 1
             res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
             assert np.linalg.norm(res) <= 1e-10
@@ -205,8 +202,8 @@ def test_criterion_6_adaptive_rejection(adaptive_run):
     assert elapsed < 120.0
     lam_min = float(np.linalg.eigvalsh(sc.laplacian.B_ff)[0])
     assert sc.kappa_v * lam_min > 1.0
-    for th0 in sc.theta_hat0:
-        np.testing.assert_allclose(th0, 0.0)
+    for g in sc.groups:
+        np.testing.assert_allclose(g.theta_hat0, 0.0)
 
     sup_state = max(
         float(np.abs(traj.positions).max()),
@@ -249,7 +246,9 @@ def test_criterion_7_adaptive_known_consistency():
     data["controller"]["freeze_theta"] = True
     data["controller"]["theta_hat_init"] = {
         str(i): list(model.E)
-        for i, model in zip(range(sc_known.n_l + 1, sc_known.n + 1), sc_known.models)
+        for i, model in zip(
+            range(sc_known.n_l + 1, sc_known.n + 1), per_follower(sc_known)
+        )
     }
     sc_frozen = compile_scenario(data)
     traj_frozen = integrate(sc_frozen)

@@ -7,8 +7,6 @@ import pytest
 
 from bearing_forge.errors import GainConditionViolated, ValidationError
 from bearing_forge.formation_graph import BearingSet, SensingGraph
-from bearing_forge.internal_model import synthesize
-from bearing_forge.disturbance import DisturbanceSpec, build_canonical
 from bearing_forge.scenario import compile_scenario, validate_gains
 
 from conftest import SQUARE_POSITIONS, base_scenario_dict
@@ -21,17 +19,12 @@ from test_decentralization import (
     regressor,
     theta_hat_dot,
 )
+from test_internal_model import model_for
 
 
 def simple_model(r=0):
-    spec = DisturbanceSpec(
-        d=2,
-        C0=np.array([1.0, 0.0]),
-        frequencies=1.0 + np.arange(r),
-        amplitudes=np.ones((r, 2)),
-        phases=np.zeros((r, 2)),
-    )
-    return synthesize(build_canonical([spec]))[0]
+    """The internal model of a follower with r sinusoids at 1, 2, ..."""
+    return model_for(1.0 + np.arange(r))
 
 
 class TestKronApply:
@@ -213,16 +206,17 @@ class TestValidateGains:
     @pytest.mark.parametrize(
         "lambdas, message",
         [
-            ([(3, np.eye(1)), (4, ASYM), (5, -np.eye(1))], "4 not symmetric"),
-            ([(3, np.eye(3)), (4, -np.eye(1)), (5, ASYM)], "4 not positive definite"),
-            ([(3, np.eye(1)), (4, np.eye(3)), (5, 1e-20 * ASYM)], "5 not symmetric"),
+            ([([3, 5], [np.eye(1), -np.eye(1)]), ([4], [ASYM])], "4 not symmetric"),
+            ([([3, 5], [np.eye(3), ASYM]), ([4], [-np.eye(1)])], "4 not positive definite"),
+            ([([3], [np.eye(1)]), ([4, 5], [np.eye(3), 1e-20 * ASYM])], "5 not symmetric"),
         ],
         ids=["groups-out-of-order", "definite-before-symmetric", "scaled"],
     )
     def test_first_bad_lambda_is_named(self, lambdas, message):
-        """Lambdas of different shapes are checked in one stack per shape;
+        """Lambdas come in one stack per order, with their followers' ids;
         the lowest follower at fault is named, and the symmetry tolerance
         scales with the entries of Lambda."""
+        lambdas = [(np.array(ids), np.stack(Lam)) for ids, Lam in lambdas]
         with pytest.raises(GainConditionViolated, match=f"^Lambda for follower {message}$"):
             validate_gains(1.0, 1.0, self.MU, "known", lambdas)
 

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bearing_forge.disturbance import (
-    CanonicalExosystem,
     DisturbanceSpec,
     build_canonical,
     disturbance_eval,
@@ -104,31 +103,37 @@ def derivative_ladder(spec, k):
     return out
 
 
+def canonical(spec):
+    """Phi (m, m) and the flat theta0 (m d,) of one spec, from a build of
+    a stack of one."""
+    Phi, theta0 = build_canonical([spec])
+    return Phi[0], theta0[0].ravel()
+
+
 class TestBuildCanonical:
     def test_constant_realization(self):
         spec = DisturbanceSpec(d=2, C0=np.array([3.0, -1.0]))
-        exo = build_canonical([spec])[0]
-        np.testing.assert_allclose(exo.Phi, [[0.0]])
-        np.testing.assert_allclose(exo.Psi, [1.0])
-        np.testing.assert_allclose(exo.theta0, [3.0, -1.0])
+        Phi, theta0 = canonical(spec)
+        np.testing.assert_allclose(Phi, [[0.0]])
+        np.testing.assert_allclose(theta0, [3.0, -1.0])
 
     def test_sine_derivative_ladder(self):
         spec = spec_1d(terms=[(1.0, 1.0, 0.0)])
-        exo = build_canonical([spec])[0]
-        np.testing.assert_allclose(exo.theta0, [0.0, 1.0, 0.0], atol=1e-15)
+        Phi, theta0 = canonical(spec)
+        np.testing.assert_allclose(theta0, [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_companion_char_poly(self):
         freqs = [0.7, 2.3, 4.1]
         spec = spec_1d(0.5, [(w, 1.0, 0.2 * k) for k, w in enumerate(freqs)])
-        exo = build_canonical([spec])[0]
-        char = np.poly(exo.Phi)
+        Phi, theta0 = canonical(spec)
+        char = np.poly(Phi)
         np.testing.assert_allclose(char, min_poly_coeffs(freqs), atol=1e-9)
 
     def test_phi_spectrum_neutrally_stable(self):
         freqs = [1.3, 2.9]
         spec = spec_1d(1.0, [(w, 1.0, 0.0) for w in freqs])
-        exo = build_canonical([spec])[0]
-        eig = np.linalg.eigvals(exo.Phi)
+        Phi, theta0 = canonical(spec)
+        eig = np.linalg.eigvals(Phi)
         expected = np.array(
             [0.0] + [1j * w for w in freqs] + [-1j * w for w in freqs]
         )
@@ -150,12 +155,12 @@ class TestBuildCanonical:
                 amplitudes=rng.uniform(-1, 1, size=(r, d)),
                 phases=rng.uniform(-np.pi, np.pi, size=(r, d)),
             )
-            exo = build_canonical([spec])[0]
-            A = np.kron(exo.Phi, np.eye(d))
+            Phi, theta0 = canonical(spec)
+            A = np.kron(Phi, np.eye(d))
             sol = solve_ivp(
                 lambda t, y: A @ y,
                 (0.0, 2.0),
-                exo.theta0,
+                theta0,
                 t_eval=[0.5, 1.0, 2.0],
                 rtol=1e-10,
                 atol=1e-12,
@@ -181,7 +186,7 @@ class TestBuildCanonical:
                     C0[rng.random(d) < 0.2] = -0.0
                     spec = DisturbanceSpec(d, C0, freqs, A, ph)
                     ref = [derivative_ladder(spec, k) for k in range(2 * r + 1)]
-                    theta0 = build_canonical([spec])[0].theta0
+                    theta0 = canonical(spec)[1]
                     assert theta0.tobytes() == np.concatenate(ref).tobytes()
 
     def test_theta0_matches_finite_differences(self):
@@ -192,10 +197,10 @@ class TestBuildCanonical:
             amplitudes=[[0.9, -0.4]],
             phases=[[0.5, 1.1]],
         )
-        exo = build_canonical([spec])[0]
+        Phi, theta0 = canonical(spec)
         h = 1e-4
         f = lambda t: disturbance_eval(spec, t)
         d1 = (f(h) - f(-h)) / (2 * h)
         d2 = (f(h) - 2 * f(0.0) + f(-h)) / h**2
-        np.testing.assert_allclose(exo.theta0[2:4], d1, atol=1e-5)
-        np.testing.assert_allclose(exo.theta0[4:6], d2, atol=1e-5)
+        np.testing.assert_allclose(theta0[2:4], d1, atol=1e-5)
+        np.testing.assert_allclose(theta0[4:6], d2, atol=1e-5)

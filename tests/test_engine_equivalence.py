@@ -46,6 +46,7 @@ from conftest import (
     make_scenario,
     padded_state,
     padding,
+    per_follower,
 )
 
 TOL = 1e-10
@@ -58,30 +59,31 @@ class ReferenceEngine:
         n, d, n_l, n_f = sc.n, sc.d, sc.n_l, sc.n_f
         self.sc = sc
         self.n, self.d, self.n_l, self.n_f = n, d, n_l, n_f
-        self.orders = [m.order for m in sc.models]
+        self.models = models = per_follower(sc)
+        self.orders = [m.order for m in models]
         self.q_f = sum(self.orders) * d
         self.K = sum(self.orders) if sc.mode == "adaptive" else 0
         self.Bf = sc.laplacian.B[n_l * d :, :]
         self.vc_tile = np.tile(sc.v_c, n_l)
 
         eye_d = np.eye(d)
-        self.M_blk = sla.block_diag(*[np.kron(m.M, eye_d) for m in sc.models])
+        self.M_blk = sla.block_diag(*[np.kron(m.M, eye_d) for m in models])
         self.N_blk = sla.block_diag(
-            *[np.kron(m.N.reshape(-1, 1), eye_d) for m in sc.models]
+            *[np.kron(m.N.reshape(-1, 1), eye_d) for m in models]
         )
         self.MN_blk = sla.block_diag(
-            *[np.kron((m.M @ m.N).reshape(-1, 1), eye_d) for m in sc.models]
+            *[np.kron((m.M @ m.N).reshape(-1, 1), eye_d) for m in models]
         )
-        self.Phi_blk = sla.block_diag(*[np.kron(e.Phi, eye_d) for e in sc.exos])
+        self.Phi_blk = sla.block_diag(*[np.kron(m.Phi, eye_d) for m in models])
         self.E_blk = sla.block_diag(
-            *[np.kron(m.E.reshape(1, -1), eye_d) for m in sc.models]
+            *[np.kron(m.E.reshape(1, -1), eye_d) for m in models]
         )
         self.d_idx = np.concatenate(
             [off + np.arange(d) for off in np.cumsum([0] + self.orders[:-1]) * d]
         )
         offs = np.cumsum([0] + self.orders) * d
         self.blk_slices = [slice(a, b) for a, b in zip(offs[:-1], offs[1:])]
-        ks = np.cumsum([0] + [m.order for m in sc.models])
+        ks = np.cumsum([0] + self.orders)
         self.th_slices = [slice(a, b) for a, b in zip(ks[:-1], ks[1:])]
 
         self.i_p = 0
@@ -117,7 +119,7 @@ class ReferenceEngine:
                     dy[self.i_th :][self.th_slices[i]] = 0.0
                 else:
                     s_i = s_p[i * d : (i + 1) * d] + s_v[i * d : (i + 1) * d]
-                    dy[self.i_th :][self.th_slices[i]] = -sc.lambdas[i] @ (Wi @ s_i)
+                    dy[self.i_th :][self.th_slices[i]] = -self.models[i].Lam @ (Wi @ s_i)
         else:  # feedback_only
             u = -sc.kappa_p * s_p - sc.kappa_v * s_v
 
@@ -153,10 +155,10 @@ def reference_integrate(sc):
     y = np.zeros(eng.dim)
     y[eng.i_p : eng.i_vf] = sc.p0.ravel()
     y[eng.i_vf : eng.i_eta] = sc.v_f0.ravel()
-    y[eng.i_eta : eng.i_var] = np.concatenate(sc.eta0)
-    y[eng.i_var : eng.i_th] = np.concatenate([e.theta0 for e in sc.exos])
+    y[eng.i_eta : eng.i_var] = np.concatenate([m.eta0 for m in eng.models])
+    y[eng.i_var : eng.i_th] = np.concatenate([m.theta0 for m in eng.models])
     if eng.K:
-        y[eng.i_th :] = np.concatenate(sc.theta_hat0)
+        y[eng.i_th :] = np.concatenate([m.theta_hat0 for m in eng.models])
 
     times, samples, dists = [0.0], [y.copy()], [check(y, 0.0)]
     rhs = eng.rhs
@@ -196,22 +198,22 @@ def reference_integrate(sc):
 def packed(blocks, sc):
     """The packed form (S, K) of a Trajectory's padded per-follower blocks
     (S, n_f, m_max, ...): each follower's first m_i rows, in order."""
-    orders = np.array([m.order for m in sc.models])
+    orders = np.array([m.order for m in per_follower(sc)])
     real = np.arange(blocks.shape[2]) < orders[:, None]
     return blocks[:, real].reshape(len(blocks), -1)
 
 
 def reference_xi_oracle(traj, sc):
     """Per-follower, per-sample expm(M t) xi(0) with dense xi samples."""
-    d = sc.d
+    d, models = sc.d, per_follower(sc)
     eye_d = np.eye(d)
-    T_blk = sla.block_diag(*[np.kron(m.T, eye_d) for m in sc.models])
-    N_blk = sla.block_diag(*[np.kron(m.N.reshape(-1, 1), eye_d) for m in sc.models])
+    T_blk = sla.block_diag(*[np.kron(m.T, eye_d) for m in models])
+    N_blk = sla.block_diag(*[np.kron(m.N.reshape(-1, 1), eye_d) for m in models])
     v_f = traj.velocities[:, sc.n_l :, :].reshape(len(traj.times), -1)
     eta, var = packed(traj.eta, sc), packed(traj.vartheta, sc)
     xi = eta + var @ T_blk.T - v_f @ N_blk.T
     max_dev, off = 0.0, 0
-    for model in sc.models:
+    for model in models:
         m = model.order
         blk = xi[:, off : off + m * d]
         xi0 = blk[0].reshape(m, d)
@@ -231,9 +233,9 @@ def reference_certificate(sc):
     kp, kv = sc.kappa_p, sc.kappa_v
     lam_Q = np.linalg.eigvalsh(dense_Q(B_ff, kp, kv))[0]
     P_c = np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]])
-    eye_d = np.eye(sc.d)
-    M_f = sla.block_diag(*[np.kron(m.M, eye_d) for m in sc.models])
-    E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), eye_d) for m in sc.models])
+    eye_d, models = np.eye(sc.d), per_follower(sc)
+    M_f = sla.block_diag(*[np.kron(m.M, eye_d) for m in models])
+    E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), eye_d) for m in models])
     G_c = sla.solve_continuous_lyapunov(M_f.T, -np.eye(M_f.shape[0]))
     G_c = 0.5 * (G_c + G_c.T)
     PBE = P_c[:, nfd:] @ E_f
@@ -245,9 +247,10 @@ def reference_certificate(sc):
 
 def reference_lyapunov(traj, cert, sc, xi):
     """Per-sample V with the targets localized from the leaders each time."""
-    lam_inv = sla.block_diag(*[np.linalg.inv(np.atleast_2d(L)) for L in sc.lambdas])
-    theta_true = np.concatenate([m.E for m in sc.models])
-    G_c = dense_G_c(cert, sc.models, sc.d)
+    models = per_follower(sc)
+    lam_inv = sla.block_diag(*[np.linalg.inv(m.Lam) for m in models])
+    theta_true = np.concatenate([m.E for m in models])
+    G_c = dense_G_c(cert, models, sc.d)
     theta_hat = packed(traj.theta_hat, sc)
     V = np.empty(len(traj.times))
     for s, t in enumerate(traj.times):
@@ -345,7 +348,7 @@ def mixed_frozen():
     known = mixed_order_scenario()
     init = {
         str(i): list(0.5 * m.E)
-        for i, m in zip(range(known.n_l + 1, known.n + 1), known.models)
+        for i, m in zip(range(known.n_l + 1, known.n + 1), per_follower(known))
     }
     return mixed_adaptive(freeze_theta=True, theta_hat_init=init)
 
@@ -420,7 +423,7 @@ def test_trajectory_matches_reference(case):
 
 
 @pytest.mark.parametrize(
-    "case", ["bundled_adaptive_5s", "mixed_known", "mixed_adaptive"]
+    "case", ["bundled_adaptive_5s", "interleaved_adaptive", "mixed_known", "mixed_adaptive"]
 )
 def test_post_processing_matches_reference(case):
     """xi oracle (one batched expm per distinct M), certificate (one Lyapunov
@@ -440,7 +443,7 @@ def test_post_processing_matches_reference(case):
         cert = build_certificate(sc)
         for name, ref in reference_certificate(sc).items():
             if name == "G_c":
-                got = dense_G_c(cert, sc.models, sc.d)
+                got = dense_G_c(cert, per_follower(sc), sc.d)
             else:
                 got = getattr(cert, name)
             assert np.shape(got) == np.shape(ref)
@@ -477,13 +480,26 @@ def test_lyapunov_monitor_with_as_many_followers_as_their_order():
         kappa_v=3.0 / lam_min,
         adaptation_gains=lambdas,
     )
-    assert [m.order for m in sc.models] == [3, 3, 3]
+    assert [m.order for m in per_follower(sc)] == [3, 3, 3]
     traj = integrate(sc)
     cert = build_certificate(sc)
     _, xi = reference_xi_oracle(traj, sc)
     assert_close(
         lyapunov_monitor(traj, cert, sc), reference_lyapunov(traj, cert, sc, xi)
     )
+
+
+@pytest.mark.parametrize("case", ["interleaved_adaptive", "swarm"])
+def test_certificate_weights_are_one_dot_each(case):
+    """gamma_sigma weighs B_ff by |E_i|^2, formed per group by a batched
+    product that rounds as the 1-D dot E_i @ E_i of each follower: the
+    certificate is bitwise the one from per-follower dots."""
+    sc = complete_formation(64, "adaptive") if case == "swarm" else CASES[case]()
+    B_ff, mu = sc.laplacian.B_ff, float(sc.laplacian.ff_eigenvalues[0])
+    lam_Q = 2.0 * mu * min(sc.kappa_p * mu, sc.kappa_v * mu - 1.0)
+    e2 = np.repeat([m.E @ m.E for m in per_follower(sc)], sc.d)
+    gamma_sigma = float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
+    assert build_certificate(sc).gamma_sigma == gamma_sigma
 
 
 def test_certificate_on_a_swarm():
@@ -518,15 +534,16 @@ def test_mixed_orders_are_padded():
     padding."""
     sc = mixed_adaptive()
     eng, ref = Engine(sc), ReferenceEngine(sc)
-    assert eng.orders == [1, 3, 5] and eng.m_max == 5
+    assert eng.orders.tolist() == [1, 3, 5] and eng.m_max == 5
     n_f, d = sc.n_f, sc.d
     assert eng.dim == sc.state_dim == (sc.n + n_f) * d + 2 * n_f * 5 * d + n_f * 5
     assert len(eng.real) == ref.dim == eng.dim - 2 * n_f * 2 * d - n_f * 2
     y = eng.initial_state()
     assert padding(eng, y).view(np.int64).tolist() == [0] * (eng.dim - ref.dim)
+    models = ref.models
     packed = np.concatenate(
-        [sc.p0.ravel(), sc.v_f0.ravel(), *sc.eta0,
-         *[e.theta0 for e in sc.exos], *sc.theta_hat0]
+        [sc.p0.ravel(), sc.v_f0.ravel(), *[m.eta0 for m in models],
+         *[m.theta0 for m in models], *[m.theta_hat0 for m in models]]
     )
     assert y[eng.real].tobytes() == packed.tobytes()
 
@@ -535,7 +552,7 @@ def test_interleaved_orders_are_indexed():
     """M w is one product per order, on a slice of the followers when they
     are consecutive and on an index otherwise."""
     eng = Engine(interleaved_adaptive())
-    assert eng.orders == [1, 3, 1]
+    assert eng.orders.tolist() == [1, 3, 1]
     (one, _), (three, _) = eng.M_by_order
     assert one.tolist() == [0, 2] and three == slice(1, 2)
 
@@ -877,7 +894,7 @@ def law_terms(eng, y):
     u = u + (np.abs(th) if eng.adaptive else np.abs(eng.E3)) @ np.abs(w)
     terms = np.zeros(eng.dim)
     rows = terms[eng.i_eta : eng.i_var].reshape(eng.n_f, eng.m_max, eng.d)
-    for i, model in enumerate(eng.sc.models):
+    for i, model in enumerate(per_follower(eng.sc)):
         m = model.order
         rows[i, :m] = np.abs(model.M) @ np.abs(w[i, :m]) + np.abs(model.N)[:, None] * u[i]
     return terms
@@ -959,9 +976,8 @@ def test_operator_step_matches_staged(case):
 
 def frozen(sc):
     """sc with each estimate frozen at half of its follower's row E."""
-    return dataclasses.replace(
-        sc, freeze_theta=True, theta_hat0=[0.5 * m.E for m in sc.models]
-    )
+    groups = [dataclasses.replace(g, theta_hat0=0.5 * g.E) for g in sc.groups]
+    return dataclasses.replace(sc, freeze_theta=True, groups=groups)
 
 
 # Terminal follower velocities of two frozen runs, recorded with the

@@ -1,24 +1,34 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bearing_forge.disturbance import (
-    CanonicalExosystem,
-    DisturbanceSpec,
-    build_canonical,
-)
+from bearing_forge.disturbance import DisturbanceSpec, build_canonical
 from bearing_forge.errors import SingularT, ValidationError
 from bearing_forge.internal_model import choose_MN, synthesize
 from bearing_forge.scenario import compile_scenario
 
+from conftest import per_follower
 from test_disturbance import derivative_ladder
 
 
 def exo_for(freqs, d=1):
+    """Phi (m, m) of the companion exosystem of a disturbance with the given
+    frequencies."""
     r = len(freqs)
     spec = DisturbanceSpec(d, np.ones(d), freqs, np.ones((r, d)), np.zeros((r, d)))
-    return build_canonical([spec])[0]
+    return build_canonical([spec])[0][0]
+
+
+def model_for(freqs):
+    """One follower's exosystem Phi, Psi = e_1, and its internal model M, N,
+    T and E from synthesize on a stack of one."""
+    Phi = exo_for(freqs)
+    M, N, T, E = synthesize(Phi[None])
+    return SimpleNamespace(
+        Phi=Phi, Psi=np.eye(len(M))[0], M=M, N=N, T=T[0], E=E[0], order=len(M)
+    )
 
 
 def is_controllable(M, N):
@@ -69,18 +79,15 @@ def kronecker_sylvester(Phi, M, N, Psi):
 class TestSolveSylvester:
     def test_scalar(self):
         """r = 0: T * 0 - (-1) T = 1 * 1 gives T = [[1]], and E T = Psi gives E = [1]."""
-        exo = exo_for([])
+        exo = model = model_for([])
         np.testing.assert_allclose(exo.Phi, [[0.0]])
-        np.testing.assert_allclose(exo.Psi, [1.0])
-        model = synthesize([exo])[0]
         np.testing.assert_allclose(model.T, [[1.0]])
         np.testing.assert_allclose(model.E, [1.0])
         res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
         assert np.linalg.norm(res) == 0.0
 
     def test_r1_residual(self):
-        exo = exo_for([1.0])
-        model = synthesize([exo])[0]
+        exo = model = model_for([1.0])
         res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
         assert np.linalg.norm(res) < 1e-10
         assert abs(np.linalg.det(model.T)) > 0
@@ -88,8 +95,7 @@ class TestSolveSylvester:
     @pytest.mark.parametrize("r", range(4))
     def test_matches_kronecker_solve(self, r):
         """The closed-form T against the dense Kronecker vec-solve."""
-        exo = exo_for(np.arange(1, r + 1) * 0.7)
-        model = synthesize([exo])[0]
+        exo = model = model_for(np.arange(1, r + 1) * 0.7)
         ref = kronecker_sylvester(exo.Phi, model.M, model.N, exo.Psi)
         np.testing.assert_allclose(model.T, ref, rtol=1e-12, atol=1e-12)
 
@@ -97,16 +103,15 @@ class TestSolveSylvester:
         """At w = 1e150 the exosystem is finite (w^2 = 1e300) but E Phi^2
         overflows, so T cannot be formed."""
         with pytest.raises(SingularT, match="O\\(Phi, E\\) overflows"):
-            synthesize([exo_for([1e150])])
+            synthesize(exo_for([1e150])[None])
 
     def test_residual_gate_fires(self):
         """An exosystem outside the companion form breaks the closed form;
         the Sylvester residual check names the miss."""
-        exo = exo_for([1.0])
-        bad = CanonicalExosystem(r=1, Phi=2.0 * exo.Phi, Psi=exo.Psi, theta0=exo.theta0)
-        for batch in ([bad], [exo, bad]):
+        Phi = exo_for([1.0])
+        for batch in ([2.0 * Phi], [Phi, 2.0 * Phi]):
             with pytest.raises(SingularT, match="misses T Phi - M T = N Psi: residual"):
-                synthesize(batch)
+                synthesize(np.stack(batch))
 
 
 def _rational_solve(A, b):
@@ -172,7 +177,7 @@ class TestClosedForm:
         3.2e-13 at w = (1, 2, 4, 5, 6) (cond 4.6e9)."""
         T_ref, E_ref = rational_internal_model(freqs)
         assert all(e.denominator == 1 for e in E_ref)
-        model = synthesize([exo_for([float(w) for w in freqs])])[0]
+        model = model_for([float(w) for w in freqs])
         assert model.E.tolist() == [float(e) for e in E_ref]
         T_ref = np.array([[float(v) for v in row] for row in T_ref])
         assert np.linalg.norm(model.T - T_ref) <= 1e-13 * np.linalg.norm(T_ref)
@@ -180,7 +185,7 @@ class TestClosedForm:
 
 class TestSynthesisSweep:
     def test_r0_reduces_to_scalars(self):
-        model = synthesize([exo_for([])])[0]
+        model = model_for([])
         np.testing.assert_allclose(model.M, [[-1.0]])
         np.testing.assert_allclose(model.N, [1.0])
         np.testing.assert_allclose(model.T, [[1.0]])
@@ -196,8 +201,7 @@ class TestSynthesisSweep:
                 freqs = np.sort(rng.uniform(0.3, hi, size=r))
                 while r > 1 and np.diff(freqs).min() < 1e-2:
                     freqs = np.sort(rng.uniform(0.3, hi, size=r))
-                exo = exo_for(freqs)
-                model = synthesize([exo])[0]
+                exo = model = model_for(freqs)
                 res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
                 norm_T = np.linalg.norm(model.T)
                 assert np.linalg.norm(res) <= 1e-9 * (1 + norm_T)
@@ -216,8 +220,7 @@ class TestSynthesisSweep:
                 freqs = np.sort(rng.uniform(0.3, 10.0, size=r))
                 while np.diff(freqs).min() < 1e-2:
                     freqs = np.sort(rng.uniform(0.3, 10.0, size=r))
-                exo = exo_for(freqs)
-                model = synthesize([exo])[0]
+                exo = model = model_for(freqs)
                 res = model.T @ exo.Phi - model.M @ model.T - np.outer(model.N, exo.Psi)
                 norm_T = np.linalg.norm(model.T)
                 assert np.linalg.norm(res) <= 1e-9 * (1 + norm_T)
@@ -226,10 +229,10 @@ class TestSynthesisSweep:
                 )
 
     def test_spectral_disjointness(self):
-        exo = exo_for([3.0, 9.9])
+        Phi = exo_for([3.0, 9.9])
         M, _ = choose_MN(2)
         eig_M = np.linalg.eigvals(M)
-        eig_Phi = np.linalg.eigvals(exo.Phi)
+        eig_Phi = np.linalg.eigvals(Phi)
         assert np.abs(eig_M[:, None] - eig_Phi[None, :]).min() >= 1.0
 
 
@@ -286,9 +289,10 @@ class TestBatchedBuild:
         data = batch_scenario(BATCH_ORDERS)
         data["controller"]["eta_init"] = eta_init
         sc = compile_scenario(data)
-        assert [exo.r for exo in sc.exos] == BATCH_ORDERS
+        followers = per_follower(sc)
+        assert [(f.order - 1) // 2 for f in followers] == BATCH_ORDERS
         d = sc.d
-        for k, (exo, model, e0) in enumerate(zip(sc.exos, sc.models, sc.eta0)):
+        for k, f in enumerate(followers):
             spec = DisturbanceSpec(**_spec_fields(data["disturbances"][str(k + 3)], d))
             r, m = spec.r, 2 * spec.r + 1
             poly = np.array([1.0, 0.0])
@@ -307,10 +311,18 @@ class TestBatchedBuild:
             if eta_init == "xi_zero":
                 eta0 = eta0 - (T @ theta0.reshape(m, d)).ravel()
             for got, want in [
-                (exo.Phi, Phi), (exo.theta0, theta0), (model.T, T), (model.E, E),
-                (e0, eta0),
+                (f.Phi, Phi), (f.theta0, theta0), (f.T, T), (f.E, E), (f.eta0, eta0),
             ]:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_groups_in_order_of_first_follower(self):
+        """One group per order, in the order of each order's first follower,
+        each with its followers' positions ascending."""
+        sc = compile_scenario(batch_scenario(BATCH_ORDERS))
+        assert [(g.order, g.idx.tolist()) for g in sc.groups] == [
+            (3, [0, 3]), (1, [1, 4]), (5, [2, 5]), (11, [6, 9]), (7, [7, 10]),
+            (9, [8, 11]),
+        ]
 
     OVERFLOW_T = "SingularT: O(Phi, E) overflows: T is not finite, residual nan"
 

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bearing_forge.internal_model import choose_MN, synthesize
+from bearing_forge.internal_model import choose_MN
 from bearing_forge.sim_engine import _flow
 
 from conftest import certificate_for
-from test_internal_model import exo_for
+from test_internal_model import model_for
 
 
 class TestFlow:
@@ -45,7 +45,7 @@ class TestFlow:
 @pytest.mark.parametrize("r", range(5))
 def test_lyapunov_matches_scipy(r):
     """The certificate's G_i against solve_continuous_lyapunov(M_i^T, -I)."""
-    model = synthesize([exo_for(np.arange(1, r + 1) * 0.7)])[0]
+    model = model_for(np.arange(1, r + 1) * 0.7)
     cert = certificate_for(np.eye(1), 1.0, 4.0, [model], 1)
     ref = sla.solve_continuous_lyapunov(model.M.T, -np.eye(model.order))
     ref = 0.5 * (ref + ref.T)
@@ -56,10 +56,10 @@ def test_lyapunov_matches_scipy(r):
 def test_sylvester_matches_scipy(r):
     """The closed-form T of T Phi - M T = N Psi against Bartels-Stewart
     (scipy.linalg.solve_sylvester)."""
-    exo = exo_for(np.arange(1, r + 1) * 0.7)
+    exo = model_for(np.arange(1, r + 1) * 0.7)
     M, N = choose_MN(r)
     ref = sla.solve_sylvester(-M, exo.Phi, np.outer(N, exo.Psi))
-    T = synthesize([exo])[0].T
+    T = exo.T
     np.testing.assert_allclose(T, ref, rtol=1e-12, atol=1e-12)
 
 

@@ -30,7 +30,7 @@ from bearing_forge.sim_engine import (
     xi_oracle,
 )
 
-from conftest import assemble_A_sigma, base_scenario_dict
+from conftest import assemble_A_sigma, base_scenario_dict, per_follower
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -242,7 +242,7 @@ def test_explicit_eta_init_lands_in_the_state():
     eng = Engine(sc)
     eta = eng.initial_state()[eng.i_eta : eng.i_var].reshape(sc.n_f, eng.m_max, sc.d)
     assert eta[0].tolist() == [[1, 2], [3, 4], [5, 6]]
-    assert eta[1].tobytes() == np.kron(sc.models[1].N, sc.v_f0[1]).tobytes()
+    assert eta[1].tobytes() == np.kron(per_follower(sc)[1].N, sc.v_f0[1]).tobytes()
     assert xi_oracle(integrate(sc), sc) < 1e-6
 
 
@@ -275,7 +275,9 @@ class TestCli:
         abscissa = closed_loop_spectrum(sc).real.max()
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == f"spectral abscissa: {abscissa:.12e}"
-        A = assemble_A_sigma(sc.laplacian.B_ff, sc.models, sc.d, sc.kappa_p, sc.kappa_v)
+        A = assemble_A_sigma(
+            sc.laplacian.B_ff, per_follower(sc), sc.d, sc.kappa_p, sc.kappa_v
+        )
         dense = np.linalg.eigvals(A).real.max()
         assert abs(abscissa - dense) <= 1e-12 * abs(dense)
 
@@ -953,15 +955,43 @@ class TestMalformedInput:
              "geometry.leader_velocity: expected 2 coordinates, got shape (3,)"),
             (("graph", "leaders"), [1, 2, 3, 4],
              "graph.leaders: need 1 <= n_l < n, got n_l=4, n=4"),
+            (("geometry", "initial_velocities", "1" * 5000), [0, 0],
+             "geometry.initial_velocities: agent 1.111e+4999 is not a follower"),
+            (("geometry", "initial_velocities", "1" * 4000), [0, 0],
+             "geometry.initial_velocities: agent 1.111e+3999 is not a follower"),
+            (("geometry", "initial_positions", "9" * 5000), [0, 0],
+             "geometry.initial_positions: unknown agent 1.000e+5000"),
+            (("geometry", "initial_positions", "10"), [0, 0],
+             "geometry.initial_positions: unknown agent 10"),
+            (("controller", "mode"), "a" * 100_000,
+             f"controller.mode: unknown mode '{'a' * 12}...{'a' * 13}'"),
+            (("controller", "mode"), "a\nb", "controller.mode: unknown mode 'a\\nb'"),
+            (("controller", "eta_init"), "a" * 100_000,
+             f"controller.eta_init: unknown policy '{'a' * 12}...{'a' * 13}'"),
+            (("controller", "eta_init"), list(range(100_000)),
+             "controller.eta_init: unknown policy [0, 1, 2, 3, ...]"),
+            (("graph", "leaders"), list(range(3, 50_003)),
+             "graph.leaders: leaders must be exactly 1..n_l, got [3, 4, 5, 6, ...]"),
+            (("k" * 100_000,), 1,
+             f"scenario: unknown field '{'k' * 12}...{'k' * 13}'"),
         ],
-        ids=["eta_init-length", "eta_init-policy", "vector-length", "all-leaders"],
+        ids=["eta_init-length", "eta_init-policy", "vector-length", "all-leaders",
+             "id-5000-digits", "id-4000-digits", "agent-id-5000-digits", "id-10",
+             "mode-100KB", "mode-newline", "eta_init-100KB",
+             "eta_init-100000-entries", "leaders-50000", "field-100KB"],
     )
     def test_bad_value_names_its_field(self, tmp_path, path, value, message):
+        """One short line that names the field.  An agent id of more digits
+        than the last agent's names no agent and is echoed in scientific
+        form past 16 digits, without int(), which refuses a string of more
+        than 4300 digits; a long or multi-line value is echoed cut, on one
+        line."""
         with open(bundled_scenario("square_known")) as fh:
             data = json.load(fh)
         _mutate(data, path, value)
         code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert (code, err) == (2, [f"error: {message}"])
+        assert len(err[0]) < 200
 
     @pytest.mark.parametrize(
         "case",

@@ -8,7 +8,6 @@ from bearing_forge import bundled_scenario
 from bearing_forge.disturbance import DisturbanceSpec, disturbance_eval
 from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
-from bearing_forge.internal_model import InternalModel
 from bearing_forge.scenario import compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     Engine,
@@ -29,17 +28,17 @@ from conftest import (
     make_scenario,
     padded_state,
     padding,
+    per_follower,
     random_formation,
 )
 from test_decentralization import sparse_scenario
 from test_engine_equivalence import ReferenceEngine
+from test_internal_model import model_for
 
 
 def scalar_model():
-    one = np.array([1.0])
-    return InternalModel(
-        M=np.array([[-1.0]]), N=one, T=np.array([[1.0]]), E=one
-    )
+    """The order-1 internal model: M = [[-1]], T = [[1]], N = E = [1]."""
+    return model_for([])
 
 
 MILLI_DISTURBANCES = {
@@ -123,13 +122,14 @@ class TestClosedLoopSpectrum:
     def test_matches_dense_reference(self, case):
         sc = CASES[case]()
         eig = closed_loop_spectrum(sc)
-        A = assemble_A_sigma(sc.laplacian.B_ff, sc.models, sc.d, sc.kappa_p, sc.kappa_v)
+        models = per_follower(sc)
+        A = assemble_A_sigma(sc.laplacian.B_ff, models, sc.d, sc.kappa_p, sc.kappa_v)
         nfd = sc.n_f * sc.d
         assert eig.shape == (len(A),)
         np.testing.assert_array_equal(eig, np.sort_complex(eig))
         # the M_f lines are exactly -1, ..., -m_i, d times each
         rest = list(eig)
-        for m in sc.models:
+        for m in models:
             for k in range(1, m.order + 1):
                 for _ in range(sc.d):
                     rest.remove(complex(-k, 0.0))
@@ -177,9 +177,10 @@ class TestEngineLinearisation:
         y = np.zeros(ref.dim)
         y[ref.i_p : ref.i_vf] = sc.p_star0.ravel()
         y[ref.i_vf : ref.i_eta] = np.tile(sc.v_c, sc.n_f)
-        y[ref.i_eta : ref.i_var] = np.concatenate([np.kron(m.N, sc.v_c) for m in sc.models])
+        models = per_follower(sc)
+        y[ref.i_eta : ref.i_var] = np.concatenate([np.kron(m.N, sc.v_c) for m in models])
         if ref.K:
-            y[ref.i_th :] = np.concatenate([m.E for m in sc.models])
+            y[ref.i_th :] = np.concatenate([m.E for m in models])
         return y
 
     @pytest.mark.parametrize("case", [c for c in CASES if c != "order_11"])
@@ -199,9 +200,10 @@ class TestEngineLinearisation:
 
         d, nfd, q_f = sc.d, sc.n_f * sc.d, ref.q_f
         eye = np.eye(d)
-        N_f = sla.block_diag(*[np.kron(m.N.reshape(-1, 1), eye) for m in sc.models])
-        T_f = sla.block_diag(*[np.kron(m.T, eye) for m in sc.models])
-        Phi_f = sla.block_diag(*[np.kron(e.Phi, eye) for e in sc.exos])
+        models = per_follower(sc)
+        N_f = sla.block_diag(*[np.kron(m.N.reshape(-1, 1), eye) for m in models])
+        T_f = sla.block_diag(*[np.kron(m.T, eye) for m in models])
+        Phi_f = sla.block_diag(*[np.kron(m.Phi, eye) for m in models])
         # S maps (p_f, v_f, eta, vartheta, theta_hat) to (p~_f, v~_f, xi,
         # vartheta, theta_hat), up to the constant offsets
         S = np.eye(len(J))
@@ -209,7 +211,7 @@ class TestEngineLinearisation:
         S[2 * nfd : 2 * nfd + q_f, 2 * nfd + q_f : 2 * nfd + 2 * q_f] = T_f
         got = S @ J @ np.linalg.inv(S)
         want = sla.block_diag(
-            assemble_A_sigma(sc.laplacian.B_ff, sc.models, d, sc.kappa_p, sc.kappa_v),
+            assemble_A_sigma(sc.laplacian.B_ff, models, d, sc.kappa_p, sc.kappa_v),
             Phi_f,
             np.zeros((ref.K, ref.K)),
         )
@@ -475,24 +477,21 @@ class TestLyapunovMonitor:
         p_t = (sc.p0[sc.n_l :] - sc.p_star0[sc.n_l :]).ravel()
         v_t = (sc.v_f0 - sc.v_c).ravel()
         x = np.concatenate([p_t, v_t])
-        T_blk = sla.block_diag(
-            *[np.kron(m.T, np.eye(sc.d)) for m in sc.models]
-        )
+        models = per_follower(sc)
+        T_blk = sla.block_diag(*[np.kron(m.T, np.eye(sc.d)) for m in models])
         N_blk = sla.block_diag(
-            *[np.kron(m.N.reshape(-1, 1), np.eye(sc.d)) for m in sc.models]
+            *[np.kron(m.N.reshape(-1, 1), np.eye(sc.d)) for m in models]
         )
         xi0 = (
-            np.concatenate(sc.eta0)
-            + T_blk @ np.concatenate([e.theta0 for e in sc.exos])
+            np.concatenate([m.eta0 for m in models])
+            + T_blk @ np.concatenate([m.theta0 for m in models])
             - N_blk @ sc.v_f0.ravel()
         )
-        th_t = np.concatenate(
-            [m.E - t0 for m, t0 in zip(sc.models, sc.theta_hat0)]
-        )
-        lam_inv = sla.block_diag(*[np.linalg.inv(L) for L in sc.lambdas])
+        th_t = np.concatenate([m.E - m.theta_hat0 for m in models])
+        lam_inv = sla.block_diag(*[np.linalg.inv(m.Lam) for m in models])
         expected = (
             x @ cert.P_c @ x
-            + cert.gamma * (xi0 @ dense_G_c(cert, sc.models, sc.d) @ xi0)
+            + cert.gamma * (xi0 @ dense_G_c(cert, models, sc.d) @ xi0)
             + th_t @ lam_inv @ th_t
         )
         np.testing.assert_allclose(V[0], expected, rtol=1e-10)
