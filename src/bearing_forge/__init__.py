@@ -1,16 +1,7 @@
 """Bearing-based leader-follower formation control with internal-model
 disturbance rejection for double-integrator agents."""
 
-from importlib import resources
-
-from . import (
-    disturbance,
-    errors,
-    formation_graph,
-    internal_model,
-    scenario,
-    sim_engine,
-)
+import os
 
 __all__ = [
     "disturbance",
@@ -30,7 +21,7 @@ def bundled_scenario(name):
     (e.g. ``square_known`` or ``square_known.json``)."""
     if not name.endswith(".json"):
         name = name + ".json"
-    path = resources.files(__name__).joinpath("data", name)
-    if not path.is_file():
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"no bundled scenario named {name!r}")
-    return str(path)
+    return path

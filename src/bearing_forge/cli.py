@@ -21,21 +21,34 @@ import sys
 import numpy as np
 
 from .errors import BearingForgeError, CollisionDetected, NonFiniteState
-from .scenario import MODES, OVERRIDES, load_scenario
-from .sim_engine import (
-    build_certificate,
-    closed_loop_spectrum,
-    integrate,
-    lyapunov_monitor,
-    metrics,
-    xi_oracle,
-)
+from .scenario import MODES, OVERRIDES, closed_loop_spectrum, load_scenario
+
+# the sim_engine functions that only `run` calls, bound by _bind_run_only
+_RUN_ONLY = ("integrate", "metrics", "xi_oracle", "build_certificate", "lyapunov_monitor")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COLLISION = 3
 EXIT_NONFINITE = 4
 EXIT_IO = 5
+
+
+def _bind_run_only():
+    """Import sim_engine and bind the _RUN_ONLY functions in this module's
+    namespace, which `python -m` and runpy.run_module both run in, keeping
+    any that a test or a tracer has bound there."""
+    from . import sim_engine
+
+    for name in _RUN_ONLY:
+        globals().setdefault(name, getattr(sim_engine, name))
+
+
+def __getattr__(name):
+    """A _RUN_ONLY function, bound on first access (PEP 562)."""
+    if name in _RUN_ONLY:
+        _bind_run_only()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(x):
@@ -86,6 +99,7 @@ def oracle_report(sc, traj):
     Returns (report, V): V is the monitor series of adaptive mode, None
     otherwise.
     """
+    _bind_run_only()
     report = {
         "spectral_abscissa": float(closed_loop_spectrum(sc).real.max()),
         "xi_max_deviation": float(xi_oracle(traj, sc)),
@@ -128,6 +142,7 @@ def _non_finite(tree, where):
 
 def cmd_run(args):
     sc = load_scenario(args.scenario, _overrides(args))
+    _bind_run_only()
     traj = integrate(sc)
     mts = metrics(traj, sc)
 

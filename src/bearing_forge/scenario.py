@@ -15,12 +15,14 @@ import json
 import math
 import reprlib
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .disturbance import DisturbanceSpec, build_canonical
 from .errors import (
     BearingForgeError,
+    CertificateFailed,
     GainConditionViolated,
     MissingBearing,
     NonFiniteExosystem,
@@ -34,8 +36,7 @@ from .formation_graph import (
     build_bearing_laplacian,
     localize_followers,
 )
-from .internal_model import FollowerGroup, synthesize
-from .sim_engine import CompiledScenario, check_certificate, closed_loop_spectrum
+from .internal_model import FollowerGroup, poles, synthesize
 
 MODES = ("known", "adaptive", "feedback_only")
 ETA_POLICIES = ("velocity_feedforward", "xi_zero")
@@ -73,6 +74,69 @@ RK4_AXIS_LIMIT = 2.0 * math.sqrt(2.0)
 # every z with |R(z)| < 1 has |z| < 2.96, so a mode lambda bounds the
 # steps it allows by 3 / |lambda|
 RK4_REACH = 3.0
+
+
+@dataclass
+class CompiledScenario:
+    """Everything the engine needs, synthesized once at load time."""
+
+    graph: object
+    laplacian: object
+    p_star0: np.ndarray          # (n, d) target configuration at t=0
+    v_c: np.ndarray              # (d,)
+    p0: np.ndarray               # (n, d) initial positions
+    v_f0: np.ndarray             # (n_f, d) initial follower velocities
+    mode: str                    # "known" | "adaptive" | "feedback_only"
+    kappa_p: float               # position and velocity feedback gains
+    kappa_v: float
+    groups: list                 # one internal_model.FollowerGroup per order
+    freeze_theta: bool
+    h: float
+    t_final: float
+    record_every: int
+    collision_eps: float
+    output_dir: str
+    oracles: bool
+
+    @property
+    def n(self):
+        return self.graph.n
+
+    @property
+    def d(self):
+        return self.graph.d
+
+    @property
+    def n_l(self):
+        return self.graph.n_l
+
+    @property
+    def n_f(self):
+        return self.graph.n_f
+
+    @property
+    def state_dim(self):
+        """Length of the engine's state [p | v_f | eta | vartheta | theta_hat],
+        each follower's blocks padded to the largest order (Engine)."""
+        k = self.n_f * max(g.order for g in self.groups)
+        adaptive = self.mode == "adaptive"
+        return (self.n + self.n_f + 2 * k) * self.d + (k if adaptive else 0)
+
+    @property
+    def n_steps(self):
+        return round(self.t_final / self.h)
+
+    @property
+    def n_samples(self):
+        """States integrate records: every record_every-th step, and the last."""
+        return -(-self.n_steps // self.record_every) + 1
+
+    def target_positions(self, t):
+        """Target configuration at time t, shape (n, d), or (len(t), n, d)
+        for an array of times.  The bearing Laplacian annihilates
+        translations, so the target moves rigidly:
+        p*(t) = p*(0) + t (1 kron v_c)."""
+        return self.p_star0 + np.multiply.outer(t, self.v_c)[..., None, :]
 
 
 @contextlib.contextmanager
@@ -218,6 +282,14 @@ def _ids(value, what, allowed, read, *args):
     return out
 
 
+def _directory(value, what):
+    """A directory name that os.makedirs takes: not empty, and no NUL."""
+    if not _str(value, what) or "\0" in value:
+        raise ValidationError(f"{what}: expected a non-empty directory name "
+                              f"without NUL characters, got {_echo(value)}")
+    return value
+
+
 def _disturbance(entry, what, d):
     _fields(entry, what, "constant", "sinusoids")
     constant = _field(entry, what, "constant", _vec, d, default=np.zeros(d))
@@ -285,6 +357,57 @@ def validate_gains(kappa_p, kappa_v, mu, mode, lambdas=()):
             f"Lambda for follower {i} not "
             + ("positive definite" if sym else "symmetric")
         )
+
+
+def closed_loop_spectrum(sc):
+    """Eigenvalues of the closed loop
+    A_sigma = [[0, I, 0], [-kp B_ff, -kv B_ff, E_f], [0, 0, M_f]], in
+    np.sort_complex order.
+
+    A_sigma is block triangular, so its spectrum is that of M_f, which is
+    internal_model.poles(m_i), d times each, for every follower i, together
+    with the two roots of lambda^2 + kv mu lambda + kp mu = 0 for each
+    eigenvalue mu of B_ff.  With b = kv mu and c = kp mu, the discriminant
+    is taken as (b - 2 sqrt c)(b + 2 sqrt c), so that no square overflows.
+    Of a real pair, the root of larger magnitude is taken from the quadratic
+    formula and the other is c divided by it, so that neither loses digits
+    to cancellation; a complex pair is -b/2 +- i sqrt(4c - b^2)/2.  Real
+    roots have an imaginary part of +0.
+    """
+    mu = sc.laplacian.ff_eigenvalues
+    b, c = sc.kappa_v * mu, sc.kappa_p * mu
+    s = 2.0 * np.sqrt(c)
+    real = b >= s
+    root = np.sqrt(np.abs(b - s)) * np.sqrt(b + s)           # sqrt|b^2 - 4c|
+    big = -0.5 * b - 0.5 * root                              # b + root may overflow
+    lam = np.empty((2, len(mu)), dtype=complex)
+    lam.real = np.where(real, [big, c / big], -0.5 * b)
+    lam.imag = np.where(real, 0.0, [0.5 * root, -0.5 * root])
+    M_f = [np.tile(np.repeat(poles(g.order), sc.d), len(g.idx)) for g in sc.groups]
+    return np.sort_complex(np.concatenate([lam.ravel(), *M_f]))
+
+
+def check_certificate(kp, kv, mu_1, groups):
+    """(lambda_min(Q), {m: G_i}) for gains kp, kv and mu_1 = lambda_min(B_ff),
+    with the two positivity checks of build_certificate, which compile_scenario
+    runs at load in adaptive mode.  G_i solves G M_i + M_i^T G = -I once per
+    order (one FollowerGroup each), as
+    (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).  Raises CertificateFailed."""
+    lam_Q = 2.0 * mu_1 * min(kp * mu_1, kv * mu_1 - 1.0)
+    if not lam_Q > 0:
+        raise CertificateFailed(f"Q is not positive definite (lambda_min {lam_Q:.3e})")
+    G = {}
+    for g in groups:
+        m, M, eye = g.order, g.M, np.eye(g.order)
+        op = np.kron(eye, M.T) + np.kron(M.T, eye)
+        G_m = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
+        G[m] = G_m = 0.5 * (G_m + G_m.T)
+        # eigvalsh is backward stable: its eigenvalues are those of G within
+        # m eps lambda_max (Weyl), so a smaller lambda_min has no certain sign
+        lam = np.linalg.eigvalsh(G_m)
+        if not lam[0] > m * np.finfo(float).eps * lam[-1]:
+            raise CertificateFailed(f"G_c is not positive definite at order {m}")
+    return lam_Q, G
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -581,7 +704,7 @@ def compile_scenario(data) -> CompiledScenario:
         # any interval from n_steps on records steps 0 and n_steps only
         record_every=min(record_every, steps),
         collision_eps=collision_eps,
-        output_dir=_field(outputs, "outputs", "directory", _str, default="out"),
+        output_dir=_field(outputs, "outputs", "directory", _directory, default="out"),
         oracles=_field(outputs, "outputs", "oracles", _bool, default=False),
     )
     size = sc.n_samples * sc.state_dim * 8

@@ -23,11 +23,10 @@ from bearing_forge.formation_graph import (
     projector,
     unit_bearing,
 )
-from bearing_forge.scenario import compile_scenario, load_scenario
+from bearing_forge.scenario import closed_loop_spectrum, compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     Trajectory,
     build_certificate,
-    closed_loop_spectrum,
     integrate,
     lyapunov_monitor,
     metrics,

@@ -19,12 +19,12 @@ from bearing_forge.errors import ParseError, ValidationError
 from bearing_forge.scenario import (
     MAX_SAMPLE_BYTES,
     MAX_STEPS,
+    closed_loop_spectrum,
     compile_scenario,
     load_scenario,
 )
 from bearing_forge.sim_engine import (
     Engine,
-    closed_loop_spectrum,
     integrate,
     metrics,
     xi_oracle,
@@ -699,6 +699,63 @@ print([
 """
 
 
+# validate, spectrum, localize and run in one fresh process (argv[1] is the
+# output directory of run); prints, per command, whether sim_engine and
+# rk4_operator are loaded after it
+COMMAND_IMPORTS = """
+import json, sys
+from bearing_forge import bundled_scenario, cli
+
+path, loaded = bundled_scenario("square_known"), {}
+for command, *opts in (
+    ["validate"], ["spectrum"], ["localize"],
+    ["run", "--t-final", "0.1", "--out", sys.argv[1]],
+):
+    assert cli.main([command, path, *opts]) == 0
+    loaded[command] = [
+        name in sys.modules
+        for name in ("bearing_forge.sim_engine", "bearing_forge.rk4_operator")
+    ]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_run_imports_the_engine(tmp_path):
+    """validate, spectrum and localize decide everything at load, so they
+    import neither sim_engine nor rk4_operator; run imports both.  A stray
+    import of either on the load path would make every command compile
+    them."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMAND_IMPORTS, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "validate": [False, False],
+        "spectrum": [False, False],
+        "localize": [False, False],
+        "run": [True, True],
+    }
+
+
+def test_run_through_runpy(tmp_path):
+    """run works when a tool executes cli through runpy.run_module, as
+    `python -m cProfile -m bearing_forge.cli` does: there
+    sys.modules["__main__"] is the tool, not the module that runs."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"),
+            "-m", "bearing_forge.cli", "run", bundled_scenario("square_known"),
+            "--t-final", "0.1", "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("run ok")
+
+
 # each error class, one instance, and the exit code and stderr prefix that
 # the CLI documents for it
 LIBRARY_ERRORS = [
@@ -873,6 +930,38 @@ class TestMalformedInput:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
 
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "directory, flags",
+        [("", []), ("a\0b", []), ("out", ["--out", ""])],
+        ids=["empty", "nul", "override-empty"],
+    )
+    def test_bad_output_directory_rejected(
+        self, tmp_path, monkeypatch, command, directory, flags
+    ):
+        """An empty directory name, or one with a NUL character, is rejected
+        at load with one line, so run stops before it integrates: it used to
+        integrate the whole scenario and then fail to write (exit 5, or a
+        ValueError traceback for the NUL)."""
+        with open(bundled_scenario("square_known")) as fh:
+            data = json.load(fh)
+        data["outputs"] = {"directory": directory}
+        path = write_scenario(tmp_path, data)
+
+        def fail(*args):
+            raise AssertionError("integrated a scenario with a bad directory")
+
+        monkeypatch.setattr(cli, "integrate", fail)
+        code, err = _main_stderr([command, path, *flags])
+        bad = "''" if flags else repr(directory)
+        assert (code, err) == (
+            2,
+            [
+                "error: outputs.directory: expected a non-empty directory name "
+                f"without NUL characters, got {bad}"
+            ],
+        )
 
     @pytest.mark.parametrize(
         "where, path, key",

@@ -8,11 +8,10 @@ from bearing_forge import bundled_scenario
 from bearing_forge.disturbance import DisturbanceSpec, disturbance_eval
 from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
-from bearing_forge.scenario import compile_scenario, load_scenario
+from bearing_forge.scenario import closed_loop_spectrum, compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     Engine,
     build_certificate,
-    closed_loop_spectrum,
     integrate,
     lyapunov_monitor,
     metrics,
