@@ -121,10 +121,9 @@ def build_canonical(specs):
     """Companion exosystems of disturbance specs of one order r, built in
     one pass: the stacks Phi (g, m, m) of companion matrices and theta0
     (g, m, d) of the derivatives d(0), d'(0), ..., d^(m-1)(0), m = 2r+1.
-    The output matrix Psi = e_1 selects the signal block.
-
-    Raises NonFiniteExosystem for the first spec whose Phi or theta0
-    overflows the float range.
+    The output matrix Psi = e_1 selects the signal block.  faults maps the
+    position of each spec whose Phi or theta0 overflows the float range to
+    the NonFiniteExosystem that a build of that spec alone gives.
     """
     m = 2 * specs[0].r + 1
     w = np.array([s.frequencies for s in specs])
@@ -136,10 +135,10 @@ def build_canonical(specs):
             0.0, m,
         )
     finite = np.isfinite(Phi).all(axis=(1, 2)) & np.isfinite(theta0).all(axis=(1, 2))
-    if not finite.all():
-        k = int(finite.argmin())
-        raise NonFiniteExosystem(
+    return Phi, theta0, {
+        k: NonFiniteExosystem(
             f"the companion matrix or the derivatives up to order {m - 1} at "
             f"t = 0 overflow (frequencies {specs[k].frequencies.tolist()})"
         )
-    return Phi, theta0
+        for k in np.flatnonzero(~finite).tolist()
+    }

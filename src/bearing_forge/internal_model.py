@@ -56,14 +56,15 @@ def choose_MN(r):
 
 
 def synthesize(Phi):
-    """(M, N, T, E) of the internal models of a stack Phi (g, m, m) of
-    companion exosystems of one order, in closed form and in one pass: M
-    and N are shared, T (g, m, m) and E (g, m) are stacks.  M and Phi are
-    companions with one superdiagonal, N = e_m and Psi = e_1, so E T = Psi
-    turns the equation into T Phi = (M + N E) T: E = Phi[-1] - M[-1]
+    """(M, N, T, E, faults) of the internal models of a stack Phi (g, m, m)
+    of companion exosystems of one order, in closed form and in one pass:
+    M and N are shared, T (g, m, m) and E (g, m) are stacks.  M and Phi
+    are companions with one superdiagonal, N = e_m and Psi = e_1, so E T =
+    Psi turns the equation into T Phi = (M + N E) T: E = Phi[-1] - M[-1]
     (M + N E = Phi), and E Phi^k T = e_{k+1} makes T the inverse of
-    O(Phi, E), rows E Phi^k.  Raises SingularT for the first exosystem
-    whose O or T is not finite or whose T misses the equation."""
+    O(Phi, E), rows E Phi^k.  faults maps the position of each exosystem
+    whose O or T is not finite or whose T misses the equation to the
+    SingularT that a synthesis of that exosystem alone gives."""
     m = Phi.shape[-1]
     (M, N), Psi = choose_MN((m - 1) // 2), np.eye(m)[0]
     O = np.empty(Phi.shape)
@@ -80,11 +81,11 @@ def synthesize(Phi):
             np.linalg.norm(Phi, axis=(1, 2)) + np.linalg.norm(M)
         )
     ok = finite & np.isfinite(T).all(axis=(1, 2)) & (res <= tol)
-    if not ok.all():
-        k = int(ok.argmin())
-        raise SingularT(
+    return M, N, T, E, {
+        k: SingularT(
             f"T misses T Phi - M T = N Psi: residual {res[k]:.3e}, limit {tol[k]:.3e}"
             if finite[k] else
             f"O(Phi, E) overflows: T is not finite, residual {res[k]:.3e}"
         )
-    return M, N, T, E
+        for k in np.flatnonzero(~ok).tolist()
+    }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -25,9 +26,7 @@ from .errors import (
     CertificateFailed,
     GainConditionViolated,
     MissingBearing,
-    NonFiniteExosystem,
     ParseError,
-    SingularT,
     ValidationError,
 )
 from .formation_graph import (
@@ -283,10 +282,15 @@ def _ids(value, what, allowed, read, *args):
 
 
 def _directory(value, what):
-    """A directory name that os.makedirs takes: not empty, and no NUL."""
+    """A directory name that os.makedirs takes: not empty, no NUL, no file on its path."""
     if not _str(value, what) or "\0" in value:
         raise ValidationError(f"{what}: expected a non-empty directory name "
                               f"without NUL characters, got {_echo(value)}")
+    parts = value.split(os.sep)
+    for k in range(1, len(parts) + 1):
+        path = os.sep.join(parts[:k])
+        if os.path.lexists(path) and not os.path.isdir(path):
+            raise ValidationError(f"{what}: {_echo(path)} exists and is not a directory")
     return value
 
 
@@ -601,23 +605,16 @@ def compile_scenario(data) -> CompiledScenario:
     by_order, groups, failed = {}, [], {}
     for k, spec in enumerate(specs):
         by_order.setdefault(spec.r, []).append(k)
-    batches = list(by_order.values())
-    while batches:
-        idx = batches.pop(0)
-        try:
-            Phi, theta0 = build_canonical([specs[k] for k in idx])
-            M, N, T, E = synthesize(Phi)
-        except (NonFiniteExosystem, SingularT) as exc:
-            # a batch that fails is built again one follower at a time
-            if len(idx) > 1:
-                batches[:0] = [[k] for k in idx]
-            else:
-                failed[idx[0]] = exc
-            continue
+    for idx in by_order.values():
+        Phi, theta0, exo_faults = build_canonical([specs[k] for k in idx])
+        M, N, T, E, model_faults = synthesize(Phi)
+        # a follower at fault keeps its first stage's fault: the exosystem's
+        failed.update({idx[j]: e for j, e in {**model_faults, **exo_faults}.items()})
         m = len(M)
         eta0 = N[:, None] * v_f0[idx][:, None]      # kron(N, v) of each follower
         if eta_init == "xi_zero":
-            eta0 = eta0 - T @ theta0
+            with np.errstate(all="ignore"):  # the rows of a follower at fault
+                eta0 = eta0 - T @ theta0
         Lam = np.empty((len(idx), m, m))
         Lam[:] = rate * np.eye(m)
         groups.append(FollowerGroup(
@@ -704,7 +701,7 @@ def compile_scenario(data) -> CompiledScenario:
         # any interval from n_steps on records steps 0 and n_steps only
         record_every=min(record_every, steps),
         collision_eps=collision_eps,
-        output_dir=_field(outputs, "outputs", "directory", _directory, default="out"),
+        output_dir=_directory(outputs.get("directory", "out"), "outputs.directory"),
         oracles=_field(outputs, "outputs", "oracles", _bool, default=False),
     )
     size = sc.n_samples * sc.state_dim * 8

@@ -613,7 +613,8 @@ def build_certificate(sc):
     for g in sc.groups:
         e2[g.idx] = (g.E[:, None, :] @ g.E[:, :, None]).reshape(-1)
     e2 = np.repeat(e2, sc.d)
-    gamma_sigma = float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond float range: inf
+        gamma_sigma = float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
     return LyapunovCertificate(
         P_c=np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]]),
         G=G,

@@ -106,7 +106,8 @@ def derivative_ladder(spec, k):
 def canonical(spec):
     """Phi (m, m) and the flat theta0 (m d,) of one spec, from a build of
     a stack of one."""
-    Phi, theta0 = build_canonical([spec])
+    Phi, theta0, faults = build_canonical([spec])
+    assert faults == {}
     return Phi[0], theta0[0].ravel()
 
 

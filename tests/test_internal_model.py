@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bearing_forge import scenario
 from bearing_forge.disturbance import DisturbanceSpec, build_canonical
-from bearing_forge.errors import SingularT, ValidationError
+from bearing_forge.errors import NonFiniteExosystem, SingularT, ValidationError
 from bearing_forge.internal_model import choose_MN, synthesize
 from bearing_forge.scenario import compile_scenario
 
@@ -25,7 +26,8 @@ def model_for(freqs):
     """One follower's exosystem Phi, Psi = e_1, and its internal model M, N,
     T and E from synthesize on a stack of one."""
     Phi = exo_for(freqs)
-    M, N, T, E = synthesize(Phi[None])
+    M, N, T, E, faults = synthesize(Phi[None])
+    assert faults == {}
     return SimpleNamespace(
         Phi=Phi, Psi=np.eye(len(M))[0], M=M, N=N, T=T[0], E=E[0], order=len(M)
     )
@@ -102,16 +104,18 @@ class TestSolveSylvester:
     def test_overflow_rejected(self):
         """At w = 1e150 the exosystem is finite (w^2 = 1e300) but E Phi^2
         overflows, so T cannot be formed."""
-        with pytest.raises(SingularT, match="O\\(Phi, E\\) overflows"):
-            synthesize(exo_for([1e150])[None])
+        (k, fault), = synthesize(exo_for([1e150])[None])[-1].items()
+        assert k == 0 and isinstance(fault, SingularT)
+        assert str(fault).startswith("O(Phi, E) overflows")
 
     def test_residual_gate_fires(self):
         """An exosystem outside the companion form breaks the closed form;
         the Sylvester residual check names the miss."""
         Phi = exo_for([1.0])
         for batch in ([2.0 * Phi], [Phi, 2.0 * Phi]):
-            with pytest.raises(SingularT, match="misses T Phi - M T = N Psi: residual"):
-                synthesize(np.stack(batch))
+            (k, fault), = synthesize(np.stack(batch))[-1].items()
+            assert k == len(batch) - 1 and isinstance(fault, SingularT)
+            assert str(fault).startswith("T misses T Phi - M T = N Psi: residual")
 
 
 def _rational_solve(A, b):
@@ -359,6 +363,102 @@ class TestBatchedBuild:
         with pytest.raises(ValidationError) as info:
             compile_scenario(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "orders, faults",
+        [
+            (BATCH_ORDERS, {}),
+            # one fault in each of the two groups
+            ([1, 2, 1, 2], {4: 1e200, 5: 1e150}),
+            # two faults in the order-3 group: T's at 3, the exosystem's at 5
+            ([1, 2, 1, 2], {3: 1e150, 5: 1e200}),
+        ],
+        ids=["valid", "two-groups", "one-group-two-stages"],
+    )
+    def test_each_builder_runs_once_per_order(self, monkeypatch, orders, faults):
+        """build_canonical and synthesize each run once per distinct order,
+        on the order's whole batch, whether or not a follower is at fault."""
+        calls = []
+
+        def counted(name, build):
+            def run(arg):
+                calls.append((name, len(arg), arg[0].r if name == "exo" else arg.shape[-1]))
+                return build(arg)
+            return run
+
+        monkeypatch.setattr(scenario, "build_canonical", counted("exo", build_canonical))
+        monkeypatch.setattr(scenario, "synthesize", counted("model", synthesize))
+        data = batch_scenario(orders)
+        for i, w in faults.items():
+            data["disturbances"][str(i)]["sinusoids"][0]["frequency"] = w
+        if faults:
+            with pytest.raises(ValidationError):
+                compile_scenario(data)
+        else:
+            compile_scenario(data)
+        first = list(dict.fromkeys(orders))
+        assert calls == [
+            call
+            for r in first
+            for call in (("exo", orders.count(r), r), ("model", orders.count(r), 2 * r + 1))
+        ]
+
+    def test_batch_reports_each_fault_as_alone(self):
+        """In a batch with several members at fault, each at fault gets the
+        fault (type and words) of a build of it alone, and every other
+        member none, with the bits of its own build."""
+        d, rng = 2, np.random.default_rng(5)
+        freqs = [[0.4, 1.1], [1e200, 0.7], [0.9, 1.3], [1e150, 0.5], [0.5, 1e60],
+                 [0.2, 2.5], [1e-200, 1e200]]
+        specs = [
+            DisturbanceSpec(d, rng.normal(size=d), w, rng.normal(size=(2, d)),
+                            rng.uniform(-3.0, 3.0, size=(2, d)))
+            for w in freqs
+        ]
+        Phi, theta0, exo_faults = build_canonical(specs)
+        M, N, T, E, model_faults = synthesize(Phi)
+        assert set(exo_faults) == {1, 3, 6}
+        assert set(model_faults) >= set(exo_faults) and 4 in model_faults
+        assert len(model_faults) < len(specs)
+        for k, spec in enumerate(specs):
+            Phi_k, theta0_k, exo_k = build_canonical([spec])
+            M_k, N_k, T_k, E_k, model_k = synthesize(Phi_k)
+            for got, alone in ((exo_faults, exo_k), (model_faults, model_k)):
+                if k in got:
+                    assert list(alone) == [0]
+                    assert type(got[k]) is type(alone[0])
+                    assert str(got[k]) == str(alone[0])
+                else:
+                    assert alone == {}
+            if k not in model_faults:
+                for got, want in [
+                    (Phi[k], Phi_k[0]), (theta0[k], theta0_k[0]), (M, M_k), (N, N_k),
+                    (T[k], T_k[0]), (E[k], E_k[0]),
+                ]:
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert all(isinstance(f, NonFiniteExosystem) for f in exo_faults.values())
+        assert all(isinstance(f, SingularT) for f in model_faults.values())
+
+    def test_fault_with_xi_zero_and_given_mates(self):
+        """A follower at fault with eta_init "xi_zero", and Lambda and
+        theta-hat(0) given for its group mates: the one line of its fault,
+        and no NumPy warning from its rows that are not finite."""
+        data = batch_scenario([1, 2, 1, 2])
+        # theta0 and T of follower 4 overflow only in part: T theta0 overflows
+        data["disturbances"]["4"]["sinusoids"][0]["frequency"] = 1e150
+        data["controller"].update(
+            eta_init="xi_zero",
+            theta_hat_init={"6": [0.5] * 5, "3": [0.1, 0.2, 0.3]},
+            adaptation_gains={"6": (2.0 * np.eye(5)).tolist()},
+        )
+        terms = data["disturbances"]["4"]["sinusoids"]
+        with pytest.raises(ValidationError) as info:
+            compile_scenario(data)
+        assert str(info.value) == (
+            "disturbances[4]: NonFiniteExosystem: the companion matrix or the "
+            "derivatives up to order 4 at t = 0 overflow (frequencies "
+            f"{[t['frequency'] for t in terms]})"
+        )
 
 
 def _spec_fields(entry, d):

@@ -466,6 +466,23 @@ class TestCli:
         assert code == 4
         assert err == ["divergence: oracles.lyapunov: V = inf is not finite at t=0.000000"]
 
+    def test_tiny_kappa_p_adaptive_names_lyapunov(self, tmp_path):
+        """kappa_p = 1e-320 puts the certificate's gamma_sigma beyond float
+        range: run --oracles exits 4 with one line naming V, and forming
+        gamma_sigma raises no NumPy warning."""
+        path, flags = bundled_scenario("square_adaptive"), ["--kappa-p", "1e-320"]
+        out = tmp_path / "tiny"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _main_stderr(
+                ["run", path, *flags, "--oracles", "--t-final", "0.1", "--out", str(out)]
+            )
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert (code, err) == (
+            4, ["divergence: oracles.lyapunov: V = inf is not finite at t=0.000000"]
+        )
+        assert not out.exists()
+
     def test_non_finite_metric_writes_nothing(self, tmp_path):
         """Two follower positions of 1.3e308 stay finite over two steps, but
         their joint error norm is beyond float range: exit 4 with one line
@@ -962,6 +979,31 @@ class TestMalformedInput:
                 f"without NUL characters, got {bad}"
             ],
         )
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "out", ["file", os.path.join("file", "sub")], ids=["file", "file-sub"]
+    )
+    def test_output_directory_through_a_file_rejected(
+        self, tmp_path, monkeypatch, command, out
+    ):
+        """An output directory that is an existing file, or lies below one,
+        fails at load with one line naming outputs.directory, so run stops
+        before it integrates: it used to integrate the whole scenario and
+        then fail to create the directory (exit 5)."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+
+        def fail(*args):
+            raise AssertionError("integrated a scenario it cannot write")
+
+        monkeypatch.setattr(cli, "integrate", fail)
+        path = bundled_scenario("square_known")
+        code, err = _main_stderr([command, path, "--out", out])
+        assert (code, err) == (
+            2, ["error: outputs.directory: 'file' exists and is not a directory"]
+        )
+        assert (tmp_path / "file").read_text() == ""
 
     @pytest.mark.parametrize(
         "where, path, key",
