@@ -391,12 +391,33 @@ def closed_loop_spectrum(sc):
     return np.sort_complex(np.concatenate([lam.ravel(), *M_f]))
 
 
-def check_certificate(kp, kv, mu_1, groups):
-    """(lambda_min(Q), {m: G_i}) for gains kp, kv and mu_1 = lambda_min(B_ff),
-    with the two positivity checks of build_certificate, which compile_scenario
-    runs at load in adaptive mode.  G_i solves G M_i + M_i^T G = -I once per
+def gamma_sigma(laplacian, groups, lam_Q, exact=True):
+    """The Schur threshold 2 lambda_max(B_ff W B_ff) / lambda_min(Q) of
+    build_certificate, W = diag(|E_i|^2 kron 1_d), inf beyond float range.
+    Unless exact, its bound 2 mu_max^2 max_i |E_i|^2 / lambda_min(Q) (B_ff
+    is positive semidefinite) stands in for it where gamma = 1.01 times
+    that is finite, so no eigvalsh is taken."""
+    B_ff, n_f = laplacian.B_ff, sum(len(g.idx) for g in groups)
+    # |E_i|^2 of each follower, as the 1-D dot E_i @ E_i rounds it
+    e2 = np.empty(n_f)
+    for g in groups:
+        e2[g.idx] = (g.E[:, None, :] @ g.E[:, :, None]).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond float range: inf
+        bound = float(2.0 * laplacian.ff_eigenvalues[-1] ** 2 * e2.max() / lam_Q)
+        if exact or not math.isfinite(1.01 * bound):
+            e2 = np.repeat(e2, len(B_ff) // n_f)
+            return float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
+    return bound
+
+
+def check_certificate(kp, kv, laplacian, groups):
+    """(lambda_min(Q), {m: G_i}) for gains kp, kv and the spectrum of B_ff,
+    with the checks of build_certificate, which compile_scenario runs at
+    load in adaptive mode: Q and each G_i positive definite, and gamma =
+    1.01 gamma_sigma finite.  G_i solves G M_i + M_i^T G = -I once per
     order (one FollowerGroup each), as
     (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).  Raises CertificateFailed."""
+    mu_1 = float(laplacian.ff_eigenvalues[0])
     lam_Q = 2.0 * mu_1 * min(kp * mu_1, kv * mu_1 - 1.0)
     if not lam_Q > 0:
         raise CertificateFailed(f"Q is not positive definite (lambda_min {lam_Q:.3e})")
@@ -411,6 +432,8 @@ def check_certificate(kp, kv, mu_1, groups):
         lam = np.linalg.eigvalsh(G_m)
         if not lam[0] > m * np.finfo(float).eps * lam[-1]:
             raise CertificateFailed(f"G_c is not positive definite at order {m}")
+    if not math.isfinite(1.01 * gamma_sigma(laplacian, groups, lam_Q, exact=False)):
+        raise CertificateFailed(f"gamma is beyond float range (lambda_min(Q) {lam_Q:.3e})")
     return lam_Q, G
 
 
@@ -657,7 +680,7 @@ def compile_scenario(data) -> CompiledScenario:
         )
     if mode == "adaptive":
         with _named("certificate"):
-            check_certificate(kappa_p, kappa_v, mu[0], groups)
+            check_certificate(kappa_p, kappa_v, laplacian, groups)
 
     integ = _field(
         data, "", "integration", _fields, "step", "t_final", "record_every",

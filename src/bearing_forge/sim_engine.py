@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import CollisionDetected, NonFiniteState
 from .rk4_operator import multiply_adds, operator_step, probe
-from .scenario import CompiledScenario, check_certificate
+from .scenario import CompiledScenario, check_certificate, gamma_sigma
 
 # integrate advances CHECK_CHUNK states at a time, by doubling in the linear
 # modes (a power of two, so a chunk takes one matrix-vector and
@@ -148,14 +149,15 @@ class Engine:
     zero, so padding entries that start at 0 stay exactly 0; `real` lists
     the other coordinates.
 
-    `rhs` is composed of `_readouts` (s, w and θ̂, affine in the state) and
-    `_law`, which is affine jointly in the state and in the sums θ̂ w and
-    w s of the adaptive products: with the sums at zero it is the affine
-    part of the closed loop, and their coefficients scatter the products.
-    `operator_step` probes these pieces, with the products written out by
-    `_factors` and summed by `_sums`.  `rhs` writes its readouts and
-    products into buffers the engine keeps, and `rk4` its stages, so a
-    staged step allocates no state-sized array.
+    The law has one implementation, `_bind`, which binds it once to a state
+    buffer and a slope buffer: every view is made there, and a call is a
+    flat run of `out=` writes into the engine's buffers.  `rhs` binds it to
+    its arguments; `rk4` binds it to its current and stage states once per
+    stepper, so a staged step allocates no state-sized array.  The law is
+    affine jointly in the state and in the sums θ̂ w and w s of the
+    adaptive products, which it can hold as they stand: `product_form`
+    probes it so, with the products written out by `_factors` and summed
+    by `_sums`.
     """
 
     def __init__(self, sc: CompiledScenario):
@@ -164,13 +166,7 @@ class Engine:
         self.n, self.d, self.n_l, self.n_f = n, d, n_l, n_f
         self.adaptive = sc.mode == "adaptive"
 
-        B = sc.laplacian.B
-        self.Bf = B[n_l * d :, :]                       # follower rows, acts on full stacks
-        self.vc_tile = np.tile(sc.v_c, n_l)
-        # s_v = B_f v splits into the follower-velocity columns and the
-        # leaders' constant share
-        self.Bf_v = np.ascontiguousarray(self.Bf[:, n_l * d :])
-        self.s_vc = self.Bf[:, : n_l * d] @ self.vc_tile
+        self.BfT = sc.laplacian.B[n_l * d :, :].T       # follower rows, transposed
 
         m_max = self.m_max = max(g.order for g in sc.groups)
         # each group's order and padded blocks scattered into its followers'
@@ -211,6 +207,7 @@ class Engine:
         self.i_var = self.i_eta + k * d
         self.i_th = self.i_var + k * d
         self.dim = self.i_th + (k if self.adaptive else 0)
+        self.cuts = (self.i_vf, self.i_eta, self.i_var, self.i_th)
 
         # row 0 of each follower's vartheta, which drives its velocity
         self.var0 = self.i_var + block
@@ -228,17 +225,14 @@ class Engine:
         self.n_prod = 2 * k * d if self.adaptive else 0
         self.operator_macs = multiply_adds(self.dim, self.n_prod)
 
-        # buffers that rhs writes its readouts (s_p, s_v, w) and products
-        # (s = s_p + s_v, θ̂ w, w s) into, and _law its input u and one term
-        # of it, with the shaped views the products take
-        self._reads = (np.empty(n_f * d), np.empty(n_f * d), np.empty((n_f, m_max, d)))
-        self._s, self._u, self._term = np.empty((3, n_f * d))
-        self._s3 = self._s.reshape(n_f, d, 1)
-        self._u3, self._term3 = (x.reshape(n_f, 1, d) for x in (self._u, self._term))
-        self._tw = np.empty((n_f, 1, d))
-        self._ws = np.empty((n_f, m_max, 1))
-        # N v_f or N u as a flat (n_f, m_max, d) block: zero but at `last`
-        self._N_x = np.zeros(k * d)
+        # the law's buffers: [p; v] (the leaders' v is v_c), [s_p; s_v],
+        # [s; u], w, the sums θ̂ w and w s, and N v_f or N u as a flat
+        # (n_f, m_max, d) block, zero but at `last`
+        self._bufs = (
+            np.empty((2, n * d)), *np.empty((2, 2, n_f * d)), np.empty((n_f, m_max, d)),
+            np.empty((n_f, 1, d)), np.empty((n_f, m_max, 1)), np.zeros(k * d),
+        )
+        self._bufs[0][1, : n_l * d] = np.tile(sc.v_c, n_l)
 
     def initial_state(self):
         """The scenario's initial values, each group's scattered into its
@@ -257,114 +251,109 @@ class Engine:
                 th[g.idx, :m] = g.theta_hat0
         return y
 
-    def _readouts(self, y, out=None):
-        """The inputs of the law, affine in y: s_p = B_f p and s_v = B_f v,
-        each (n_f d,), w = eta - N v_f (n_f, m_max, d), and θ̂ (n_f, 1, m_max)
-        in adaptive mode (None otherwise).  s_p, s_v and w are written into
-        out = (s_p, s_v, w), C-contiguous arrays of those shapes, when it is
-        given, and are fresh arrays otherwise."""
-        d, n_f, m_max = self.d, self.n_f, self.m_max
-        if out is None:
-            out = (np.empty(n_f * d), np.empty(n_f * d), np.empty((n_f, m_max, d)))
-        s_p, s_v, w = out
-        v_f = y[self.i_vf : self.i_eta]
-        np.matmul(self.Bf, y[self.i_p : self.i_vf], out=s_p)
-        np.matmul(self.Bf_v, v_f, out=s_v)
-        s_v += self.s_vc
-        N_v = self._N_x
-        N_v[self.last] = v_f
-        np.subtract(y[self.i_eta : self.i_var], N_v, out=w.reshape(-1))
-        th = y[self.i_th :].reshape(n_f, 1, m_max) if self.adaptive else None
-        return s_p, s_v, w, th
+    def _bind(self, y, dy, sums=True):
+        """The law bound to y and dy, C-contiguous arrays of dim floats: a
+        function of no arguments that writes dy/dt at y into dy and only
+        reads y.  [s_p; s_v] = [p; v] B_f^T is one GEMM, [s; u] =
+        [[1, 1], [-kp, -kv]] [s_p; s_v] one more, and w = eta - N v_f.
+        tw = θ̂ w (E w outside adaptive mode) adds to u, and ws = w s drives
+        dθ̂ = -Λ ws; with sums false, the adaptive law takes tw and ws as
+        they stand in their buffers."""
+        d, n_f, m_max, sc = self.d, self.n_f, self.m_max, self.sc
+        PV, S, SU, w, tw, ws, N_x = self._bufs
+        BfT, last, var0 = self.BfT, self.last, self.var0
+        Phi3, neg_Lam3, adaptive = self.Phi3, self.neg_Lam3, self.adaptive
+        G2, form = np.array([[1.0, 1.0], [-sc.kappa_p, -sc.kappa_v]]), sums or not adaptive
+        p, v_f, eta, var, th = np.split(y, self.cuts)
+        dy_p, dy_vf, dy_eta, dy_var, dy_th = np.split(dy, self.cuts)
+        var, dy_var = (x.reshape(n_f, m_max, d) for x in (var, dy_var))
+        coef = th.reshape(n_f, 1, -1) if adaptive else self.E3
+        dy_th = dy_th.reshape(n_f, -1, 1)
+        s3, u, u3 = SU[0].reshape(n_f, d, 1), SU[1], SU[1].reshape(n_f, 1, d)
+        # eta' = M eta + N u - M N v_f = M w + N u, M w one GEMM per order
+        w_rows, eta_rows = w.reshape(n_f, m_max * d), dy_eta.reshape(n_f, m_max * d)
 
-    def _law(self, y, s_p, s_v, w, tw=None, ws=None, out=None):
-        """The control law from its readouts, affine jointly in y and in the
-        sums of the adaptive products, which enter only here: tw = θ̂ w
-        (n_f, 1, d) adds to the input u = -kp s_p - kv s_v (+ E w outside
-        adaptive mode), and ws = w s (n_f, m_max, 1) drives dθ̂ = -Λ w s.
-        An absent sum is zero; with both absent this is the affine part of
-        the closed loop.  dy is written into out, a C-contiguous array of
-        dim floats, when it is given, and is a fresh array otherwise."""
-        d, n_f, m_max = self.d, self.n_f, self.m_max
-        dy = np.empty(self.dim) if out is None else out
-        u = self._u
-        np.multiply(s_p, -self.sc.kappa_p, out=u)
-        u -= np.multiply(s_v, self.sc.kappa_v, out=self._term)
-        if not self.adaptive:
-            self._u3 += np.matmul(self.E3, w, out=self._term3)
-        elif tw is not None:
-            self._u3 += tw
-        n_l = self.n_l * d
-        dy[self.i_p : self.i_p + n_l] = self.vc_tile
-        dy[self.i_p + n_l : self.i_vf] = y[self.i_vf : self.i_eta]
-        np.add(u, y[self.var0], out=dy[self.i_vf : self.i_eta])
-        # eta' = M eta + N u - M N v_f = M w + N u
-        eta_flat = dy[self.i_eta : self.i_var]
-        eta_dot = eta_flat.reshape(n_f, m_max * d)
-        w_rows = w.reshape(n_f, m_max * d)
-        for g, MT in self.M_by_order:
+        def gemm(g, MT):
             if isinstance(g, slice):
-                np.matmul(w_rows[g], MT, out=eta_dot[g])
-            else:
-                eta_dot[g] = w_rows[g] @ MT
-        N_u = self._N_x
-        N_u[self.last] = u
-        eta_flat += N_u
-        var = y[self.i_var : self.i_th].reshape(n_f, m_max, d)
-        np.matmul(self.Phi3, var, out=dy[self.i_var : self.i_th].reshape(n_f, m_max, d))
-        if ws is None:
-            dy[self.i_th :] = 0.0
-        else:
-            np.matmul(self.neg_Lam3, ws, out=dy[self.i_th :].reshape(n_f, m_max, 1))
-        return dy
+                return partial(np.matmul, w_rows[g], MT, out=eta_rows[g])
+            return lambda: eta_rows.__setitem__(g, w_rows[g] @ MT)
+
+        Mw = [gemm(g, MT) for g, MT in self.M_by_order]
+        p_row, v, v_row, w_flat = PV[0], PV[1], PV[1, self.n_l * d :], w.reshape(-1)
+
+        def law():
+            np.copyto(p_row, p)
+            np.copyto(v_row, v_f)
+            np.dot(PV, BfT, out=S)
+            np.dot(G2, S, out=SU)
+            N_x[last] = v_f
+            np.subtract(eta, N_x, out=w_flat)
+            if form:
+                np.matmul(coef, w, out=tw)
+                if adaptive:
+                    np.matmul(w, s3, out=ws)
+            np.add(u3, tw, out=u3)
+            np.add(u, y[var0], out=dy_vf)
+            np.copyto(dy_p, v)
+            for Mw_g in Mw:
+                Mw_g()
+            N_x[last] = u
+            np.add(dy_eta, N_x, out=dy_eta)
+            np.matmul(Phi3, var, out=dy_var)
+            if adaptive:
+                np.matmul(neg_Lam3, ws, out=dy_th)
+
+        return law
 
     def rhs(self, y, out=None):
-        """The closed loop's dy/dt at y, written into out (as `_law`) when it
-        is given and a fresh array otherwise; y is only read."""
-        s_p, s_v, w, th = self._readouts(y, self._reads)
-        if not self.adaptive:
-            return self._law(y, s_p, s_v, w, out=out)
-        np.add(s_p, s_v, out=self._s)
-        np.matmul(w, self._s3, out=self._ws)
-        np.matmul(th, w, out=self._tw)
-        return self._law(y, s_p, s_v, w, self._tw, self._ws, out=out)
+        """The closed loop's dy/dt at y, written into out (a C-contiguous
+        array of dim floats) when it is given and a fresh array otherwise;
+        y is only read."""
+        dy = np.empty(self.dim) if out is None else out
+        self._bind(y, dy)()
+        return dy
 
-    def _factors(self, s_p, s_v, w, th):
+    def _factors(self, y):
         """[z_a; z_b], the flat factors of the n_prod adaptive products
-        p = z_a * z_b: first θ̂_ik w_ika, then w_ika s_ia."""
-        th_b = np.broadcast_to(th.transpose(0, 2, 1), w.shape)
-        s_b = np.broadcast_to((s_p + s_v).reshape(self.n_f, 1, self.d), w.shape)
+        p = z_a * z_b at the law's last evaluation, on y: first θ̂_ik w_ika,
+        then w_ika s_ia."""
+        SU, w = self._bufs[2:4]
+        th_b = np.broadcast_to(y[self.i_th :].reshape(self.n_f, self.m_max, 1), w.shape)
+        s_b = np.broadcast_to(SU[0].reshape(self.n_f, 1, self.d), w.shape)
         return np.concatenate([th_b, w, w, s_b], axis=None)
 
     def _sums(self, P):
-        """The per-follower sums of the flat products P that `_law` takes:
+        """The per-follower sums of the flat products P that the law takes:
         θ̂ w (n_f, 1, d) and w s (n_f, m_max, 1)."""
         tw, ws = (x.reshape(self.n_f, self.m_max, self.d) for x in np.split(P, 2))
         return tw.sum(axis=1, keepdims=True), ws.sum(axis=2, keepdims=True)
 
     def rk4(self):
-        """The chunk advance of classical RK4 steps of size sc.h, each taken
-        stage by stage through rhs.  The slopes k1..k4 and the stage states
-        are preallocated buffers, and y + (h/6)(k1 + 2 k2 + 2 k3 + k4) is
-        formed in place in that association order, so the states are
-        bitwise those of RK4 written with fresh arrays.  The last state is
-        returned as a copy, which the next chunk's out may overwrite."""
-        rhs, h = self.rhs, self.sc.h
-        k1, k2, k3, k4, stage = np.empty((5, self.dim))
+        """The chunk advance of classical RK4 steps of size sc.h, taken stage
+        by stage through the law bound once to the current and stage states
+        and the slopes k1..k4.  y + (h/6)(k1 + 2 k2 + 2 k3 + k4) is formed in
+        place in that association order, so the states are bitwise those of
+        RK4 on rhs with fresh arrays.  The input is only read, and the last
+        state is returned as a copy, which the next chunk's out may overwrite."""
+        h, half, sixth = self.sc.h, 0.5 * self.sc.h, self.sc.h / 6.0
+        y, stage, k1, k2, k3, k4 = np.empty((6, self.dim))
+        f1, f2, f3, f4 = map(self._bind, (y, stage, stage, stage), (k1, k2, k3, k4))
 
-        def advance(y, out):
-            for c in range(len(out)):
-                rhs(y, out=k1)
-                np.add(y, np.multiply(k1, 0.5 * h, out=stage), out=stage)
-                rhs(stage, out=k2)
-                np.add(y, np.multiply(k2, 0.5 * h, out=stage), out=stage)
-                rhs(stage, out=k3)
+        def advance(y0, out):
+            np.copyto(y, y0)
+            for row in out:
+                f1()
+                np.add(y, np.multiply(k1, half, out=stage), out=stage)
+                f2()
+                np.add(y, np.multiply(k2, half, out=stage), out=stage)
+                f3()
                 np.add(y, np.multiply(k3, h, out=stage), out=stage)
-                rhs(stage, out=k4)
+                f4()
                 acc = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
                 np.add(acc, np.multiply(k3, 2.0, out=k3), out=acc)
                 np.add(acc, k4, out=acc)
-                y = np.add(y, np.multiply(acc, h / 6.0, out=acc), out=out[c])
+                np.add(y, np.multiply(acc, sixth, out=acc), out=y)
+                np.copyto(row, y)
             return y.copy()
 
         return advance
@@ -374,18 +363,31 @@ class Engine:
         [z_a; z_b] = C y + c, the n_prod adaptive products written out (the
         known and feedback_only modes have none, and C, c and D are empty).
 
-        Each is probed from the pieces of rhs: dim + 1 calls of the affine
-        part and of the readouts, and n_prod + 1 of the law at y = 0 with the
-        sums of unit products, so the control law keeps one implementation.
+        Each is probed from the bound law, so the control law keeps one
+        implementation: dim + 1 calls with the sums held at zero and with its
+        factors, and n_prod + 1 at y = 0 with the sums of unit products.
         """
         dim, n_p = self.dim, self.n_prod
-        b, A = probe(lambda y: self._law(y, *self._readouts(y)[:3]), dim)
+        y, dy = np.zeros((2, dim))
+        law, held = self._bind(y, dy), self._bind(y, dy, sums=False)
+        tw, ws = self._bufs[4:6]
+
+        def at(x, f=held):
+            y[:] = x
+            f()
+            return dy.copy()
+
+        tw[:] = ws[:] = 0.0
+        b, A = probe(at, dim)
         if not n_p:
             return A, b, np.zeros((0, dim)), np.zeros(0), np.zeros((dim, 0))
-        c, C = probe(lambda y: self._factors(*self._readouts(y)), dim)
-        zero = np.zeros(dim)
-        at_zero = self._readouts(zero)[:3]
-        D = probe(lambda P: self._law(zero, *at_zero, *self._sums(P)), n_p)[1]
+        c, C = probe(lambda x: (at(x, law), self._factors(y))[1], dim)
+
+        def summed(P):
+            tw[:], ws[:] = self._sums(P)
+            return at(0.0)
+
+        D = probe(summed, n_p)[1]
         return A, b, C, c, D
 
     def operator_step(self):
@@ -603,23 +605,16 @@ def build_certificate(sc):
     is gamma_sigma = 2 lambda_max(B_ff W B_ff) / lambda_min(Q), with
     W = E_f E_f^T = diag(|E_i|^2 kron 1_d); gamma exceeds it by 1 percent.
     G_c = blkdiag(G_i kron I_d) solves G M_f + M_f^T G = -I and is kept as
-    its G_i per order; lambda_min(Q) and G_i come from check_certificate.
+    its G_i per order; lambda_min(Q), G_i and gamma_sigma come from scenario.
     """
-    B_ff, mu = sc.laplacian.B_ff, float(sc.laplacian.ff_eigenvalues[0])
-    kp, kv = sc.kappa_p, sc.kappa_v
-    lam_Q, G = check_certificate(kp, kv, mu, sc.groups)
-    # |E_i|^2 of each follower, as the 1-D dot E_i @ E_i rounds it
-    e2 = np.empty(sc.n_f)
-    for g in sc.groups:
-        e2[g.idx] = (g.E[:, None, :] @ g.E[:, :, None]).reshape(-1)
-    e2 = np.repeat(e2, sc.d)
-    with np.errstate(over="ignore", invalid="ignore"):  # beyond float range: inf
-        gamma_sigma = float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
+    B_ff, kp, kv = sc.laplacian.B_ff, sc.kappa_p, sc.kappa_v
+    lam_Q, G = check_certificate(kp, kv, sc.laplacian, sc.groups)
+    gs = gamma_sigma(sc.laplacian, sc.groups, lam_Q)
     return LyapunovCertificate(
         P_c=np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]]),
         G=G,
-        gamma=1.01 * gamma_sigma,
-        gamma_sigma=gamma_sigma,
+        gamma=1.01 * gs,
+        gamma_sigma=gs,
         lambda_min_Qc=lam_Q,
     )
 

@@ -17,6 +17,7 @@ dense block-diagonal M_f and E_f.
 import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,19 +513,40 @@ def test_certificate_on_a_swarm():
     assert abs(cert.lambda_min_Qc - dense[0]) <= 1e-14 * np.abs(dense).max()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+def one_chunk_swarm(mode):
+    """The 64-agent complete formation over one chunk, every state recorded."""
+    return dataclasses.replace(
+        complete_formation(64, mode, t_final=CHECK_CHUNK * 1e-3), record_every=1
+    )
+
+
+BOUND_CASES = {
+    **CASES,
+    "swarm_known": lambda: one_chunk_swarm("known"),
+    "swarm_adaptive": lambda: one_chunk_swarm("adaptive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_rhs_matches_reference(case):
     """On the real coordinates of states with zero padding; the padding of
-    rhs is exactly 0."""
-    sc = CASES[case]()
+    rhs is exactly 0.  The law bound once to fixed buffers, as the staged
+    step binds it, and evaluated on each state copied into its input,
+    writes bitwise rhs."""
+    sc = BOUND_CASES[case]()
     eng, ref = Engine(sc), ReferenceEngine(sc)
     assert eng.dim == sc.state_dim and len(eng.real) == ref.dim
+    y_buf, dy_buf = np.empty((2, eng.dim))
+    law = eng._bind(y_buf, dy_buf)
     rng = np.random.default_rng(7)
     random = padded_state(eng, rng.standard_normal((5, ref.dim)))
     for y in [eng.initial_state()] + list(random):
         dy = eng.rhs(y)
         assert_close(dy[eng.real], ref.rhs(y[eng.real]))
         assert (padding(eng, dy) == 0).all()
+        y_buf[:] = y
+        law()
+        assert dy_buf.tobytes() == dy.tobytes()
 
 
 def test_mixed_orders_are_padded():
@@ -557,6 +579,19 @@ def test_interleaved_orders_are_indexed():
     assert one.tolist() == [0, 2] and three == slice(1, 2)
 
 
+def reference_states(sc):
+    """The states after t = 0 of reference_integrate (sc with record_every
+    1), in the engine's layout."""
+    ref = reference_integrate(sc)
+    return np.concatenate(
+        [x.reshape(len(ref.times), -1) for x in (
+            ref.positions, ref.velocities[:, sc.n_l :],
+            ref.eta, ref.vartheta, ref.theta_hat,
+        )],
+        axis=1,
+    )[1:]
+
+
 @pytest.mark.parametrize("case", ["skewed_known", "skewed_adaptive"])
 def test_padded_steppers_match_reference(case):
     """Both chunk advances, the operator step and the staged Engine.rk4,
@@ -565,15 +600,7 @@ def test_padded_steppers_match_reference(case):
     chunk stays bitwise 0."""
     sc = dataclasses.replace(CASES[case](), record_every=1)
     eng = Engine(sc)
-    ref = reference_integrate(sc)
-    # the reference's states in the engine's layout
-    ref_states = np.concatenate(
-        [x.reshape(len(ref.times), -1) for x in (
-            ref.positions, ref.velocities[:, sc.n_l :],
-            ref.eta, ref.vartheta, ref.theta_hat,
-        )],
-        axis=1,
-    )[1:]
+    ref_states = reference_states(sc)
     for advance in (eng.operator_step(), eng.rk4()):
         y, chunk = eng.initial_state(), np.empty((CHECK_CHUNK, eng.dim))
         for first in range(0, sc.n_steps, CHECK_CHUNK):
@@ -624,6 +651,36 @@ def test_rhs_into_a_buffer(case):
         assert eng.rhs(y, out=buf) is buf
         assert buf.tobytes() == eng.rhs(y).tobytes()
         assert y.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["known", "adaptive"])
+def test_staged_chunk_on_a_swarm_matches_reference(mode):
+    """One chunk of the staged step on the 64-agent complete formation,
+    which integrate steps stage by stage, against one RK4 step at a time
+    through ReferenceEngine on every state."""
+    sc = one_chunk_swarm(mode)
+    eng = Engine(sc)
+    assert eng.operator_macs >= OPERATOR_MAX_MACS and sc.n_steps == CHECK_CHUNK
+    chunk = np.empty((CHECK_CHUNK, eng.dim))
+    eng.rk4()(eng.initial_state(), chunk)
+    assert_close(chunk, reference_states(sc))
+
+
+def test_staged_chunk_allocates_no_state():
+    """After a warm-up chunk, one staged chunk on the 64-agent adaptive
+    formation allocates less than two states at its peak: the returned copy
+    of the last state is one, so no stage, slope or readout of the state's
+    size is allocated."""
+    eng = Engine(complete_formation(64, "adaptive"))
+    advance, chunk = eng.rk4(), np.empty((CHECK_CHUNK, eng.dim))
+    y = advance(eng.initial_state(), chunk)
+    tracemalloc.start()
+    try:
+        advance(y, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eng.dim * 8 <= peak < 2 * eng.dim * 8
 
 
 @pytest.mark.parametrize("mode", ["known", "adaptive"])
@@ -888,10 +945,12 @@ def law_terms(eng, y):
     in adaptive mode.  At order 11 the entries of M and N E reach 1.5e8, so
     on a random state the law's own rounding of M w + N E w, a few eps of
     these, is about 1e-8 where M w + N E w itself is small."""
-    s_p, s_v, w, th = eng._readouts(y)
+    eng.rhs(y)
+    (s_p, s_v), w = eng._bufs[1], eng._bufs[3]
+    th = y[eng.i_th :].reshape(eng.n_f, 1, -1) if eng.adaptive else eng.E3
     kp, kv = eng.sc.kappa_p, eng.sc.kappa_v
     u = (kp * np.abs(s_p) + kv * np.abs(s_v)).reshape(eng.n_f, 1, eng.d)
-    u = u + (np.abs(th) if eng.adaptive else np.abs(eng.E3)) @ np.abs(w)
+    u = u + np.abs(th) @ np.abs(w)
     terms = np.zeros(eng.dim)
     rows = terms[eng.i_eta : eng.i_var].reshape(eng.n_f, eng.m_max, eng.d)
     for i, model in enumerate(per_follower(eng.sc)):
@@ -902,26 +961,28 @@ def law_terms(eng, y):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pieces_compose_rhs(case):
-    """rhs is the law at its readouts and product sums, and the probed
-    product form y' = A y + b + D (z_a * z_b), [z_a; z_b] = C y + c, gives
-    it back.  The product form sums dense rows, in another order than the
-    law and after cancellations the law does not make (M + N E is small
-    where M and N E are not), so its bound scales with the magnitude of
-    the terms summed, both the product form's and the law's (law_terms)."""
+    """rhs is the law with its product sums held at the sums of its own
+    factors' products, and the probed product form y' = A y + b +
+    D (z_a * z_b), [z_a; z_b] = C y + c, gives it back.  The product form
+    sums dense rows, in another order than the law and after cancellations
+    the law does not make (M + N E is small where M and N E are not), so
+    its bound scales with the magnitude of the terms summed, both the
+    product form's and the law's (law_terms)."""
     sc = CASES[case]()
     eng = Engine(sc)
     A, b, C, c, D = eng.product_form()
     n_p = eng.n_prod
     assert C.shape == (2 * n_p, eng.dim) and D.shape == (eng.dim, n_p)
+    tw, ws = eng._bufs[4:6]
     rng = np.random.default_rng(3)
     for y in [eng.initial_state()] + list(rng.standard_normal((5, eng.dim))):
         ref = eng.rhs(y)
-        s_p, s_v, w, th = eng._readouts(y)
-        law = eng._law(y, s_p, s_v, w)
+        law = np.empty(eng.dim)
         if n_p:
-            z = eng._factors(s_p, s_v, w, th)
-            law = eng._law(y, s_p, s_v, w, *eng._sums(z[:n_p] * z[n_p:]))
+            z = eng._factors(y)
             assert_close(z, C @ y + c)
+            tw[:], ws[:] = eng._sums(z[:n_p] * z[n_p:])
+        eng._bind(y, law, sums=False)()
         assert np.all(np.abs(law - ref) <= 1e-14 * (1.0 + np.abs(ref)))
         z = C @ y + c
         p = z[:n_p] * z[n_p:]
@@ -1025,21 +1086,32 @@ def test_frozen_estimate_is_zero_gain(case):
 
 def test_swarm_size_known_takes_staged_step(monkeypatch):
     """A 64-agent known formation (state dim 996) is past OPERATOR_MAX_MACS:
-    integrate steps it stage by stage, 4 rhs calls a step, and builds no
-    operator (every evaluation of the law comes from rhs)."""
+    integrate steps it stage by stage, 4 evaluations of the law a step, and
+    builds no operator: the law is bound 4 times, once per stage of the one
+    staged stepper, and every evaluation comes from those bindings."""
     sc = dataclasses.replace(
         complete_formation(64, "known"), t_final=0.005, record_every=1
     )
     assert Engine(sc).operator_macs >= OPERATOR_MAX_MACS
-    calls = {"rhs": 0, "_law": 0}
-    for name in calls:
-        method = getattr(Engine, name)
+    calls = {"_bind": 0, "law": 0, "product_form": 0}
+    bind, product_form = Engine._bind, Engine.product_form
 
-        def counted(self, *args, _method=method, _name=name, **kwargs):
-            calls[_name] += 1
-            return _method(self, *args, **kwargs)
+    def counted_bind(self, *args, **kwargs):
+        calls["_bind"] += 1
+        law = bind(self, *args, **kwargs)
 
-        monkeypatch.setattr(Engine, name, counted)
+        def counted_law():
+            calls["law"] += 1
+            law()
+
+        return counted_law
+
+    def counted_product_form(self):
+        calls["product_form"] += 1
+        return product_form(self)
+
+    monkeypatch.setattr(Engine, "_bind", counted_bind)
+    monkeypatch.setattr(Engine, "product_form", counted_product_form)
     traj = integrate(sc)
     assert len(traj.times) == 6
-    assert calls == {"rhs": 4 * 5, "_law": 4 * 5}
+    assert calls == {"_bind": 4, "law": 4 * 5, "product_form": 0}

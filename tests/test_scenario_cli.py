@@ -466,23 +466,6 @@ class TestCli:
         assert code == 4
         assert err == ["divergence: oracles.lyapunov: V = inf is not finite at t=0.000000"]
 
-    def test_tiny_kappa_p_adaptive_names_lyapunov(self, tmp_path):
-        """kappa_p = 1e-320 puts the certificate's gamma_sigma beyond float
-        range: run --oracles exits 4 with one line naming V, and forming
-        gamma_sigma raises no NumPy warning."""
-        path, flags = bundled_scenario("square_adaptive"), ["--kappa-p", "1e-320"]
-        out = tmp_path / "tiny"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, err = _main_stderr(
-                ["run", path, *flags, "--oracles", "--t-final", "0.1", "--out", str(out)]
-            )
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        assert (code, err) == (
-            4, ["divergence: oracles.lyapunov: V = inf is not finite at t=0.000000"]
-        )
-        assert not out.exists()
-
     def test_non_finite_metric_writes_nothing(self, tmp_path):
         """Two follower positions of 1.3e308 stay finite over two steps, but
         their joint error norm is beyond float range: exit 4 with one line
@@ -672,6 +655,48 @@ class TestCli:
         )
         assert (code, err) == (2, [self.ORDER_13_LINE])
         assert not out.exists()
+
+    def test_infinite_gamma_exits_2(self, tmp_path, monkeypatch):
+        """kappa_p = 1e-320 passes the gain gate, but lambda_min(Q) is then
+        subnormal and gamma_sigma overflows, so the Lyapunov value would be
+        inf at t = 0.  validate and run exit 2 at load with one line naming
+        the certificate, and nothing is integrated or written; forming
+        gamma_sigma raises no NumPy warning.  A kappa_p whose bound on
+        gamma_sigma stays finite passes without the exact value: its load
+        takes the eigvalsh calls of a default one, and the overflowing bound
+        adds the one of B_ff W B_ff."""
+        path = bundled_scenario("square_adaptive")
+        line = (
+            "error: certificate: CertificateFailed: gamma is beyond float "
+            "range (lambda_min(Q) 1.714e-321)"
+        )
+        assert _main_stderr(["validate", path, "--kappa-p", "1e-320"]) == (2, [line])
+
+        def fail(sc):
+            raise AssertionError("integrated a scenario that fails at load")
+
+        monkeypatch.setattr(cli, "integrate", fail)
+        out = tmp_path / "inf"
+        argv = ["run", path, "--kappa-p", "1e-320", "--oracles", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _main_stderr(argv) == (2, [line])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not out.exists()
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        shapes = {}
+        for kappa_p, code in (("1", 0), ("1e-300", 0), ("1e-320", 2)):
+            calls.clear()
+            assert _main_stderr(["validate", path, "--kappa-p", kappa_p])[0] == code
+            shapes[kappa_p] = list(calls)
+        assert shapes["1e-300"] == shapes["1"]
+        assert shapes["1e-320"] == shapes["1"] + [(4, 4)]
 
     def test_certificate_failure_on_any_blas_thread_count(self, tmp_path):
         """The same scenario in fresh processes with one and with two BLAS
