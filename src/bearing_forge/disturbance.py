@@ -9,8 +9,6 @@ first block is the signal itself and whose k-th block is the k-th derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DuplicateFrequency, NonFiniteExosystem, NonPositiveFrequency
@@ -18,29 +16,23 @@ from .errors import DuplicateFrequency, NonFiniteExosystem, NonPositiveFrequency
 FREQ_GAP = 1e-9
 
 
-@dataclass(frozen=True)
 class DisturbanceSpec:
     """Closed-form disturbance: constant offset C0 (d,) plus r sinusoid
     terms, term j at frequencies[j] with per-axis amplitudes[j] and
     phases[j], both (r, d)."""
 
-    d: int
-    C0: np.ndarray
-    frequencies: np.ndarray = ()
-    amplitudes: np.ndarray = ()
-    phases: np.ndarray = ()
-
-    def __post_init__(self):
-        r, d = np.size(self.frequencies), self.d
-        for name, shape in (
-            ("C0", (d,)), ("frequencies", (r,)), ("amplitudes", (r, d)), ("phases", (r, d)),
+    def __init__(self, d, C0, frequencies=(), amplitudes=(), phases=()):
+        r, self.d = np.size(frequencies), d
+        for name, value, shape in (
+            ("C0", C0, (d,)), ("frequencies", frequencies, (r,)),
+            ("amplitudes", amplitudes, (r, d)), ("phases", phases, (r, d)),
         ):
-            a = np.asarray(getattr(self, name), dtype=float)
+            a = np.asarray(value, dtype=float)
             if a.shape == (0,) and shape[0] == 0:  # () stands for (0, d)
                 a = a.reshape(shape)
             if a.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-            object.__setattr__(self, name, a)
+            setattr(self, name, a)
         _check_frequencies(self.frequencies)
 
     @property

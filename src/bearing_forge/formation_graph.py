@@ -17,7 +17,6 @@ the gain gate, the closed-loop spectrum and the Lyapunov certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -102,7 +101,6 @@ def projector(g):
     return _projectors(np.asarray(g, dtype=float)[None, :])[0]
 
 
-@dataclass(frozen=True, eq=False)
 class SensingGraph:
     """Undirected sensing graph with a leader/follower partition.
 
@@ -115,11 +113,6 @@ class SensingGraph:
         stored as the read-only (k, 2) array of the distinct edges as pairs
         i < j, in lexicographic order
     """
-
-    n: int
-    d: int
-    n_l: int
-    edges: np.ndarray
 
     def __init__(self, n, d, n_l, edges):
         if n < 3:
@@ -143,10 +136,7 @@ class SensingGraph:
         order, last = _runs(keys)
         pairs = _pairs(keys[order[last]])
         pairs.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n_l", n_l)
-        object.__setattr__(self, "edges", pairs)
+        self.n, self.d, self.n_l, self.edges = n, d, n_l, pairs
 
     @property
     def n_f(self):
@@ -253,14 +243,11 @@ class BearingSet:
         return g.copy() if i < j else -g
 
 
-@dataclass(frozen=True)
 class BearingLaplacian:
     """The nd x nd bearing Laplacian and its leader/follower partition."""
 
-    B: np.ndarray
-    n: int
-    d: int
-    n_l: int
+    def __init__(self, B, n, d, n_l):
+        self.B, self.n, self.d, self.n_l = B, n, d, n_l
 
     @property
     def n_f(self):

@@ -8,8 +8,6 @@ from sigma(Phi) = {0, +-i w_j}, (M, e_m) is controllable, (Phi, e_1) is
 observable.  E = Psi T^{-1} reconstructs the disturbance from the compensator.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .disturbance import companion
@@ -18,23 +16,23 @@ from .errors import SingularT
 RESIDUAL_TOL = 1e-12  # ||T Phi - M T - N Psi|| <= RESIDUAL_TOL ||T|| (||Phi|| + ||M||)
 
 
-@dataclass(frozen=True)
 class FollowerGroup:
     """The followers of one order m = 2r+1, their controllers stacked: g
     followers at the ascending positions idx among the followers, sharing
     M and N (choose_MN), each with its exosystem, internal model, initial
     states and adaptation gain as one row of each stack."""
 
-    idx: np.ndarray         # (g,) positions among the followers
-    M: np.ndarray           # (m, m), Hurwitz
-    N: np.ndarray           # (m,), column of the controllable pair
-    Phi: np.ndarray         # (g, m, m) companion exosystem matrices
-    T: np.ndarray           # (g, m, m) nonsingular Sylvester solutions
-    E: np.ndarray           # (g, m) rows Psi T^{-1}
-    theta0: np.ndarray      # (g, m, d) initial exosystem states
-    eta0: np.ndarray        # (g, m, d) initial compensator states
-    theta_hat0: np.ndarray  # (g, m) initial estimates of the rows E
-    Lam: np.ndarray         # (g, m, m) adaptation gains
+    def __init__(self, idx, M, N, Phi, T, E, theta0, eta0, theta_hat0, Lam):
+        self.idx = idx                  # (g,) positions among the followers
+        self.M = M                      # (m, m), Hurwitz
+        self.N = N                      # (m,), column of the controllable pair
+        self.Phi = Phi                  # (g, m, m) companion exosystem matrices
+        self.T = T                      # (g, m, m) nonsingular Sylvester solutions
+        self.E = E                      # (g, m) rows Psi T^{-1}
+        self.theta0 = theta0            # (g, m, d) initial exosystem states
+        self.eta0 = eta0                # (g, m, d) initial compensator states
+        self.theta_hat0 = theta_hat0    # (g, m) initial estimates of the rows E
+        self.Lam = Lam                  # (g, m, m) adaptation gains
 
     @property
     def order(self):

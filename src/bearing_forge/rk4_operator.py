@@ -14,22 +14,27 @@ with W_j = [Z_j, zeta_j, H_j1 ... H_j,j-1] and X = [R, r, G]; without
 products (n_p = 0) y+ = [R, r] [y; 1].  The matrices follow by carrying
 each stage state's coefficients on u.
 
-A stepper is a chunk advance: advance(y, out) fills the rows of out with
-the states that follow y, one step apart, and returns the last of them.
+A stepper is a chunk advance: advance(y, out) fills the rows of out (one
+or more) with the states that follow y, one step apart, and returns a copy
+of the last of them; y is only read, and may be a row of out.
 """
 
 import numpy as np
 
+# states per block of the adaptive advance's work matrix: the chunk that
+# sim_engine.integrate advances at a time
+BLOCK = 64
+
 
 def probe(f, n):
     """(f(0), F) for an affine map f of n inputs, so that f(x) = f(0) + F x;
-    n + 1 calls of f."""
-    f0 = f(np.zeros(n))
+    n + 1 calls of f, which may return the same buffer each time."""
+    f0 = f(np.zeros(n)).copy()
     F = np.empty((f0.size, n))
     e = np.zeros(n)
     for j in range(n):
         e[j] = 1.0
-        F[:, j] = f(e) - f0
+        np.subtract(f(e), f0, out=F[:, j])
         e[j] = 0.0
     return f0, F
 
@@ -88,13 +93,13 @@ def doubling(X):
         rows = len(out)
         Y = np.empty((rows, dim + 1))
         y1[:dim] = y
-        np.dot(y1, RT, out=Y[0])
+        y1.dot(RT, Y[0])
         k, j = 1, 0
         while k < rows:
             if j == len(powers):
                 powers.append(powers[-1] @ powers[-1])
             m = min(k, rows - k)
-            np.dot(Y[:m], powers[j], out=Y[k : k + m])
+            Y[:m].dot(powers[j], Y[k : k + m])
             k, j = 2 * k, j + 1
         out[:] = Y[:, :dim]
         return out[-1].copy()
@@ -105,29 +110,48 @@ def doubling(X):
 def operator_step(A, b, C, c, D, h):
     """The chunk advance of the RK4 step of size h of
     y' = A y + b + D (z_a * z_b), [z_a; z_b] = C y + c: by doubling without
-    products, and one step at a time otherwise.  The advance keeps its work
-    row u, so it serves one run at a time; X u is written straight into
-    the next row of out, which must be C-contiguous."""
+    products, and one step at a time otherwise.
+
+    A step runs in a work matrix U whose row r is u = [y; 1; p_1; ...; p_4]
+    of step r, X u written straight into the y of row r + 1.  The views
+    each step reads and writes are made once per stepper, so a step is 4
+    bound W_j.dot, 4 multiplies and one X.dot, and a block of up to BLOCK
+    states is copied into out at once; a longer out goes block by block.
+    The advance keeps U, so it serves one run at a time."""
     Ws, X = rk4_map(A, b, C, c, D, h)
     dim, n_p = X.shape[0], D.shape[1]
     if not n_p:
         return doubling(X)
 
-    u = np.ones(X.shape[1])
+    U = np.ones((BLOCK + 1, X.shape[1]))
     z = np.empty(2 * n_p)
     za, zb = z[:n_p], z[n_p:]
-    # (W_j, the prefix of u that W_j reads, the slot of p_j)
-    stages = [(W, u[: W.shape[1]], u[W.shape[1] : W.shape[1] + n_p]) for W in Ws]
-    dot, multiply = np.dot, np.multiply
+    ks = [W.shape[1] for W in Ws]
+    # per step r: (the prefix of u that W_j reads, the slot of p_j) for each
+    # stage j, then u and the y of the next row
+    steps = [
+        (*(v for k in ks for v in (u[:k], u[k : k + n_p])), u, U[r + 1, :dim])
+        for r, u in enumerate(U[:-1])
+    ]
+    W1, W2, W3, W4 = (W.dot for W in Ws)
+    Xdot, multiply, first = X.dot, np.multiply, U[0, :dim]
 
     def advance(y, out):
-        u[:dim] = y
-        for row in out:
-            for W, x, p in stages:
-                dot(W, x, z)
-                multiply(za, zb, p)
-            dot(X, u, row)
-            u[:dim] = row
-        return out[-1].copy()
+        first[:] = y
+        for start in range(0, len(out), BLOCK):
+            rows = min(BLOCK, len(out) - start)
+            for x1, p1, x2, p2, x3, p3, x4, p4, u, nxt in steps[:rows]:
+                W1(x1, z)
+                multiply(za, zb, p1)
+                W2(x2, z)
+                multiply(za, zb, p2)
+                W3(x3, z)
+                multiply(za, zb, p3)
+                W4(x4, z)
+                multiply(za, zb, p4)
+                Xdot(u, nxt)
+            out[start : start + rows] = U[1 : rows + 1, :dim]
+            first[:] = U[rows, :dim]
+        return first.copy()
 
     return advance

@@ -16,7 +16,6 @@ import math
 import os
 import reprlib
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,27 +74,31 @@ RK4_AXIS_LIMIT = 2.0 * math.sqrt(2.0)
 RK4_REACH = 3.0
 
 
-@dataclass
 class CompiledScenario:
     """Everything the engine needs, synthesized once at load time."""
 
-    graph: object
-    laplacian: object
-    p_star0: np.ndarray          # (n, d) target configuration at t=0
-    v_c: np.ndarray              # (d,)
-    p0: np.ndarray               # (n, d) initial positions
-    v_f0: np.ndarray             # (n_f, d) initial follower velocities
-    mode: str                    # "known" | "adaptive" | "feedback_only"
-    kappa_p: float               # position and velocity feedback gains
-    kappa_v: float
-    groups: list                 # one internal_model.FollowerGroup per order
-    freeze_theta: bool
-    h: float
-    t_final: float
-    record_every: int
-    collision_eps: float
-    output_dir: str
-    oracles: bool
+    def __init__(
+        self, graph, laplacian, p_star0, v_c, p0, v_f0, mode, kappa_p, kappa_v,
+        groups, freeze_theta, h, t_final, record_every, collision_eps,
+        output_dir, oracles,
+    ):
+        self.graph = graph
+        self.laplacian = laplacian
+        self.p_star0 = p_star0          # (n, d) target configuration at t=0
+        self.v_c = v_c                  # (d,)
+        self.p0 = p0                    # (n, d) initial positions
+        self.v_f0 = v_f0                # (n_f, d) initial follower velocities
+        self.mode = mode                # "known" | "adaptive" | "feedback_only"
+        self.kappa_p = kappa_p          # position and velocity feedback gains
+        self.kappa_v = kappa_v
+        self.groups = groups            # one internal_model.FollowerGroup per order
+        self.freeze_theta = freeze_theta
+        self.h = h
+        self.t_final = t_final
+        self.record_every = record_every
+        self.collision_eps = collision_eps
+        self.output_dir = output_dir
+        self.oracles = oracles
 
     @property
     def n(self):

@@ -15,7 +15,6 @@ this module; the spectrum and certificate gates of the load are in scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -51,28 +50,28 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
-@dataclass
 class Trajectory:
     """Recorded samples of one simulation run."""
 
-    times: np.ndarray            # (S,)
-    positions: np.ndarray        # (S, n, d)
-    velocities: np.ndarray       # (S, n, d); leaders at v_c
-    eta: np.ndarray              # (S, n_f, m_max, d), follower i's in rows :m_i
-    vartheta: np.ndarray         # (S, n_f, m_max, d), as eta
-    theta_hat: np.ndarray        # (S, n_f, m_max) in adaptive mode, (S, n_f, 0) otherwise
-    min_dist: np.ndarray         # (S,)
+    def __init__(self, times, positions, velocities, eta, vartheta, theta_hat, min_dist):
+        self.times = times              # (S,)
+        self.positions = positions      # (S, n, d)
+        self.velocities = velocities    # (S, n, d); leaders at v_c
+        self.eta = eta                  # (S, n_f, m_max, d), follower i's in rows :m_i
+        self.vartheta = vartheta        # (S, n_f, m_max, d), as eta
+        self.theta_hat = theta_hat      # (S, n_f, m_max) in adaptive mode, (S, n_f, 0) otherwise
+        self.min_dist = min_dist        # (S,)
 
 
-@dataclass
 class LyapunovCertificate:
     """Constants of the Lyapunov argument for the adaptive closed loop."""
 
-    P_c: np.ndarray
-    G: dict                      # order m -> G_i (m, m); G_c = blkdiag(G_i kron I_d)
-    gamma: float
-    gamma_sigma: float
-    lambda_min_Qc: float         # smallest eigenvalue of Q (build_certificate)
+    def __init__(self, P_c, G, gamma, gamma_sigma, lambda_min_Qc):
+        self.P_c = P_c
+        self.G = G                      # order m -> G_i (m, m); G_c = blkdiag(G_i kron I_d)
+        self.gamma = gamma
+        self.gamma_sigma = gamma_sigma
+        self.lambda_min_Qc = lambda_min_Qc  # smallest eigenvalue of Q (build_certificate)
 
 
 def _balance(A):
@@ -233,6 +232,10 @@ class Engine:
             np.empty((n_f, 1, d)), np.empty((n_f, m_max, 1)), np.zeros(k * d),
         )
         self._bufs[0][1, : n_l * d] = np.tile(sc.v_c, n_l)
+        # the adaptive products' factors (_factors), flat and as their four
+        # (n_f, m_max, d) parts
+        z = np.empty((4, n_f, m_max, d))
+        self._z = (z.reshape(-1), *z)
 
     def initial_state(self):
         """The scenario's initial values, each group's scattered into its
@@ -280,12 +283,13 @@ class Engine:
 
         Mw = [gemm(g, MT) for g, MT in self.M_by_order]
         p_row, v, v_row, w_flat = PV[0], PV[1], PV[1, self.n_l * d :], w.reshape(-1)
+        PV_dot, G2_dot = PV.dot, G2.dot
 
         def law():
             np.copyto(p_row, p)
             np.copyto(v_row, v_f)
-            np.dot(PV, BfT, out=S)
-            np.dot(G2, S, out=SU)
+            PV_dot(BfT, S)
+            G2_dot(S, SU)
             N_x[last] = v_f
             np.subtract(eta, N_x, out=w_flat)
             if form:
@@ -316,11 +320,14 @@ class Engine:
     def _factors(self, y):
         """[z_a; z_b], the flat factors of the n_prod adaptive products
         p = z_a * z_b at the law's last evaluation, on y: first θ̂_ik w_ika,
-        then w_ika s_ia."""
+        then w_ika s_ia, written into one buffer, which is returned."""
         SU, w = self._bufs[2:4]
-        th_b = np.broadcast_to(y[self.i_th :].reshape(self.n_f, self.m_max, 1), w.shape)
-        s_b = np.broadcast_to(SU[0].reshape(self.n_f, 1, self.d), w.shape)
-        return np.concatenate([th_b, w, w, s_b], axis=None)
+        z, th_z, w_a, w_b, s_z = self._z
+        np.copyto(th_z, y[self.i_th :].reshape(self.n_f, self.m_max, 1))
+        np.copyto(w_a, w)
+        np.copyto(w_b, w)
+        np.copyto(s_z, SU[0].reshape(self.n_f, 1, self.d))
+        return z
 
     def _sums(self, P):
         """The per-follower sums of the flat products P that the law takes:
@@ -375,7 +382,7 @@ class Engine:
         def at(x, f=held):
             y[:] = x
             f()
-            return dy.copy()
+            return dy
 
         tw[:] = ws[:] = 0.0
         b, A = probe(at, dim)

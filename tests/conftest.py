@@ -74,6 +74,17 @@ def make_scenario(**sections):
     return compile_scenario(data)
 
 
+def replace(obj, **changes):
+    """A shallow copy of obj with the named attributes replaced; a name obj
+    does not have raises TypeError, as dataclasses.replace does."""
+    unknown = sorted(changes.keys() - vars(obj).keys())
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no attribute {', '.join(unknown)}")
+    new = copy.copy(obj)
+    vars(new).update(changes)
+    return new
+
+
 def random_formation(rng, n=None, d=None, n_l=2, complete=True):
     """Generic random formation: positions plus a (complete by default) graph."""
     n = n if n is not None else int(rng.integers(4, 9))

@@ -15,7 +15,6 @@ dense block-diagonal M_f and E_f.
 """
 
 import copy
-import dataclasses
 import json
 import tracemalloc
 
@@ -48,6 +47,7 @@ from conftest import (
     padded_state,
     padding,
     per_follower,
+    replace,
 )
 
 TOL = 1e-10
@@ -515,7 +515,7 @@ def test_certificate_on_a_swarm():
 
 def one_chunk_swarm(mode):
     """The 64-agent complete formation over one chunk, every state recorded."""
-    return dataclasses.replace(
+    return replace(
         complete_formation(64, mode, t_final=CHECK_CHUNK * 1e-3), record_every=1
     )
 
@@ -598,7 +598,7 @@ def test_padded_steppers_match_reference(case):
     driven a chunk at a time from the initial state, against one RK4 step
     at a time through ReferenceEngine on every state; the padding of every
     chunk stays bitwise 0."""
-    sc = dataclasses.replace(CASES[case](), record_every=1)
+    sc = replace(CASES[case](), record_every=1)
     eng = Engine(sc)
     ref_states = reference_states(sc)
     for advance in (eng.operator_step(), eng.rk4()):
@@ -719,7 +719,7 @@ def assert_diverges_as_reference(mode):
         controller={"mode": mode.removeprefix("mixed_"), "kappa_v": 4.0},
         integration={"t_final": 1.0},
     )
-    sc = dataclasses.replace(sc, kappa_p=1e4, kappa_v=1e4)
+    sc = replace(sc, kappa_p=1e4, kappa_v=1e4)
     assert (len(set(Engine(sc).orders)) > 1) == mixed
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as ref_info:
@@ -764,9 +764,9 @@ def test_staged_replay_completes_what_the_operator_step_cannot(monkeypatch):
     got = integrate(sc)
     monkeypatch.setattr(sim_engine, "OPERATOR_MAX_MACS", 0)
     staged = integrate(sc)
-    for field in dataclasses.fields(staged):
-        a, b = getattr(got, field.name), getattr(staged, field.name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+    for name in vars(staged):
+        a, b = getattr(got, name), getattr(staged, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def pair_distances(positions):
@@ -853,7 +853,7 @@ def test_crossing_within_one_step_is_a_collision(mode):
     segment between them is below the threshold, and names the step's
     two ends, the pair and that distance."""
     sc = crossing(mode)
-    ref = reference_integrate(dataclasses.replace(crossing(mode, sc.h), record_every=1))
+    ref = reference_integrate(replace(crossing(mode, sc.h), record_every=1))
     assert ref.min_dist.min() > 10 * sc.collision_eps
     with pytest.raises(CollisionDetected) as info:
         integrate(sc)
@@ -1035,10 +1035,50 @@ def test_operator_step_matches_staged(case):
     assert y.tobytes() == ys_op[-1].tobytes()
 
 
+def test_operator_chunk_allocates_no_state():
+    """After a warm-up chunk, one operator chunk on the 10-agent adaptive
+    formation, which integrate steps by the operator, allocates less than
+    two states at its peak: the returned copy of the last state is one, so
+    no step keeps a state-sized row of its own."""
+    eng = Engine(OPERATOR_CASES["below_bound"]())
+    assert eng.operator_macs < OPERATOR_MAX_MACS and eng.n_prod
+    advance, chunk = eng.operator_step(), np.empty((CHECK_CHUNK, eng.dim))
+    y = advance(eng.initial_state(), chunk)
+    tracemalloc.start()
+    try:
+        advance(y, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eng.dim * 8 <= peak < 2 * eng.dim * 8
+
+
+@pytest.mark.parametrize("case", ["bundled_known_10s", "bundled_adaptive_5s"])
+def test_operator_advance_only_reads_its_input(case):
+    """Both operator advances, by doubling and step by step: y is left as it
+    was, also when it is a row of out; the returned state is a copy that
+    the next call's out does not overwrite; and a chunk from a row of out
+    is bitwise the chunk from a copy of that row."""
+    eng = Engine(CASES[case]())
+    advance = eng.operator_step()
+    y0 = eng.initial_state()
+    before = y0.copy()
+    first, again = np.empty((2, CHECK_CHUNK, eng.dim))
+    last = advance(y0, first)
+    assert y0.tobytes() == before.tobytes()
+    kept = last.copy()
+    assert kept.tobytes() == first[-1].tobytes()
+    advance(kept, again)
+    assert kept.tobytes() == last.tobytes()
+    advance(first[-1], first)
+    assert first.tobytes() == again.tobytes()
+    assert last.tobytes() == kept.tobytes()
+
+
 def frozen(sc):
     """sc with each estimate frozen at half of its follower's row E."""
-    groups = [dataclasses.replace(g, theta_hat0=0.5 * g.E) for g in sc.groups]
-    return dataclasses.replace(sc, freeze_theta=True, groups=groups)
+    groups = [replace(g, theta_hat0=0.5 * g.E) for g in sc.groups]
+    return replace(sc, freeze_theta=True, groups=groups)
 
 
 # Terminal follower velocities of two frozen runs, recorded with the
@@ -1089,7 +1129,7 @@ def test_swarm_size_known_takes_staged_step(monkeypatch):
     integrate steps it stage by stage, 4 evaluations of the law a step, and
     builds no operator: the law is bound 4 times, once per stage of the one
     staged stepper, and every evaluation comes from those bindings."""
-    sc = dataclasses.replace(
+    sc = replace(
         complete_formation(64, "known"), t_final=0.005, record_every=1
     )
     assert Engine(sc).operator_macs >= OPERATOR_MAX_MACS

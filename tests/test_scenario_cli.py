@@ -30,7 +30,7 @@ from bearing_forge.sim_engine import (
     xi_oracle,
 )
 
-from conftest import assemble_A_sigma, base_scenario_dict, per_follower
+from conftest import assemble_A_sigma, base_scenario_dict, per_follower, replace
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -375,7 +375,7 @@ class TestCli:
             "allows steps below 0.0001029"
         ]
         sc = load_scenario(bundled_scenario("square_known"), {"t_final": 1.0})
-        sc = dataclasses.replace(sc, kappa_p=1e4, kappa_v=1e4)
+        sc = replace(sc, kappa_p=1e4, kappa_v=1e4)
         monkeypatch.setattr(cli, "load_scenario", lambda *args: sc)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

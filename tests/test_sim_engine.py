@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -29,6 +27,7 @@ from conftest import (
     padding,
     per_follower,
     random_formation,
+    replace,
 )
 from test_decentralization import sparse_scenario
 from test_engine_equivalence import ReferenceEngine
@@ -150,7 +149,7 @@ class TestClosedLoopSpectrum:
         to lambda_max(B_ff) = 2.71, but kv mu plus the root of the
         discriminant does not."""
         sc = CASES["square_known"]()
-        sc = dataclasses.replace(sc, kappa_p=1.0, kappa_v=kappa_v)
+        sc = replace(sc, kappa_p=1.0, kappa_v=kappa_v)
         eig = closed_loop_spectrum(sc)
         assert np.isfinite(eig).all()
         mu = sc.laplacian.ff_eigenvalues
