@@ -9,7 +9,8 @@ the benchmark runs it) and compares the files the two runs wrote
 * the benchmark's three inputs at the benchmark's horizons: the bundled
   squares cut to 10 s (known) and 5 s (adaptive) with ``--t-final``, and the
   seed-7 ``swarm_adaptive`` formation of ``perfbench/swarm.py`` (used as it
-  is) at its own 0.5 s;
+  is) at its own 0.5 s, in its own adaptive mode and, with ``--mode``, in
+  known and in feedback_only mode;
 * the two bundled squares at their shipped horizons, 50 s and 200 s.
 
 For each file the result says whether the two are byte-identical and gives
@@ -45,22 +46,26 @@ import numpy as np  # noqa: E402
 
 DATA = ROOT / "src" / "bearing_forge" / "data"
 FILES = ("trajectory.csv", "metrics.json", "oracles.json")
-# (name, horizons group, scenario, --t-final or None for the file's own)
+# (name, horizons group, scenario, --t-final and --mode, None for the file's own)
 CASES = (
-    ("square_known", "benchmark", "square_known", 10.0),
-    ("square_adaptive", "benchmark", "square_adaptive", 5.0),
-    ("swarm_adaptive", "benchmark", "swarm", None),
-    ("square_known_50s", "shipped", "square_known", None),
-    ("square_adaptive_200s", "shipped", "square_adaptive", None),
+    ("square_known", "benchmark", "square_known", 10.0, None),
+    ("square_adaptive", "benchmark", "square_adaptive", 5.0, None),
+    ("swarm_adaptive", "benchmark", "swarm", None, None),
+    ("swarm_known", "benchmark", "swarm", None, "known"),
+    ("swarm_feedback_only", "benchmark", "swarm", None, "feedback_only"),
+    ("square_known_50s", "shipped", "square_known", None, None),
+    ("square_adaptive_200s", "shipped", "square_adaptive", None, None),
 )
 
 
-def run(src, scenario, t_final, out):
+def run(src, scenario, t_final, mode, out):
     """Exit code and stderr of one `run --oracles` from the tree src."""
     argv = [sys.executable, "-m", "bearing_forge.cli", "run", str(scenario),
             "--oracles", "--out", str(out)]
     if t_final is not None:
         argv += ["--t-final", repr(t_final)]
+    if mode is not None:
+        argv += ["--mode", mode]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stderr.strip()
@@ -150,12 +155,12 @@ def main(argv=None):
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for case, group, scenario, t_final in CASES:
+        for case, group, scenario, t_final, mode in CASES:
             if args.horizons not in (group, "all"):
                 continue
             path = (swarm_scenario(tmp / "swarm_adaptive.json") if scenario == "swarm"
                     else DATA / f"{scenario}.json")
-            runs = {name: run(src, path, t_final, tmp / case / name)
+            runs = {name: run(src, path, t_final, mode, tmp / case / name)
                     for name, src in trees.items()}
             files = {
                 f: compare_file(f, tmp / case / "this_tree" / f, tmp / case / "baseline" / f)
@@ -165,6 +170,7 @@ def main(argv=None):
                 "case": case,
                 "horizons": group,
                 "t_final": t_final or json.loads(path.read_text())["integration"]["t_final"],
+                "mode": mode or json.loads(path.read_text())["controller"]["mode"],
                 "runs": {name: {"exit": code, "stderr": err}
                          for name, (code, err) in runs.items()},
                 "identical": all(f["identical"] for f in files.values()),

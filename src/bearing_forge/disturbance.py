@@ -33,38 +33,27 @@ class DisturbanceSpec:
             if a.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
             setattr(self, name, a)
-        _check_frequencies(self.frequencies)
+        for w in self.frequencies:
+            if w <= 0:
+                raise NonPositiveFrequency(f"frequency {w} must be positive")
+        freqs = sorted(self.frequencies)
+        for a, b in zip(freqs, freqs[1:]):
+            if b - a <= FREQ_GAP:
+                raise DuplicateFrequency(
+                    f"frequencies {a} and {b} closer than {FREQ_GAP:g}"
+                )
 
     @property
     def r(self):
         return len(self.frequencies)
 
 
-def _check_frequencies(freqs):
-    for w in freqs:
-        if w <= 0:
-            raise NonPositiveFrequency(f"frequency {w} must be positive")
-    freqs = sorted(freqs)
-    for a, b in zip(freqs, freqs[1:]):
-        if b - a <= FREQ_GAP:
-            raise DuplicateFrequency(
-                f"frequencies {a} and {b} closer than {FREQ_GAP:g}"
-            )
-
-
-def min_poly_coeffs(frequencies):
-    """Monic coefficients [1, a_1, ..., a_{2r+1}], highest power first (the
-    convention of np.poly), of s * prod_j (s^2 + w_j^2): _min_polys of a
-    stack of one, after the check that DisturbanceSpec makes."""
-    _check_frequencies(frequencies)
-    return _min_polys(np.asarray(frequencies, dtype=float)[None])[0]
-
-
 def _min_polys(w):
-    """min_poly_coeffs of each row of a (g, r) stack of checked frequencies,
-    shape (g, 2r + 2).  Multiplying by s^2 + w^2 adds w^2 times the
-    coefficients two places up, as np.convolve with [1, 0, w^2] does, to
-    the bit."""
+    """Monic coefficients [1, a_1, ..., a_{2r+1}], highest power first (the
+    convention of np.poly), of s * prod_j (s^2 + w_j^2) for each row of a
+    (g, r) stack of checked frequencies, shape (g, 2r + 2).  Multiplying by
+    s^2 + w^2 adds w^2 times the coefficients two places up, as np.convolve
+    with [1, 0, w^2] does, to the bit."""
     g, r = w.shape
     poly = np.zeros((g, 2 * r + 2))
     poly[:, 0] = 1.0  # s
@@ -85,11 +74,11 @@ def companion(poly):
     return C
 
 
-def _derivatives(C0, w, A, ph, t, m):
-    """d(t), d'(t), ..., d^(m-1)(t) of each disturbance of a stack with
+def _derivatives(C0, w, A, ph, m):
+    """d(0), d'(0), ..., d^(m-1)(0) of each disturbance of a stack with
     constants C0 (..., d), frequencies w (..., r), amplitudes A and phases
     ph (..., r, d); shape (..., m, d).  The k-th derivative of
-    A sin(w t + phi) is A w^k sin(w t + phi + k pi/2); row k sums its
+    A sin(w t + phi) at t = 0 is A w^k sin(phi + k pi/2); row k sums its
     constant (C0 for k = 0, 0 after) and then the terms, in that order.
     w^k is one np.power per order k: a scalar exponent of 2 is squared, as
     an array of exponents is not, and the rounding may differ."""
@@ -97,16 +86,11 @@ def _derivatives(C0, w, A, ph, t, m):
     w = w[..., None, :, None]
     w_k = np.concatenate([np.power(w, j) for j in range(m)], axis=-3)
     A, ph = A[..., None, :, :], ph[..., None, :, :]
-    terms = A * w_k * np.sin(w * t + ph + k * np.pi / 2.0)
+    terms = A * w_k * np.sin(ph + k * np.pi / 2.0)
     const = np.zeros(terms.shape[:-2] + (1, C0.shape[-1]))
     const[..., 0, 0, :] = C0
     terms = np.concatenate([const, terms], axis=-2)
     return np.add.accumulate(terms, axis=-2)[..., -1, :]
-
-
-def disturbance_eval(spec, t):
-    """Closed-form disturbance value at time t, shape (d,)."""
-    return _derivatives(spec.C0, spec.frequencies, spec.amplitudes, spec.phases, t, 1)[0]
 
 
 def build_canonical(specs):
@@ -123,8 +107,7 @@ def build_canonical(specs):
         Phi = companion(_min_polys(w))
         theta0 = _derivatives(
             np.array([s.C0 for s in specs]), w,
-            np.array([s.amplitudes for s in specs]), np.array([s.phases for s in specs]),
-            0.0, m,
+            np.array([s.amplitudes for s in specs]), np.array([s.phases for s in specs]), m,
         )
     finite = np.isfinite(Phi).all(axis=(1, 2)) & np.isfinite(theta0).all(axis=(1, 2))
     return Phi, theta0, {

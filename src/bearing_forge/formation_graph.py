@@ -62,43 +62,20 @@ def _norms(x):
     return np.sqrt((x[:, None, :] @ x[:, :, None]).reshape(len(x)))
 
 
-def _unit_rows(diff, edges=None):
-    """Rows of diff divided by their norms; raises DegenerateBearing at the
-    first row whose norm is not in (SEPARATION_EPS, inf), naming its edge when
-    edges (aligned with diff) are given.  A norm beyond float range is inf."""
+def _unit_rows(diff, edges):
+    """Rows of diff divided by their norms; raises DegenerateBearing naming
+    the first of the aligned edges whose norm is not in
+    (SEPARATION_EPS, inf).  A norm beyond float range is inf."""
     with np.errstate(over="ignore"):
         norm = _norms(diff)
     bad = ~((norm > SEPARATION_EPS) & (norm < np.inf))
     if bad.any():
         k = int(bad.argmax())
-        where = "" if edges is None else f"edge ({edges[k, 0]},{edges[k, 1]}): "
         raise DegenerateBearing(
-            f"{where}points coincide within {SEPARATION_EPS:g} or are too far apart: "
-            f"||p_i - p_j|| = {norm[k]:.3e}"
+            f"edge ({edges[k, 0]},{edges[k, 1]}): points coincide within "
+            f"{SEPARATION_EPS:g} or are too far apart: ||p_i - p_j|| = {norm[k]:.3e}"
         )
     return diff / norm[:, None]
-
-
-def _projectors(g):
-    """(k, d, d) stack of I - g g^T for the (k, d) unit rows of g."""
-    norm = _norms(g)
-    bad = ~(np.abs(norm - 1.0) <= UNIT_TOL)
-    if bad.any():
-        raise NonUnitInput(
-            f"||g|| = {norm[bad.argmax()]:.12f}, expected 1 within {UNIT_TOL:g}"
-        )
-    return np.eye(g.shape[1]) - g[:, :, None] * g[:, None, :]
-
-
-def unit_bearing(p_i, p_j):
-    """Unit vector pointing from agent j toward agent i: (p_i - p_j)/||p_i - p_j||."""
-    diff = np.asarray(p_i, dtype=float) - np.asarray(p_j, dtype=float)
-    return _unit_rows(diff[None, :])[0]
-
-
-def projector(g):
-    """Orthogonal projector I - g g^T onto the complement of the unit vector g."""
-    return _projectors(np.asarray(g, dtype=float)[None, :])[0]
 
 
 class SensingGraph:
@@ -145,10 +122,6 @@ class SensingGraph:
     @property
     def followers(self):
         return range(self.n_l + 1, self.n + 1)
-
-    def neighbors(self, i):
-        e = self.edges
-        return sorted(np.concatenate((e[e[:, 0] == i, 1], e[e[:, 1] == i, 0])).tolist())
 
 
 class BearingSet:
@@ -213,34 +186,17 @@ class BearingSet:
         out._keep(edges, g)
         return out
 
-    def _find(self, edges):
-        """Row of self.edges holding each (i, j), i < j, row of edges, and
-        whether it is there."""
-        mine, keys = _keys(self.edges), _keys(edges)
-        idx = np.searchsorted(mine, keys)
-        found = idx < len(mine)
-        found[found] = mine[idx[found]] == keys[found]
-        return idx, found
-
     def along(self, graph):
         """(k, d) bearings g_ij of the graph's edges, in its order; raises
         MissingBearing naming the first edge without one."""
-        idx, found = self._find(graph.edges)
+        mine, keys = _keys(self.edges), _keys(graph.edges)
+        idx = np.searchsorted(mine, keys)
+        found = idx < len(mine)
+        found[found] = mine[idx[found]] == keys[found]
         if not found.all():
             i, j = graph.edges[found.argmin()]
             raise MissingBearing((int(i), int(j)))
         return self.g[idx].reshape(len(idx), graph.d)
-
-    def __contains__(self, edge):
-        return bool(self._find([sorted(edge)])[1][0])
-
-    def __getitem__(self, edge):
-        i, j = edge
-        idx, found = self._find([sorted(edge)])
-        if not found[0]:
-            raise MissingBearing((int(i), int(j)))
-        g = self.g[idx[0]]
-        return g.copy() if i < j else -g
 
 
 class BearingLaplacian:
@@ -275,7 +231,8 @@ def build_bearing_laplacian(graph, bearings):
     diagonal block the negated sum of the other blocks of its row (the sum
     of the incident projectors), reshaped to nd x nd."""
     n, d = graph.n, graph.d
-    P = _projectors(bearings.along(graph))
+    g = bearings.along(graph)
+    P = np.eye(d) - g[:, :, None] * g[:, None, :]
     i, j = graph.edges[:, 0] - 1, graph.edges[:, 1] - 1
     blocks = np.zeros((n, n, d, d))
     blocks[i, j] = -P

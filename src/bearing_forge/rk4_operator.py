@@ -21,8 +21,9 @@ of the last of them; y is only read, and may be a row of out.
 
 import numpy as np
 
-# states per block of the adaptive advance's work matrix: the chunk that
-# sim_engine.integrate advances at a time
+# the chunk that sim_engine.integrate advances at a time, and the states per
+# block of the adaptive advance's work matrix: a power of two, so that a
+# chunk by doubling takes one matrix-vector and log2(BLOCK) matrix products
 BLOCK = 64
 
 

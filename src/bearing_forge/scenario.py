@@ -117,12 +117,21 @@ class CompiledScenario:
         return self.graph.n_f
 
     @property
-    def state_dim(self):
-        """Length of the engine's state [p | v_f | eta | vartheta | theta_hat],
-        each follower's blocks padded to the largest order (Engine)."""
+    def _layout(self):
+        """Offsets of v_f, eta, vartheta and theta_hat in the engine's state
+        [p | v_f | eta | vartheta | theta_hat], each follower's blocks padded
+        to the largest order, and the state's length."""
         k = self.n_f * max(g.order for g in self.groups)
-        adaptive = self.mode == "adaptive"
-        return (self.n + self.n_f + 2 * k) * self.d + (k if adaptive else 0)
+        i_vf = self.n * self.d
+        i_eta = i_vf + self.n_f * self.d
+        i_var = i_eta + k * self.d
+        i_th = i_var + k * self.d
+        return i_vf, i_eta, i_var, i_th, i_th + (k if self.mode == "adaptive" else 0)
+
+    @property
+    def state_dim(self):
+        """Length of the engine's state (Engine)."""
+        return self._layout[-1]
 
     @property
     def n_steps(self):

@@ -20,14 +20,11 @@ from functools import partial
 import numpy as np
 
 from .errors import CollisionDetected, NonFiniteState
-from .rk4_operator import multiply_adds, operator_step, probe
+# integrate advances CHECK_CHUNK states at a time, and then checks the
+# chunk's states and the segments between them in one pass
+from .rk4_operator import BLOCK as CHECK_CHUNK, multiply_adds, operator_step, probe
 from .scenario import CompiledScenario, check_certificate, gamma_sigma
 
-# integrate advances CHECK_CHUNK states at a time, by doubling in the linear
-# modes (a power of two, so a chunk takes one matrix-vector and
-# log2(CHECK_CHUNK) matrix products), and then checks the chunk's states and
-# the segments between them in one pass
-CHECK_CHUNK = 64
 # relative slack of the broad phase's bound on pair distances, far above the
 # rounding of the few operations that form it
 _REACH_SLACK = 1e-12
@@ -201,11 +198,7 @@ class Engine:
         # state layout offsets
         k = n_f * m_max
         self.i_p = 0
-        self.i_vf = n * d
-        self.i_eta = self.i_vf + n_f * d
-        self.i_var = self.i_eta + k * d
-        self.i_th = self.i_var + k * d
-        self.dim = self.i_th + (k if self.adaptive else 0)
+        self.i_vf, self.i_eta, self.i_var, self.i_th, self.dim = sc._layout
         self.cuts = (self.i_vf, self.i_eta, self.i_var, self.i_th)
 
         # row 0 of each follower's vartheta, which drives its velocity

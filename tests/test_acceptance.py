@@ -20,8 +20,6 @@ from bearing_forge.formation_graph import (
     SensingGraph,
     build_bearing_laplacian,
     localize_followers,
-    projector,
-    unit_bearing,
 )
 from bearing_forge.scenario import closed_loop_spectrum, compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
@@ -64,7 +62,10 @@ def test_criterion_1_bearing_algebra():
         d = int(rng.choice([2, 3]))
         g = rng.standard_normal(d)
         g /= np.linalg.norm(g)
-        P = projector(g)
+        # the negated off-diagonal block of the one-edge Laplacian
+        edge = SensingGraph(n=3, d=d, n_l=1, edges=[(1, 2)])
+        P = -build_bearing_laplacian(edge, BearingSet({(1, 2): g})).B[:d, d : 2 * d]
+        assert np.abs(P - (np.eye(d) - np.outer(g, g))).max() <= 1e-15
         assert np.linalg.norm(P @ P - P) <= 1e-12
         assert np.linalg.norm(P - P.T) <= 1e-12
         assert np.linalg.norm(P @ g) <= 1e-12

@@ -36,18 +36,20 @@ def kron_apply(A, x, d):
 
 
 def projected_errors(graph, bearings, i, positions, velocities):
-    """Projected neighbor sums (s_p, s_v) for follower i.
+    """Projected neighbor sums (s_p, s_v) for follower i, over the graph's
+    edges (a, b), a < b, that touch i, in their order: neighbour j is the
+    other end, and g_ij the edge's bearing, negated when i = b.
 
     positions, velocities : (n, d) arrays, agent k at row k-1.
     """
-    neighbors = graph.neighbors(i)
-    if not neighbors:
+    touches = (graph.edges == i).any(axis=1)
+    if not touches.any():
         raise ValueError(f"follower {i} has no neighbors")
     d = graph.d
     s_p = np.zeros(d)
     s_v = np.zeros(d)
-    for j in neighbors:
-        g = bearings[(i, j)]
+    for (a, b), g in zip(graph.edges[touches].tolist(), bearings.along(graph)[touches]):
+        j, g = (b, g) if a == i else (a, -g)
         p_ij = positions[i - 1] - positions[j - 1]
         v_ij = velocities[i - 1] - velocities[j - 1]
         s_p += p_ij - g * (g @ p_ij)
@@ -160,7 +162,8 @@ def local_view(sc, eng, y, i):
     n, d, n_l = sc.n, sc.d, sc.n_l
     positions = np.full((n, d), np.nan)
     velocities = np.full((n, d), np.nan)
-    for k in [i] + sc.graph.neighbors(i):
+    edges = sc.graph.edges
+    for k in set(edges[(edges == i).any(axis=1)].ravel().tolist()):
         positions[k - 1] = y[(k - 1) * d : k * d]
         velocities[k - 1] = sc.v_c if k <= n_l else y[agent_rows(eng, k)[d : 2 * d]]
     own = y[agent_rows(eng, i)][2 * d :]
@@ -233,9 +236,10 @@ def test_formation_is_sparse_and_mixed_order():
     sc = sparse_scenario("adaptive")
     eng = Engine(sc)
     assert eng.orders.tolist() == [3, 1, 5]
-    assert sc.graph.neighbors(3) == [1, 2, 5]
-    assert sc.graph.neighbors(4) == [1, 2, 5]
-    assert sc.graph.neighbors(5) == [3, 4]
+    # neighbours: 3 and 4 see 1, 2 and 5; 5 sees 3 and 4
+    np.testing.assert_array_equal(
+        sc.graph.edges, [[1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [4, 5]]
+    )
     assert 0.09 < np.linalg.eigvalsh(sc.laplacian.B_ff)[0] < 0.1
 
 
@@ -244,12 +248,14 @@ def test_rows_depend_only_on_neighbours(mode):
     sc = sparse_scenario(mode)
     eng = Engine(sc)
     rng = np.random.default_rng(11)
+    edges = sc.graph.edges
     for y in states(eng, 3):
         base = eng.rhs(y)
         assert (padding(eng, base) == 0).all()
         for i in sc.graph.followers:
             rows = agent_rows(eng, i)
-            others = set(range(1, sc.n + 1)) - {i} - set(sc.graph.neighbors(i))
+            near = edges[(edges == i).any(axis=1)].ravel().tolist()   # i and its neighbours
+            others = set(range(1, sc.n + 1)) - set(near)
             assert others
             for j in others:
                 for idx in agent_rows(eng, j):

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from bearing_forge.disturbance import (
-    DisturbanceSpec,
-    build_canonical,
-    disturbance_eval,
-    min_poly_coeffs,
-)
+from bearing_forge.disturbance import DisturbanceSpec, build_canonical
 from bearing_forge.errors import DuplicateFrequency, NonPositiveFrequency
 
 
@@ -18,33 +14,37 @@ def spec_1d(C0=0.0, terms=()):
 
 
 class TestMinPoly:
+    """The companion matrix Phi that build_canonical makes has the last row
+    -[a_m, ..., a_1] of the minimal polynomial
+    s^m + a_1 s^(m-1) + ... + a_m = s prod_j (s^2 + w_j^2), m = 2r + 1."""
+
     def test_constant(self):
-        np.testing.assert_allclose(min_poly_coeffs([]), [1.0, 0.0])
+        np.testing.assert_allclose(canonical(spec_1d(C0=1.0))[0], [[0.0]])
 
     def test_single_frequency(self):
         # lambda (lambda^2 + 4) = lambda^3 + 4 lambda
-        np.testing.assert_allclose(min_poly_coeffs([2.0]), [1.0, 0.0, 4.0, 0.0])
+        Phi = canonical(spec_1d(terms=[(2.0, 1.0, 0.0)]))[0]
+        np.testing.assert_allclose(Phi[-1], [0.0, -4.0, 0.0])
 
     def test_two_frequencies(self):
         # lambda (lambda^2 + 1)(lambda^2 + 4) = lambda^5 + 5 lambda^3 + 4 lambda
-        np.testing.assert_allclose(
-            min_poly_coeffs([1.0, 2.0]), [1.0, 0.0, 5.0, 0.0, 4.0, 0.0]
-        )
+        Phi = canonical(spec_1d(terms=[(1.0, 1.0, 0.0), (2.0, 1.0, 0.0)]))[0]
+        np.testing.assert_allclose(Phi[-1], [0.0, -4.0, 0.0, -5.0, 0.0])
 
     def test_odd_polynomial(self):
         rng = np.random.default_rng(3)
         freqs = np.sort(rng.uniform(0.1, 10.0, size=3))
-        coeffs = min_poly_coeffs(freqs)
+        Phi = canonical(spec_1d(terms=[(w, 1.0, 0.0) for w in freqs]))[0]
         # even powers of the full polynomial carry zero coefficients
-        np.testing.assert_allclose(coeffs[1::2], 0.0, atol=1e-12)
+        np.testing.assert_allclose(Phi[-1, ::2], 0.0, atol=1e-12)
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateFrequency):
-            min_poly_coeffs([1.0, 1.0])
+            spec_1d(terms=[(1.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveFrequency):
-            min_poly_coeffs([-2.0])
+            spec_1d(terms=[(-2.0, 1.0, 0.0)])
 
 
 class TestSpecShapes:
@@ -78,17 +78,25 @@ class TestSpecShapes:
 
 
 class TestDisturbanceEval:
+    """The signal of the canonical exosystem, the first entry of
+    exp(Phi t) theta0, at hand-computed values of d(t)."""
+
+    @staticmethod
+    def signal(spec, t):
+        Phi, theta0 = canonical(spec)
+        return (np.kron(expm(Phi * t), np.eye(spec.d)) @ theta0)[: spec.d]
+
     def test_constant(self):
         spec = DisturbanceSpec(d=2, C0=np.array([3.0, -1.0]))
-        np.testing.assert_allclose(disturbance_eval(spec, 17.3), [3.0, -1.0])
+        np.testing.assert_allclose(self.signal(spec, 17.3), [3.0, -1.0])
 
     def test_exact_sine(self):
         spec = spec_1d(terms=[(np.pi, 2.0, 0.0)])
-        np.testing.assert_allclose(disturbance_eval(spec, 0.5), [2.0])
+        np.testing.assert_allclose(self.signal(spec, 0.5), [2.0])
 
     def test_phase_offset(self):
         spec = spec_1d(C0=1.0, terms=[(1.0, 1.0, np.pi / 2)])
-        np.testing.assert_allclose(disturbance_eval(spec, 0.0), [2.0])
+        np.testing.assert_allclose(self.signal(spec, 0.0), [2.0])
 
 
 def derivative_ladder(spec, k):
@@ -128,7 +136,8 @@ class TestBuildCanonical:
         spec = spec_1d(0.5, [(w, 1.0, 0.2 * k) for k, w in enumerate(freqs)])
         Phi, theta0 = canonical(spec)
         char = np.poly(Phi)
-        np.testing.assert_allclose(char, min_poly_coeffs(freqs), atol=1e-9)
+        roots = np.concatenate([[0.0], 1j * np.array(freqs), -1j * np.array(freqs)])
+        np.testing.assert_allclose(char, np.poly(roots).real, atol=1e-9)
 
     def test_phi_spectrum_neutrally_stable(self):
         freqs = [1.3, 2.9]
@@ -168,7 +177,8 @@ class TestBuildCanonical:
             )
             for t, col in zip(sol.t, sol.y.T):
                 recon = col[:d]  # (Psi kron I_d) theta picks the first block
-                assert np.linalg.norm(recon - disturbance_eval(spec, t)) <= 1e-6
+                sines = spec.amplitudes * np.sin(spec.frequencies[:, None] * t + spec.phases)
+                assert np.linalg.norm(recon - (spec.C0 + sines.sum(axis=0))) <= 1e-6
 
     def test_theta0_bits_match_the_derivative_ladder(self):
         """Zero amplitudes and phases of -0.0 and 0.0 included."""
@@ -200,7 +210,7 @@ class TestBuildCanonical:
         )
         Phi, theta0 = canonical(spec)
         h = 1e-4
-        f = lambda t: disturbance_eval(spec, t)
+        f = lambda t: spec.C0 + (spec.amplitudes * np.sin(1.7 * t + spec.phases))[0]
         d1 = (f(h) - f(-h)) / (2 * h)
         d2 = (f(h) - 2 * f(0.0) + f(-h)) / h**2
         np.testing.assert_allclose(theta0[2:4], d1, atol=1e-5)

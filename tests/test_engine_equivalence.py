@@ -900,6 +900,11 @@ def complete_formation(n, mode, t_final=0.5):
     seeded generic positions; each follower rejects a constant and one
     sinusoid of its own frequency, so the state dimension is 19 n - 34 in
     adaptive and 16 n - 28 in known mode."""
+    return compile_scenario(complete_formation_data(n, mode, t_final))
+
+
+def complete_formation_data(n, mode, t_final=0.5):
+    """The scenario dict of complete_formation."""
     rng = np.random.default_rng(n)
     while True:
         pos = np.round(rng.uniform(-n, n, size=(n, 2)), 6)
@@ -936,7 +941,7 @@ def complete_formation(n, mode, t_final=0.5):
             "kappa_v": 3.0 / lam_min,
             "adaptation_rate": 20.0,
         }
-    return compile_scenario(data)
+    return data
 
 
 def law_terms(eng, y):

@@ -14,8 +14,6 @@ from bearing_forge.formation_graph import (
     SensingGraph,
     build_bearing_laplacian,
     localize_followers,
-    projector,
-    unit_bearing,
 )
 
 from conftest import SQUARE_POSITIONS, random_formation
@@ -31,42 +29,54 @@ def unit_vectors(d):
 
 
 class TestUnitBearing:
+    """Bearings derived from positions: g_ij = (p_i - p_j) / ||p_i - p_j||,
+    row k for edge k of the graph, i < j."""
+
+    TRIANGLE = SensingGraph(n=3, d=2, n_l=1, edges=[(1, 2), (1, 3), (2, 3)])
+
     def test_axis_aligned(self):
-        np.testing.assert_allclose(unit_bearing([1, 0], [0, 0]), [1, 0])
+        g = BearingSet.from_positions(self.TRIANGLE, [[1, 0], [0, 0], [1, 3]]).g
+        np.testing.assert_allclose(g, [[1, 0], [0, -1], [-1 / np.sqrt(10), -3 / np.sqrt(10)]])
 
     def test_axis_aligned_sign(self):
-        np.testing.assert_allclose(unit_bearing([0, 0], [0, 2]), [0, -1])
+        g = BearingSet.from_positions(self.TRIANGLE, [[0, 0], [0, 2], [-4, 0]]).g
+        np.testing.assert_allclose(g, [[0, -1], [1, 0], [4 / np.sqrt(20), 2 / np.sqrt(20)]])
 
     def test_normalization(self):
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(unit_bearing([1, 1], [0, 0]), [s, s])
+        g = BearingSet.from_positions(self.TRIANGLE, [[1, 1], [0, 0], [3, 3]]).g
+        np.testing.assert_allclose(g, [[s, s], [-s, -s], [-s, -s]])
 
-    def test_coincident_points(self):
-        with pytest.raises(DegenerateBearing):
-            unit_bearing([1.0, 2.0], [1.0, 2.0])
+
+def edge_laplacian(g):
+    """The bearing Laplacian of one edge (1, 2) among three agents in
+    dimension len(g), with desired bearing g_12 = g."""
+    graph = SensingGraph(n=3, d=len(g), n_l=1, edges=[(1, 2)])
+    return build_bearing_laplacian(graph, BearingSet({(1, 2): g})).B
 
 
 class TestProjector:
+    """The projector P = I - g g^T of an edge is the negated off-diagonal
+    block of its bearing Laplacian."""
+
     def test_e1(self):
-        np.testing.assert_allclose(projector([1, 0]), [[0, 0], [0, 1]])
+        np.testing.assert_allclose(-edge_laplacian([1, 0])[:2, 2:4], [[0, 0], [0, 1]])
 
     def test_e2(self):
-        np.testing.assert_allclose(projector([0, 1]), [[1, 0], [0, 0]])
+        np.testing.assert_allclose(-edge_laplacian([0, 1])[:2, 2:4], [[1, 0], [0, 0]])
 
     def test_diagonal(self):
         s = 1 / np.sqrt(2)
         np.testing.assert_allclose(
-            projector([s, s]), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15
+            -edge_laplacian([s, s])[:2, 2:4], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15
         )
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(NonUnitInput):
-            projector([1.0, 1.0])
 
     @settings(max_examples=200)
     @given(g=st.one_of(unit_vectors(2), unit_vectors(3)))
     def test_idempotent_symmetric_annihilating(self, g):
-        P = projector(g)
+        d = len(g)
+        P = -edge_laplacian(g)[:d, d : 2 * d]
+        assert np.abs(P - (np.eye(d) - np.outer(g, g))).max() <= 1e-15
         assert np.linalg.norm(P @ P - P) <= 1e-12
         assert np.linalg.norm(P - P.T) <= 1e-12
         assert np.linalg.norm(P @ g) <= 1e-12
@@ -182,11 +192,11 @@ def seeded_formation(n, d, complete, seed):
 
 
 def reference_laplacian(graph, bearings):
-    """The bearing Laplacian one edge at a time, from the single-edge helpers."""
+    """The bearing Laplacian one edge at a time, each projector I - g g^T."""
     n, d = graph.n, graph.d
     B = np.zeros((n * d, n * d))
-    for i, j in graph.edges.tolist():
-        P = projector(bearings[(i, j)])
+    for (i, j), g in zip(graph.edges.tolist(), bearings.along(graph)):
+        P = np.eye(d) - np.outer(g, g)
         bi = slice((i - 1) * d, i * d)
         bj = slice((j - 1) * d, j * d)
         B[bi, bj] -= P
@@ -222,17 +232,16 @@ class TestEdgeAlgebra:
         B_sub = build_bearing_laplacian(sub, bearings).B
         ref_sub = reference_laplacian(sub, bearings)
         assert np.all(np.abs(B_sub - ref_sub) <= 1e-14 * (1.0 + np.abs(ref_sub)))
-        for i, j in graph.edges.tolist():
-            np.testing.assert_array_equal(bearings[(j, i)], -bearings[(i, j)])
-            np.testing.assert_allclose(
-                bearings[(i, j)], unit_bearing(pos[i - 1], pos[j - 1]), rtol=0, atol=1e-15
-            )
+        diff = pos[graph.edges[:, 0] - 1] - pos[graph.edges[:, 1] - 1]
+        np.testing.assert_allclose(
+            bearings.along(graph), diff / np.linalg.norm(diff, axis=1)[:, None],
+            rtol=0, atol=1e-15,
+        )
 
     def test_graph_stores_canonical_edges(self):
         graph = SensingGraph(n=4, d=2, n_l=1, edges=[(3, 1), (1, 2), (2, 1), (4, 2)])
         np.testing.assert_array_equal(graph.edges, [[1, 2], [1, 3], [2, 4]])
         assert not graph.edges.flags.writeable
-        assert graph.neighbors(1) == [2, 3] and graph.neighbors(2) == [1, 4]
 
     @pytest.mark.parametrize(
         "edges, message",
@@ -290,12 +299,12 @@ class TestEdgeAlgebra:
     def test_both_orientations_agree(self):
         s = BearingSet({(1, 2): [1.0, 0.0], (2, 1): [-1.0, 0.0], (3, 1): [0.0, 1.0]})
         np.testing.assert_array_equal(s.edges, [[1, 2], [1, 3]])
-        np.testing.assert_array_equal(s[(1, 3)], [0.0, -1.0])
-        assert (3, 1) in s and (2, 3) not in s
+        np.testing.assert_array_equal(s.g, [[1.0, 0.0], [0.0, -1.0]])
 
     def test_missing_names_first_edge(self, square_graph):
         partial = BearingSet({(1, 2): np.array([1.0, 0.0])})
         with pytest.raises(MissingBearing, match=r"^no desired bearing for edge \(1, 3\)$"):
             build_bearing_laplacian(square_graph, partial)
-        with pytest.raises(MissingBearing, match=r"^no desired bearing for edge \(4, 2\)$"):
-            partial[(4, 2)]
+        edge = SensingGraph(n=4, d=2, n_l=1, edges=[(4, 2)])
+        with pytest.raises(MissingBearing, match=r"^no desired bearing for edge \(2, 4\)$"):
+            partial.along(edge)

@@ -2,9 +2,13 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import functools
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bearing_forge
 from bearing_forge import bundled_scenario, cli, errors
 from bearing_forge.errors import ParseError, ValidationError
 from bearing_forge.scenario import (
@@ -31,6 +36,7 @@ from bearing_forge.sim_engine import (
 )
 
 from conftest import assemble_A_sigma, base_scenario_dict, per_follower, replace
+from test_engine_equivalence import complete_formation_data
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -779,6 +785,83 @@ def test_only_run_imports_the_engine(tmp_path):
         "localize": [False, False],
         "run": [True, True],
     }
+
+
+# public names that no command calls, each with its reason: perfbench's
+# tracer wraps Engine.rhs to count and time the law's calls
+CENSUS_ALLOWED = {"sim_engine.Engine.rhs"}
+
+
+def public_code(module):
+    """(dotted name, code object) of each public function of the module and
+    each public method or property of its classes, as defined there."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj.__code__
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, property):
+                    fn = member.fget
+                elif isinstance(member, functools.cached_property):
+                    fn = member.func
+                else:
+                    fn = getattr(member, "__func__", member)   # a classmethod's function
+                if inspect.isfunction(fn):
+                    yield f"{name}.{attr}", fn.__code__
+
+
+def test_commands_call_every_public_name(tmp_path):
+    """Every public function, method and property of the package's modules
+    is called by a command: validate, spectrum, localize and run --oracles
+    on the bundled squares in known, adaptive and feedback_only mode, and
+    run --oracles on a 64-agent formation past OPERATOR_MAX_MACS, which
+    takes the staged step.  Code that only tests call belongs in the tests.
+    Out of scope are the package's own __init__ (bundled_scenario names the
+    shipped files) and dunder methods, so exception constructors and
+    cli.__getattr__."""
+    swarm = write_scenario(tmp_path, complete_formation_data(64, "known", t_final=0.005))
+    runs = [
+        [command, bundled_scenario(name), "--mode", mode, "--t-final", "0.2"]
+        for name, mode in (
+            ("square_known", "known"),
+            ("square_known", "feedback_only"),
+            ("square_adaptive", "adaptive"),
+        )
+        for command in ("validate", "spectrum", "localize", "run")
+    ] + [["run", swarm]]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(argv + (["--oracles"] if argv[0] == "run" else [])
+                         + ["--out", str(tmp_path / "out")])
+                for argv in runs
+            ]
+    finally:
+        sys.setprofile(outer)
+    assert codes == [0] * len(runs)
+
+    uncalled = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(bearing_forge.__path__)
+        for name, code in public_code(importlib.import_module(f"bearing_forge.{info.name}"))
+        if code not in called
+    ]
+    unused = sorted(set(uncalled) - CENSUS_ALLOWED)
+    assert not unused, f"no command calls {', '.join(unused)}"
+    stale = sorted(CENSUS_ALLOWED - set(uncalled))
+    assert not stale, f"a command calls the allowed {', '.join(stale)}"
 
 
 def test_run_through_runpy(tmp_path):
