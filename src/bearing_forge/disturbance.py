@@ -5,47 +5,15 @@ with r distinct positive frequencies shared across axes.  Every such signal
 is annihilated by the odd polynomial chi(s) = s * prod_j (s^2 + w_j^2), so it
 can be generated by a companion-form exosystem of dimension (2r+1)d whose
 first block is the signal itself and whose k-th block is the k-th derivative.
+The scenario parser checks the frequencies and the shapes; this module
+builds from what it has checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DuplicateFrequency, NonFiniteExosystem, NonPositiveFrequency
-
-FREQ_GAP = 1e-9
-
-
-class DisturbanceSpec:
-    """Closed-form disturbance: constant offset C0 (d,) plus r sinusoid
-    terms, term j at frequencies[j] with per-axis amplitudes[j] and
-    phases[j], both (r, d)."""
-
-    def __init__(self, d, C0, frequencies=(), amplitudes=(), phases=()):
-        r, self.d = np.size(frequencies), d
-        for name, value, shape in (
-            ("C0", C0, (d,)), ("frequencies", frequencies, (r,)),
-            ("amplitudes", amplitudes, (r, d)), ("phases", phases, (r, d)),
-        ):
-            a = np.asarray(value, dtype=float)
-            if a.shape == (0,) and shape[0] == 0:  # () stands for (0, d)
-                a = a.reshape(shape)
-            if a.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-            setattr(self, name, a)
-        for w in self.frequencies:
-            if w <= 0:
-                raise NonPositiveFrequency(f"frequency {w} must be positive")
-        freqs = sorted(self.frequencies)
-        for a, b in zip(freqs, freqs[1:]):
-            if b - a <= FREQ_GAP:
-                raise DuplicateFrequency(
-                    f"frequencies {a} and {b} closer than {FREQ_GAP:g}"
-                )
-
-    @property
-    def r(self):
-        return len(self.frequencies)
+from .errors import NonFiniteExosystem
 
 
 def _min_polys(w):
@@ -93,27 +61,25 @@ def _derivatives(C0, w, A, ph, m):
     return np.add.accumulate(terms, axis=-2)[..., -1, :]
 
 
-def build_canonical(specs):
-    """Companion exosystems of disturbance specs of one order r, built in
-    one pass: the stacks Phi (g, m, m) of companion matrices and theta0
-    (g, m, d) of the derivatives d(0), d'(0), ..., d^(m-1)(0), m = 2r+1.
-    The output matrix Psi = e_1 selects the signal block.  faults maps the
-    position of each spec whose Phi or theta0 overflows the float range to
-    the NonFiniteExosystem that a build of that spec alone gives.
+def build_canonical(C0, w, A, ph):
+    """Companion exosystems of the disturbances of one order r, built in one
+    pass from their stacked constants C0 (g, d), frequencies w (g, r),
+    amplitudes A and phases ph (g, r, d): the stacks Phi (g, m, m) of
+    companion matrices and theta0 (g, m, d) of the derivatives d(0), d'(0),
+    ..., d^(m-1)(0), m = 2r+1.  The output matrix Psi = e_1 selects the
+    signal block.  faults maps the position of each disturbance whose Phi
+    or theta0 overflows the float range to the NonFiniteExosystem that a
+    build of that disturbance alone gives.
     """
-    m = 2 * specs[0].r + 1
-    w = np.array([s.frequencies for s in specs])
+    m = 2 * w.shape[1] + 1
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         Phi = companion(_min_polys(w))
-        theta0 = _derivatives(
-            np.array([s.C0 for s in specs]), w,
-            np.array([s.amplitudes for s in specs]), np.array([s.phases for s in specs]), m,
-        )
+        theta0 = _derivatives(C0, w, A, ph, m)
     finite = np.isfinite(Phi).all(axis=(1, 2)) & np.isfinite(theta0).all(axis=(1, 2))
     return Phi, theta0, {
         k: NonFiniteExosystem(
             f"the companion matrix or the derivatives up to order {m - 1} at "
-            f"t = 0 overflow (frequencies {specs[k].frequencies.tolist()})"
+            f"t = 0 overflow (frequencies {w[k].tolist()})"
         )
         for k in np.flatnonzero(~finite).tolist()
     }

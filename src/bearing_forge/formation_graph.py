@@ -79,36 +79,22 @@ def _unit_rows(diff, edges):
 
 
 class SensingGraph:
-    """Undirected sensing graph with a leader/follower partition.
+    """Undirected sensing graph with a leader/follower partition; the
+    scenario parser checks every parameter.
 
     Parameters
     ----------
     n : total agent count (>= 3)
     d : ambient dimension (>= 2)
-    n_l : leader count; leaders are agents 1..n_l, followers n_l+1..n
-    edges : iterable of (i, j) pairs, 1-based, in either orientation;
-        stored as the read-only (k, 2) array of the distinct edges as pairs
-        i < j, in lexicographic order
+    n_l : leader count, 1 <= n_l < n; leaders are agents 1..n_l, followers
+        n_l+1..n
+    edges : iterable of (i, j) pairs of agents i != j, 1-based, in either
+        orientation; stored as the read-only (k, 2) array of the distinct
+        edges as pairs i < j, in lexicographic order
     """
 
     def __init__(self, n, d, n_l, edges):
-        if n < 3:
-            raise ValueError(f"need at least 3 agents, got n={n}")
-        if d < 2:
-            raise ValueError(f"need dimension >= 2, got d={d}")
-        if not 1 <= n_l < n:
-            raise ValueError(f"leader count must satisfy 1 <= n_l < n, got {n_l}")
         given = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
-        if given.ndim != 2 or given.shape[1] != 2:
-            raise ValueError("edges must be (i, j) pairs")
-        loop = given[:, 0] == given[:, 1]
-        bad = loop | ((given < 1) | (given > n)).any(axis=1)
-        if bad.any():
-            k = int(bad.argmax())
-            i, j = given[k]
-            if loop[k]:
-                raise ValueError(f"self-loop at agent {i}")
-            raise ValueError(f"edge ({i},{j}) references an unknown agent")
         keys = _keys(np.sort(given, axis=1))
         order, last = _runs(keys)
         pairs = _pairs(keys[order[last]])
@@ -243,18 +229,13 @@ def build_bearing_laplacian(graph, bearings):
 
 
 def localize_followers(laplacian, p_l_star):
-    """Solve the localization problem: follower anchors from leader anchors.
+    """Solve the localization problem: follower anchors from the (n_l, d)
+    leader anchors p_l*.
 
     Returns p_f* = -B_ff^{-1} B_fl p_l* as an (n_f, d) array.  Raises
     NotLocalizable when lambda_min(B_ff) < LOCALIZABILITY_TOL.
     """
-    d = laplacian.d
-    n_f = laplacian.n_f
     p_l = np.asarray(p_l_star, dtype=float).reshape(-1)
-    if p_l.size != laplacian.n_l * d:
-        raise ValueError(
-            f"expected {laplacian.n_l * d} leader coordinates, got {p_l.size}"
-        )
     B_ff = laplacian.B_ff
     B_fl = laplacian.B_fl
     lam_min = laplacian.ff_eigenvalues[0]
@@ -266,4 +247,4 @@ def localize_followers(laplacian, p_l_star):
     residual = np.linalg.norm(B_ff @ p_f + B_fl @ p_l)
     if residual > 1e-8 * (1.0 + np.linalg.norm(p_l)):
         raise NotLocalizable(f"localization residual {residual:.3e} too large")
-    return p_f.reshape(n_f, d)
+    return p_f.reshape(laplacian.n_f, laplacian.d)

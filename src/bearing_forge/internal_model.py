@@ -47,8 +47,6 @@ def poles(m):
 def choose_MN(r):
     """Deterministic Hurwitz controllable pair of dimension m = 2r+1: M is the
     companion matrix of prod (s - lambda) over the poles lambda, N = e_m."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
     m = 2 * r + 1
     return companion(np.poly(poles(m))), np.eye(m)[-1]
 

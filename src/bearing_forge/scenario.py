@@ -2,10 +2,11 @@
 
 A scenario is one JSON object with `graph`, `geometry`, `disturbances`,
 `controller`, `integration`, and `outputs` sections.  Agent IDs are explicit
-and 1-based; leaders must be exactly 1..n_l.  All validation (schema,
-localizability, disturbance well-posedness, gain conditions, and in adaptive
-mode the Lyapunov certificate's positivity checks) happens at load time so
-that a run never fails on a stability hypothesis mid-integration.
+and 1-based; leaders must be exactly 1..n_l.  Every input check lives here
+and runs at load time (schema, localizability, disturbance well-posedness,
+gain conditions, in adaptive mode the Lyapunov certificate's positivity
+checks): the library modules take what it has checked, and a run never
+fails on a stability hypothesis mid-integration.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import sys
 
 import numpy as np
 
-from .disturbance import DisturbanceSpec, build_canonical
+from .disturbance import build_canonical
 from .errors import (
     BearingForgeError,
     CertificateFailed,
+    DuplicateFrequency,
     GainConditionViolated,
     MissingBearing,
+    NonPositiveFrequency,
     ParseError,
     ValidationError,
 )
@@ -39,6 +42,7 @@ from .internal_model import FollowerGroup, poles, synthesize
 MODES = ("known", "adaptive", "feedback_only")
 ETA_POLICIES = ("velocity_feedforward", "xi_zero")
 STEP_TOL = 1e-9                  # relative distance of t_final/step from a whole number
+FREQ_GAP = 1e-9                  # least distance of two frequencies of a disturbance
 # Largest array a run may allocate: of its recorded states, and of the dense
 # nd x nd bearing Laplacian, which also keeps agent ids far below the 2^32
 # that formation_graph._keys packs two of into one int64
@@ -307,6 +311,8 @@ def _directory(value, what):
 
 
 def _disturbance(entry, what, d):
+    """A disturbance's constant C0 (d,), its distinct positive frequencies
+    w (r,), and its amplitudes A and phases ph (r, d)."""
     _fields(entry, what, "constant", "sinusoids")
     constant = _field(entry, what, "constant", _vec, d, default=np.zeros(d))
     freqs, amps, phases = [], [], []
@@ -316,7 +322,17 @@ def _disturbance(entry, what, d):
         amps.append(_field(term, what, "amplitudes", _vec, d))
         phases.append(_field(term, what, "phases", _vec, d))
     with _named(what):
-        return DisturbanceSpec(d, constant, freqs, amps, phases)
+        for w in freqs:
+            if w <= 0:
+                raise NonPositiveFrequency(f"frequency {w} must be positive")
+        ordered = sorted(freqs)
+        for a, b in zip(ordered, ordered[1:]):
+            if b - a <= FREQ_GAP:
+                raise DuplicateFrequency(
+                    f"frequencies {a} and {b} closer than {FREQ_GAP:g}"
+                )
+    r = len(freqs)
+    return constant, np.array(freqs), np.reshape(amps, (r, d)), np.reshape(phases, (r, d))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -515,10 +531,11 @@ def compile_scenario(data) -> CompiledScenario:
             f"graph.leaders: need 1 <= n_l < n, got n_l={n_l}, n={_count(n)}"
         )
     edges = [_edge(e, "graph.edges", n) for e in _field(graph_in, "graph", "edges", _list)]
-    try:
-        graph = SensingGraph(n=n, d=d, n_l=n_l, edges=edges)
-    except ValueError as exc:
-        raise ValidationError(f"graph: {exc}") from exc
+    if n < 3:
+        raise ValidationError(f"graph: need at least 3 agents, got n={n}")
+    if d < 2:
+        raise ValidationError(f"graph: need dimension >= 2, got d={d}")
+    graph = SensingGraph(n=n, d=d, n_l=n_l, edges=edges)
 
     geom = _field(
         data, "", "geometry", _fields, "leader_velocity", "desired_positions",
@@ -606,8 +623,8 @@ def compile_scenario(data) -> CompiledScenario:
     disturbances = _field(
         data, "", "disturbances", _ids, followers, _disturbance, d, default={}
     )
-    undisturbed = DisturbanceSpec(d=d, C0=np.zeros(d))
-    specs = [disturbances.get(i, undisturbed) for i in followers]
+    undisturbed = (np.zeros(d), np.zeros(0), np.zeros((0, d)), np.zeros((0, d)))
+    dists = [disturbances.get(i, undisturbed) for i in followers]
 
     ctrl = _field(
         data, "", "controller", _fields, "mode", "kappa_p", "kappa_v",
@@ -638,10 +655,11 @@ def compile_scenario(data) -> CompiledScenario:
     # that the first at fault is named.  The adaptive-only fields are
     # checked in every mode, so that a wrong value is never ignored silently
     by_order, groups, failed = {}, [], {}
-    for k, spec in enumerate(specs):
-        by_order.setdefault(spec.r, []).append(k)
+    for k, (_, w, _, _) in enumerate(dists):
+        by_order.setdefault(len(w), []).append(k)
     for idx in by_order.values():
-        Phi, theta0, exo_faults = build_canonical([specs[k] for k in idx])
+        stacks = (np.array(x) for x in zip(*(dists[k] for k in idx)))
+        Phi, theta0, exo_faults = build_canonical(*stacks)
         M, N, T, E, model_faults = synthesize(Phi)
         # a follower at fault keeps its first stage's fault: the exosystem's
         failed.update({idx[j]: e for j, e in {**model_faults, **exo_faults}.items()})
@@ -751,7 +769,7 @@ def compile_scenario(data) -> CompiledScenario:
             f"integration: the run would take {_count(sc.n_steps)} steps, over "
             f"the limit of {MAX_STEPS}"
         )
-    _check_step(sc, np.concatenate([spec.frequencies for spec in specs]))
+    _check_step(sc, np.concatenate([w for _, w, _, _ in dists]))
     return sc
 
 
@@ -762,9 +780,21 @@ def load_scenario(path, overrides=None) -> CompiledScenario:
     is not None replaces its JSON field before the compile pass, so an
     overridden value passes the same checks as the file.
     """
+
+    def unique(pairs):
+        """A JSON object's dict; json.load would keep a repeated key's last value."""
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ParseError(
+                f"scenario file {path} repeats the key {_echo(key)} in an object"
+            )
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:    # RFC 8259
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -142,18 +142,16 @@ class Engine:
     order (choose_MN), so M w is one GEMM per order on the (n_f, m_max d)
     view of w, and N_i = e_{m_i}, so N v_f and N u touch only row m_i - 1
     of each block (`last`).  The padded rows and columns of the matrices are
-    zero, so padding entries that start at 0 stay exactly 0; `real` lists
-    the other coordinates.
+    zero, so padding entries that start at 0 stay exactly 0.
 
     The law has one implementation, `_bind`, which binds it once to a state
     buffer and a slope buffer: every view is made there, and a call is a
-    flat run of `out=` writes into the engine's buffers.  `rhs` binds it to
-    its arguments; `rk4` binds it to its current and stage states once per
-    stepper, so a staged step allocates no state-sized array.  The law is
-    affine jointly in the state and in the sums θ̂ w and w s of the
-    adaptive products, which it can hold as they stand: `product_form`
-    probes it so, with the products written out by `_factors` and summed
-    by `_sums`.
+    flat run of `out=` writes into the engine's buffers.  `rk4` binds it to
+    its current and stage states once per stepper, so a staged step
+    allocates no state-sized array.  The law is affine jointly in the state
+    and in the sums θ̂ w and w s of the adaptive products, which it can hold
+    as they stand: `product_form` probes it so, with the products written
+    out by `_factors` and summed by `_sums`.
     """
 
     def __init__(self, sc: CompiledScenario):
@@ -203,14 +201,6 @@ class Engine:
 
         # row 0 of each follower's vartheta, which drives its velocity
         self.var0 = self.i_var + block
-        # the real (non-padding) coordinates, in the packed order of the
-        # scenario's initial values: each follower's m_i rows of its blocks
-        rows = np.arange(m_max) < self.orders[:, None]              # (n_f, m_max)
-        blocks = np.flatnonzero(np.repeat(rows, d, axis=1))
-        real = [np.arange(self.i_eta), self.i_eta + blocks, self.i_var + blocks]
-        if self.adaptive:
-            real.append(self.i_th + np.flatnonzero(rows))
-        self.real = np.concatenate(real)
 
         # the adaptive products θ̂_ik w_ika and w_ika s_ia, one of each per
         # compensator coordinate
@@ -302,14 +292,6 @@ class Engine:
 
         return law
 
-    def rhs(self, y, out=None):
-        """The closed loop's dy/dt at y, written into out (a C-contiguous
-        array of dim floats) when it is given and a fresh array otherwise;
-        y is only read."""
-        dy = np.empty(self.dim) if out is None else out
-        self._bind(y, dy)()
-        return dy
-
     def _factors(self, y):
         """[z_a; z_b], the flat factors of the n_prod adaptive products
         p = z_a * z_b at the law's last evaluation, on y: first θ̂_ik w_ika,
@@ -333,8 +315,9 @@ class Engine:
         by stage through the law bound once to the current and stage states
         and the slopes k1..k4.  y + (h/6)(k1 + 2 k2 + 2 k3 + k4) is formed in
         place in that association order, so the states are bitwise those of
-        RK4 on rhs with fresh arrays.  The input is only read, and the last
-        state is returned as a copy, which the next chunk's out may overwrite."""
+        RK4 on the law with fresh arrays.  The input is only read, and the
+        last state is returned as a copy, which the next chunk's out may
+        overwrite."""
         h, half, sixth = self.sc.h, 0.5 * self.sc.h, self.sc.h / 6.0
         y, stage, k1, k2, k3, k4 = np.empty((6, self.dim))
         f1, f2, f3, f4 = map(self._bind, (y, stage, stage, stage), (k1, k2, k3, k4))
@@ -359,7 +342,7 @@ class Engine:
         return advance
 
     def product_form(self):
-        """(A, b, C, c, D) such that rhs(y) = A y + b + D (z_a * z_b) with
+        """(A, b, C, c, D) such that dy/dt = A y + b + D (z_a * z_b) with
         [z_a; z_b] = C y + c, the n_prod adaptive products written out (the
         known and feedback_only modes have none, and C, c and D are empty).
 

@@ -135,17 +135,52 @@ def dense_Q(B_ff, kp, kv):
     return sla.block_diag(2.0 * kp * B2, 2.0 * (kv * B2 - B_ff))
 
 
+def disturbance(C0, w=(), A=(), ph=()):
+    """One disturbance as the scenario parser returns it: C0 (d,), w (r,),
+    and A and ph (r, d)."""
+    C0, w = np.asarray(C0, dtype=float), np.asarray(w, dtype=float)
+    A, ph = (np.reshape(np.asarray(x, dtype=float), (len(w), len(C0))) for x in (A, ph))
+    return C0, w, A, ph
+
+
+def stacked(dists):
+    """build_canonical's arguments for disturbances of one order: C0 (g, d),
+    w (g, r), A and ph (g, r, d)."""
+    return tuple(np.array(x) for x in zip(*dists))
+
+
+def rhs(eng, y, out=None):
+    """The closed loop's dy/dt at y, written into out (a C-contiguous array
+    of eng.dim floats) when it is given and a fresh array otherwise; y is
+    only read.  The law bound to y and out, called once."""
+    dy = np.empty(eng.dim) if out is None else out
+    eng._bind(y, dy)()
+    return dy
+
+
+def real(eng):
+    """The real (non-padding) coordinates of the engine state, in the packed
+    order of the scenario's initial values: each follower's m_i rows of its
+    blocks."""
+    rows = np.arange(eng.m_max) < eng.orders[:, None]              # (n_f, m_max)
+    blocks = np.flatnonzero(np.repeat(rows, eng.d, axis=1))
+    out = [np.arange(eng.i_eta), eng.i_eta + blocks, eng.i_var + blocks]
+    if eng.adaptive:
+        out.append(eng.i_th + np.flatnonzero(rows))
+    return np.concatenate(out)
+
+
 def padded_state(eng, packed):
-    """The engine state whose real coordinates (`Engine.real`) hold the
-    packed state [p | v_f | eta | vartheta | theta_hat], zero elsewhere."""
+    """The engine state whose real coordinates (`real`) hold the packed
+    state [p | v_f | eta | vartheta | theta_hat], zero elsewhere."""
     y = np.zeros(packed.shape[:-1] + (eng.dim,))
-    y[..., eng.real] = packed
+    y[..., real(eng)] = packed
     return y
 
 
 def padding(eng, states):
     """The padding entries of engine states (..., eng.dim)."""
-    return np.delete(states, eng.real, axis=-1)
+    return np.delete(states, real(eng), axis=-1)
 
 
 def per_follower(sc):

@@ -1,6 +1,6 @@
 """Unit tests of the per-follower control law against hand-computed values,
 and of the gain gate.  The law itself is the decentralization oracle in
-test_decentralization.py; the package implements it once, in Engine.rhs."""
+test_decentralization.py; the package implements it once, in Engine._bind."""
 
 import numpy as np
 import pytest

@@ -1,13 +1,13 @@
 """Decentralization oracle: the stacked right-hand side is a local law.
 
 The package has one implementation of the control law, the batched
-`Engine.rhs`.  This file keeps the law in its per-follower form, as the
-paper states it (`projected_errors`, `control_known`, `control_adaptive`,
-`regressor`, `theta_hat_dot`, `eta_dot`; their unit tests against
-hand-computed values are in `test_control_laws.py`), and checks on a
-non-complete formation that
+`Engine._bind`, which `rhs` evaluates once.  This file keeps the law in
+its per-follower form, as the paper states it (`projected_errors`,
+`control_known`, `control_adaptive`, `regressor`, `theta_hat_dot`,
+`eta_dot`; their unit tests against hand-computed values are in
+`test_control_laws.py`), and checks on a non-complete formation that
 
-* follower i's rows of `Engine.rhs` are bitwise unchanged when any state
+* follower i's rows of `rhs` are bitwise unchanged when any state
   entry of an agent that is not a neighbour of i changes, and
 * they equal the local law evaluated from the follower's own state and
   its neighbours' positions and velocities alone,
@@ -24,7 +24,7 @@ from bearing_forge.formation_graph import BearingSet
 from bearing_forge.scenario import compile_scenario
 from bearing_forge.sim_engine import Engine
 
-from conftest import base_scenario_dict, padded_state, padding, per_follower
+from conftest import base_scenario_dict, padded_state, padding, per_follower, real, rhs
 
 TOL = 1e-12
 
@@ -140,7 +140,7 @@ def local_law(sc, i, positions, velocities, eta, var, theta_hat):
 def agent_rows(eng, k):
     """Indices of agent k's entries in the engine state, in the order
     [p, v, eta, vartheta, theta_hat]; a leader has only p.  They are the
-    agent's entries of the packed state, mapped through `Engine.real`."""
+    agent's entries of the packed state, mapped through `real`."""
     d, q = eng.d, sum(eng.orders)
     rows = [np.arange((k - 1) * d, k * d)]
     if k > eng.n_l:
@@ -153,7 +153,7 @@ def agent_rows(eng, k):
         ]
         if eng.adaptive:
             rows.append(eng.i_eta + 2 * q * d + off + np.arange(m))
-    return eng.real[np.concatenate(rows)]
+    return real(eng)[np.concatenate(rows)]
 
 
 def local_view(sc, eng, y, i):
@@ -228,7 +228,7 @@ MODES = ["known", "adaptive", "adaptive_frozen", "feedback_only"]
 def states(eng, seed):
     """The initial state and three random ones, each with zero padding."""
     rng = np.random.default_rng(seed)
-    random = padded_state(eng, rng.standard_normal((3, len(eng.real))))
+    random = padded_state(eng, rng.standard_normal((3, len(real(eng)))))
     return [eng.initial_state()] + list(random)
 
 
@@ -250,7 +250,7 @@ def test_rows_depend_only_on_neighbours(mode):
     rng = np.random.default_rng(11)
     edges = sc.graph.edges
     for y in states(eng, 3):
-        base = eng.rhs(y)
+        base = rhs(eng, y)
         assert (padding(eng, base) == 0).all()
         for i in sc.graph.followers:
             rows = agent_rows(eng, i)
@@ -262,7 +262,7 @@ def test_rows_depend_only_on_neighbours(mode):
                     y2 = y.copy()
                     y2[idx] += rng.standard_normal()
                     np.testing.assert_array_equal(
-                        eng.rhs(y2)[rows].view(np.int64), base[rows].view(np.int64)
+                        rhs(eng, y2)[rows].view(np.int64), base[rows].view(np.int64)
                     )
 
 
@@ -271,7 +271,7 @@ def test_rows_equal_local_law(mode):
     sc = sparse_scenario(mode)
     eng = Engine(sc)
     for y in states(eng, 5):
-        dy = eng.rhs(y)
+        dy = rhs(eng, y)
         assert (padding(eng, dy) == 0).all()
         for i in sc.graph.followers:
             ref = local_law(sc, i, *local_view(sc, eng, y, i))

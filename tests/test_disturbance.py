@@ -3,14 +3,26 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from bearing_forge.disturbance import DisturbanceSpec, build_canonical
-from bearing_forge.errors import DuplicateFrequency, NonPositiveFrequency
+from bearing_forge.disturbance import build_canonical
+from bearing_forge.errors import ValidationError
+from bearing_forge.scenario import _disturbance
+
+from conftest import disturbance, stacked
 
 
 def spec_1d(C0=0.0, terms=()):
-    """Spec on R^1 from (frequency, amplitude, phase) triples."""
+    """Disturbance on R^1 from (frequency, amplitude, phase) triples."""
     w, A, ph = np.reshape(terms, (-1, 3)).T
-    return DisturbanceSpec(1, [C0], w, A[:, None], ph[:, None])
+    return disturbance([C0], w, A[:, None], ph[:, None])
+
+
+def parse(terms, d=1):
+    """The parser's reading of a disturbance entry with the given
+    (frequency, amplitude, phase) terms, the same on every axis."""
+    sinusoids = [
+        {"frequency": w, "amplitudes": [a] * d, "phases": [ph] * d} for w, a, ph in terms
+    ]
+    return _disturbance({"sinusoids": sinusoids}, "disturbances[3]", d)
 
 
 class TestMinPoly:
@@ -38,43 +50,29 @@ class TestMinPoly:
         # even powers of the full polynomial carry zero coefficients
         np.testing.assert_allclose(Phi[-1, ::2], 0.0, atol=1e-12)
 
+    # the frequencies that the build takes are the parser's, checked there
     def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateFrequency):
-            spec_1d(terms=[(1.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
+        with pytest.raises(ValidationError) as info:
+            parse([(1.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
+        assert str(info.value) == (
+            "disturbances[3]: DuplicateFrequency: frequencies 1.0 and 1.0 closer than 1e-09"
+        )
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveFrequency):
-            spec_1d(terms=[(-2.0, 1.0, 0.0)])
+        with pytest.raises(ValidationError) as info:
+            parse([(-2.0, 1.0, 0.0)])
+        assert str(info.value) == (
+            "disturbances[3]: NonPositiveFrequency: frequency -2.0 must be positive"
+        )
 
 
 class TestSpecShapes:
-    """DisturbanceSpec checks each array's shape and names the field."""
-
-    GOOD = dict(
-        d=2, C0=[0.0, 1.0], frequencies=[1.0], amplitudes=[[1.0, 2.0]], phases=[[0.0, 0.5]]
-    )
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("C0", [0.0, 1.0, 2.0]),
-            ("frequencies", [[1.0]]),
-            ("frequencies", 1.0),
-            ("amplitudes", [1.0, 2.0]),
-            ("amplitudes", [[1.0, 2.0, 3.0]]),
-            ("phases", [[0.0]]),
-            ("phases", [[0.0, 0.5], [1.0, 1.5]]),
-            ("amplitudes", ()),
-        ],
-    )
-    def test_wrong_shape_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must have shape"):
-            DisturbanceSpec(**{**self.GOOD, field: value})
+    """The parser returns C0 (d,), w (r,), and A and ph (r, d)."""
 
     def test_no_terms(self):
-        spec = DisturbanceSpec(d=3, C0=np.zeros(3))
-        assert spec.r == 0
-        assert spec.amplitudes.shape == spec.phases.shape == (0, 3)
+        C0, w, A, ph = parse([], d=3)
+        assert C0.shape == (3,) and w.shape == (0,)
+        assert A.shape == ph.shape == (0, 3)
 
 
 class TestDisturbanceEval:
@@ -84,10 +82,11 @@ class TestDisturbanceEval:
     @staticmethod
     def signal(spec, t):
         Phi, theta0 = canonical(spec)
-        return (np.kron(expm(Phi * t), np.eye(spec.d)) @ theta0)[: spec.d]
+        d = len(spec[0])
+        return (np.kron(expm(Phi * t), np.eye(d)) @ theta0)[:d]
 
     def test_constant(self):
-        spec = DisturbanceSpec(d=2, C0=np.array([3.0, -1.0]))
+        spec = disturbance([3.0, -1.0])
         np.testing.assert_allclose(self.signal(spec, 17.3), [3.0, -1.0])
 
     def test_exact_sine(self):
@@ -100,10 +99,12 @@ class TestDisturbanceEval:
 
 
 def derivative_ladder(spec, k):
-    """d^(k)(0) summed term after term, the constant first: the reference
-    that the closed-form theta0 must match bit for bit."""
-    out = spec.C0.copy() if k == 0 else np.zeros(spec.d)
-    for w, A, ph in zip(spec.frequencies, spec.amplitudes, spec.phases):
+    """d^(k)(0) of the disturbance (C0, w, A, ph) summed term after term,
+    the constant first: the reference that the closed-form theta0 must
+    match bit for bit."""
+    C0, freqs, amps, phases = spec
+    out = C0.copy() if k == 0 else np.zeros(len(C0))
+    for w, A, ph in zip(freqs, amps, phases):
         if k == 0:
             out += A * np.sin(w * 0.0 + ph)
         else:
@@ -112,16 +113,16 @@ def derivative_ladder(spec, k):
 
 
 def canonical(spec):
-    """Phi (m, m) and the flat theta0 (m d,) of one spec, from a build of
-    a stack of one."""
-    Phi, theta0, faults = build_canonical([spec])
+    """Phi (m, m) and the flat theta0 (m d,) of one disturbance, from a
+    build of a stack of one."""
+    Phi, theta0, faults = build_canonical(*stacked([spec]))
     assert faults == {}
     return Phi[0], theta0[0].ravel()
 
 
 class TestBuildCanonical:
     def test_constant_realization(self):
-        spec = DisturbanceSpec(d=2, C0=np.array([3.0, -1.0]))
+        spec = disturbance([3.0, -1.0])
         Phi, theta0 = canonical(spec)
         np.testing.assert_allclose(Phi, [[0.0]])
         np.testing.assert_allclose(theta0, [3.0, -1.0])
@@ -158,12 +159,11 @@ class TestBuildCanonical:
             r = int(rng.integers(0, 4))
             d = int(rng.choice([2, 3]))
             freqs = np.sort(rng.uniform(0.2, 4.0, size=r))
-            spec = DisturbanceSpec(
-                d=d,
-                C0=rng.uniform(-1, 1, size=d),
-                frequencies=freqs,
-                amplitudes=rng.uniform(-1, 1, size=(r, d)),
-                phases=rng.uniform(-np.pi, np.pi, size=(r, d)),
+            C0, w, amps, phases = spec = disturbance(
+                rng.uniform(-1, 1, size=d),
+                freqs,
+                rng.uniform(-1, 1, size=(r, d)),
+                rng.uniform(-np.pi, np.pi, size=(r, d)),
             )
             Phi, theta0 = canonical(spec)
             A = np.kron(Phi, np.eye(d))
@@ -177,8 +177,8 @@ class TestBuildCanonical:
             )
             for t, col in zip(sol.t, sol.y.T):
                 recon = col[:d]  # (Psi kron I_d) theta picks the first block
-                sines = spec.amplitudes * np.sin(spec.frequencies[:, None] * t + spec.phases)
-                assert np.linalg.norm(recon - (spec.C0 + sines.sum(axis=0))) <= 1e-6
+                sines = amps * np.sin(w[:, None] * t + phases)
+                assert np.linalg.norm(recon - (C0 + sines.sum(axis=0))) <= 1e-6
 
     def test_theta0_bits_match_the_derivative_ladder(self):
         """Zero amplitudes and phases of -0.0 and 0.0 included."""
@@ -195,22 +195,16 @@ class TestBuildCanonical:
                     A[rng.random((r, d)) < 0.1] = 0.0
                     ph[rng.random((r, d)) < 0.2] = rng.choice([0.0, -0.0])
                     C0[rng.random(d) < 0.2] = -0.0
-                    spec = DisturbanceSpec(d, C0, freqs, A, ph)
+                    spec = disturbance(C0, freqs, A, ph)
                     ref = [derivative_ladder(spec, k) for k in range(2 * r + 1)]
                     theta0 = canonical(spec)[1]
                     assert theta0.tobytes() == np.concatenate(ref).tobytes()
 
     def test_theta0_matches_finite_differences(self):
-        spec = DisturbanceSpec(
-            d=2,
-            C0=np.array([0.3, -0.7]),
-            frequencies=[1.7],
-            amplitudes=[[0.9, -0.4]],
-            phases=[[0.5, 1.1]],
-        )
+        C0, _, A, ph = spec = disturbance([0.3, -0.7], [1.7], [[0.9, -0.4]], [[0.5, 1.1]])
         Phi, theta0 = canonical(spec)
         h = 1e-4
-        f = lambda t: spec.C0 + (spec.amplitudes * np.sin(1.7 * t + spec.phases))[0]
+        f = lambda t: C0 + (A * np.sin(1.7 * t + ph))[0]
         d1 = (f(h) - f(-h)) / (2 * h)
         d2 = (f(h) - 2 * f(0.0) + f(-h)) / h**2
         np.testing.assert_allclose(theta0[2:4], d1, atol=1e-5)

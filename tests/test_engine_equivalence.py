@@ -8,10 +8,11 @@ product coordinates below OPERATOR_MAX_MACS, chunked checks) must agree with
 them to 1e-10 (1 + |ref|) on every recorded quantity, and must fail at the
 same step with the same report.  The operator step must also agree with the
 staged `Engine.rk4` on formations on both sides of that bound, and the
-pieces of `Engine.rhs` that it probes must compose to `Engine.rhs`.  The post-processing keeps its per-sample forms here too: the xi
-oracle with one expm per follower and sample, the targets localized
-from the leaders at every sample, and the Lyapunov certificate from the
-dense block-diagonal M_f and E_f.
+pieces of the law that it probes must compose to the law (`rhs`).  The
+post-processing keeps its per-sample forms here too: the xi oracle with
+one expm per follower and sample, the targets localized from the leaders
+at every sample, and the Lyapunov certificate from the dense
+block-diagonal M_f and E_f.
 """
 
 import copy
@@ -47,7 +48,9 @@ from conftest import (
     padded_state,
     padding,
     per_follower,
+    real,
     replace,
+    rhs,
 )
 
 TOL = 1e-10
@@ -535,14 +538,14 @@ def test_rhs_matches_reference(case):
     writes bitwise rhs."""
     sc = BOUND_CASES[case]()
     eng, ref = Engine(sc), ReferenceEngine(sc)
-    assert eng.dim == sc.state_dim and len(eng.real) == ref.dim
+    assert eng.dim == sc.state_dim and len(real(eng)) == ref.dim
     y_buf, dy_buf = np.empty((2, eng.dim))
     law = eng._bind(y_buf, dy_buf)
     rng = np.random.default_rng(7)
     random = padded_state(eng, rng.standard_normal((5, ref.dim)))
     for y in [eng.initial_state()] + list(random):
-        dy = eng.rhs(y)
-        assert_close(dy[eng.real], ref.rhs(y[eng.real]))
+        dy = rhs(eng, y)
+        assert_close(dy[real(eng)], ref.rhs(y[real(eng)]))
         assert (padding(eng, dy) == 0).all()
         y_buf[:] = y
         law()
@@ -559,7 +562,7 @@ def test_mixed_orders_are_padded():
     assert eng.orders.tolist() == [1, 3, 5] and eng.m_max == 5
     n_f, d = sc.n_f, sc.d
     assert eng.dim == sc.state_dim == (sc.n + n_f) * d + 2 * n_f * 5 * d + n_f * 5
-    assert len(eng.real) == ref.dim == eng.dim - 2 * n_f * 2 * d - n_f * 2
+    assert len(real(eng)) == ref.dim == eng.dim - 2 * n_f * 2 * d - n_f * 2
     y = eng.initial_state()
     assert padding(eng, y).view(np.int64).tolist() == [0] * (eng.dim - ref.dim)
     models = ref.models
@@ -567,7 +570,7 @@ def test_mixed_orders_are_padded():
         [sc.p0.ravel(), sc.v_f0.ravel(), *[m.eta0 for m in models],
          *[m.theta0 for m in models], *[m.theta_hat0 for m in models]]
     )
-    assert y[eng.real].tobytes() == packed.tobytes()
+    assert y[real(eng)].tobytes() == packed.tobytes()
 
 
 def test_interleaved_orders_are_indexed():
@@ -613,20 +616,20 @@ def test_padded_steppers_match_reference(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_buffered_rk4_is_plain_rk4(case):
     """The staged Engine.rk4, which forms its stages in preallocated
-    buffers, against RK4 written with fresh arrays on Engine.rhs: over two
+    buffers, against RK4 written with fresh arrays on rhs: over two
     chunks, each from the state the last returned, the states are bitwise
     equal.  The advance leaves its input alone and returns a copy of the
     last state, which the next chunk may overwrite."""
     sc = CASES[case]()
     eng = Engine(sc)
-    rhs, h = eng.rhs, sc.h
+    h = sc.h
     y = y0 = eng.initial_state()
     ref = []
     for _ in range(5 + 3):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
+        k1 = rhs(eng, y)
+        k2 = rhs(eng, y + 0.5 * h * k1)
+        k3 = rhs(eng, y + 0.5 * h * k2)
+        k4 = rhs(eng, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ref.append(y)
     advance, got = eng.rk4(), np.empty((8, eng.dim))
@@ -645,11 +648,11 @@ def test_rhs_into_a_buffer(case):
     eng = Engine(sc)
     rng = np.random.default_rng(11)
     buf = np.full(eng.dim, np.nan)
-    random = padded_state(eng, rng.standard_normal((3, len(eng.real))))
+    random = padded_state(eng, rng.standard_normal((3, len(real(eng)))))
     for y in [eng.initial_state()] + list(random):
         before = y.copy()
-        assert eng.rhs(y, out=buf) is buf
-        assert buf.tobytes() == eng.rhs(y).tobytes()
+        assert rhs(eng, y, out=buf) is buf
+        assert buf.tobytes() == rhs(eng, y).tobytes()
         assert y.tobytes() == before.tobytes()
 
 
@@ -950,7 +953,7 @@ def law_terms(eng, y):
     in adaptive mode.  At order 11 the entries of M and N E reach 1.5e8, so
     on a random state the law's own rounding of M w + N E w, a few eps of
     these, is about 1e-8 where M w + N E w itself is small."""
-    eng.rhs(y)
+    rhs(eng, y)
     (s_p, s_v), w = eng._bufs[1], eng._bufs[3]
     th = y[eng.i_th :].reshape(eng.n_f, 1, -1) if eng.adaptive else eng.E3
     kp, kv = eng.sc.kappa_p, eng.sc.kappa_v
@@ -981,7 +984,7 @@ def test_pieces_compose_rhs(case):
     tw, ws = eng._bufs[4:6]
     rng = np.random.default_rng(3)
     for y in [eng.initial_state()] + list(rng.standard_normal((5, eng.dim))):
-        ref = eng.rhs(y)
+        ref = rhs(eng, y)
         law = np.empty(eng.dim)
         if n_p:
             z = eng._factors(y)

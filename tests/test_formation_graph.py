@@ -141,12 +141,6 @@ class TestLocalizeFollowers:
         p_f = localize_followers(square_laplacian, SQUARE_POSITIONS[:2])
         np.testing.assert_allclose(p_f, SQUARE_POSITIONS[2:], atol=1e-10)
 
-    def test_leader_coordinate_count_checked(self, square_laplacian):
-        with pytest.raises(
-            ValueError, match="^expected 4 leader coordinates, got 3$"
-        ):
-            localize_followers(square_laplacian, [0.0, 0.0, 1.0])
-
     def test_collinear_not_localizable(self):
         graph = SensingGraph(n=3, d=2, n_l=2, edges=[(1, 3), (2, 3)])
         bearings = BearingSet(
@@ -242,30 +236,6 @@ class TestEdgeAlgebra:
         graph = SensingGraph(n=4, d=2, n_l=1, edges=[(3, 1), (1, 2), (2, 1), (4, 2)])
         np.testing.assert_array_equal(graph.edges, [[1, 2], [1, 3], [2, 4]])
         assert not graph.edges.flags.writeable
-
-    @pytest.mark.parametrize(
-        "edges, message",
-        [
-            ([(1, 2), (3, 3), (1, 9)], "self-loop at agent 3"),
-            ([(1, 2), (1, 9), (3, 3)], r"edge \(1,9\) references an unknown agent"),
-            ([(1, 2, 3)], r"^edges must be \(i, j\) pairs$"),
-        ],
-    )
-    def test_graph_names_first_bad_edge(self, edges, message):
-        with pytest.raises(ValueError, match=message):
-            SensingGraph(n=4, d=2, n_l=1, edges=edges)
-
-    @pytest.mark.parametrize(
-        "n, n_l, message",
-        [
-            (2, 1, "need at least 3 agents, got n=2"),
-            (4, 0, "leader count must satisfy 1 <= n_l < n, got 0"),
-            (4, 4, "leader count must satisfy 1 <= n_l < n, got 4"),
-        ],
-    )
-    def test_graph_rejects_bad_counts(self, n, n_l, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            SensingGraph(n=n, d=2, n_l=n_l, edges=[(1, 2)])
 
     def test_degenerate_names_first_edge(self):
         graph = SensingGraph(n=5, d=2, n_l=1, edges=[(5, 4), (4, 2), (2, 1), (1, 4)])

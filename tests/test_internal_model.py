@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from bearing_forge import scenario
-from bearing_forge.disturbance import DisturbanceSpec, build_canonical
+from bearing_forge.disturbance import build_canonical
 from bearing_forge.errors import NonFiniteExosystem, SingularT, ValidationError
 from bearing_forge.internal_model import choose_MN, synthesize
 from bearing_forge.scenario import compile_scenario
 
-from conftest import per_follower
+from conftest import disturbance, per_follower, stacked
 from test_disturbance import derivative_ladder
 
 
@@ -18,8 +18,8 @@ def exo_for(freqs, d=1):
     """Phi (m, m) of the companion exosystem of a disturbance with the given
     frequencies."""
     r = len(freqs)
-    spec = DisturbanceSpec(d, np.ones(d), freqs, np.ones((r, d)), np.zeros((r, d)))
-    return build_canonical([spec])[0][0]
+    spec = disturbance(np.ones(d), freqs, np.ones((r, d)), np.zeros((r, d)))
+    return build_canonical(*stacked([spec]))[0][0]
 
 
 def model_for(freqs):
@@ -57,10 +57,6 @@ class TestChooseMN:
         np.testing.assert_allclose(M[-1], [-6.0, -11.0, -6.0])
         np.testing.assert_allclose(M[0], [0.0, 1.0, 0.0])
         np.testing.assert_allclose(N, [0.0, 0.0, 1.0])
-
-    def test_negative_r_rejected(self):
-        with pytest.raises(ValueError, match="^r must be >= 0$"):
-            choose_MN(-1)
 
     @pytest.mark.parametrize("r", range(5))
     def test_controllable_and_hurwitz(self, r):
@@ -297,10 +293,11 @@ class TestBatchedBuild:
         assert [(f.order - 1) // 2 for f in followers] == BATCH_ORDERS
         d = sc.d
         for k, f in enumerate(followers):
-            spec = DisturbanceSpec(**_spec_fields(data["disturbances"][str(k + 3)], d))
-            r, m = spec.r, 2 * spec.r + 1
+            spec = _parsed(data["disturbances"][str(k + 3)])
+            freqs = spec[1]
+            r, m = len(freqs), 2 * len(freqs) + 1
             poly = np.array([1.0, 0.0])
-            for w in spec.frequencies:
+            for w in freqs:
                 poly = np.convolve(poly, [1.0, 0.0, w * w])
             Phi = np.eye(m, k=1)
             Phi[-1] = -poly[:0:-1]
@@ -381,9 +378,11 @@ class TestBatchedBuild:
         calls = []
 
         def counted(name, build):
-            def run(arg):
-                calls.append((name, len(arg), arg[0].r if name == "exo" else arg.shape[-1]))
-                return build(arg)
+            def run(*args):
+                # (g, r) frequencies of the exosystems, (g, m, m) Phi of the models
+                g, k = args[1 if name == "exo" else 0].shape[:2]
+                calls.append((name, g, k))
+                return build(*args)
             return run
 
         monkeypatch.setattr(scenario, "build_canonical", counted("exo", build_canonical))
@@ -411,17 +410,17 @@ class TestBatchedBuild:
         freqs = [[0.4, 1.1], [1e200, 0.7], [0.9, 1.3], [1e150, 0.5], [0.5, 1e60],
                  [0.2, 2.5], [1e-200, 1e200]]
         specs = [
-            DisturbanceSpec(d, rng.normal(size=d), w, rng.normal(size=(2, d)),
-                            rng.uniform(-3.0, 3.0, size=(2, d)))
+            disturbance(rng.normal(size=d), w, rng.normal(size=(2, d)),
+                        rng.uniform(-3.0, 3.0, size=(2, d)))
             for w in freqs
         ]
-        Phi, theta0, exo_faults = build_canonical(specs)
+        Phi, theta0, exo_faults = build_canonical(*stacked(specs))
         M, N, T, E, model_faults = synthesize(Phi)
         assert set(exo_faults) == {1, 3, 6}
         assert set(model_faults) >= set(exo_faults) and 4 in model_faults
         assert len(model_faults) < len(specs)
         for k, spec in enumerate(specs):
-            Phi_k, theta0_k, exo_k = build_canonical([spec])
+            Phi_k, theta0_k, exo_k = build_canonical(*stacked([spec]))
             M_k, N_k, T_k, E_k, model_k = synthesize(Phi_k)
             for got, alone in ((exo_faults, exo_k), (model_faults, model_k)):
                 if k in got:
@@ -461,12 +460,12 @@ class TestBatchedBuild:
         )
 
 
-def _spec_fields(entry, d):
-    """DisturbanceSpec fields of a scenario's disturbance entry."""
+def _parsed(entry):
+    """(C0, w, A, ph) of a scenario's disturbance entry."""
     terms = entry["sinusoids"]
-    return dict(
-        d=d, C0=entry["constant"],
-        frequencies=[t["frequency"] for t in terms],
-        amplitudes=np.reshape([t["amplitudes"] for t in terms], (-1, d)),
-        phases=np.reshape([t["phases"] for t in terms], (-1, d)),
+    return disturbance(
+        entry["constant"],
+        [t["frequency"] for t in terms],
+        [t["amplitudes"] for t in terms],
+        [t["phases"] for t in terms],
     )

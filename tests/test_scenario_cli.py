@@ -787,9 +787,8 @@ def test_only_run_imports_the_engine(tmp_path):
     }
 
 
-# public names that no command calls, each with its reason: perfbench's
-# tracer wraps Engine.rhs to count and time the law's calls
-CENSUS_ALLOWED = {"sim_engine.Engine.rhs"}
+# public names that no command calls, each with its reason
+CENSUS_ALLOWED = set()
 
 
 def public_code(module):
@@ -950,6 +949,8 @@ def _main_stderr(argv):
 
 
 ADAPTIVE_CONTROLLER = {"mode": "adaptive", "kappa_p": 1.0, "kappa_v": 4.0}
+# follower 3's one sinusoid in the bundled squares
+SINUSOID = {"frequency": 2.0, "amplitudes": [0.001, 0.0008], "phases": [0.3, -0.5]}
 R2 = 0.5**0.5
 # the unit square of the bundled scenarios given by its bearings, with the
 # desired positions of the leaders and of an agent the graph does not have
@@ -1213,11 +1214,28 @@ class TestMalformedInput:
              "graph.leaders: leaders must be exactly 1..n_l, got [3, 4, 5, 6, ...]"),
             (("k" * 100_000,), 1,
              f"scenario: unknown field '{'k' * 12}...{'k' * 13}'"),
+            (("graph",), {"n_agents": 2, "dimension": 2, "leaders": [1], "edges": [[1, 2]]},
+             "graph: need at least 3 agents, got n=2"),
+            (("graph", "dimension"), 1, "graph: need dimension >= 2, got d=1"),
+            (("graph", "edges", 0), [3, 3], "graph.edges: malformed edge (3, 3)"),
+            (("graph", "edges", 0), [1, 9], "graph.edges: malformed edge (1, 9)"),
+            (("graph", "edges", 0), [1, 2, 3], "graph.edges: malformed edge (1, 2, 3)"),
+            (("graph", "leaders"), [], "graph.leaders: need 1 <= n_l < n, got n_l=0, n=4"),
+            (("disturbances", "3", "sinusoids", 0, "frequency"), 0,
+             "disturbances[3]: NonPositiveFrequency: frequency 0.0 must be positive"),
+            (("disturbances", "3", "sinusoids", 0, "frequency"), -1,
+             "disturbances[3]: NonPositiveFrequency: frequency -1.0 must be positive"),
+            (("disturbances", "3", "sinusoids"), [SINUSOID, SINUSOID],
+             "disturbances[3]: DuplicateFrequency: frequencies 2.0 and 2.0 closer "
+             "than 1e-09"),
         ],
         ids=["eta_init-length", "eta_init-policy", "vector-length", "all-leaders",
              "id-5000-digits", "id-4000-digits", "agent-id-5000-digits", "id-10",
              "mode-100KB", "mode-newline", "eta_init-100KB",
-             "eta_init-100000-entries", "leaders-50000", "field-100KB"],
+             "eta_init-100000-entries", "leaders-50000", "field-100KB", "n_agents-2",
+             "dimension-1", "edge-self-loop", "edge-unknown-agent", "edge-triple",
+             "no-leaders", "frequency-0",
+             "frequency-negative", "frequency-repeated"],
     )
     def test_bad_value_names_its_field(self, tmp_path, path, value, message):
         """One short line that names the field.  An agent id of more digits
@@ -1231,6 +1249,27 @@ class TestMalformedInput:
         code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
         assert (code, err) == (2, [f"error: {message}"])
         assert len(err[0]) < 200
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"kappa_v": 1.0}', '"kappa_v": 1.0, "kappa_p": 50.0}', "kappa_p"),
+            ('"disturbances": {', '"disturbances": {"4": {"constant": [5, 5]}, ', "4"),
+        ],
+        ids=["controller-kappa_p", "disturbances-4"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, old, new, key):
+        """json.load keeps the last of a key's values; a key given twice in
+        one object is refused, not read as its last value."""
+        with open(bundled_scenario("square_known")) as fh:
+            text = fh.read()
+        assert text.count(old) == 1
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace(old, new))
+        code, err = _main_stderr(["validate", str(path)])
+        assert (code, err) == (
+            2, [f"error: scenario file {path} repeats the key '{key}' in an object"]
+        )
 
     @pytest.mark.parametrize(
         "case",

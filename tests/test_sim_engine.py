@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg as sla
 
 from bearing_forge import bundled_scenario
-from bearing_forge.disturbance import DisturbanceSpec
 from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
 from bearing_forge.scenario import closed_loop_spectrum, compile_scenario, load_scenario
@@ -22,12 +21,15 @@ from conftest import (
     certificate_for,
     dense_G_c,
     dense_Q,
+    disturbance,
     make_scenario,
     padded_state,
     padding,
     per_follower,
     random_formation,
+    real,
     replace,
+    rhs,
 )
 from test_decentralization import sparse_scenario
 from test_engine_equivalence import ReferenceEngine
@@ -54,14 +56,13 @@ MILLI_DISTURBANCES = {
     },
 }
 
-# the DisturbanceSpec of each follower, 3 and 4, as the compile reads it
+# the (C0, w, A, ph) of each follower, 3 and 4, as the compile reads it
 MILLI_SPECS = [
-    DisturbanceSpec(
-        d=2,
-        C0=entry["constant"],
-        frequencies=[term["frequency"] for term in entry["sinusoids"]],
-        amplitudes=[term["amplitudes"] for term in entry["sinusoids"]],
-        phases=[term["phases"] for term in entry["sinusoids"]],
+    disturbance(
+        entry["constant"],
+        [term["frequency"] for term in entry["sinusoids"]],
+        [term["amplitudes"] for term in entry["sinusoids"]],
+        [term["phases"] for term in entry["sinusoids"]],
     )
     for entry in MILLI_DISTURBANCES.values()
 ]
@@ -183,7 +184,7 @@ class TestEngineLinearisation:
 
     @pytest.mark.parametrize("case", [c for c in CASES if c != "order_11"])
     def test_jacobian_is_block_diagonal(self, case):
-        """On the real coordinates (`Engine.real`), at a state with zero
+        """On the real coordinates (`real`), at a state with zero
         padding; the padding's rows of the Jacobian are exactly 0."""
         sc = CASES[case]()
         eng, ref = Engine(sc), ReferenceEngine(sc)
@@ -193,7 +194,7 @@ class TestEngineLinearisation:
         z_a, z_b = z[:n_p], z[n_p:]
         J = A + D @ (z_b[:, None] * C[:n_p] + z_a[:, None] * C[n_p:])
         assert (padding(eng, J.T) == 0).all()
-        keep = eng.real[sc.n_l * sc.d :]                      # drop the leaders
+        keep = real(eng)[sc.n_l * sc.d :]                      # drop the leaders
         J = J[np.ix_(keep, keep)]
 
         d, nfd, q_f = sc.d, sc.n_f * sc.d, ref.q_f
@@ -222,7 +223,7 @@ class TestEngineRhs:
         """At the target with matched compensator state, errors stay zero."""
         sc = make_scenario(integration={"t_final": 1.0})
         eng = Engine(sc)
-        dy = eng.rhs(eng.initial_state())
+        dy = rhs(eng, eng.initial_state())
         # positions advance at v_c, velocities stay at v_c, eta consistent
         np.testing.assert_allclose(
             dy[: eng.i_vf], np.tile(sc.v_c, sc.n), atol=1e-12
@@ -236,13 +237,13 @@ class TestEngineRhs:
         )
         eng = Engine(sc)
         y = eng.initial_state()
-        dy = eng.rhs(y)
+        dy = rhs(eng, y)
         var = y[eng.i_var : eng.i_th]
         d_out = var[ReferenceEngine(sc).d_idx]
-        for idx, spec in enumerate(MILLI_SPECS):
+        for idx, (C0, _, A, ph) in enumerate(MILLI_SPECS):
             np.testing.assert_allclose(
                 d_out[idx * sc.d : (idx + 1) * sc.d],
-                spec.C0 + (spec.amplitudes * np.sin(spec.phases)).sum(axis=0),
+                C0 + (A * np.sin(ph)).sum(axis=0),
                 atol=1e-12,
             )
         # subtracting the disturbance leaves exactly the control input
@@ -258,9 +259,9 @@ class TestEngineRhs:
         traj = integrate(sc)
         for s, t in enumerate(traj.times):
             out = traj.vartheta[s, :, 0]                     # (n_f, d)
-            for idx, spec in enumerate(MILLI_SPECS):
-                sines = spec.amplitudes * np.sin(spec.frequencies[:, None] * t + spec.phases)
-                np.testing.assert_allclose(out[idx], spec.C0 + sines.sum(axis=0), atol=1e-8)
+            for idx, (C0, w, A, ph) in enumerate(MILLI_SPECS):
+                sines = A * np.sin(w[:, None] * t + ph)
+                np.testing.assert_allclose(out[idx], C0 + sines.sum(axis=0), atol=1e-8)
 
 
 class TestIntegrate:
