@@ -13,6 +13,7 @@ Exit codes: 0 success, 3 collision, 4 non-finite divergence, 5 I/O error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -237,6 +238,11 @@ def build_parser():
 
 
 def main(argv=None):
+    if argv is None:
+        # the process's own command line: what is imported by now lives
+        # until exit, so the cyclic GC need not scan it again, in a later
+        # collection or at shutdown.  A caller that passes argv keeps its GC
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

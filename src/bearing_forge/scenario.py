@@ -728,7 +728,12 @@ def compile_scenario(data) -> CompiledScenario:
             "positive, record_every >= 1"
         )
     ratio = t_final / h
-    steps = round(ratio) if math.isfinite(ratio) else 0
+    if not math.isfinite(ratio):
+        raise ValidationError(
+            f"integration: t_final / step = {t_final} / {h} overflows, over "
+            f"the limit of {MAX_STEPS} steps"
+        )
+    steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > STEP_TOL * ratio:
         raise ValidationError(
             f"integration: t_final = {t_final} is not a whole number of "

@@ -3,6 +3,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import gc
 import importlib
 import inspect
 import io
@@ -880,6 +881,54 @@ def test_run_through_runpy(tmp_path):
     assert proc.stdout.startswith("run ok")
 
 
+# validate on argv[2] in a fresh process, entered as argv[1] names: "module"
+# runs cli as __main__, as `python -m bearing_forge.cli` does; "script" calls
+# cli.main() on sys.argv, as the console script does.  Prints the exit code
+# and gc.get_freeze_count()
+ENTRY_FREEZE = """
+import gc, runpy, sys
+entry, path = sys.argv[1:]
+sys.argv = ["bearing-forge", "validate", path]
+if entry == "module":
+    try:
+        runpy.run_module("bearing_forge.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+else:
+    from bearing_forge import cli
+    code = cli.main()
+print(code, gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_the_program_entry_freezes_the_gc(entry):
+    """cli.main on the process's own command line moves what is imported by
+    then out of the cyclic GC's reach, so that no later collection and not
+    the shutdown scans it again."""
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_FREEZE, entry, bundled_scenario("square_known")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, count = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0 and count > 0
+
+
+def test_main_with_argv_leaves_the_gc_unfrozen():
+    """An in-process call with argv, as the tests and perfbench's tracer
+    make, leaves the host's permanent generation as it was."""
+    before = gc.get_freeze_count()
+    try:
+        assert _main_stderr(["validate", bundled_scenario("square_known")]) == (0, [])
+    finally:
+        after = gc.get_freeze_count()
+        if after != before:
+            gc.unfreeze()
+    assert after == before
+
+
 # each error class, one instance, and the exit code and stderr prefix that
 # the CLI documents for it
 LIBRARY_ERRORS = [
@@ -1274,14 +1323,16 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "case",
         ["not-utf8", "5000-digits", "graph-nested-100000", "n_agents-1e300",
-         "h-1e-300", "kappa_p-100000-entries", "kappa_p-1e400", "edge-1e4000"],
+         "h-1e-300", "t_final-1e308", "h-1e-320", "kappa_p-100000-entries",
+         "kappa_p-1e400", "edge-1e4000"],
     )
     def test_unreadable_or_huge_input_is_one_short_line(self, tmp_path, case):
         """A file that is not UTF-8, holds an integer literal past Python's
         int-to-str digit limit or nests past the parser's recursion limit
         fails to parse with a named line; a count of more than 16 digits is
         printed in scientific form, and so is a bad integer value, while a
-        bad list is echoed by its first entries."""
+        bad list is echoed by its first entries.  A t_final / step past
+        float range is over the step limit, not a fraction of a step."""
         path = tmp_path / "scenario.json"
         flags = []
         if case == "not-utf8":
@@ -1320,11 +1371,23 @@ class TestMalformedInput:
                     "graph.edges: malformed edge "
                     f"(1, {'1' + '0' * 17}...{'0' * 19})"
                 )
-            else:
+            elif case == "h-1e-300":
                 flags = ["--h", "1e-300"]
                 message = (
                     "integration: the run would record 5.000e+299 samples of its "
                     "36-entry state, 1.373e+296 MiB, over the limit of 1024 MiB"
+                )
+            elif case == "t_final-1e308":
+                flags = ["--t-final", "1e308"]
+                message = (
+                    "integration: t_final / step = 1e+308 / 0.001 overflows, "
+                    "over the limit of 10000000 steps"
+                )
+            else:
+                flags = ["--h", "1e-320"]
+                message = (
+                    "integration: t_final / step = 50.0 / 1e-320 overflows, "
+                    "over the limit of 10000000 steps"
                 )
             write_scenario(tmp_path, data)
         code, err = _main_stderr(["validate", str(path)] + flags)
