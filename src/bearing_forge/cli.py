@@ -25,7 +25,7 @@ from .errors import BearingForgeError, CollisionDetected, NonFiniteState
 from .scenario import MODES, OVERRIDES, closed_loop_spectrum, load_scenario
 
 # the sim_engine functions that only `run` calls, bound by _bind_run_only
-_RUN_ONLY = ("integrate", "metrics", "xi_oracle", "build_certificate", "lyapunov_monitor")
+_RUN_ONLY = ("integrate", "metrics", "xi_oracle", "lyapunov_monitor")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -94,8 +94,8 @@ def write_trajectory_csv(path, traj, sc, mts, V=None):
 
 def oracle_report(sc, traj):
     """Proof-level diagnostics: closed-loop spectrum, xi deviation, and (in
-    adaptive mode) the monotonicity verdict of the Lyapunov certificate,
-    whose positivity checks passed at load.
+    adaptive mode) the monotonicity verdict of the Lyapunov certificate
+    that the load made and checked (sc.certificate).
 
     Returns (report, V): V is the monitor series of adaptive mode, None
     otherwise.
@@ -107,8 +107,8 @@ def oracle_report(sc, traj):
     }
     V = None
     if sc.mode == "adaptive":
-        cert = build_certificate(sc)
-        V = lyapunov_monitor(traj, cert, sc)
+        cert = sc.certificate
+        V = lyapunov_monitor(traj, sc)
         bad = ~np.isfinite(V)
         if bad.any():
             k = int(bad.argmax())

@@ -17,6 +17,7 @@ import math
 import os
 import reprlib
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,9 @@ ETA_POLICIES = ("velocity_feedforward", "xi_zero")
 STEP_TOL = 1e-9                  # relative distance of t_final/step from a whole number
 FREQ_GAP = 1e-9                  # least distance of two frequencies of a disturbance
 # Largest array a run may allocate: of its recorded states, and of the dense
-# nd x nd bearing Laplacian, which also keeps agent ids far below the 2^32
-# that formation_graph._keys packs two of into one int64
+# nd x nd bearing Laplacian (the oracles' largest is (n_f d)^2), which also
+# keeps agent ids far below the 2^32 that formation_graph._keys packs two of
+# into one int64
 MAX_SAMPLE_BYTES = 1 << 30
 # Most steps (t_final / step) a run may take: 50 times the bundled 200 s
 # adaptive run (2e5 steps).  On a 2-core Xeon the operator step of the
@@ -84,7 +86,7 @@ class CompiledScenario:
     def __init__(
         self, graph, laplacian, p_star0, v_c, p0, v_f0, mode, kappa_p, kappa_v,
         groups, freeze_theta, h, t_final, record_every, collision_eps,
-        output_dir, oracles,
+        output_dir, oracles, certificate,
     ):
         self.graph = graph
         self.laplacian = laplacian
@@ -103,6 +105,7 @@ class CompiledScenario:
         self.collision_eps = collision_eps
         self.output_dir = output_dir
         self.oracles = oracles
+        self.certificate = certificate  # LyapunovCertificate in adaptive mode, else None
 
     @property
     def n(self):
@@ -419,37 +422,66 @@ def closed_loop_spectrum(sc):
     return np.sort_complex(np.concatenate([lam.ravel(), *M_f]))
 
 
-def gamma_sigma(laplacian, groups, lam_Q, exact=True):
-    """The Schur threshold 2 lambda_max(B_ff W B_ff) / lambda_min(Q) of
-    build_certificate, W = diag(|E_i|^2 kron 1_d), inf beyond float range.
-    Unless exact, its bound 2 mu_max^2 max_i |E_i|^2 / lambda_min(Q) (B_ff
-    is positive semidefinite) stands in for it where gamma = 1.01 times
-    that is finite, so no eigvalsh is taken."""
-    B_ff, n_f = laplacian.B_ff, sum(len(g.idx) for g in groups)
-    # |E_i|^2 of each follower, as the 1-D dot E_i @ E_i rounds it
-    e2 = np.empty(n_f)
-    for g in groups:
-        e2[g.idx] = (g.E[:, None, :] @ g.E[:, :, None]).reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):  # beyond float range: inf
-        bound = float(2.0 * laplacian.ff_eigenvalues[-1] ** 2 * e2.max() / lam_Q)
-        if exact or not math.isfinite(1.01 * bound):
-            e2 = np.repeat(e2, len(B_ff) // n_f)
-            return float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
-    return bound
+class LyapunovCertificate:
+    """Constants of V = x~' P x~ + gamma xi' G_c xi + th~' Lam^-1 th~ for
+    the adaptive closed loop, made once at load by check_certificate.
+
+    P = [[(kp + kv) B_ff^2, B_ff], [B_ff, B_ff]], never formed, solves
+    A_c^T P + P A_c = -Q for the feedback block, with
+    Q = blkdiag(2 kp B_ff^2, 2 (kv B_ff^2 - B_ff)), whose least eigenvalue
+    is 2 mu_1 min(kp mu_1, kv mu_1 - 1) at the least eigenvalue mu_1 of B_ff
+    once kv mu_1 > 1 (the gain gate); where it is positive, so is P.
+    P B_c = [B_ff; B_ff], so the Schur threshold is gamma_sigma =
+    2 lambda_max(B_ff W B_ff) / lambda_min(Q), W = diag(|E_i|^2 kron 1_d),
+    and gamma = 1.01 gamma_sigma.  G_c = blkdiag(G_i kron I_d).
+    """
+
+    def __init__(self, lambda_min_Qc, G, Lam_inv, laplacian, e2):
+        self.lambda_min_Qc = lambda_min_Qc  # smallest eigenvalue of Q
+        self.G = G                      # order m -> G_i (m, m)
+        self.Lam_inv = Lam_inv          # order m -> Lam_i^-1 (g, m, m) of its group
+        self._laplacian = laplacian
+        self._e2 = e2                   # (n_f,) |E_i|^2 of each follower
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def gamma_sigma(self):
+        """2 lambda_max(B_ff W B_ff) / lambda_min(Q), inf beyond float range:
+        one n_f d eigvalsh, taken on first use."""
+        B_ff, e2 = self._laplacian.B_ff, np.repeat(self._e2, self._laplacian.d)
+        return float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / self.lambda_min_Qc)
+
+    @property
+    def gamma(self):
+        return 1.01 * self.gamma_sigma
 
 
+def _inverse(Lam):
+    """The inverse of each matrix of the stack Lam, nan where LU finds one
+    singular (the gain gate's eigvalsh can pass a matrix that LU does not)."""
+    try:
+        return np.linalg.inv(Lam)
+    except np.linalg.LinAlgError:
+        if len(Lam) == 1:
+            return Lam * np.nan
+        return np.array([_inverse(L[None])[0] for L in Lam])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a value beyond float range fails
 def check_certificate(kp, kv, laplacian, groups):
-    """(lambda_min(Q), {m: G_i}) for gains kp, kv and the spectrum of B_ff,
-    with the checks of build_certificate, which compile_scenario runs at
-    load in adaptive mode: Q and each G_i positive definite, and gamma =
-    1.01 gamma_sigma finite.  G_i solves G M_i + M_i^T G = -I once per
-    order (one FollowerGroup each), as
-    (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).  Raises CertificateFailed."""
+    """The LyapunovCertificate for gains kp, kv and the follower groups,
+    checked as compile_scenario runs it at load in adaptive mode: Q and each
+    G_i positive definite, gamma finite, and the th~ term of V finite at
+    t = 0, summed in follower order.  G_i solves G M_i + M_i^T G = -I once
+    per order, as (I kron M_i^T + M_i^T kron I) vec(G_i) = -vec(I).  gamma is
+    tested by its bound 1.01 * 2 mu_max^2 max_i |E_i|^2 / lambda_min(Q), and
+    only where that overflows by gamma_sigma's eigvalsh.  Raises
+    CertificateFailed, naming the first follower at which the th~ sum fails."""
     mu_1 = float(laplacian.ff_eigenvalues[0])
     lam_Q = 2.0 * mu_1 * min(kp * mu_1, kv * mu_1 - 1.0)
     if not lam_Q > 0:
         raise CertificateFailed(f"Q is not positive definite (lambda_min {lam_Q:.3e})")
-    G = {}
+    G, Lam_inv, e2, th_term = {}, {}, *np.empty((2, laplacian.n_f))
     for g in groups:
         m, M, eye = g.order, g.M, np.eye(g.order)
         op = np.kron(eye, M.T) + np.kron(M.T, eye)
@@ -460,9 +492,23 @@ def check_certificate(kp, kv, laplacian, groups):
         lam = np.linalg.eigvalsh(G_m)
         if not lam[0] > m * np.finfo(float).eps * lam[-1]:
             raise CertificateFailed(f"G_c is not positive definite at order {m}")
-    if not math.isfinite(1.01 * gamma_sigma(laplacian, groups, lam_Q, exact=False)):
+        # |E_i|^2 of each follower, as the 1-D dot E_i @ E_i rounds it
+        e2[g.idx] = (g.E[:, None, :] @ g.E[:, :, None]).reshape(-1)
+        Lam_inv[m] = _inverse(g.Lam)
+        th = (g.E - g.theta_hat0)[:, None, :]
+        th_term[g.idx] = (th @ Lam_inv[m] @ th.transpose(0, 2, 1)).reshape(-1)
+    cert = LyapunovCertificate(lam_Q, G, Lam_inv, laplacian, e2)
+    bound = float(2.0 * laplacian.ff_eigenvalues[-1] ** 2 * e2.max() / lam_Q)
+    if not (math.isfinite(1.01 * bound) or math.isfinite(cert.gamma)):
         raise CertificateFailed(f"gamma is beyond float range (lambda_min(Q) {lam_Q:.3e})")
-    return lam_Q, G
+    th_sum = np.cumsum(th_term)
+    if not math.isfinite(th_sum[-1]):  # a sum once inf or nan stays so
+        k = int(np.argmin(np.isfinite(th_sum)))
+        raise CertificateFailed(
+            f"th~' Lam^-1 th~ is not finite at t = 0 ({th_sum[k]} summed up to "
+            f"follower {laplacian.n_l + 1 + k})"
+        )
+    return cert
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -708,9 +754,10 @@ def compile_scenario(data) -> CompiledScenario:
         validate_gains(
             kappa_p, kappa_v, mu, mode, [(n_l + 1 + g.idx, g.Lam) for g in groups]
         )
+    certificate = None
     if mode == "adaptive":
         with _named("certificate"):
-            check_certificate(kappa_p, kappa_v, laplacian, groups)
+            certificate = check_certificate(kappa_p, kappa_v, laplacian, groups)
 
     integ = _field(
         data, "", "integration", _fields, "step", "t_final", "record_every",
@@ -761,6 +808,7 @@ def compile_scenario(data) -> CompiledScenario:
         collision_eps=collision_eps,
         output_dir=_directory(outputs.get("directory", "out"), "outputs.directory"),
         oracles=_field(outputs, "outputs", "oracles", _bool, default=False),
+        certificate=certificate,
     )
     size = sc.n_samples * sc.state_dim * 8
     if size > MAX_SAMPLE_BYTES:

@@ -9,7 +9,8 @@ disturbance.  The engine integrates the full stack
 with classical RK4, enforces the no-collision assumption at every step and
 between steps, and exposes the run-time oracles of the stability proofs: the
 xi-transformation and the Lyapunov monitor.  Only the `run` command imports
-this module; the spectrum and certificate gates of the load are in scenario.
+this module; the spectrum and certificate gates of the load are in scenario,
+and the monitor reads the certificate the load made (sc.certificate).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import CollisionDetected, NonFiniteState
 # integrate advances CHECK_CHUNK states at a time, and then checks the
 # chunk's states and the segments between them in one pass
 from .rk4_operator import BLOCK as CHECK_CHUNK, multiply_adds, operator_step, probe
-from .scenario import CompiledScenario, check_certificate, gamma_sigma
 
 # relative slack of the broad phase's bound on pair distances, far above the
 # rounding of the few operations that form it
@@ -58,17 +58,6 @@ class Trajectory:
         self.vartheta = vartheta        # (S, n_f, m_max, d), as eta
         self.theta_hat = theta_hat      # (S, n_f, m_max) in adaptive mode, (S, n_f, 0) otherwise
         self.min_dist = min_dist        # (S,)
-
-
-class LyapunovCertificate:
-    """Constants of the Lyapunov argument for the adaptive closed loop."""
-
-    def __init__(self, P_c, G, gamma, gamma_sigma, lambda_min_Qc):
-        self.P_c = P_c
-        self.G = G                      # order m -> G_i (m, m); G_c = blkdiag(G_i kron I_d)
-        self.gamma = gamma
-        self.gamma_sigma = gamma_sigma
-        self.lambda_min_Qc = lambda_min_Qc  # smallest eigenvalue of Q (build_certificate)
 
 
 def _balance(A):
@@ -154,7 +143,7 @@ class Engine:
     out by `_factors` and summed by `_sums`.
     """
 
-    def __init__(self, sc: CompiledScenario):
+    def __init__(self, sc):
         n, d, n_l, n_f = sc.n, sc.d, sc.n_l, sc.n_f
         self.sc = sc
         self.n, self.d, self.n_l, self.n_f = n, d, n_l, n_f
@@ -346,25 +335,28 @@ class Engine:
         [z_a; z_b] = C y + c, the n_prod adaptive products written out (the
         known and feedback_only modes have none, and C, c and D are empty).
 
-        Each is probed from the bound law, so the control law keeps one
-        implementation: dim + 1 calls with the sums held at zero and with its
-        factors, and n_prod + 1 at y = 0 with the sums of unit products.
+        Each is probed from the law bound with its sums held, so the control
+        law keeps one implementation: dim + 1 calls with the sums at zero,
+        each read out as [dy; z], as the held law forms w and s, which
+        `_factors` reads; and n_prod + 1 at y = 0 with the sums of unit
+        products.
         """
         dim, n_p = self.dim, self.n_prod
         y, dy = np.zeros((2, dim))
-        law, held = self._bind(y, dy), self._bind(y, dy, sums=False)
+        held = self._bind(y, dy, sums=False)
         tw, ws = self._bufs[4:6]
 
-        def at(x, f=held):
+        def at(x):
             y[:] = x
-            f()
+            held()
             return dy
 
         tw[:] = ws[:] = 0.0
-        b, A = probe(at, dim)
+        readout = (lambda x: np.concatenate([at(x), self._factors(y)])) if n_p else at
+        f0, F = probe(readout, dim)
+        A, b, C, c = F[:dim], f0[:dim], F[dim:], f0[dim:]
         if not n_p:
-            return A, b, np.zeros((0, dim)), np.zeros(0), np.zeros((dim, 0))
-        c, C = probe(lambda x: (at(x, law), self._factors(y))[1], dim)
+            return A, b, C, c, np.zeros((dim, 0))
 
         def summed(P):
             tw[:], ws[:] = self._sums(P)
@@ -381,7 +373,7 @@ class Engine:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def integrate(sc: CompiledScenario):
+def integrate(sc):
     """Run the closed loop with classical RK4 and record a Trajectory.
 
     The stepper is Engine.operator_step when one step of it costs fewer
@@ -575,33 +567,6 @@ def xi_oracle(traj, sc):
     return max_dev
 
 
-def build_certificate(sc):
-    """Lyapunov certificate of the adaptive loop from B_ff's cached spectrum.
-
-    P_c solves A_c^T P_c + P_c A_c = -Q for the feedback block, where
-    Q = blkdiag(2 kp B_ff^2, 2 (kv B_ff^2 - B_ff)) has the eigenvalues
-    2 kp mu^2 and 2 mu (kv mu - 1) for each eigenvalue mu of B_ff, both
-    least at the smallest, mu_1, once kv mu_1 > 1 (the gain gate).  In the
-    eigenbasis of B_ff, P_c's 2 x 2 blocks [[(kp + kv) mu^2, mu], [mu, mu]]
-    are positive definite when (kp + kv) mu_1 > 1: lambda_min(Q) > 0 covers it.
-    P_c B_c = [B_ff; B_ff] for B_c = [0; I], so the Schur threshold
-    is gamma_sigma = 2 lambda_max(B_ff W B_ff) / lambda_min(Q), with
-    W = E_f E_f^T = diag(|E_i|^2 kron 1_d); gamma exceeds it by 1 percent.
-    G_c = blkdiag(G_i kron I_d) solves G M_f + M_f^T G = -I and is kept as
-    its G_i per order; lambda_min(Q), G_i and gamma_sigma come from scenario.
-    """
-    B_ff, kp, kv = sc.laplacian.B_ff, sc.kappa_p, sc.kappa_v
-    lam_Q, G = check_certificate(kp, kv, sc.laplacian, sc.groups)
-    gs = gamma_sigma(sc.laplacian, sc.groups, lam_Q)
-    return LyapunovCertificate(
-        P_c=np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]]),
-        G=G,
-        gamma=1.01 * gs,
-        gamma_sigma=gs,
-        lambda_min_Qc=lam_Q,
-    )
-
-
 def _tracking_error(traj, sc):
     """p~ = p_f - p*_f(t) and v~ = v_f - v_c, each (S, n_f, d); inf beyond
     float range."""
@@ -611,28 +576,31 @@ def _tracking_error(traj, sc):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def lyapunov_monitor(traj, certificate, sc):
-    """Per-sample value of V = x~' P_c x~ + gamma xi' G_c xi + th~' Lam^-1 th~.
-
-    The xi and th~ terms are summed per order: xi_i' (G_i kron I_d) xi_i and
-    th~_i' Lam_i^-1 th~_i, with Lam_i^-1 from one batched inverse of the
-    stacked Lam_i, applied to every sample in one batched product.  The
-    true value of each estimate is the follower's row E (the simulation
+def lyapunov_monitor(traj, sc):
+    """Per-sample V = x~' P x~ + gamma xi' G_c xi + th~' Lam^-1 th~ with
+    the constants of sc.certificate (scenario.LyapunovCertificate).  For
+    x~ = [p~; v~], x~' P x~ is (kp + kv) |B_ff p~|^2 + (2 p~ + v~)' B_ff v~,
+    from the products B_ff p~ and B_ff v~ of all samples.  The xi and th~
+    terms are summed per order, each one batched product over the samples.
+    The true value of each estimate is the follower's row E (the simulation
     knows the frequencies even when the controller does not).  A value
     beyond float range comes out inf or nan, without NumPy warnings.
     """
-    S = len(traj.times)
-    p_t, v_t = _tracking_error(traj, sc)
-    x_t = np.concatenate([p_t.reshape(S, -1), v_t.reshape(S, -1)], axis=1)
+    cert, S, B_ff = sc.certificate, len(traj.times), sc.laplacian.B_ff
+    gamma = cert.gamma  # its first use takes an eigvalsh: before the samples' arrays
+    p_t, v_t = (x.reshape(S, -1) for x in _tracking_error(traj, sc))
+    Bp, Bv = p_t @ B_ff, v_t @ B_ff
+    V_x = (sc.kappa_p + sc.kappa_v) * (Bp * Bp).sum(1)
+    V_x += ((2.0 * p_t + v_t) * Bv).sum(1)
     V_xi = V_th = 0.0
     for g, xi in _xi_by_order(traj, sc):
         m = g.order
-        V_xi = V_xi + np.einsum("sgak,sgak->s", xi, certificate.G[m] @ xi)
+        V_xi = V_xi + np.einsum("sgak,sgak->s", xi, cert.G[m] @ xi)
         th_t = g.E - traj.theta_hat[:, g.idx, :m]
-        Lam_inv = np.linalg.inv(g.Lam)
-        V_th = V_th + np.einsum("sga,gsa->s", th_t, th_t.transpose(1, 0, 2) @ Lam_inv)
-    V_x = ((x_t @ certificate.P_c) * x_t).sum(axis=1)
-    return V_x + certificate.gamma * V_xi + V_th
+        V_th = V_th + np.einsum(
+            "sga,gsa->s", th_t, th_t.transpose(1, 0, 2) @ cert.Lam_inv[m]
+        )
+    return V_x + gamma * V_xi + V_th
 
 
 def metrics(traj, sc):

@@ -14,8 +14,7 @@ from bearing_forge.formation_graph import (
     SensingGraph,
     build_bearing_laplacian,
 )
-from bearing_forge.scenario import compile_scenario
-from bearing_forge.sim_engine import build_certificate
+from bearing_forge.scenario import check_certificate, compile_scenario
 
 SQUARE_POSITIONS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)]
@@ -128,6 +127,12 @@ def assemble_A_sigma(B_ff, models, d, kp, kv):
     return A
 
 
+def dense_P_c(B_ff, kp, kv):
+    """P_c = [[(kp + kv) B_ff^2, B_ff], [B_ff, B_ff]], the certificate's form
+    of the tracking error, which the package never forms, assembled densely."""
+    return np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]])
+
+
 def dense_Q(B_ff, kp, kv):
     """Q = blkdiag(2 kp B_ff^2, 2 (kv B_ff^2 - B_ff)), the right side of the
     certificate's Lyapunov identity, assembled densely."""
@@ -207,19 +212,18 @@ def dense_G_c(cert, models, d):
 
 
 def certificate_for(B_ff, kp, kv, models, d):
-    """build_certificate for a given B_ff and per-follower models of one
-    order (records with M and E), on a stand-in for the compiled scenario
-    that carries only what the certificate reads."""
+    """check_certificate for a given B_ff and per-follower models of one
+    order (records with M and E), on stand-ins for the Laplacian and the
+    follower group that carry only what the certificate reads, with every
+    Lam_i = I and theta_hat_i(0) = 0."""
     B_ff = np.asarray(B_ff, dtype=float)
-    (m,) = {model.order for model in models}
+    (m,), n_f = {model.order for model in models}, len(models)
     group = SimpleNamespace(
-        idx=np.arange(len(models)), order=m, M=models[0].M,
+        idx=np.arange(n_f), order=m, M=models[0].M,
         E=np.stack([model.E for model in models]),
+        theta_hat0=np.zeros((n_f, m)), Lam=np.broadcast_to(np.eye(m), (n_f, m, m)),
     )
-    laplacian = SimpleNamespace(B_ff=B_ff, ff_eigenvalues=np.linalg.eigvalsh(B_ff))
-    return build_certificate(
-        SimpleNamespace(
-            laplacian=laplacian, kappa_p=kp, kappa_v=kv, groups=[group],
-            n_f=len(models), d=d,
-        )
+    laplacian = SimpleNamespace(
+        B_ff=B_ff, ff_eigenvalues=np.linalg.eigvalsh(B_ff), n_f=n_f, n_l=1, d=d
     )
+    return check_certificate(kp, kv, laplacian, [group])

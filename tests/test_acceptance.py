@@ -24,7 +24,6 @@ from bearing_forge.formation_graph import (
 from bearing_forge.scenario import closed_loop_spectrum, compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     Trajectory,
-    build_certificate,
     integrate,
     lyapunov_monitor,
     metrics,
@@ -217,9 +216,9 @@ def test_criterion_6_adaptive_rejection(adaptive_run):
     assert mts["terminal_err_p"] <= 1e-3
     assert mts["terminal_err_v"] <= 1e-3
 
-    cert = build_certificate(sc)
+    cert = sc.certificate
     assert abs(cert.gamma - 1.01 * cert.gamma_sigma) <= 1e-12 * cert.gamma
-    V = lyapunov_monitor(traj, cert, sc)
+    V = lyapunov_monitor(traj, sc)
     slack = 1e-8 * (1.0 + V[:-1])
     assert np.all(np.diff(V) <= slack)
     print(

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bearing_forge import bundled_scenario, sim_engine
+from bearing_forge import bundled_scenario, cli, sim_engine
 from bearing_forge.errors import CollisionDetected, NonFiniteState
 from bearing_forge.formation_graph import localize_followers
 from bearing_forge.rk4_operator import rk4_map
@@ -33,7 +33,6 @@ from bearing_forge.sim_engine import (
     OPERATOR_MAX_MACS,
     Engine,
     Trajectory,
-    build_certificate,
     integrate,
     lyapunov_monitor,
     metrics,
@@ -43,6 +42,7 @@ from bearing_forge.sim_engine import (
 from conftest import (
     base_scenario_dict,
     dense_G_c,
+    dense_P_c,
     dense_Q,
     make_scenario,
     padded_state,
@@ -229,14 +229,14 @@ def reference_xi_oracle(traj, sc):
 
 
 def reference_certificate(sc):
-    """lambda_min(Q), P_c, G_c and gamma_sigma from the dense stacked
-    operators: eigvalsh of the assembled Q, one Lyapunov solve on the full
+    """lambda_min(Q), G_c and gamma_sigma from the dense stacked operators:
+    eigvalsh of the assembled Q, one Lyapunov solve on the full
     blkdiag(M_i kron I_d), and gamma_sigma from P_c B_c E_f with the dense
-    E_f."""
+    P_c and E_f."""
     B_ff, nfd = sc.laplacian.B_ff, sc.n_f * sc.d
     kp, kv = sc.kappa_p, sc.kappa_v
     lam_Q = np.linalg.eigvalsh(dense_Q(B_ff, kp, kv))[0]
-    P_c = np.block([[(kp + kv) * (B_ff @ B_ff), B_ff], [B_ff, B_ff]])
+    P_c = dense_P_c(B_ff, kp, kv)
     eye_d, models = np.eye(sc.d), per_follower(sc)
     M_f = sla.block_diag(*[np.kron(m.M, eye_d) for m in models])
     E_f = sla.block_diag(*[np.kron(m.E.reshape(1, -1), eye_d) for m in models])
@@ -245,13 +245,15 @@ def reference_certificate(sc):
     PBE = P_c[:, nfd:] @ E_f
     gamma_sigma = np.linalg.eigvalsh(PBE @ PBE.T)[-1] / lam_Q
     return {
-        "lambda_min_Qc": lam_Q, "P_c": P_c, "G_c": G_c, "gamma_sigma": gamma_sigma
+        "lambda_min_Qc": lam_Q, "G_c": G_c, "gamma_sigma": gamma_sigma
     }
 
 
 def reference_lyapunov(traj, cert, sc, xi):
-    """Per-sample V with the targets localized from the leaders each time."""
+    """Per-sample V with the targets localized from the leaders each time and
+    the dense P_c, G_c and block-diagonal Lam^-1."""
     models = per_follower(sc)
+    P_c = dense_P_c(sc.laplacian.B_ff, sc.kappa_p, sc.kappa_v)
     lam_inv = sla.block_diag(*[np.linalg.inv(m.Lam) for m in models])
     theta_true = np.concatenate([m.E for m in models])
     G_c = dense_G_c(cert, models, sc.d)
@@ -265,7 +267,7 @@ def reference_lyapunov(traj, cert, sc, xi):
         x_t = np.concatenate([p_t.ravel(), v_t.ravel()])
         th_t = theta_true - theta_hat[s]
         V[s] = (
-            x_t @ cert.P_c @ x_t
+            x_t @ P_c @ x_t
             + cert.gamma * (xi[s] @ G_c @ xi[s])
             + th_t @ lam_inv @ th_t
         )
@@ -444,7 +446,7 @@ def test_post_processing_matches_reference(case):
         ref = np.linalg.norm(traj.positions[s, sc.n_l :, :] - p_f, axis=1)
         assert_close(err_p[s], ref)
     if sc.mode == "adaptive":
-        cert = build_certificate(sc)
+        cert = sc.certificate
         for name, ref in reference_certificate(sc).items():
             if name == "G_c":
                 got = dense_G_c(cert, per_follower(sc), sc.d)
@@ -452,9 +454,7 @@ def test_post_processing_matches_reference(case):
                 got = getattr(cert, name)
             assert np.shape(got) == np.shape(ref)
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), name
-        assert_close(
-            lyapunov_monitor(traj, cert, sc), reference_lyapunov(traj, cert, sc, xi)
-        )
+        assert_close(lyapunov_monitor(traj, sc), reference_lyapunov(traj, cert, sc, xi))
 
 
 def test_lyapunov_monitor_with_as_many_followers_as_their_order():
@@ -486,10 +486,9 @@ def test_lyapunov_monitor_with_as_many_followers_as_their_order():
     )
     assert [m.order for m in per_follower(sc)] == [3, 3, 3]
     traj = integrate(sc)
-    cert = build_certificate(sc)
     _, xi = reference_xi_oracle(traj, sc)
     assert_close(
-        lyapunov_monitor(traj, cert, sc), reference_lyapunov(traj, cert, sc, xi)
+        lyapunov_monitor(traj, sc), reference_lyapunov(traj, sc.certificate, sc, xi)
     )
 
 
@@ -503,7 +502,7 @@ def test_certificate_weights_are_one_dot_each(case):
     lam_Q = 2.0 * mu * min(sc.kappa_p * mu, sc.kappa_v * mu - 1.0)
     e2 = np.repeat([m.E @ m.E for m in per_follower(sc)], sc.d)
     gamma_sigma = float(2.0 * np.linalg.eigvalsh((B_ff * e2) @ B_ff)[-1] / lam_Q)
-    assert build_certificate(sc).gamma_sigma == gamma_sigma
+    assert sc.certificate.gamma_sigma == gamma_sigma
 
 
 def test_certificate_on_a_swarm():
@@ -511,9 +510,26 @@ def test_certificate_on_a_swarm():
     spectrum of B_ff is within the backward error of a stable eigvalsh,
     1e-14 ||Q||_2, of the dense decomposition of the assembled Q."""
     sc = complete_formation(64, "adaptive")
-    cert = build_certificate(sc)
+    cert = sc.certificate
     dense = np.linalg.eigvalsh(dense_Q(sc.laplacian.B_ff, sc.kappa_p, sc.kappa_v))
     assert abs(cert.lambda_min_Qc - dense[0]) <= 1e-14 * np.abs(dense).max()
+
+
+def test_oracle_report_forms_no_square_of_the_follower_block():
+    """On a 64-agent adaptive complete formation, the oracle report's
+    tracemalloc peak stays below 3 B_ff.nbytes, with gamma_sigma's eigvalsh
+    taken in it: no B_ff @ B_ff and no (2 n_f d)^2 P_c is formed."""
+    sc = complete_formation(64, "adaptive")
+    traj = integrate(sc)
+    cli._bind_run_only()
+    tracemalloc.start()
+    try:
+        cli.oracle_report(sc, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "gamma_sigma" in vars(sc.certificate)
+    assert peak < 3 * sc.laplacian.B_ff.nbytes
 
 
 def one_chunk_swarm(mode):

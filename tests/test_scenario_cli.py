@@ -705,6 +705,74 @@ class TestCli:
         assert shapes["1e-300"] == shapes["1"]
         assert shapes["1e-320"] == shapes["1"] + [(4, 4)]
 
+    @pytest.mark.parametrize(
+        "rate, line",
+        [
+            ("1e-310", "nan summed up to follower 3"),
+            ("1e-306", "inf summed up to follower 4"),
+        ],
+        ids=["rate-1e-310", "rate-1e-306"],
+    )
+    def test_unrepresentable_estimate_term_exits_2(
+        self, tmp_path, monkeypatch, rate, line
+    ):
+        """At adaptation rate 1e-310, Lambda^-1 is not finite, and at 1e-306
+        each follower's th~' Lam^-1 th~ at t = 0 (1.21e308 and 7.6e307) is
+        finite but their sum is not, so V would be nan or inf at t = 0.
+        validate and run --oracles exit 2 at load with one line naming the
+        lowest follower at fault, and nothing is integrated or written."""
+        with open(bundled_scenario("square_adaptive")) as fh:
+            data = json.load(fh)
+        data["controller"]["adaptation_rate"] = float(rate)
+        path = write_scenario(tmp_path, data)
+        expected = [
+            "error: certificate: CertificateFailed: th~' Lam^-1 th~ is not "
+            f"finite at t = 0 ({line})"
+        ]
+        assert _main_stderr(["validate", path]) == (2, expected)
+
+        def fail(sc):
+            raise AssertionError("integrated a scenario that fails at load")
+
+        monkeypatch.setattr(cli, "integrate", fail)
+        out = tmp_path / "out"
+        argv = ["run", path, "--oracles", "--t-final", "0.1", "--out", str(out)]
+        assert _main_stderr(argv) == (2, expected)
+        assert not out.exists()
+
+    def test_run_solves_each_lyapunov_system_once(self, tmp_path, monkeypatch):
+        """run --oracles on the adaptive square, in process, solves the
+        (m^2, m^2) Lyapunov system of its one order (m = 3) once: at load,
+        where the certificate is made, and not again for the oracle."""
+        shapes, solve = [], np.linalg.solve
+
+        def counted(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        argv = [
+            "run", bundled_scenario("square_adaptive"), "--oracles",
+            "--t-final", "0.2", "--out", str(tmp_path / "out"),
+        ]
+        assert _main_stderr(argv) == (0, [])
+        assert shapes.count((9, 9)) == 1
+
+    def test_adaptive_load_takes_one_eigvalsh_of_the_follower_block(self, monkeypatch):
+        """Loading an adaptive scenario takes one eigvalsh of n_f d size, the
+        spectrum of B_ff: the certificate's gamma_sigma is not formed at
+        load while its bound is finite."""
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sc = load_scenario(bundled_scenario("square_adaptive"))
+        nfd = sc.n_f * sc.d
+        assert shapes.count((nfd, nfd)) == 1
+
     def test_certificate_failure_on_any_blas_thread_count(self, tmp_path):
         """The same scenario in fresh processes with one and with two BLAS
         threads: the rounded lambda_min(G_i) at order 13 is +5.7e-3 on one
@@ -1059,6 +1127,15 @@ class TestMalformedInput:
             (("controller", "freeze_theta"), "false"),
             (("controller", "eta_init"), {"1": [1, 2]}),
             (("controller", "eta_init"), {"9": [0, 0, 0, 0, 0, 0]}),
+            (("controller",), {**ADAPTIVE_CONTROLLER, "adaptation_rate": 1e-310}),
+            (("controller",), {**ADAPTIVE_CONTROLLER, "adaptation_rate": 1e-306}),
+            (
+                ("controller",),
+                {
+                    **ADAPTIVE_CONTROLLER,
+                    "adaptation_gains": {"3": [[1, 4, 3], [4, 16, 12], [3, 12, 9]]},
+                },
+            ),
             (
                 ("controller",),
                 {**ADAPTIVE_CONTROLLER, "theta_hat_init": {"1": [1, 2, 3]}},
@@ -1090,6 +1167,8 @@ class TestMalformedInput:
             "frequency-list", "position-nan", "t_final-nan", "step-inf",
             "kappa_v-nan", "t_final-below-step", "t_final-not-whole",
             "freeze_theta-string", "eta_init-leader", "eta_init-unknown",
+            "adaptation_rate-1e-310", "adaptation_rate-1e-306",
+            "adaptation_gains-singular",
             "theta_hat_init-leader", "adaptation_gains-unknown",
             "desired_positions-unknown", "id-leading-zero", "id-space",
             "id-plus", "t_final-huge", "steps-huge", "frequency-1e160",

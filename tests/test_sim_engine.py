@@ -8,7 +8,6 @@ from bearing_forge.formation_graph import localize_followers
 from bearing_forge.scenario import closed_loop_spectrum, compile_scenario, load_scenario
 from bearing_forge.sim_engine import (
     Engine,
-    build_certificate,
     integrate,
     lyapunov_monitor,
     metrics,
@@ -20,6 +19,7 @@ from conftest import (
     assemble_A_sigma,
     certificate_for,
     dense_G_c,
+    dense_P_c,
     dense_Q,
     disturbance,
     make_scenario,
@@ -375,7 +375,6 @@ class TestCertificate:
         cert = certificate_for(np.array([[1.0]]), 1.0, 2.0, [scalar_model()], 1)
         # Q = diag(2, 2)
         np.testing.assert_allclose(cert.lambda_min_Qc, 2.0)
-        np.testing.assert_allclose(cert.P_c, [[3.0, 1.0], [1.0, 1.0]])
         assert cert.G.keys() == {1}
         np.testing.assert_allclose(cert.G[1], [[0.5]])
         # gamma exceeds the Schur threshold lam_max(PBE PBE')/lam_min(Qc)
@@ -402,8 +401,6 @@ class TestCertificate:
         """A_c' P_c + P_c A_c = -Q for the feedback block."""
         kp, kv = 1.3, 4.0
         B_ff = square_laplacian.B_ff
-        models = [scalar_model(), scalar_model()]
-        cert = certificate_for(B_ff, kp, kv, models, 2)
         nfd = B_ff.shape[0]
         A_c = np.block(
             [
@@ -411,7 +408,8 @@ class TestCertificate:
                 [-kp * B_ff, -kv * B_ff],
             ]
         )
-        res = A_c.T @ cert.P_c + cert.P_c @ A_c + dense_Q(B_ff, kp, kv)
+        P_c = dense_P_c(B_ff, kp, kv)
+        res = A_c.T @ P_c + P_c @ A_c + dense_Q(B_ff, kp, kv)
         assert np.linalg.norm(res) <= 1e-9
 
     def test_qc_degenerates_at_gain_boundary(self, square_laplacian):
@@ -460,15 +458,14 @@ class TestLyapunovMonitor:
             integration={"t_final": 0.5},
         )
         traj = integrate(sc)
-        cert = build_certificate(sc)
-        V = lyapunov_monitor(traj, cert, sc)
+        V = lyapunov_monitor(traj, sc)
         assert np.abs(V).max() <= 1e-12
 
     def test_initial_value_closed_form(self):
         sc = self.adaptive_scenario(integration={"t_final": 0.5})
         traj = integrate(sc)
-        cert = build_certificate(sc)
-        V = lyapunov_monitor(traj, cert, sc)
+        cert = sc.certificate
+        V = lyapunov_monitor(traj, sc)
 
         p_t = (sc.p0[sc.n_l :] - sc.p_star0[sc.n_l :]).ravel()
         v_t = (sc.v_f0 - sc.v_c).ravel()
@@ -486,7 +483,7 @@ class TestLyapunovMonitor:
         th_t = np.concatenate([m.E - m.theta_hat0 for m in models])
         lam_inv = sla.block_diag(*[np.linalg.inv(m.Lam) for m in models])
         expected = (
-            x @ cert.P_c @ x
+            x @ dense_P_c(sc.laplacian.B_ff, sc.kappa_p, sc.kappa_v) @ x
             + cert.gamma * (xi0 @ dense_G_c(cert, models, sc.d) @ xi0)
             + th_t @ lam_inv @ th_t
         )
@@ -495,8 +492,7 @@ class TestLyapunovMonitor:
     def test_non_increasing(self):
         sc = self.adaptive_scenario(integration={"t_final": 5.0})
         traj = integrate(sc)
-        cert = build_certificate(sc)
-        V = lyapunov_monitor(traj, cert, sc)
+        V = lyapunov_monitor(traj, sc)
         slack = 1e-8 * (1.0 + V[:-1])
         assert np.all(np.diff(V) <= slack)
 
