@@ -11,6 +11,12 @@ the benchmark runs it) and compares the files the two runs wrote
   seed-7 ``swarm_adaptive`` formation of ``perfbench/swarm.py`` (used as it
   is) at its own 0.5 s, in its own adaptive mode and, with ``--mode``, in
   known and in feedback_only mode;
+* two inputs whose followers have different orders, in known and in
+  adaptive mode: the committed 3-D cube ``tests/data/cube_mixed.json`` (one
+  follower of order 11 among five of order 3, so the groups' order is not
+  the followers') at its own 5 s, and the bundled adaptive square with
+  follower 3 rejecting a constant only (order 1) and follower 4 five
+  sinusoids (order 11), built here, at 5 s;
 * the two bundled squares at their shipped horizons, 50 s and 200 s.
 
 For each file the result says whether the two are byte-identical and gives
@@ -27,7 +33,7 @@ stderr of every run are kept, so a run that fails on one tree shows.
 ``--baseline`` is the ``src`` of the other tree, usually a checkout of the
 parent commit; against this tree's own ``src`` every file must come out
 byte-identical.  Run from anywhere; all cases take about 7 s on a 2-core
-host, most of it the 200 s adaptive square.
+host, most of it the 200 s adaptive square and the cube.
 """
 
 import argparse
@@ -53,6 +59,10 @@ CASES = (
     ("swarm_adaptive", "benchmark", "swarm", None, None),
     ("swarm_known", "benchmark", "swarm", None, "known"),
     ("swarm_feedback_only", "benchmark", "swarm", None, "feedback_only"),
+    ("cube_mixed_known", "benchmark", "cube", None, "known"),
+    ("cube_mixed_adaptive", "benchmark", "cube", None, None),
+    ("square_1_11_known", "benchmark", "square_1_11", 5.0, "known"),
+    ("square_1_11_adaptive", "benchmark", "square_1_11", 5.0, None),
     ("square_known_50s", "shipped", "square_known", None, None),
     ("square_adaptive_200s", "shipped", "square_adaptive", None, None),
 )
@@ -144,6 +154,19 @@ def swarm_scenario(path):
     return path
 
 
+def square_1_11_scenario(path):
+    """The bundled adaptive square with follower 3 rejecting a constant
+    only (order 1) and follower 4 a constant and five sinusoids (order 11)."""
+    data = json.loads((DATA / "square_adaptive.json").read_text())
+    data["disturbances"]["3"].pop("sinusoids")
+    data["disturbances"]["4"]["sinusoids"] = [
+        {"frequency": float(w), "amplitudes": [1e-3, 8e-4], "phases": [0.3 * w, -0.5]}
+        for w in range(1, 6)
+    ]
+    path.write_text(json.dumps(data))
+    return path
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", required=True, help="src directory of the other tree")
@@ -159,6 +182,9 @@ def main(argv=None):
             if args.horizons not in (group, "all"):
                 continue
             path = (swarm_scenario(tmp / "swarm_adaptive.json") if scenario == "swarm"
+                    else square_1_11_scenario(tmp / "square_1_11.json")
+                    if scenario == "square_1_11"
+                    else ROOT / "tests" / "data" / "cube_mixed.json" if scenario == "cube"
                     else DATA / f"{scenario}.json")
             runs = {name: run(src, path, t_final, mode, tmp / case / name)
                     for name, src in trees.items()}

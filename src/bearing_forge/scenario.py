@@ -124,21 +124,12 @@ class CompiledScenario:
         return self.graph.n_f
 
     @property
-    def _layout(self):
-        """Offsets of v_f, eta, vartheta and theta_hat in the engine's state
-        [p | v_f | eta | vartheta | theta_hat], each follower's blocks padded
-        to the largest order, and the state's length."""
-        k = self.n_f * max(g.order for g in self.groups)
-        i_vf = self.n * self.d
-        i_eta = i_vf + self.n_f * self.d
-        i_var = i_eta + k * self.d
-        i_th = i_var + k * self.d
-        return i_vf, i_eta, i_var, i_th, i_th + (k if self.mode == "adaptive" else 0)
-
-    @property
     def state_dim(self):
-        """Length of the engine's state (Engine)."""
-        return self._layout[-1]
+        """Length of the engine's state [p | v_f | eta | vartheta | theta_hat]
+        (Engine): n d + n_f d + K (2 d + 1) in adaptive mode and
+        n d + n_f d + 2 K d otherwise, K the sum of the followers' orders."""
+        K = sum(len(g.idx) * g.order for g in self.groups)
+        return (self.n + self.n_f) * self.d + K * (2 * self.d + (self.mode == "adaptive"))
 
     @property
     def n_steps(self):
@@ -352,6 +343,15 @@ def _rk4_damps(z):
     return (2.0 * p.real + (p.real * p.real + p.imag * p.imag) < 0.0) | (p == 0.0)
 
 
+def _certainly_definite(A):
+    """Whether each symmetric matrix of the stack A (..., m, m) is certainly
+    positive definite: eigvalsh is backward stable, so its eigenvalues are
+    A's within m eps lambda_max (Weyl), and a smaller lambda_min has no
+    certain sign.  Fails on NaN."""
+    lam = np.linalg.eigvalsh(A)
+    return lam[..., 0] > A.shape[-1] * np.finfo(float).eps * lam[..., -1]
+
+
 def validate_gains(kappa_p, kappa_v, mu, mode, lambdas=()):
     """Check the stability hypotheses of the gains for the requested mode;
     mu is the ascending spectrum of B_ff.
@@ -362,8 +362,8 @@ def validate_gains(kappa_p, kappa_v, mu, mode, lambdas=()):
     leaves the certificate's lambda_min(Q) digits.  Each Lambda of the
     (follower ids (g,), Lambda stack (g, m, m)) pairs in lambdas, one per
     order, must be symmetric positive definite, in every mode: symmetric to
-    within 1e-12 max|Lambda|; the lowest follower at fault is named.  Each
-    comparison fails on NaN.
+    within 1e-12 max|Lambda|, and certainly definite (_certainly_definite);
+    the lowest follower at fault is named.  Each comparison fails on NaN.
     """
     lam_min, lam_max = float(mu[0]), float(mu[-1])
     for name, k in (("kappa_p", kappa_p), ("kappa_v", kappa_v)):
@@ -384,7 +384,7 @@ def validate_gains(kappa_p, kappa_v, mu, mode, lambdas=()):
     for ids, Lam in lambdas:
         tol = 1e-12 * np.abs(Lam).max(axis=(1, 2), keepdims=True)
         sym = (np.abs(Lam - Lam.swapaxes(1, 2)) <= tol).all(axis=(1, 2))
-        ok = sym & (np.linalg.eigvalsh(Lam)[:, 0] > 0)
+        ok = sym & _certainly_definite(Lam)
         bad += [(int(i), s) for i, s, o in zip(ids, sym, ok) if not o]
     if bad:
         i, sym = min(bad)
@@ -487,10 +487,7 @@ def check_certificate(kp, kv, laplacian, groups):
         op = np.kron(eye, M.T) + np.kron(M.T, eye)
         G_m = np.linalg.solve(op, -eye.ravel()).reshape(m, m)
         G[m] = G_m = 0.5 * (G_m + G_m.T)
-        # eigvalsh is backward stable: its eigenvalues are those of G within
-        # m eps lambda_max (Weyl), so a smaller lambda_min has no certain sign
-        lam = np.linalg.eigvalsh(G_m)
-        if not lam[0] > m * np.finfo(float).eps * lam[-1]:
+        if not _certainly_definite(G_m):
             raise CertificateFailed(f"G_c is not positive definite at order {m}")
         # |E_i|^2 of each follower, as the 1-D dot E_i @ E_i rounds it
         e2[g.idx] = (g.E[:, None, :] @ g.E[:, :, None]).reshape(-1)

@@ -54,9 +54,9 @@ class Trajectory:
         self.times = times              # (S,)
         self.positions = positions      # (S, n, d)
         self.velocities = velocities    # (S, n, d); leaders at v_c
-        self.eta = eta                  # (S, n_f, m_max, d), follower i's in rows :m_i
-        self.vartheta = vartheta        # (S, n_f, m_max, d), as eta
-        self.theta_hat = theta_hat      # (S, n_f, m_max) in adaptive mode, (S, n_f, 0) otherwise
+        self.eta = eta                  # per group of sc.groups, (S, g, m, d)
+        self.vartheta = vartheta        # per group, (S, g, m, d)
+        self.theta_hat = theta_hat      # per group, (S, g, m) in adaptive mode, (S, g, 0) otherwise
         self.min_dist = min_dist        # (S,)
 
 
@@ -120,18 +120,21 @@ def _flow(M, times):
 
 
 class Engine:
-    """The closed loop in stacked per-follower form.
+    """The closed loop in stacked per-group form.
 
     Follower i's compensator and exosystem states are (m_i, d) blocks and its
     estimate of the feedforward row E_i is a row of m_i entries.  The state
-    holds them zero-padded to the largest order, as flat (n_f, m_max, d) and
-    (n_f, 1, m_max) arrays, next to the stacked (n_f, m_max, m_max) matrices
-    Phi and Lambda, so that each per-follower product of the control law is
-    one batched matmul on a reshape of the state.  M depends only on the
-    order (choose_MN), so M w is one GEMM per order on the (n_f, m_max d)
-    view of w, and N_i = e_{m_i}, so N v_f and N u touch only row m_i - 1
-    of each block (`last`).  The padded rows and columns of the matrices are
-    zero, so padding entries that start at 0 stay exactly 0.
+    holds them unpadded: each FollowerGroup's η blocks as one contiguous
+    (g, m, d) block, group after group in sc.groups order, and so its ϑ
+    blocks and θ̂ rows; `blocks` gives a state's per-group views.  Each
+    per-follower product of the law is one batched matmul per group, with
+    the group's own Φ and Λ stacks.  M depends only on the order
+    (choose_MN), so M w is one GEMM per group on its (g, m d) view of w.
+    N_i = e_{m_i}, so N v_f and N u touch only row m_i - 1 of each block
+    (`last_v` in follower order, `last_u` in group order).  [s; u] comes
+    out in group order, from B_f's follower rows taken in that order, so
+    only v_f' = u + Psi ϑ gathers u into follower order (`order`), and only
+    where the two orders differ.
 
     The law has one implementation, `_bind`, which binds it once to a state
     buffer and a slope buffer: every view is made there, and a call is a
@@ -149,82 +152,79 @@ class Engine:
         self.n, self.d, self.n_l, self.n_f = n, d, n_l, n_f
         self.adaptive = sc.mode == "adaptive"
 
-        self.BfT = sc.laplacian.B[n_l * d :, :].T       # follower rows, transposed
+        # the followers in group order and the first of each one's K rows of
+        # d entries in eta; per group, its followers' and its rows' spans
+        followers = np.concatenate([g.idx for g in sc.groups])
+        orders = np.concatenate([np.full(len(g.idx), g.order) for g in sc.groups])
+        first = self._first = np.cumsum(orders) - orders
+        self.K = K = int(orders.sum())
+        self._spans = [
+            (f0, f0 + len(g.idx), first[f0], first[f0] + len(g.idx) * g.order)
+            for g, f0 in zip(sc.groups, np.cumsum([0] + [len(g.idx) for g in sc.groups]))
+        ]
 
-        m_max = self.m_max = max(g.order for g in sc.groups)
-        # each group's order and padded blocks scattered into its followers'
-        # rows of orders, of the (n_f, m_max, m_max) stacks Phi and Lambda
-        # and of the (n_f, 1, m_max) rows E, and per group its followers (a
-        # slice when they are consecutive) and (pad(M) kron I_d)^T, which
-        # maps a follower's flat row of w to its row of M w
-        self.orders = np.empty(n_f, dtype=int)
-        self.Phi3 = np.zeros((n_f, m_max, m_max))
-        Lam3 = np.zeros((n_f, m_max, m_max))
-        self.E3 = np.zeros((n_f, 1, m_max))
-        self.M_by_order = []
-        for g in sc.groups:
-            m, idx = g.order, g.idx
-            self.orders[idx] = m
-            self.Phi3[idx, :m, :m] = g.Phi
-            Lam3[idx, :m, :m] = g.Lam
-            if sc.mode == "known":
-                self.E3[idx, 0, :m] = g.E
-            M = np.zeros((m_max, m_max))
-            M[:m, :m] = g.M
-            first, last = int(idx[0]), int(idx[-1])
-            at = slice(first, last + 1) if last - first == len(idx) - 1 else idx
-            self.M_by_order.append((at, np.kron(M, np.eye(d)).T.copy()))
-        # flat offsets of row 0 and of row m_i - 1 (N_i = e_{m_i}) in the
-        # (n_f, m_max, d) blocks, in the order of v_f
-        block = (np.arange(n_f)[:, None] * m_max * d + np.arange(d)).ravel()
-        self.last = block + np.repeat((self.orders - 1) * d, d)
-        # a frozen estimate is the adaptive law with zero gain; the E3 of
-        # feedback_only is the zero feedforward row
-        self.neg_Lam3 = (0.0 if sc.freeze_theta else -1.0) * Lam3
+        def flat(rows):
+            return (rows[:, None] * d + np.arange(d)).ravel()
+
+        # B_f's follower rows in group order, transposed; order gathers [s; u]
+        # into follower order, None where the two orders agree
+        self.BfT = sc.laplacian.B[n_l * d + flat(followers)].T
+        at = np.argsort(followers)
+        self.order = None if (at == np.arange(n_f)).all() else flat(at)
 
         # state layout offsets
-        k = n_f * m_max
-        self.i_p = 0
-        self.i_vf, self.i_eta, self.i_var, self.i_th, self.dim = sc._layout
+        self.i_p, self.i_vf, self.i_eta = 0, n * d, (n + n_f) * d
+        self.i_var, self.i_th = self.i_eta + K * d, self.i_eta + 2 * K * d
+        self.dim = sc.state_dim
         self.cuts = (self.i_vf, self.i_eta, self.i_var, self.i_th)
 
-        # row 0 of each follower's vartheta, which drives its velocity
-        self.var0 = self.i_var + block
+        # flat offsets of row m_i - 1 (N_i = e_{m_i}) in eta, in follower
+        # order for N v_f and in group order for N u; of row 0 of each
+        # follower's vartheta, which drives its velocity; and the follower
+        # of each row, in group order
+        last = first + orders - 1
+        self.last_v, self.last_u = flat(last[at]), flat(last)
+        self.var0 = self.i_var + flat(first[at])
+        self._owner = np.repeat(np.arange(n_f), orders)
 
         # the adaptive products θ̂_ik w_ika and w_ika s_ia, one of each per
         # compensator coordinate
-        self.n_prod = 2 * k * d if self.adaptive else 0
+        self.n_prod = 2 * K * d if self.adaptive else 0
         self.operator_macs = multiply_adds(self.dim, self.n_prod)
 
         # the law's buffers: [p; v] (the leaders' v is v_c), [s_p; s_v],
-        # [s; u], w, the sums θ̂ w and w s, and N v_f or N u as a flat
-        # (n_f, m_max, d) block, zero but at `last`
+        # [s; u], w, the sums θ̂ w and w s, N v_f or N u as a flat (K, d)
+        # block, zero but at the last rows, and u in follower order
         self._bufs = (
-            np.empty((2, n * d)), *np.empty((2, 2, n_f * d)), np.empty((n_f, m_max, d)),
-            np.empty((n_f, 1, d)), np.empty((n_f, m_max, 1)), np.zeros(k * d),
+            np.empty((2, n * d)), *np.empty((2, 2, n_f * d)), np.empty((K, d)),
+            np.empty((n_f, 1, d)), np.empty((K, 1)), np.zeros(K * d), np.empty(n_f * d),
         )
         self._bufs[0][1, : n_l * d] = np.tile(sc.v_c, n_l)
         # the adaptive products' factors (_factors), flat and as their four
-        # (n_f, m_max, d) parts
-        z = np.empty((4, n_f, m_max, d))
+        # (K, d) parts
+        z = np.empty((4, K, d))
         self._z = (z.reshape(-1), *z)
 
     def initial_state(self):
-        """The scenario's initial values, each group's scattered into its
-        followers' padded blocks."""
-        sc, n_f, m_max, d = self.sc, self.n_f, self.m_max, self.d
-        y = np.zeros(self.dim)
-        y[: self.i_eta] = np.concatenate([sc.p0.ravel(), sc.v_f0.ravel()])
-        eta = y[self.i_eta : self.i_var].reshape(n_f, m_max, d)
-        var = y[self.i_var : self.i_th].reshape(n_f, m_max, d)
-        th = y[self.i_th :].reshape(n_f, -1)
-        for g in sc.groups:
-            m = g.order
-            eta[g.idx, :m] = g.eta0
-            var[g.idx, :m] = g.theta0
-            if self.adaptive:
-                th[g.idx, :m] = g.theta_hat0
-        return y
+        """The scenario's initial values, each group's blocks as they are."""
+        groups = self.sc.groups
+        return np.concatenate([
+            self.sc.p0.ravel(), self.sc.v_f0.ravel(),
+            *(g.eta0.ravel() for g in groups), *(g.theta0.ravel() for g in groups),
+            *(g.theta_hat0.ravel() for g in groups if self.adaptive),
+        ])
+
+    def blocks(self, x):
+        """Per group of sc.groups, the views (eta, vartheta, theta_hat) of
+        its followers' blocks in the states x (..., dim): (..., g, m, d),
+        (..., g, m, d) and (..., g, m), or (..., g, 0) outside adaptive
+        mode."""
+        lead, d, i_eta, i_var, i_th = x.shape[:-1], self.d, self.i_eta, self.i_var, self.i_th
+        return [(
+            x[..., i_eta + r0 * d : i_eta + r1 * d].reshape(*lead, f1 - f0, -1, d),
+            x[..., i_var + r0 * d : i_var + r1 * d].reshape(*lead, f1 - f0, -1, d),
+            x[..., i_th + r0 : i_th + r0 + (r1 - r0) * self.adaptive].reshape(*lead, f1 - f0, -1),
+        ) for f0, f1, r0, r1 in self._spans]
 
     def _bind(self, y, dy, sums=True):
         """The law bound to y and dy, C-contiguous arrays of dim floats: a
@@ -234,26 +234,37 @@ class Engine:
         tw = θ̂ w (E w outside adaptive mode) adds to u, and ws = w s drives
         dθ̂ = -Λ ws; with sums false, the adaptive law takes tw and ws as
         they stand in their buffers."""
-        d, n_f, m_max, sc = self.d, self.n_f, self.m_max, self.sc
-        PV, S, SU, w, tw, ws, N_x = self._bufs
-        BfT, last, var0 = self.BfT, self.last, self.var0
-        Phi3, neg_Lam3, adaptive = self.Phi3, self.neg_Lam3, self.adaptive
+        d, sc, adaptive, order = self.d, self.sc, self.adaptive, self.order
+        PV, S, SU, w, tw, ws, N_x, u_f = self._bufs
+        BfT, last_v, last_u, var0 = self.BfT, self.last_v, self.last_u, self.var0
         G2, form = np.array([[1.0, 1.0], [-sc.kappa_p, -sc.kappa_v]]), sums or not adaptive
-        p, v_f, eta, var, th = np.split(y, self.cuts)
-        dy_p, dy_vf, dy_eta, dy_var, dy_th = np.split(dy, self.cuts)
-        var, dy_var = (x.reshape(n_f, m_max, d) for x in (var, dy_var))
-        coef = th.reshape(n_f, 1, -1) if adaptive else self.E3
-        dy_th = dy_th.reshape(n_f, -1, 1)
-        s3, u, u3 = SU[0].reshape(n_f, d, 1), SU[1], SU[1].reshape(n_f, 1, d)
-        # eta' = M eta + N u - M N v_f = M w + N u, M w one GEMM per order
-        w_rows, eta_rows = w.reshape(n_f, m_max * d), dy_eta.reshape(n_f, m_max * d)
-
-        def gemm(g, MT):
-            if isinstance(g, slice):
-                return partial(np.matmul, w_rows[g], MT, out=eta_rows[g])
-            return lambda: eta_rows.__setitem__(g, w_rows[g] @ MT)
-
-        Mw = [gemm(g, MT) for g, MT in self.M_by_order]
+        p, v_f, eta = np.split(y, self.cuts)[:3]
+        dy_p, dy_vf, dy_eta = np.split(dy, self.cuts)[:3]
+        s, u = SU
+        u3 = u.reshape(self.n_f, 1, d)
+        u_f = u if order is None else u_f
+        # per group: θ̂ w (E w) and w s; eta' = M eta + N u - M N v_f =
+        # M w + N u, M w one GEMM; and vartheta' = Φ ϑ and θ̂' = -Λ ws, a
+        # frozen estimate the adaptive law with zero gain
+        products, compensator, rest = [], [], []
+        gain = 0.0 if sc.freeze_theta else -1.0
+        for g, (f0, f1, r0, r1), (_, var, th), (deta, dvar, dth) in zip(
+            sc.groups, self._spans, self.blocks(y), self.blocks(dy)
+        ):
+            n_g, m = f1 - f0, g.order
+            w_g, ws_g, rows = w[r0:r1].reshape(n_g, m, d), ws[r0:r1].reshape(n_g, m, 1), (n_g, -1)
+            # feedback_only has the zero feedforward row
+            coef = th if adaptive else g.E if sc.mode == "known" else np.zeros_like(g.E)
+            if form:
+                products.append(partial(np.matmul, coef.reshape(n_g, 1, m), w_g, out=tw[f0:f1]))
+                if adaptive:
+                    s_g = s[f0 * d : f1 * d].reshape(n_g, d, 1)
+                    products.append(partial(np.matmul, w_g, s_g, out=ws_g))
+            MT = np.kron(g.M, np.eye(d)).T.copy()
+            compensator.append(partial(np.matmul, w_g.reshape(rows), MT, out=deta.reshape(rows)))
+            rest.append(partial(np.matmul, g.Phi, var, out=dvar))
+            if adaptive:
+                rest.append(partial(np.matmul, gain * g.Lam, ws_g, out=dth.reshape(n_g, m, 1)))
         p_row, v, v_row, w_flat = PV[0], PV[1], PV[1, self.n_l * d :], w.reshape(-1)
         PV_dot, G2_dot = PV.dot, G2.dot
 
@@ -262,22 +273,21 @@ class Engine:
             np.copyto(v_row, v_f)
             PV_dot(BfT, S)
             G2_dot(S, SU)
-            N_x[last] = v_f
+            N_x[last_v] = v_f
             np.subtract(eta, N_x, out=w_flat)
-            if form:
-                np.matmul(coef, w, out=tw)
-                if adaptive:
-                    np.matmul(w, s3, out=ws)
+            for product in products:
+                product()
             np.add(u3, tw, out=u3)
-            np.add(u, y[var0], out=dy_vf)
+            if order is not None:
+                np.take(u, order, out=u_f)
+            np.add(u_f, y[var0], out=dy_vf)
             np.copyto(dy_p, v)
-            for Mw_g in Mw:
-                Mw_g()
-            N_x[last] = u
+            for Mw in compensator:
+                Mw()
+            N_x[last_u] = u
             np.add(dy_eta, N_x, out=dy_eta)
-            np.matmul(Phi3, var, out=dy_var)
-            if adaptive:
-                np.matmul(neg_Lam3, ws, out=dy_th)
+            for product in rest:
+                product()
 
         return law
 
@@ -287,17 +297,17 @@ class Engine:
         then w_ika s_ia, written into one buffer, which is returned."""
         SU, w = self._bufs[2:4]
         z, th_z, w_a, w_b, s_z = self._z
-        np.copyto(th_z, y[self.i_th :].reshape(self.n_f, self.m_max, 1))
+        np.copyto(th_z, y[self.i_th :, None])
         np.copyto(w_a, w)
         np.copyto(w_b, w)
-        np.copyto(s_z, SU[0].reshape(self.n_f, 1, self.d))
+        np.take(SU[0].reshape(self.n_f, self.d), self._owner, axis=0, out=s_z)
         return z
 
     def _sums(self, P):
         """The per-follower sums of the flat products P that the law takes:
-        θ̂ w (n_f, 1, d) and w s (n_f, m_max, 1)."""
-        tw, ws = (x.reshape(self.n_f, self.m_max, self.d) for x in np.split(P, 2))
-        return tw.sum(axis=1, keepdims=True), ws.sum(axis=2, keepdims=True)
+        θ̂ w (n_f, 1, d) and w s (K, 1)."""
+        tw, ws = (x.reshape(self.K, self.d) for x in np.split(P, 2))
+        return np.add.reduceat(tw, self._first, axis=0)[:, None], ws.sum(axis=1, keepdims=True)
 
     def rk4(self):
         """The chunk advance of classical RK4 steps of size sc.h, taken stage
@@ -519,27 +529,19 @@ def integrate(sc):
     velocities = np.empty((S, n, d))
     velocities[:, : eng.n_l, :] = sc.v_c
     velocities[:, eng.n_l :, :] = samples[:, eng.i_vf : eng.i_eta].reshape(S, n_f, d)
-    blocks = (S, n_f, eng.m_max, d)
+    eta, vartheta, theta_hat = zip(*eng.blocks(samples))
     return Trajectory(
-        times=rec_steps * h,
-        positions=positions_of(samples),
-        velocities=velocities,
-        eta=samples[:, eng.i_eta : eng.i_var].reshape(blocks),
-        vartheta=samples[:, eng.i_var : eng.i_th].reshape(blocks),
-        theta_hat=samples[:, eng.i_th :].reshape(S, n_f, -1),
-        min_dist=dists,
+        rec_steps * h, positions_of(samples), velocities, eta, vartheta, theta_hat, dists
     )
 
 
 def _xi_by_order(traj, sc):
-    """Per group g: (g, xi), where xi (S, len(g.idx), m, d) is
-    xi_i(t) = eta_i + T_i vartheta_i - N v_i at each sample, from the first
-    m rows of the followers' padded blocks."""
+    """Per group g: (g, xi), where xi (S, g, m, d) is
+    xi_i(t) = eta_i + T_i vartheta_i - N v_i at each sample, from the
+    group's blocks of the Trajectory."""
     v_f = traj.velocities[:, sc.n_l :, None, :]                # (S, n_f, 1, d)
-    for g in sc.groups:
-        m, idx = g.order, g.idx
-        eta, var = traj.eta[:, idx, :m], traj.vartheta[:, idx, :m]
-        yield g, eta + g.T @ var - g.N[:, None] * v_f[:, idx]
+    for g, eta, var in zip(sc.groups, traj.eta, traj.vartheta):
+        yield g, eta + g.T @ var - g.N[:, None] * v_f[:, g.idx]
 
 
 def _norm(x, axis):
@@ -593,10 +595,10 @@ def lyapunov_monitor(traj, sc):
     V_x = (sc.kappa_p + sc.kappa_v) * (Bp * Bp).sum(1)
     V_x += ((2.0 * p_t + v_t) * Bv).sum(1)
     V_xi = V_th = 0.0
-    for g, xi in _xi_by_order(traj, sc):
+    for (g, xi), th in zip(_xi_by_order(traj, sc), traj.theta_hat):
         m = g.order
         V_xi = V_xi + np.einsum("sgak,sgak->s", xi, cert.G[m] @ xi)
-        th_t = g.E - traj.theta_hat[:, g.idx, :m]
+        th_t = g.E - th
         V_th = V_th + np.einsum(
             "sga,gsa->s", th_t, th_t.transpose(1, 0, 2) @ cert.Lam_inv[m]
         )

@@ -163,29 +163,39 @@ def rhs(eng, y, out=None):
     return dy
 
 
-def real(eng):
-    """The real (non-padding) coordinates of the engine state, in the packed
-    order of the scenario's initial values: each follower's m_i rows of its
-    blocks."""
-    rows = np.arange(eng.m_max) < eng.orders[:, None]              # (n_f, m_max)
-    blocks = np.flatnonzero(np.repeat(rows, eng.d, axis=1))
-    out = [np.arange(eng.i_eta), eng.i_eta + blocks, eng.i_var + blocks]
-    if eng.adaptive:
-        out.append(eng.i_th + np.flatnonzero(rows))
-    return np.concatenate(out)
+def reference_order(eng):
+    """The engine-state index of each coordinate of the packed state
+    [p | v_f | eta | vartheta | theta_hat] of the dense references, each
+    follower's blocks in follower order: a permutation of the engine's
+    state, whose blocks run group by group (Engine.blocks)."""
+    index = np.arange(eng.dim)
+    parts = [[None] * eng.n_f for _ in range(3)]
+    for g, views in zip(eng.sc.groups, eng.blocks(index)):
+        for part, view in zip(parts, views):
+            for j, k in enumerate(g.idx):
+                part[k] = view[j].ravel()
+    return np.concatenate([index[: eng.i_eta], *(x for part in parts for x in part)])
 
 
-def padded_state(eng, packed):
-    """The engine state whose real coordinates (`real`) hold the packed
-    state [p | v_f | eta | vartheta | theta_hat], zero elsewhere."""
-    y = np.zeros(packed.shape[:-1] + (eng.dim,))
-    y[..., real(eng)] = packed
-    return y
+def per_follower_blocks(blocks, sc):
+    """A Trajectory's per-group blocks (its eta, vartheta or theta_hat) as
+    one array (S, m_i, ...) per follower, in follower order."""
+    out = [None] * sc.n_f
+    for g, b in zip(sc.groups, blocks):
+        for j, k in enumerate(g.idx):
+            out[k] = b[:, j]
+    return out
 
 
-def padding(eng, states):
-    """The padding entries of engine states (..., eng.dim)."""
-    return np.delete(states, real(eng), axis=-1)
+def trajectory_fields(traj):
+    """(name, array) of each array of a Trajectory, its per-group blocks
+    one by one."""
+    for name, value in vars(traj).items():
+        if isinstance(value, tuple):
+            for j, x in enumerate(value):
+                yield f"{name}[{j}]", x
+        else:
+            yield name, value
 
 
 def per_follower(sc):

@@ -182,9 +182,9 @@ def test_criterion_5_xi_dynamics_oracle(known_run):
         times=traj.times[keep],
         positions=traj.positions[keep],
         velocities=traj.velocities[keep],
-        eta=traj.eta[keep],
-        vartheta=traj.vartheta[keep],
-        theta_hat=traj.theta_hat[keep],
+        eta=tuple(x[keep] for x in traj.eta),
+        vartheta=tuple(x[keep] for x in traj.vartheta),
+        theta_hat=tuple(x[keep] for x in traj.theta_hat),
         min_dist=traj.min_dist[keep],
     )
     dev = xi_oracle(short, sc)
@@ -207,8 +207,8 @@ def test_criterion_6_adaptive_rejection(adaptive_run):
     sup_state = max(
         float(np.abs(traj.positions).max()),
         float(np.abs(traj.velocities).max()),
-        float(np.abs(traj.eta).max()),
-        float(np.abs(traj.theta_hat).max()),
+        *(float(np.abs(x).max()) for x in traj.eta),
+        *(float(np.abs(x).max()) for x in traj.theta_hat),
     )
     assert np.isfinite(sup_state) and sup_state < 1e6
 
@@ -257,7 +257,8 @@ def test_criterion_7_adaptive_known_consistency():
         float(np.abs(traj_known.velocities[-1] - traj_frozen.velocities[-1]).max()),
     )
     assert dev <= 1e-9
-    np.testing.assert_allclose(traj_frozen.theta_hat[-1], traj_frozen.theta_hat[0])
+    for th in traj_frozen.theta_hat:
+        np.testing.assert_allclose(th[-1], th[0])
     print(f"PASS criterion 7: adaptive/known consistency (terminal deviation {dev:.2e})")
 
 

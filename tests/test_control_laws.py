@@ -202,6 +202,9 @@ class TestValidateGains:
             validate_gains(*gains, self.MU, mode)
 
     ASYM = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    # rank one: eigvalsh rounds its least eigenvalue to +2.7e-17, below the
+    # 3 eps lambda_max = 1.7e-14 that the rounding of eigvalsh can reach
+    RANK_ONE = np.outer([1.0, 4.0, 3.0], [1.0, 4.0, 3.0])
 
     @pytest.mark.parametrize(
         "lambdas, message",
@@ -209,13 +212,15 @@ class TestValidateGains:
             ([([3, 5], [np.eye(1), -np.eye(1)]), ([4], [ASYM])], "4 not symmetric"),
             ([([3, 5], [np.eye(3), ASYM]), ([4], [-np.eye(1)])], "4 not positive definite"),
             ([([3], [np.eye(1)]), ([4, 5], [np.eye(3), 1e-20 * ASYM])], "5 not symmetric"),
+            ([([3, 4], [RANK_ONE, np.eye(3)])], "3 not positive definite"),
         ],
-        ids=["groups-out-of-order", "definite-before-symmetric", "scaled"],
+        ids=["groups-out-of-order", "definite-before-symmetric", "scaled", "rank-one"],
     )
     def test_first_bad_lambda_is_named(self, lambdas, message):
         """Lambdas come in one stack per order, with their followers' ids;
-        the lowest follower at fault is named, and the symmetry tolerance
-        scales with the entries of Lambda."""
+        the lowest follower at fault is named, the symmetry tolerance
+        scales with the entries of Lambda, and a singular Lambda whose least
+        eigenvalue rounds positive is not definite."""
         lambdas = [(np.array(ids), np.stack(Lam)) for ids, Lam in lambdas]
         with pytest.raises(GainConditionViolated, match=f"^Lambda for follower {message}$"):
             validate_gains(1.0, 1.0, self.MU, "known", lambdas)
@@ -252,3 +257,12 @@ class TestValidateGains:
             "Lambda for follower 3 not positive definite$"
         )):
             compile_scenario(self.adaptive_scenario(lam))
+
+    def test_adaptive_rank_one_lambda_rejected(self):
+        """A singular Lambda is rejected at the gain gate, not later at the
+        certificate's th~ term, which its inverse makes nan."""
+        with pytest.raises(ValidationError, match=(
+            "^gains: GainConditionViolated: "
+            "Lambda for follower 3 not positive definite$"
+        )):
+            compile_scenario(self.adaptive_scenario(self.RANK_ONE.tolist()))

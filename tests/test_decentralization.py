@@ -24,7 +24,7 @@ from bearing_forge.formation_graph import BearingSet
 from bearing_forge.scenario import compile_scenario
 from bearing_forge.sim_engine import Engine
 
-from conftest import base_scenario_dict, padded_state, padding, per_follower, real, rhs
+from conftest import base_scenario_dict, per_follower, rhs
 
 TOL = 1e-12
 
@@ -139,21 +139,18 @@ def local_law(sc, i, positions, velocities, eta, var, theta_hat):
 
 def agent_rows(eng, k):
     """Indices of agent k's entries in the engine state, in the order
-    [p, v, eta, vartheta, theta_hat]; a leader has only p.  They are the
-    agent's entries of the packed state, mapped through `real`."""
-    d, q = eng.d, sum(eng.orders)
+    [p, v, eta, vartheta, theta_hat]; a leader has only p.  The compensator
+    entries are the follower's rows of its group's blocks (Engine.blocks)."""
+    d = eng.d
     rows = [np.arange((k - 1) * d, k * d)]
     if k > eng.n_l:
         f = k - eng.n_l - 1
-        off, m = sum(eng.orders[:f]), eng.orders[f]
-        rows += [
-            eng.i_vf + f * d + np.arange(d),
-            eng.i_eta + off * d + np.arange(m * d),
-            eng.i_eta + (q + off) * d + np.arange(m * d),
-        ]
-        if eng.adaptive:
-            rows.append(eng.i_eta + 2 * q * d + off + np.arange(m))
-    return real(eng)[np.concatenate(rows)]
+        rows.append(eng.i_vf + f * d + np.arange(d))
+        for g, blocks in zip(eng.sc.groups, eng.blocks(np.arange(eng.dim))):
+            if f in g.idx:
+                j = g.idx.tolist().index(f)
+                rows += [b[j].ravel() for b in blocks]
+    return np.concatenate(rows)
 
 
 def local_view(sc, eng, y, i):
@@ -167,7 +164,7 @@ def local_view(sc, eng, y, i):
         positions[k - 1] = y[(k - 1) * d : k * d]
         velocities[k - 1] = sc.v_c if k <= n_l else y[agent_rows(eng, k)[d : 2 * d]]
     own = y[agent_rows(eng, i)][2 * d :]
-    m = eng.orders[i - n_l - 1]
+    m = per_follower(sc)[i - n_l - 1].order
     eta, var, theta_hat = own[: m * d], own[m * d : 2 * m * d], own[2 * m * d :]
     return positions, velocities, eta, var, theta_hat
 
@@ -226,16 +223,14 @@ MODES = ["known", "adaptive", "adaptive_frozen", "feedback_only"]
 
 
 def states(eng, seed):
-    """The initial state and three random ones, each with zero padding."""
+    """The initial state and three random ones."""
     rng = np.random.default_rng(seed)
-    random = padded_state(eng, rng.standard_normal((3, len(real(eng)))))
-    return [eng.initial_state()] + list(random)
+    return [eng.initial_state()] + list(rng.standard_normal((3, eng.dim)))
 
 
 def test_formation_is_sparse_and_mixed_order():
     sc = sparse_scenario("adaptive")
-    eng = Engine(sc)
-    assert eng.orders.tolist() == [3, 1, 5]
+    assert [m.order for m in per_follower(sc)] == [3, 1, 5]
     # neighbours: 3 and 4 see 1, 2 and 5; 5 sees 3 and 4
     np.testing.assert_array_equal(
         sc.graph.edges, [[1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [4, 5]]
@@ -251,7 +246,6 @@ def test_rows_depend_only_on_neighbours(mode):
     edges = sc.graph.edges
     for y in states(eng, 3):
         base = rhs(eng, y)
-        assert (padding(eng, base) == 0).all()
         for i in sc.graph.followers:
             rows = agent_rows(eng, i)
             near = edges[(edges == i).any(axis=1)].ravel().tolist()   # i and its neighbours
@@ -272,7 +266,6 @@ def test_rows_equal_local_law(mode):
     eng = Engine(sc)
     for y in states(eng, 5):
         dy = rhs(eng, y)
-        assert (padding(eng, dy) == 0).all()
         for i in sc.graph.followers:
             ref = local_law(sc, i, *local_view(sc, eng, y, i))
             got = dy[agent_rows(eng, i)]

@@ -18,6 +18,7 @@ block-diagonal M_f and E_f.
 import copy
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,12 +46,12 @@ from conftest import (
     dense_P_c,
     dense_Q,
     make_scenario,
-    padded_state,
-    padding,
     per_follower,
-    real,
+    per_follower_blocks,
+    reference_order,
     replace,
     rhs,
+    trajectory_fields,
 )
 
 TOL = 1e-10
@@ -184,27 +185,28 @@ def reference_integrate(sc):
     velocities = np.empty((S, n, d))
     velocities[:, : eng.n_l, :] = sc.v_c
     velocities[:, eng.n_l :, :] = arr[:, eng.i_vf : eng.i_eta].reshape(S, eng.n_f, d)
-    # the compensator blocks in the Trajectory's padded layout
-    pad = Engine(sc)
-    padded = padded_state(pad, arr)
-    blocks = (S, eng.n_f, pad.m_max, d)
+    # the compensator blocks in the Trajectory's per-group layout
+    stacked = Engine(sc)
+    states = np.empty_like(arr)
+    states[:, reference_order(stacked)] = arr
+    eta, vartheta, theta_hat = zip(*stacked.blocks(states))
     return Trajectory(
         times=np.array(times),
         positions=arr[:, eng.i_p : eng.i_vf].reshape(S, n, d),
         velocities=velocities,
-        eta=padded[:, pad.i_eta : pad.i_var].reshape(blocks),
-        vartheta=padded[:, pad.i_var : pad.i_th].reshape(blocks),
-        theta_hat=padded[:, pad.i_th :].reshape(S, eng.n_f, -1),
+        eta=eta,
+        vartheta=vartheta,
+        theta_hat=theta_hat,
         min_dist=np.array(dists),
     )
 
 
 def packed(blocks, sc):
-    """The packed form (S, K) of a Trajectory's padded per-follower blocks
-    (S, n_f, m_max, ...): each follower's first m_i rows, in order."""
-    orders = np.array([m.order for m in per_follower(sc)])
-    real = np.arange(blocks.shape[2]) < orders[:, None]
-    return blocks[:, real].reshape(len(blocks), -1)
+    """The packed form (S, K) of a Trajectory's per-group blocks: each
+    follower's blocks flat, in follower order."""
+    return np.concatenate(
+        [b.reshape(len(b), -1) for b in per_follower_blocks(blocks, sc)], axis=1
+    )
 
 
 def reference_xi_oracle(traj, sc):
@@ -280,20 +282,14 @@ def assert_close(got, ref):
 
 
 def assert_same_trajectory(traj, ref):
-    for field in (
-        "times",
-        "positions",
-        "velocities",
-        "eta",
-        "vartheta",
-        "theta_hat",
-        "min_dist",
-    ):
-        assert_close(getattr(traj, field), getattr(ref, field))
+    got, want = dict(trajectory_fields(traj)), dict(trajectory_fields(ref))
+    assert got.keys() == want.keys()
+    for field in want:
+        assert_close(got[field], want[field])
 
 
 # Pentagon-like formation on a complete graph whose three followers carry
-# disturbances of orders r = 0, 1, 2, so the stacked blocks need padding.
+# disturbances of orders r = 0, 1, 2, so the state holds three groups.
 MIXED_POSITIONS = {
     "1": [0.0, 0.0],
     "2": [2.0, 0.0],
@@ -364,7 +360,8 @@ def mixed_feedback_only():
 
 
 # Orders 1, 3 and 1: the followers of order 1 are not consecutive, so the
-# engine gathers and scatters their rows of M w by index.
+# groups' order is not the followers' order, and the engine gathers u back
+# into follower order by index.
 INTERLEAVED_DISTURBANCES = {**MIXED_DISTURBANCES, "5": {"constant": [0.05, 0.1]}}
 
 
@@ -378,8 +375,7 @@ def interleaved_adaptive():
 
 
 # The unit square whose followers reject a constant (r = 0, order 1) and
-# five sinusoids (r = 5, order 11): the first follower's blocks are mostly
-# padding.
+# five sinusoids (r = 5, order 11): the orders differ most.
 SKEWED_DISTURBANCES = {
     "3": {"constant": [0.05, -0.05]},
     "4": {
@@ -405,6 +401,17 @@ def skewed_scenario(mode="known"):
     )
 
 
+# The committed 3-D cube: follower 4 rejects five sinusoids (order 11) and
+# followers 3 and 5-8 one each (order 3), so the groups' order is not the
+# followers' order.  Its state has 198 entries in known mode and 224 in
+# adaptive mode.
+CUBE = Path(__file__).parent / "data" / "cube_mixed.json"
+
+
+def cube(mode, t_final=0.5):
+    return load_scenario(CUBE, {"mode": mode, "t_final": t_final})
+
+
 CASES = {
     "bundled_known_10s": lambda: load_scenario(
         bundled_scenario("square_known"), {"t_final": 10.0}
@@ -419,6 +426,8 @@ CASES = {
     "mixed_feedback_only": mixed_feedback_only,
     "skewed_known": skewed_scenario,
     "skewed_adaptive": lambda: skewed_scenario("adaptive"),
+    "cube_known": lambda: cube("known"),
+    "cube_adaptive": lambda: cube("adaptive"),
 }
 
 
@@ -548,54 +557,65 @@ BOUND_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_rhs_matches_reference(case):
-    """On the real coordinates of states with zero padding; the padding of
-    rhs is exactly 0.  The law bound once to fixed buffers, as the staged
+    """On the initial state and on random packed states of the reference,
+    each read into the engine's layout through the permutation
+    `reference_order`.  The law bound once to fixed buffers, as the staged
     step binds it, and evaluated on each state copied into its input,
     writes bitwise rhs."""
     sc = BOUND_CASES[case]()
     eng, ref = Engine(sc), ReferenceEngine(sc)
-    assert eng.dim == sc.state_dim and len(real(eng)) == ref.dim
+    to_ref = reference_order(eng)
+    assert eng.dim == sc.state_dim == ref.dim
+    assert np.sort(to_ref).tolist() == list(range(eng.dim))
     y_buf, dy_buf = np.empty((2, eng.dim))
     law = eng._bind(y_buf, dy_buf)
     rng = np.random.default_rng(7)
-    random = padded_state(eng, rng.standard_normal((5, ref.dim)))
+    random = np.empty((5, eng.dim))
+    random[:, to_ref] = rng.standard_normal((5, ref.dim))
     for y in [eng.initial_state()] + list(random):
         dy = rhs(eng, y)
-        assert_close(dy[real(eng)], ref.rhs(y[real(eng)]))
-        assert (padding(eng, dy) == 0).all()
+        assert_close(dy[to_ref], ref.rhs(y[to_ref]))
         y_buf[:] = y
         law()
         assert dy_buf.tobytes() == dy.tobytes()
 
 
-def test_mixed_orders_are_padded():
-    """Orders 1, 3 and 5 are held padded to 5: the state has 5 rows of eta
-    and of vartheta, and 5 estimates, per follower, and its real coordinates
-    are the packed state, which starts as the reference's with zero
-    padding."""
+def test_mixed_orders_are_unpadded():
+    """Orders 1, 3 and 5 are held unpadded: the state has m_i rows of eta
+    and of vartheta, and m_i estimates, for each follower i, and it starts
+    as the reference's packed state, read through `reference_order`.  On
+    the cube (followers of orders 3 and 11) the state has 198 entries in
+    known mode and 224 in adaptive mode."""
     sc = mixed_adaptive()
     eng, ref = Engine(sc), ReferenceEngine(sc)
-    assert eng.orders.tolist() == [1, 3, 5] and eng.m_max == 5
     n_f, d = sc.n_f, sc.d
-    assert eng.dim == sc.state_dim == (sc.n + n_f) * d + 2 * n_f * 5 * d + n_f * 5
-    assert len(real(eng)) == ref.dim == eng.dim - 2 * n_f * 2 * d - n_f * 2
-    y = eng.initial_state()
-    assert padding(eng, y).view(np.int64).tolist() == [0] * (eng.dim - ref.dim)
+    assert [m.order for m in ref.models] == [1, 3, 5]
+    assert eng.dim == sc.state_dim == ref.dim == (sc.n + n_f) * d + 9 * (2 * d + 1)
     models = ref.models
     packed = np.concatenate(
         [sc.p0.ravel(), sc.v_f0.ravel(), *[m.eta0 for m in models],
          *[m.theta0 for m in models], *[m.theta_hat0 for m in models]]
     )
-    assert y[real(eng)].tobytes() == packed.tobytes()
+    assert eng.initial_state()[reference_order(eng)].tobytes() == packed.tobytes()
+    assert [cube(mode).state_dim for mode in ("known", "adaptive")] == [198, 224]
 
 
 def test_interleaved_orders_are_indexed():
-    """M w is one product per order, on a slice of the followers when they
-    are consecutive and on an index otherwise."""
-    eng = Engine(interleaved_adaptive())
-    assert eng.orders.tolist() == [1, 3, 1]
-    (one, _), (three, _) = eng.M_by_order
-    assert one.tolist() == [0, 2] and three == slice(1, 2)
+    """With orders 1, 3 and 1, the groups' order (followers 3 and 5, then 4)
+    is not the followers' order: the state holds the groups' blocks in
+    that order, and u is gathered back into follower order by an index.
+    Where the orders agree, as with orders 1, 3 and 5, there is no
+    gather."""
+    sc = interleaved_adaptive()
+    eng = Engine(sc)
+    assert [g.idx.tolist() for g in sc.groups] == [[0, 2], [1]]
+    assert eng.order.tolist() == [0, 1, 4, 5, 2, 3]
+    assert Engine(mixed_adaptive()).order is None
+    y = eng.initial_state()
+    for g, (eta, var, th) in zip(sc.groups, eng.blocks(y)):
+        assert eta.tobytes() == g.eta0.tobytes()
+        assert var.tobytes() == g.theta0.tobytes()
+        assert th.tobytes() == g.theta_hat0.tobytes()
 
 
 def reference_states(sc):
@@ -605,18 +625,18 @@ def reference_states(sc):
     return np.concatenate(
         [x.reshape(len(ref.times), -1) for x in (
             ref.positions, ref.velocities[:, sc.n_l :],
-            ref.eta, ref.vartheta, ref.theta_hat,
+            *ref.eta, *ref.vartheta, *ref.theta_hat,
         )],
         axis=1,
     )[1:]
 
 
 @pytest.mark.parametrize("case", ["skewed_known", "skewed_adaptive"])
-def test_padded_steppers_match_reference(case):
+def test_mixed_order_steppers_match_reference(case):
     """Both chunk advances, the operator step and the staged Engine.rk4,
     driven a chunk at a time from the initial state, against one RK4 step
-    at a time through ReferenceEngine on every state; the padding of every
-    chunk stays bitwise 0."""
+    at a time through ReferenceEngine on every state, on followers of
+    orders 1 and 11."""
     sc = replace(CASES[case](), record_every=1)
     eng = Engine(sc)
     ref_states = reference_states(sc)
@@ -625,7 +645,6 @@ def test_padded_steppers_match_reference(case):
         for first in range(0, sc.n_steps, CHECK_CHUNK):
             rows = chunk[: min(CHECK_CHUNK, sc.n_steps - first)]
             y = advance(y, rows)
-            assert not padding(eng, rows).view(np.int64).any()
             assert_close(rows, ref_states[first : first + len(rows)])
 
 
@@ -664,8 +683,7 @@ def test_rhs_into_a_buffer(case):
     eng = Engine(sc)
     rng = np.random.default_rng(11)
     buf = np.full(eng.dim, np.nan)
-    random = padded_state(eng, rng.standard_normal((3, len(real(eng)))))
-    for y in [eng.initial_state()] + list(random):
+    for y in [eng.initial_state()] + list(rng.standard_normal((3, eng.dim))):
         before = y.copy()
         assert rhs(eng, y, out=buf) is buf
         assert buf.tobytes() == rhs(eng, y).tobytes()
@@ -729,7 +747,7 @@ def test_collision_mid_chunk_matches_reference(mode):
 def assert_diverges_as_reference(mode):
     """Gains far outside the RK4 stability region for h = 1e-3 blow up at
     the reference's step; the mixed cases have followers of orders 1 and
-    11, padded to 11.  The step gate rejects such gains at load, so they
+    11.  The step gate rejects such gains at load, so they
     are set after it."""
     mixed = mode.startswith("mixed_")
     sc = make_scenario(
@@ -739,7 +757,7 @@ def assert_diverges_as_reference(mode):
         integration={"t_final": 1.0},
     )
     sc = replace(sc, kappa_p=1e4, kappa_v=1e4)
-    assert (len(set(Engine(sc).orders)) > 1) == mixed
+    assert (len(sc.groups) > 1) == mixed
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as ref_info:
             reference_integrate(sc)
@@ -783,8 +801,7 @@ def test_staged_replay_completes_what_the_operator_step_cannot(monkeypatch):
     got = integrate(sc)
     monkeypatch.setattr(sim_engine, "OPERATOR_MAX_MACS", 0)
     staged = integrate(sc)
-    for name in vars(staged):
-        a, b = getattr(got, name), getattr(staged, name)
+    for (name, a), (_, b) in zip(trajectory_fields(got), trajectory_fields(staged)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
@@ -845,8 +862,9 @@ def test_chunked_linear_matches_stepwise(case):
     assert_close(
         traj.velocities[:, sc.n_l :].reshape(S, -1), ref[:, eng.i_vf : eng.i_eta]
     )
-    assert_close(traj.eta.reshape(S, -1), ref[:, eng.i_eta : eng.i_var])
-    assert_close(traj.vartheta.reshape(S, -1), ref[:, eng.i_var : eng.i_th])
+    for blocks, (lo, hi) in ((traj.eta, (eng.i_eta, eng.i_var)),
+                             (traj.vartheta, (eng.i_var, eng.i_th))):
+        assert_close(np.concatenate([b.reshape(S, -1) for b in blocks], 1), ref[:, lo:hi])
     n, d = sc.n, sc.d
     ref_dist = pair_distances(ref[:, eng.i_p : eng.i_vf].reshape(S, n, d))
     assert_close(traj.min_dist, ref_dist.min(axis=1))
@@ -971,15 +989,20 @@ def law_terms(eng, y):
     these, is about 1e-8 where M w + N E w itself is small."""
     rhs(eng, y)
     (s_p, s_v), w = eng._bufs[1], eng._bufs[3]
-    th = y[eng.i_th :].reshape(eng.n_f, 1, -1) if eng.adaptive else eng.E3
-    kp, kv = eng.sc.kappa_p, eng.sc.kappa_v
-    u = (kp * np.abs(s_p) + kv * np.abs(s_v)).reshape(eng.n_f, 1, eng.d)
-    u = u + np.abs(th) @ np.abs(w)
-    terms = np.zeros(eng.dim)
-    rows = terms[eng.i_eta : eng.i_var].reshape(eng.n_f, eng.m_max, eng.d)
-    for i, model in enumerate(per_follower(eng.sc)):
-        m = model.order
-        rows[i, :m] = np.abs(model.M) @ np.abs(w[i, :m]) + np.abs(model.N)[:, None] * u[i]
+    sc, d = eng.sc, eng.d
+    # s_p, s_v and w are in group order, as the state's blocks (Engine)
+    u = (sc.kappa_p * np.abs(s_p) + sc.kappa_v * np.abs(s_v)).reshape(eng.n_f, 1, d)
+    W = np.zeros(eng.dim)
+    W[eng.i_eta : eng.i_var] = w.ravel()
+    terms, f0 = np.zeros(eng.dim), 0
+    for g, (rows, _, _), (w_g, _, _), (_, _, th) in zip(
+        sc.groups, eng.blocks(terms), eng.blocks(W), eng.blocks(y)
+    ):
+        f1 = f0 + len(g.idx)
+        coef = th if eng.adaptive else g.E if sc.mode == "known" else 0.0 * g.E
+        u_g = u[f0:f1] + np.abs(coef)[:, None] @ np.abs(w_g)
+        rows[:] = np.abs(g.M) @ np.abs(w_g) + np.abs(g.N)[:, None] * u_g
+        f0 = f1
     return terms
 
 
@@ -1142,8 +1165,8 @@ def test_frozen_estimate_is_zero_gain(case):
     eng = Engine(sc)
     assert (eng.operator_macs < OPERATOR_MAX_MACS) == (case == "square_5s")
     traj = integrate(sc)
-    th0 = eng.initial_state()[eng.i_th :].reshape(sc.n_f, eng.m_max)
-    assert (traj.theta_hat.view(np.int64) == th0.view(np.int64)).all()
+    for th, (_, _, th0) in zip(traj.theta_hat, eng.blocks(eng.initial_state()), strict=True):
+        assert (th.view(np.int64) == th0.view(np.int64)).all()
     got = traj.velocities[-1, sc.n_l :].ravel()
     assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 

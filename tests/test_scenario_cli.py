@@ -247,7 +247,7 @@ def test_explicit_eta_init_lands_in_the_state():
     data["integration"]["t_final"] = 10.0
     sc = compile_scenario(data)
     eng = Engine(sc)
-    eta = eng.initial_state()[eng.i_eta : eng.i_var].reshape(sc.n_f, eng.m_max, sc.d)
+    ((eta, _, _),) = eng.blocks(eng.initial_state())
     assert eta[0].tolist() == [[1, 2], [3, 4], [5, 6]]
     assert eta[1].tobytes() == np.kron(per_follower(sc)[1].N, sc.v_f0[1]).tobytes()
     assert xi_oracle(integrate(sc), sc) < 1e-6
@@ -1310,6 +1310,22 @@ class TestMalformedInput:
         code, err = _main_stderr([*command, write_scenario(tmp_path, data)])
         assert (code, err) == (
             2, ["error: gains: GainConditionViolated: Lambda for follower 3 not symmetric"]
+        )
+
+    @pytest.mark.parametrize("scenario", ["square_known", "square_adaptive"])
+    def test_rank_one_lambda_rejected_in_every_mode(self, tmp_path, scenario):
+        """A rank-one Lambda, whose least eigenvalue eigvalsh rounds to
+        +2.7e-17, is not certainly definite: `validate` names it at the
+        gain gate in known mode too, and in adaptive mode before the
+        certificate's th~ term could fail on its inverse."""
+        with open(bundled_scenario(scenario)) as fh:
+            data = json.load(fh)
+        data["controller"]["adaptation_gains"] = {
+            "3": [[1, 4, 3], [4, 16, 12], [3, 12, 9]]
+        }
+        code, err = _main_stderr(["validate", write_scenario(tmp_path, data)])
+        assert (code, err) == (
+            2, ["error: gains: GainConditionViolated: Lambda for follower 3 not positive definite"]
         )
 
     @pytest.mark.parametrize(
