@@ -20,12 +20,15 @@ the benchmark runs it) and compares the files the two runs wrote
 * the two bundled squares at their shipped horizons, 50 s and 200 s.
 
 For each file the result says whether the two are byte-identical and gives
-the largest absolute and relative difference over the file, and per
-column (CSV) or per number (JSON, by its dotted key) the same two values
+the largest absolute, relative and scaled difference over the file, and per
+column (CSV) or per number (JSON, by its dotted key) the same three values
 and the row where the absolute one occurs, for the columns that differ
-at all; a column that is not listed is equal in every row.  The relative
-difference of a and b is |a - b| / max(|a|, |b|).  The exit code and
-stderr of every run are kept, so a run that fails on one tree shows.
+at all; a column that is not listed is equal in every row.  Of a value a
+of this tree and b of the baseline, the relative difference is
+|a - b| / max(|a|, |b|) and the scaled one |a - b| / (1 + |b|): the
+relative one reads rounding on a cell near zero as large, the scaled one
+does not.  The exit code and stderr of every run are kept, so a run that
+fails on one tree shows.
 
     python3 scripts/compare_outputs.py --baseline PARENT/src
         [--horizons benchmark|shipped|all] [--out BENCH_compare_outputs.json]
@@ -82,17 +85,20 @@ def run(src, scenario, t_final, mode, out):
 
 
 def differences(a, b):
-    """Largest |a - b|, its row, and largest relative difference of two
-    float columns; NaNs in the same places count as equal."""
+    """Largest |a - b|, its row, and largest relative and scaled difference
+    of two float columns, b the baseline's; NaNs in the same places count as
+    equal."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         diff = np.abs(a - b)
         diff[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
         diff[np.isnan(diff)] = np.inf
-        scale = np.maximum(np.abs(a), np.abs(b))
+        # fmax: a NaN against a number is scaled by the number, so it reads inf
+        scale = np.fmax(np.abs(a), np.abs(b))
         rel = np.divide(diff, scale, out=np.zeros_like(diff), where=diff > 0)
+        scaled = np.divide(diff, 1.0 + np.abs(b), out=diff.copy(), where=np.isfinite(b))
     row = int(diff.argmax())
-    return float(diff[row]), row, float(rel.max())
+    return float(diff[row]), row, float(rel.max()), float(scaled.max())
 
 
 def read_csv(path):
@@ -118,8 +124,9 @@ def compare_file(name, a, b):
         missing = [p.parent.name for p in (a, b) if not p.exists()]
         return {"identical": False, "missing": missing}
     if a.read_bytes() == b.read_bytes():
-        return {"identical": True, "max_abs": 0.0, "max_rel": 0.0, "columns": {}}
-    result = {"identical": False, "max_abs": 0.0, "max_rel": 0.0}
+        return {"identical": True, "max_abs": 0.0, "max_rel": 0.0, "max_scaled": 0.0,
+                "columns": {}}
+    result = {"identical": False, "max_abs": 0.0, "max_rel": 0.0, "max_scaled": 0.0}
     if name.endswith(".csv"):
         (head_a, va), (head_b, vb) = read_csv(a), read_csv(b)
         if head_a != head_b or va.shape != vb.shape:
@@ -137,11 +144,13 @@ def compare_file(name, a, b):
                 result.setdefault("unequal", {})[key] = [ta[key], tb[key]]
     differ = {}
     for key, (ca, cb) in columns.items():
-        max_abs, row, max_rel = differences(ca, cb)
+        max_abs, row, max_rel, max_scaled = differences(ca, cb)
         if max_abs:
-            differ[key] = {"max_abs": max_abs, "max_rel": max_rel, "row": row}
+            differ[key] = {"max_abs": max_abs, "max_rel": max_rel, "max_scaled": max_scaled,
+                           "row": row}
             result["max_abs"] = max(result["max_abs"], max_abs)
             result["max_rel"] = max(result["max_rel"], max_rel)
+            result["max_scaled"] = max(result["max_scaled"], max_scaled)
     result["columns"] = differ
     return result
 

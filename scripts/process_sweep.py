@@ -5,7 +5,12 @@ Each measurement is one child process, run to completion and reaped with
 ``os.wait4``: its CPU time is ``ru_utime + ru_stime`` and its peak RSS
 ``ru_maxrss``.  The commands are
 
-* the floors ``python -c pass`` and ``python -c "import numpy"``;
+* the floors ``python -c pass``, ``python -c "import numpy"`` and ``python
+  -c "import gc; gc.disable(); import numpy, json; gc.freeze()"``: the
+  third imports NumPy as the program does, with the cyclic GC off until the
+  imports are frozen, so that the program's own share is read off it and
+  not off the second, which pays the GC's scans of NumPy's import objects
+  and at shutdown;
 * per source tree, ``python -m bearing_forge.cli validate`` and ``run
   --oracles`` (its ``src`` on PYTHONPATH, one BLAS thread) on the benchmark's
   three inputs at the benchmark's horizons: the bundled squares cut to 10 s
@@ -53,6 +58,8 @@ ROUNDS = 11
 FLOORS = {
     "python -c pass": ["-c", "pass"],
     "python -c 'import numpy'": ["-c", "import numpy"],
+    "python -c 'import gc; gc.disable(); import numpy, json; gc.freeze()'": [
+        "-c", "import gc; gc.disable(); import numpy, json; gc.freeze()"],
 }
 
 

@@ -1,10 +1,4 @@
-"""Batch command-line front end.
-
-Subcommands:
-    run       integrate a scenario and write trajectory CSV + metrics JSON
-    validate  run all load-time checks and report
-    spectrum  print the closed-loop eigenvalues and spectral abscissa
-    localize  print the localized follower target positions
+"""Batch command-line front end; HELP lists its commands and options.
 
 Exit codes: 0 success, 3 collision, 4 non-finite divergence, 5 I/O error,
 2 any other named failure (parse, validation, a Lyapunov certificate).
@@ -12,12 +6,17 @@ Exit codes: 0 success, 3 collision, 4 non-finite divergence, 5 I/O error,
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    gc.disable()  # python -m: no cyclic GC until main() freezes what import made
+
+import getopt
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -211,39 +210,55 @@ def _overrides(args):
     return {key: getattr(args, key) for key in OVERRIDES}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bearing-forge",
-        description="Bearing-based formation control with disturbance rejection",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("run", cmd_run),
-        ("validate", cmd_validate),
-        ("spectrum", cmd_spectrum),
-        ("localize", cmd_localize),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("scenario", help="path to a scenario JSON file")
-        p.add_argument("--kappa-p", dest="kappa_p", type=float)
-        p.add_argument("--kappa-v", dest="kappa_v", type=float)
-        p.add_argument("--t-final", dest="t_final", type=float)
-        p.add_argument("--h", dest="h", type=float)
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--out", dest="output_dir", help="output directory override")
-        if name == "run":
-            p.add_argument("--oracles", action="store_true")
-        p.set_defaults(fn=fn)
-    return parser
+COMMANDS = dict(run=cmd_run, validate=cmd_validate, spectrum=cmd_spectrum, localize=cmd_localize)
+HELP = f"""usage: bearing-forge {{{','.join(COMMANDS)}}} SCENARIO [options]
+  run       integrate a scenario and write trajectory CSV + metrics JSON
+  validate  run all load-time checks and report
+  spectrum  print the closed-loop eigenvalues and spectral abscissa
+  localize  print the localized follower target positions
+options, each also as a unique prefix and as --name=value: -h, --help,
+  --kappa-p X, --kappa-v X, --t-final X, --h X, --out DIR,
+  --mode {{{','.join(MODES)}}}, and on run only --oracles
+"""
+
+
+def parse_args(argv):
+    """The command line as fn, scenario, oracles and the OVERRIDES keys.  As
+    with argparse, -h prints HELP and exits 0, and a usage error exits 2."""
+    fn = COMMANDS.get(argv[0]) if argv else None
+    longs = "help kappa-p= kappa-v= t-final= h= mode= out=".split() + ["oracles"] * (fn is cmd_run)
+    try:
+        opts, rest = getopt.gnu_getopt(argv[1:] if fn else argv, "h", longs)
+        if {"-h", "--help"} & {opt for opt, _ in opts}:
+            print(HELP, end="")
+            raise SystemExit(EXIT_OK)
+        if fn is None:
+            raise getopt.GetoptError(f"invalid command {argv[0]!r}" if argv else "no command")
+        if len(rest) != 1:
+            raise getopt.GetoptError(f"one scenario expected, got {rest}")
+        args = SimpleNamespace(fn=fn, scenario=rest[0], oracles=False, **dict.fromkeys(OVERRIDES))
+        for opt, value in opts:  # the last of a repeated option wins
+            name = opt[2:].replace("-", "_")
+            if name == "mode" and value not in MODES:
+                raise getopt.GetoptError(f"--mode: {value!r} is not one of {', '.join(MODES)}")
+            elif name in ("mode", "out"):
+                setattr(args, "output_dir" if name == "out" else name, value)
+            else:
+                setattr(args, name, name == "oracles" or float(value))
+    except (getopt.GetoptError, ValueError) as exc:
+        print(HELP.splitlines()[0], f"bearing-forge: error: {exc}", sep="\n", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION) from None
+    return args
 
 
 def main(argv=None):
     if argv is None:
-        # the process's own command line: what is imported by now lives
-        # until exit, so the cyclic GC need not scan it again, in a later
-        # collection or at shutdown.  A caller that passes argv keeps its GC
+        # the process's own command line: what is imported by now lives until
+        # exit, so freeze it out of the cyclic GC's scans (python -m ran the
+        # imports with the GC off).  A caller that passes argv keeps its GC
         gc.freeze()
-    args = build_parser().parse_args(argv)
+        gc.enable()
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except CollisionDetected as exc:

@@ -817,8 +817,8 @@ print([
 
 
 # validate, spectrum, localize and run in one fresh process (argv[1] is the
-# output directory of run); prints, per command, whether sim_engine and
-# rk4_operator are loaded after it
+# output directory of run); prints, per command, whether sim_engine,
+# rk4_operator, argparse and locale are loaded after it
 COMMAND_IMPORTS = """
 import json, sys
 from bearing_forge import bundled_scenario, cli
@@ -831,7 +831,8 @@ for command, *opts in (
     assert cli.main([command, path, *opts]) == 0
     loaded[command] = [
         name in sys.modules
-        for name in ("bearing_forge.sim_engine", "bearing_forge.rk4_operator")
+        for name in ("bearing_forge.sim_engine", "bearing_forge.rk4_operator",
+                     "argparse", "locale")
     ]
 print(json.dumps(loaded))
 """
@@ -841,7 +842,9 @@ def test_only_run_imports_the_engine(tmp_path):
     """validate, spectrum and localize decide everything at load, so they
     import neither sim_engine nor rk4_operator; run imports both.  A stray
     import of either on the load path would make every command compile
-    them."""
+    them.  No command imports argparse, or locale, which building an
+    argparse parser imports through its gettext lookups: each costs every
+    process its import."""
     proc = subprocess.run(
         [sys.executable, "-c", COMMAND_IMPORTS, str(tmp_path / "out")],
         capture_output=True,
@@ -849,10 +852,10 @@ def test_only_run_imports_the_engine(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "validate": [False, False],
-        "spectrum": [False, False],
-        "localize": [False, False],
-        "run": [True, True],
+        "validate": [False, False, False, False],
+        "spectrum": [False, False, False, False],
+        "localize": [False, False, False, False],
+        "run": [True, True, False, False],
     }
 
 
@@ -984,6 +987,42 @@ def test_the_program_entry_freezes_the_gc(entry):
     assert code == 0 and count > 0
 
 
+# the command line argv[1:] in a fresh process, entered as `python -m
+# bearing_forge.cli` enters it (runpy, as __main__), after a full collection
+# so that what this script allocated does not set one off; prints the exit
+# code and the generation of each cyclic collection that started while
+# nothing was frozen
+ENTRY_COLLECTIONS = """
+import gc, json, runpy, sys
+sys.argv = ["bearing-forge", *sys.argv[1:]]
+unfrozen = []
+def record(phase, info):
+    if phase == "start" and gc.get_freeze_count() == 0:
+        unfrozen.append(info["generation"])
+gc.collect()
+gc.callbacks.append(record)
+try:
+    runpy.run_module("bearing_forge.cli", run_name="__main__")
+except SystemExit as exc:
+    print(json.dumps([exc.code, unfrozen]))
+"""
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--t-final", "0.1"]])
+def test_the_module_entry_collects_nothing_before_the_freeze(tmp_path, command):
+    """`python -m bearing_forge.cli` turns the cyclic GC off before its
+    imports, and main() freezes what they made before turning it back on,
+    so no collection scans the objects that NumPy's and the package's
+    imports create (with the GC on through the imports, about 30)."""
+    argv = [command[0], bundled_scenario("square_known"), *command[1:],
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_COLLECTIONS, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
 def test_main_with_argv_leaves_the_gc_unfrozen():
     """An in-process call with argv, as the tests and perfbench's tracer
     make, leaves the host's permanent generation as it was."""
@@ -995,6 +1034,60 @@ def test_main_with_argv_leaves_the_gc_unfrozen():
         if after != before:
             gc.unfreeze()
     assert after == before
+
+
+# the command-line contract: argv after the program name (SQ stands for the
+# bundled square_known), the exit code, and the token that stderr names when
+# one argument is at fault
+SQ = bundled_scenario("square_known")
+COMMAND_LINES = [
+    (["validate", SQ, "--t-final=10"], 0, None),
+    (["validate", "--t-final", "10", "--mode", "known", SQ], 0, None),
+    (["validate", SQ, "--t-f", "10"], 0, None),
+    (["validate", SQ, "--kappa-p", "-1"], 2, "kappa_p"),
+    (["validate", SQ, "--oracles"], 2, "--oracles"),
+    (["validate", SQ, "--mode", "bogus"], 2, "bogus"),
+    (["validate", SQ, "--h", "abc"], 2, "abc"),
+    (["validate"], 2, None),
+    (["validate", SQ, SQ + ".2"], 2, SQ + ".2"),
+    (["bogus", SQ], 2, "bogus"),
+    ([], 2, None),
+    (["-h"], 0, None),
+    (["run", "-h"], 0, None),
+]
+COMMAND_NAMES = ["run", "validate", "spectrum", "localize"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, token", COMMAND_LINES,
+    ids=[" ".join(a.replace(SQ, "SQ") for a in argv) or "empty" for argv, _, _ in COMMAND_LINES],
+)
+def test_command_line_contract(argv, code, token):
+    """Long options as --name value and --name=value, by a unique prefix,
+    before or after the scenario; --oracles on run only.  A usage error
+    raises SystemExit(2) with a usage line and an error line on stderr; -h
+    raises SystemExit(0) with the commands, and on run its --oracles, on
+    stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+            usage = exc.code != 0
+        else:
+            usage = False
+    assert got == code, err.getvalue()
+    if token is not None:
+        assert token in err.getvalue()
+    if usage:
+        lines = err.getvalue().splitlines()
+        assert lines[0].startswith("usage: bearing-forge")
+        assert lines[-1].startswith("bearing-forge") and ": error: " in lines[-1]
+    if argv == ["-h"]:
+        assert all(name in out.getvalue() for name in COMMAND_NAMES)
+    if argv == ["run", "-h"]:
+        assert "--oracles" in out.getvalue()
 
 
 # each error class, one instance, and the exit code and stderr prefix that
